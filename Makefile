@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet verify bench bench-crawl bench-check telemetry-smoke fleet-smoke fleetz-smoke mining-smoke miningz-smoke profile-mining
+.PHONY: build test race vet verify bench bench-crawl bench-check telemetry-smoke fleetz-smoke mining-smoke miningz-smoke profile-mining
 
 build:
 	$(GO) build ./...
@@ -35,16 +35,11 @@ bench-crawl:
 bench-check:
 	sh scripts/bench_check.sh
 
-# telemetry-smoke runs a seeded chaos crawl+mine with -metrics-out and
-# validates the snapshot against the golden key-set.
+# telemetry-smoke runs the same seeded chaos crawl+mine as a one-shard
+# and a 4-shard fleet under worker kills, requires byte-identical
+# output, and validates the snapshot against the golden key-set.
 telemetry-smoke:
 	sh scripts/telemetry_smoke.sh
-
-# fleet-smoke runs the same seeded chaos crawl single-process and as a
-# 4-shard fleet under worker kills, and requires byte-identical output
-# plus the fleet telemetry keys.
-fleet-smoke:
-	sh scripts/fleet_smoke.sh
 
 # fleetz-smoke runs a 4-shard chaos crawl with the debug server up and
 # asserts the live /fleetz introspection view (JSON schema + wpnstat

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	wpncrawl -out wpns.json [-seed N] [-scale F] [-days N]
-//	         [-chaos-profile P] [-checkpoint PATH] [-resume]
+//	         [-chaos-profile P] [-pump-workers N] [-batch-window D]
 //	         [-shards N] [-heartbeat D] [-max-restarts N] [-fleet-dir DIR]
 //	         [-fleet-ledger PATH] [-debug-addr HOST:PORT] [-linger D]
 //	         [-metrics-out PATH] [-trace-out PATH]
@@ -15,29 +15,28 @@
 // -chaos-profile wraps the virtual network with the deterministic fault
 // injector (internal/chaos): presets "mild", "acceptance", "harsh", or
 // a comma-separated spec with k=v overrides, e.g.
-// "acceptance,seed=7,resets=0.08,outage=72h:24h". -checkpoint makes the
-// crawls crash-tolerant: state is periodically written to per-device
-// JSON files derived from the given base path, and -resume merges an
-// existing checkpoint so a killed crawl converges to the same record
-// set as an uninterrupted one.
+// "acceptance,seed=7,resets=0.08,outage=72h:24h".
 //
-// -shards N (> 1) runs each crawl as a sharded fleet (internal/fleet):
-// a coordinator plus N workers, each owning a disjoint container set
-// with its own durable state file, heartbeat-based dead-worker
-// detection, bounded restart-with-resume, and work stealing. The
-// merged output is byte-identical to a single-process crawl at any
-// shard count — including under "workercrashes=F" chaos kills.
+// Every crawl runs on the fleet (internal/fleet): a coordinator plus
+// -shards N workers (<= 1 means one), each owning a disjoint container
+// set, with heartbeat-based dead-worker detection, bounded
+// restart-with-resume from durable state files (kept under -fleet-dir,
+// or a private temp dir when "workercrashes=F" chaos can kill a
+// worker), and work stealing. The output is byte-identical at any
+// shard count, under any kill schedule. The crawl is deterministic, so
+// a killed wpncrawl is simply run again: the rerun writes the same
+// records an uninterrupted run would have.
 //
 // Observability: -debug-addr serves net/http/pprof, expvar, a live
-// /metrics JSON snapshot, and — for fleet runs — the /fleetz fleet
-// introspection view (cmd/wpnstat renders it as a dashboard) on a
-// loopback listener while the crawl runs; -linger keeps that server up
+// /metrics JSON snapshot, and the /fleetz fleet introspection view
+// (cmd/wpnstat renders it as a dashboard) on a loopback listener while
+// the crawl runs; -linger keeps that server up
 // for the given duration after the crawl so the final state can still
 // be scraped. -metrics-out writes the final telemetry snapshot (crawler
 // counters, breaker transitions, chaos fault totals, per-host request
 // counts) as JSON; -trace-out writes the per-notification attack-chain
 // spans as JSONL (replayable with internal/audit); -fleet-ledger writes
-// each fleet crawl's control-plane event timeline as per-device JSONL.
+// each crawl's control-plane event timeline as per-device JSONL.
 package main
 
 import (
@@ -58,15 +57,13 @@ func main() {
 		days       = flag.Int("days", 14, "collection window in simulated days")
 		out        = flag.String("out", "wpns.json", "output JSON path")
 		profile    = flag.String("chaos-profile", "", "fault-injection profile (mild|acceptance|harsh, with k=v overrides)")
-		ckpt       = flag.String("checkpoint", "", "base path for crash-tolerant crawl checkpoints")
 		pumpW      = flag.Int("pump-workers", 0, "parallel monitor-phase workers (1 = serial reference path, <= 0 = container-pool size); output is identical at any setting")
 		batchW     = flag.Duration("batch-window", 0, "coalesce monitor ticks: pump everything due within this window of the first due event as one batch (0 = exact per-event stepping)")
-		resume     = flag.Bool("resume", false, "resume crawls from existing checkpoints")
-		shards     = flag.Int("shards", 0, "run each crawl as a sharded fleet with this many workers (<= 1 = single process); output is identical at any shard count")
+		shards     = flag.Int("shards", 0, "run each crawl as a fleet of this many shard workers (<= 1 = one worker); output is identical at any shard count")
 		heartbeat  = flag.Duration("heartbeat", 0, "fleet liveness-check period in simulated time (0 = 6h default)")
 		maxRestart = flag.Int("max-restarts", 0, "restart budget per shard worker before its containers are stolen (0 = default 2, negative = never restart)")
 		fleetDir   = flag.String("fleet-dir", "", "directory for durable shard state files (default: private temp dir)")
-		ledger     = flag.String("fleet-ledger", "", "base path for per-device fleet event-timeline JSONL files (fleet runs only)")
+		ledger     = flag.String("fleet-ledger", "", "base path for per-device fleet event-timeline JSONL files")
 		debugAddr  = flag.String("debug-addr", "", "loopback addr serving /debug/pprof, /debug/vars, /metrics and /fleetz (e.g. 127.0.0.1:6060)")
 		linger     = flag.Duration("linger", 0, "keep the debug server up this long after the crawl finishes")
 		metricsOut = flag.String("metrics-out", "", "write final telemetry snapshot JSON to this path")
@@ -101,8 +98,6 @@ func main() {
 	study, err := pushadminer.RunStudy(pushadminer.StudyConfig{
 		Eco:              pushadminer.EcosystemConfig{Seed: *seed, Scale: *scale, Chaos: prof},
 		CollectionWindow: time.Duration(*days) * 24 * time.Hour,
-		CheckpointPath:   *ckpt,
-		Resume:           *resume,
 		PumpWorkers:      *pumpW,
 		BatchWindow:      *batchW,
 		Shards:           *shards,

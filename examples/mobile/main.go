@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"net/http"
@@ -16,6 +17,7 @@ import (
 	"pushadminer"
 	"pushadminer/internal/browser"
 	"pushadminer/internal/crawler"
+	"pushadminer/internal/fleet"
 )
 
 func main() {
@@ -27,7 +29,7 @@ func main() {
 	seeds := eco.SeedURLs()
 
 	crawl := func(name string, physical bool) []*pushadminer.WPNRecord {
-		c, err := crawler.New(crawler.Config{
+		res, _, err := fleet.Run(context.Background(), fleet.Config{Crawl: crawler.Config{
 			Clock:            eco.Clock,
 			NewClient:        func() *http.Client { return eco.Net.ClientNoRedirect() },
 			Driver:           eco,
@@ -35,11 +37,7 @@ func main() {
 			Device:           browser.Mobile,
 			RealDevice:       physical,
 			CollectionWindow: 7 * 24 * time.Hour,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		res, err := c.Run(seeds)
+		}}, seeds)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -4,7 +4,7 @@
 // resets, 5xx bursts, truncated bodies, DNS blackhole windows, and
 // scheduled push-service outages driven by the simulated clock — so the
 // crawler's robustness machinery (retries, circuit breakers, crash
-// recovery, checkpointing) can be exercised and *measured* under the
+// recovery, worker restarts) can be exercised and *measured* under the
 // failure modes a real two-month crawl survives (§6.1 of the paper).
 //
 // Every fault decision is a pure function of (seed, client, host,
@@ -87,8 +87,8 @@ type Profile struct {
 	// WorkerCrashFraction is consulted by the fleet's worker crash
 	// plan: the probability a given shard worker dies on a given
 	// heartbeat cycle (kill -9, OOM — the whole process, not one
-	// container). Only fleet runs consult it; it has no effect on the
-	// single-process crawl.
+	// container). Kills are invisible in the crawl's output: the fleet
+	// restores the worker from its durable shard state.
 	WorkerCrashFraction float64 `json:"worker_crash_fraction,omitempty"`
 
 	// Blackholes maps hostnames to windows during which the host is
@@ -298,10 +298,9 @@ func (in *Injector) ShouldCrashContainer(clientID string, cycle int) bool {
 // ShouldCrashWorker decides whether the fleet shard worker identified
 // by workerID dies on its cycle-th heartbeat. Used via
 // fleet.Config.WorkerCrashPlan. Deliberately NOT counted into the
-// injector's fault stats: the single-process baseline never consults
-// worker plans, and the fleet's Degradation report must stay
-// byte-identical to it — kills are tallied in the fleet's own report
-// and telemetry instead.
+// injector's fault stats: a crawl's Degradation report must stay
+// byte-identical to a kill-free run's — kills are tallied in the
+// fleet's own report and telemetry instead.
 func (in *Injector) ShouldCrashWorker(workerID string, cycle int) bool {
 	if in.prof.WorkerCrashFraction <= 0 {
 		return false

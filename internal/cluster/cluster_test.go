@@ -102,9 +102,23 @@ func TestAgglomerativeTwoBlobs(t *testing.T) {
 	}
 }
 
+// randomMatrix fills an n-item matrix with rng draws, one per pair in
+// row-major order. The draws happen up front because Compute calls its
+// distance function from parallel workers, which must not share rng.
+func randomMatrix(n int, rng *rand.Rand) *DistMatrix {
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = make([]float64, n)
+		for j := i + 1; j < n; j++ {
+			d[i][j] = rng.Float64()
+		}
+	}
+	return Compute(n, func(i, j int) float64 { return d[i][j] })
+}
+
 func TestMergesSortedByDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := Compute(20, func(i, j int) float64 { return rng.Float64() })
+	m := randomMatrix(20, rng)
 	d := Agglomerative(m)
 	merges := d.Merges()
 	for i := 1; i < len(merges); i++ {
@@ -121,7 +135,7 @@ func TestMergesSortedByDistance(t *testing.T) {
 func TestMergeIDsAreValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 15
-	m := Compute(n, func(i, j int) float64 { return rng.Float64() })
+	m := randomMatrix(n, rng)
 	d := Agglomerative(m)
 	used := make(map[int]bool)
 	for k, mg := range d.Merges() {
@@ -295,7 +309,7 @@ func TestAgglomerativeQuickInvariants(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%30) + 2
 		rng := rand.New(rand.NewSource(seed))
-		m := Compute(n, func(i, j int) float64 { return rng.Float64() })
+		m := randomMatrix(n, rng)
 		d := Agglomerative(m)
 		if len(d.Merges()) != n-1 {
 			return false
@@ -372,7 +386,7 @@ func TestLinkageOrdering(t *testing.T) {
 	// For any matrix, single-linkage merge heights <= average <= complete
 	// at each merge step (a standard property).
 	rng := rand.New(rand.NewSource(17))
-	m := Compute(12, func(i, j int) float64 { return rng.Float64() })
+	m := randomMatrix(12, rng)
 	single := AgglomerativeLinkage(m, Single).Merges()
 	complete := AgglomerativeLinkage(m, Complete).Merges()
 	// Compare total merge heights (per-step ids can differ).
@@ -416,7 +430,7 @@ func TestDedupeCutHeights(t *testing.T) {
 func TestAccumRowByLabelMatchesAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	n := 37
-	m := Compute(n, func(i, j int) float64 { return rng.Float64() })
+	m := randomMatrix(n, rng)
 	lab := make([]int, n)
 	for i := range lab {
 		lab[i] = rng.Intn(5)
@@ -441,7 +455,7 @@ func TestAccumRowByLabelMatchesAt(t *testing.T) {
 func TestAccumMultiByLabelMatchesRowWalks(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n := 41
-	m := Compute(n, func(i, j int) float64 { return rng.Float64() })
+	m := randomMatrix(n, rng)
 	// Labels 0..2 are multi-member clusters; 3..kb-1 are singletons.
 	kb := 9
 	lab := make([]int, n)

@@ -84,7 +84,7 @@ func TestSilhouetteMatchesSerialBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
 		n := 2 + rng.Intn(120)
-		m := Compute(n, func(i, j int) float64 { return rng.Float64() })
+		m := randomMatrix(n, rng)
 		k := 1 + rng.Intn(6)
 		labels := make([]int, n)
 		for i := range labels {

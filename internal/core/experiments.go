@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 
 	"pushadminer/internal/browser"
 	"pushadminer/internal/crawler"
+	"pushadminer/internal/fleet"
 	"pushadminer/internal/report"
 	"pushadminer/internal/stats"
 	"pushadminer/internal/webeco"
@@ -44,18 +46,14 @@ func RunRevisit(s *Study, sampleSize int, gap, window time.Duration) (*RevisitRe
 	}
 	sample := pool[:sampleSize]
 
-	c, err := crawler.New(crawler.Config{
+	res, _, err := fleet.Run(context.Background(), fleet.Config{Crawl: crawler.Config{
 		Clock:            eco.Clock,
 		NewClient:        func() *http.Client { return eco.Net.ClientNoRedirect() },
 		Driver:           eco,
 		Pending:          eco.Push,
 		Device:           browser.Desktop,
 		CollectionWindow: window,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Run(sample)
+	}}, sample)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +109,7 @@ type PilotResult struct {
 // hours) over the ecosystem's seeds and measures first-notification
 // latency per source.
 func RunPilot(eco *webeco.Ecosystem, monitorWindow, collectionWindow time.Duration) (*PilotResult, error) {
-	c, err := crawler.New(crawler.Config{
+	res, _, err := fleet.Run(context.Background(), fleet.Config{Crawl: crawler.Config{
 		Clock:            eco.Clock,
 		NewClient:        func() *http.Client { return eco.Net.ClientNoRedirect() },
 		Driver:           eco,
@@ -120,11 +118,7 @@ func RunPilot(eco *webeco.Ecosystem, monitorWindow, collectionWindow time.Durati
 		MonitorWindow:    monitorWindow,
 		ResumeInterval:   time.Hour,
 		CollectionWindow: collectionWindow,
-	})
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Run(eco.SeedURLs())
+	}}, eco.SeedURLs())
 	if err != nil {
 		return nil, err
 	}

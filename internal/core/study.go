@@ -32,13 +32,6 @@ type StudyConfig struct {
 	// RescanAfter is the delay before the second blocklist scan
 	// (§6.3.2's one-month rescan).
 	RescanAfter time.Duration
-	// CheckpointPath enables crash-tolerant crawling: each device's
-	// crawl periodically checkpoints to a per-device file derived from
-	// this base path ("wpns.ckpt.json" → "wpns.ckpt.desktop.json").
-	CheckpointPath string
-	// Resume merges existing checkpoints into the crawls, so a study
-	// killed mid-crawl converges to the same record set on rerun.
-	Resume bool
 	// Pipeline tweaks analysis stages (ablations). Services and Scans
 	// are filled in from the ecosystem.
 	Pipeline PipelineOptions
@@ -57,12 +50,11 @@ type StudyConfig struct {
 	// exact per-event stepping.
 	BatchWindow time.Duration
 
-	// Shards > 1 runs each crawl as a sharded fleet (internal/fleet): a
-	// coordinator plus Shards in-process workers, each owning a disjoint
-	// container set with its own durable state, heartbeat monitoring,
-	// bounded restart, and work stealing. Results are byte-identical to
-	// Shards <= 1. Incompatible with Resume (shard state is the fleet's
-	// durable layer).
+	// Shards is how many workers each crawl's fleet (internal/fleet)
+	// runs: a coordinator plus Shards in-process workers, each owning a
+	// disjoint container set with its own durable state, heartbeat
+	// monitoring, bounded restart, and work stealing. <= 1 means one
+	// worker. Results are byte-identical at every shard count.
 	Shards int
 	// ShardHeartbeat is the fleet's simulated-time liveness-check
 	// period; <= 0 uses the fleet default (6h).
@@ -70,12 +62,13 @@ type StudyConfig struct {
 	// MaxShardRestarts bounds restart-with-resume per worker (0 = fleet
 	// default of 2, negative = never restart, steal immediately).
 	MaxShardRestarts int
-	// FleetDir is where shard state files are written; empty uses a
-	// private temp directory when worker kills are possible.
+	// FleetDir is where shard state files are written (one
+	// subdirectory per device); empty uses a private temp directory when
+	// worker kills are possible.
 	FleetDir string
 	// FleetLedgerPath, if set, writes each device crawl's fleet event
-	// timeline as JSONL (derived per device like CheckpointPath, e.g.
-	// ledger.json → ledger.desktop.json). Fleet runs only.
+	// timeline as JSONL to a per-device file derived from this base path
+	// (ledger.json → ledger.desktop.json).
 	FleetLedgerPath string
 
 	// Metrics, when non-nil, is threaded through every layer: the
@@ -115,8 +108,8 @@ type Study struct {
 	Records  []*crawler.WPNRecord
 	Analysis *Analysis
 
-	// FleetReports holds each device crawl's control-plane accounting
-	// when the study ran sharded (Cfg.Shards > 1), keyed by device name.
+	// FleetReports holds each device crawl's control-plane accounting,
+	// keyed by device name.
 	FleetReports map[string]*fleet.Report
 
 	// PerNetwork holds Figure 6's distribution, sorted by ad count
@@ -152,7 +145,7 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Study{Cfg: cfg, Eco: eco}
+	s := &Study{Cfg: cfg, Eco: eco, FleetReports: make(map[string]*fleet.Report)}
 
 	seeds := eco.SeedURLs()
 	runCrawl := func(device browser.DeviceType, real bool) (*crawler.Result, error) {
@@ -168,34 +161,22 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 			BatchWindow:      cfg.BatchWindow,
 			CrashPlan:        eco.CrashPlan(),
 			FaultCounts:      eco.FaultCounts,
-			CheckpointPath:   checkpointPathFor(cfg.CheckpointPath, device),
-			Resume:           cfg.Resume,
 			Metrics:          cfg.Metrics,
 			Tracer:           cfg.Tracer,
 		}
-		if cfg.Shards > 1 {
-			res, rep, err := fleet.Run(ctx, fleet.Config{
-				Crawl:           crawlCfg,
-				Shards:          cfg.Shards,
-				Heartbeat:       cfg.ShardHeartbeat,
-				MaxRestarts:     cfg.MaxShardRestarts,
-				Dir:             fleetDirFor(cfg.FleetDir, device),
-				WorkerCrashPlan: eco.WorkerCrashPlan(),
-				LedgerPath:      checkpointPathFor(cfg.FleetLedgerPath, device),
-			}, seeds)
-			if rep != nil {
-				if s.FleetReports == nil {
-					s.FleetReports = make(map[string]*fleet.Report)
-				}
-				s.FleetReports[device.String()] = rep
-			}
-			return res, err
+		res, rep, err := fleet.Run(ctx, fleet.Config{
+			Crawl:           crawlCfg,
+			Shards:          cfg.Shards,
+			Heartbeat:       cfg.ShardHeartbeat,
+			MaxRestarts:     cfg.MaxShardRestarts,
+			Dir:             fleetDirFor(cfg.FleetDir, device),
+			WorkerCrashPlan: eco.WorkerCrashPlan(),
+			LedgerPath:      ledgerPathFor(cfg.FleetLedgerPath, device),
+		}, seeds)
+		if rep != nil {
+			s.FleetReports[device.String()] = rep
 		}
-		c, err := crawler.New(crawlCfg)
-		if err != nil {
-			return nil, err
-		}
-		return c.RunContext(ctx, seeds)
+		return res, err
 	}
 
 	if s.Desktop, err = runCrawl(browser.Desktop, false); err != nil {
@@ -241,9 +222,9 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	return s, nil
 }
 
-// checkpointPathFor derives the per-device checkpoint file from the
-// study's base path: "wpns.ckpt.json" → "wpns.ckpt.desktop.json".
-func checkpointPathFor(base string, device browser.DeviceType) string {
+// ledgerPathFor derives the per-device fleet ledger file from the
+// study's base path: "ledger.json" → "ledger.desktop.json".
+func ledgerPathFor(base string, device browser.DeviceType) string {
 	if base == "" {
 		return ""
 	}

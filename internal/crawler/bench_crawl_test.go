@@ -1,9 +1,9 @@
-package crawler
+package crawler_test
 
 // Crawl benchmark suite: the monitor event loop — the phase dominating
-// a multi-day collection window — measured at two container-fleet sizes
-// in serial (PumpWorkers=1) and parallel (PumpWorkers=MaxContainers)
-// modes. scripts/bench.sh runs these and records BENCH_crawl.json; the
+// a multi-day collection window — of a one-shard fleet crawl, measured
+// at two container-fleet sizes in serial (PumpWorkers=1) and parallel
+// (PumpWorkers=MaxContainers) modes. scripts/bench.sh runs these and records BENCH_crawl.json; the
 // serial/parallel parity test guarantees the modes agree byte-for-byte
 // before the speedup counts.
 //
@@ -20,6 +20,8 @@ import (
 
 	"pushadminer/internal/browser"
 	"pushadminer/internal/chaos"
+	"pushadminer/internal/crawler"
+	"pushadminer/internal/fleet"
 	"pushadminer/internal/webeco"
 )
 
@@ -53,53 +55,92 @@ func benchLatency() *chaos.Profile {
 
 var benchRecords int
 
-// benchMonitor times only the monitor phase: each iteration rebuilds
-// the ecosystem and re-runs the (untimed) seeding phase, trims the live
-// fleet to exactly n containers, then times r.monitor alone.
+// startTimerOnTick starts the benchmark timer at the first scheduler
+// tick, so the seeding phase before it stays untimed. The coordinator
+// ticks the driver on the goroutine that called fleet.Run.
+type startTimerOnTick struct {
+	crawler.PushDriver
+	b       *testing.B
+	started bool
+}
+
+func (d *startTimerOnTick) Tick() int {
+	if !d.started {
+		d.started = true
+		d.b.StartTimer()
+	}
+	return d.PushDriver.Tick()
+}
+
+// benchMonitor times only the monitor phase over exactly n containers:
+// the shortest seed prefix that registers n containers is found once,
+// then each iteration rebuilds the ecosystem and runs a one-shard fleet
+// crawl over that prefix with the timer running from the first
+// scheduler tick to the end of the crawl.
 func benchMonitor(b *testing.B, n int, scale float64, workers int) {
 	b.ReportAllocs()
 	flushW := workers
 	if flushW == 0 {
 		flushW = 32 // mirror the crawler's MaxContainers default
 	}
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
+	newEco := func() *webeco.Ecosystem {
 		eco, err := webeco.New(webeco.Config{Seed: 11, Scale: scale, Chaos: benchLatency(), FlushWorkers: flushW})
 		if err != nil {
 			b.Fatal(err)
 		}
-		c, err := New(Config{
+		return eco
+	}
+	config := func(eco *webeco.Ecosystem, driver crawler.PushDriver) crawler.Config {
+		return crawler.Config{
 			Clock:            eco.Clock,
 			NewClient:        func() *http.Client { return eco.Net.ClientNoRedirect() },
-			Driver:           eco,
+			Driver:           driver,
 			Pending:          eco.Push,
 			Device:           browser.Desktop,
 			CollectionWindow: 7 * 24 * time.Hour,
 			PumpWorkers:      workers,
 			BatchWindow:      time.Hour,
-		})
+		}
+	}
+
+	b.StopTimer()
+	eco := newEco()
+	seeds := eco.SeedURLs()
+	shardSeeds := make([]crawler.ShardSeed, len(seeds))
+	for i, u := range seeds {
+		shardSeeds[i] = crawler.ShardSeed{Index: i, URL: u}
+	}
+	w, err := crawler.NewShardWorker(context.Background(), config(eco, eco), 0, shardSeeds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	seeded, err := w.Seed()
+	if err != nil {
+		b.Fatal(err)
+	}
+	eco.Close()
+	prefix := 0
+	for registered := 0; prefix < len(seeded.Outcomes) && registered < n; prefix++ {
+		if seeded.Outcomes[prefix].Registered {
+			registered++
+		}
+	}
+	seeds = seeds[:prefix]
+
+	for i := 0; i < b.N; i++ {
+		eco := newEco()
+		res, _, err := fleet.Run(context.Background(), fleet.Config{
+			Crawl: config(eco, &startTimerOnTick{PushDriver: eco, b: b}),
+		}, seeds)
+		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
 		}
-		r := &run{
-			c:        c,
-			cfg:      &c.cfg,
-			ctx:      context.Background(),
-			res:      &Result{},
-			occ:      make(map[string]int),
-			restored: make(map[string]*WPNRecord),
+		if res.Containers != n {
+			b.Fatalf("scale %v: %d seeds registered %d containers, need %d", scale, len(seeds), res.Containers, n)
 		}
-		live := r.seedPhase(eco.SeedURLs())
-		if len(live) < n {
-			b.Fatalf("scale %v registered %d containers, need %d", scale, len(live), n)
-		}
-		live = live[:n]
-		b.StartTimer()
-		r.monitor(live)
-		b.StopTimer()
-		benchRecords += len(r.res.Records)
+		benchRecords += len(res.Records)
 		eco.Close()
-		b.StartTimer()
 	}
 }
 

@@ -1,31 +1,20 @@
-package crawler
+package crawler_test
 
 import (
 	"context"
 	"errors"
-	"net/http"
+	"strings"
 	"testing"
 	"time"
 
-	"pushadminer/internal/browser"
+	"pushadminer/internal/crawler"
 )
 
 func TestRunContextCancelled(t *testing.T) {
 	eco := newEco(t, 0.002)
-	c, err := New(Config{
-		Clock:            eco.Clock,
-		NewClient:        func() *http.Client { return eco.Net.ClientNoRedirect() },
-		Driver:           eco,
-		Pending:          eco.Push,
-		Device:           browser.Desktop,
-		CollectionWindow: 7 * 24 * time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before it even starts
-	res, err := c.RunContext(ctx, eco.SeedURLs())
+	res, err := crawlContext(t, ctx, eco, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -37,18 +26,31 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
+// tickCancelDriver cancels a context after a fixed number of scheduler
+// ticks — a deterministic "kill -9" point inside the monitor loop.
+type tickCancelDriver struct {
+	crawler.PushDriver
+	n, limit int
+	cancel   context.CancelFunc
+}
+
+func (d *tickCancelDriver) Tick() int {
+	d.n++
+	if d.limit > 0 && d.n == d.limit {
+		d.cancel()
+	}
+	return d.PushDriver.Tick()
+}
+
 // TestRunContextCancelledMidMonitor kills the crawl from inside the
 // monitor loop (after a fixed number of scheduler ticks) and checks the
-// final drain returns a coherent partial result: some but not all
-// records, the context error, and no duplicates.
+// crawl returns a coherent partial result: some but not all records,
+// the context error, and no duplicates.
 func TestRunContextCancelledMidMonitor(t *testing.T) {
 	// Reference run to know the full record count and tick budget.
 	ecoA := newEco(t, 0.002)
 	counter := &tickCancelDriver{PushDriver: ecoA}
-	full, err := chaosCrawler(t, ecoA, func(c *Config) { c.Driver = counter }).Run(ecoA.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := crawl(t, ecoA, func(c *crawler.Config) { c.Driver = counter })
 	if len(full.Records) == 0 || counter.n < 4 {
 		t.Fatalf("reference run too small (records=%d ticks=%d)", len(full.Records), counter.n)
 	}
@@ -57,7 +59,7 @@ func TestRunContextCancelledMidMonitor(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	killer := &tickCancelDriver{PushDriver: ecoB, limit: counter.n / 2, cancel: cancel}
-	partial, err := chaosCrawler(t, ecoB, func(c *Config) { c.Driver = killer }).RunContext(ctx, ecoB.SeedURLs())
+	partial, err := crawlContext(t, ctx, ecoB, func(c *crawler.Config) { c.Driver = killer })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -70,13 +72,15 @@ func TestRunContextCancelledMidMonitor(t *testing.T) {
 	if len(partial.Records) >= len(full.Records) {
 		t.Errorf("cancel fired too late: partial=%d full=%d", len(partial.Records), len(full.Records))
 	}
-	// The final drain must not re-emit anything already collected.
+	// A cancelled crawl skips the final drain, so nothing collected
+	// before the kill may be emitted twice.
 	assertUniqueIDs(t, partial.Records)
 	seen := make(map[string]bool, len(partial.Records))
 	for _, r := range partial.Records {
-		k := recordKey(r)
+		k := strings.Join([]string{r.SourceURL, r.SWURL, r.Title, r.Body, r.TargetURL,
+			r.ShownAt.UTC().Format(time.RFC3339Nano)}, "\x1f")
 		if seen[k] {
-			t.Errorf("duplicate record after cancel drain: %s %q", r.SourceURL, r.Title)
+			t.Errorf("duplicate record after cancel: %s %q", r.SourceURL, r.Title)
 		}
 		seen[k] = true
 	}
@@ -84,18 +88,9 @@ func TestRunContextCancelledMidMonitor(t *testing.T) {
 
 func TestRunContextBackgroundCompletes(t *testing.T) {
 	eco := newEco(t, 0.002)
-	c, err := New(Config{
-		Clock:            eco.Clock,
-		NewClient:        func() *http.Client { return eco.Net.ClientNoRedirect() },
-		Driver:           eco,
-		Pending:          eco.Push,
-		Device:           browser.Desktop,
-		CollectionWindow: 2 * 24 * time.Hour,
+	res, err := crawlContext(t, context.Background(), eco, func(c *crawler.Config) {
+		c.CollectionWindow = 2 * 24 * time.Hour
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.RunContext(context.Background(), eco.SeedURLs())
 	if err != nil {
 		t.Fatal(err)
 	}

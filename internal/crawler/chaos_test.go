@@ -1,54 +1,16 @@
-package crawler
+package crawler_test
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"net/http"
-	"path/filepath"
+	"fmt"
 	"testing"
-	"time"
 
-	"pushadminer/internal/browser"
 	"pushadminer/internal/chaos"
-	"pushadminer/internal/webeco"
+	"pushadminer/internal/crawler"
 )
-
-// newChaosEco builds the standard test ecosystem with a chaos profile.
-func newChaosEco(t *testing.T, scale float64, prof *chaos.Profile) *webeco.Ecosystem {
-	t.Helper()
-	eco, err := webeco.New(webeco.Config{Seed: 11, Scale: scale, Chaos: prof})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { eco.Close() })
-	return eco
-}
-
-// chaosCrawler builds a crawler wired for fault injection and recovery,
-// with optional config overrides.
-func chaosCrawler(t *testing.T, eco *webeco.Ecosystem, mod func(*Config)) *Crawler {
-	t.Helper()
-	cfg := Config{
-		Clock:            eco.Clock,
-		NewClient:        func() *http.Client { return eco.Net.ClientNoRedirect() },
-		Driver:           eco,
-		Pending:          eco.Push,
-		Device:           browser.Desktop,
-		CollectionWindow: 7 * 24 * time.Hour,
-		CrashPlan:        eco.CrashPlan(),
-		FaultCounts:      eco.FaultCounts,
-	}
-	if mod != nil {
-		mod(&cfg)
-	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
 
 // acceptanceProfile is the ISSUE scenario: 5% connection resets, 10%
 // 503s, and one 24-hour push-service outage, all from a fixed seed.
@@ -61,7 +23,7 @@ func acceptanceProfile() *chaos.Profile {
 	return &p
 }
 
-func assertUniqueIDs(t *testing.T, recs []*WPNRecord) {
+func assertUniqueIDs(t *testing.T, recs []*crawler.WPNRecord) {
 	t.Helper()
 	seen := make(map[int]bool, len(recs))
 	for _, r := range recs {
@@ -72,26 +34,38 @@ func assertUniqueIDs(t *testing.T, recs []*WPNRecord) {
 	}
 }
 
+func marshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// firstDiff renders the context around the first diverging byte.
+func firstDiff(a, b []byte) string {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			lo := max(i-120, 0)
+			return fmt.Sprintf("byte %d:\na: %s\nb: %s", i, a[lo:min(i+120, len(a))], b[lo:min(i+120, len(b))])
+		}
+	}
+	return fmt.Sprintf("lengths differ: %d vs %d", len(a), len(b))
+}
+
 // TestCrawlUnderAcceptanceChaos is the headline robustness bound: under
 // the acceptance fault profile a full crawl must still collect at least
 // 95% of the fault-free record count, mint no duplicate IDs, and
 // account for the faults it survived in the Degradation report.
 func TestCrawlUnderAcceptanceChaos(t *testing.T) {
-	baselineEco := newChaosEco(t, 0.002, nil)
-	baseline, err := chaosCrawler(t, baselineEco, nil).Run(baselineEco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	baseline := crawl(t, newChaosEco(t, 0.002, nil), nil)
 	if len(baseline.Records) == 0 {
 		t.Fatal("fault-free baseline collected nothing")
 	}
 
-	eco := newChaosEco(t, 0.002, acceptanceProfile())
-	res, err := chaosCrawler(t, eco, nil).Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	res := crawl(t, newChaosEco(t, 0.002, acceptanceProfile()), nil)
 	assertUniqueIDs(t, res.Records)
 	if min := (len(baseline.Records)*95 + 99) / 100; len(res.Records) < min {
 		t.Errorf("chaos crawl collected %d records, want >= %d (95%% of baseline %d)\ndegradation: %+v",
@@ -118,128 +92,62 @@ func TestCrawlUnderAcceptanceChaos(t *testing.T) {
 // degradation report.
 func TestCrawlChaosByteDeterministic(t *testing.T) {
 	run := func() []byte {
-		eco := newChaosEco(t, 0.002, acceptanceProfile())
-		res, err := chaosCrawler(t, eco, nil).Run(eco.SeedURLs())
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := json.MarshalIndent(res, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return marshal(t, crawl(t, newChaosEco(t, 0.002, acceptanceProfile()), nil))
 	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		for i := 0; i < len(a) && i < len(b); i++ {
-			if a[i] != b[i] {
-				lo, hi := i-120, i+120
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > len(a) {
-					hi = len(a)
-				}
-				t.Fatalf("results diverge at byte %d:\nA: %s\nB: %s", i, a[lo:hi], b[lo:min2(hi, len(b))])
-			}
-		}
-		t.Fatalf("results differ in length: %d vs %d", len(a), len(b))
+	if a, b := run(), run(); !bytes.Equal(a, b) {
+		t.Fatalf("results diverge at %s", firstDiff(a, b))
 	}
 }
 
-func min2(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// tickCancelDriver cancels a context after a fixed number of scheduler
-// ticks — a deterministic "kill -9" point inside the monitor loop.
-type tickCancelDriver struct {
-	PushDriver
-	n, limit int
-	cancel   context.CancelFunc
-}
-
-func (d *tickCancelDriver) Tick() int {
-	d.n++
-	if d.limit > 0 && d.n == d.limit {
-		d.cancel()
-	}
-	return d.PushDriver.Tick()
-}
-
-// TestKillAndResumeConvergence: killing the crawler mid-window and
-// resuming from its checkpoint must converge to the same record set as
-// an uninterrupted run.
+// TestKillAndResumeConvergence: a killed crawl is simply run again.
+// Cancelling the crawl at ¼, ½ and ¾ of the uninterrupted run's ticks
+// must return context.Canceled and records that are a byte-identical
+// prefix of the uninterrupted run's, and a rerun must reproduce the
+// uninterrupted result byte for byte — with faults on and off.
 func TestKillAndResumeConvergence(t *testing.T) {
-	prof := acceptanceProfile()
+	for _, tc := range []struct {
+		name string
+		prof func() *chaos.Profile
+	}{
+		{"clean", func() *chaos.Profile { return nil }},
+		{"faults", acceptanceProfile},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Uninterrupted reference run, counting scheduler ticks so the
+			// kill points land mid-collection deterministically.
+			ecoA := newChaosEco(t, 0.002, tc.prof())
+			counter := &tickCancelDriver{PushDriver: ecoA}
+			full := crawl(t, ecoA, func(c *crawler.Config) { c.Driver = counter })
+			if len(full.Records) == 0 || counter.n < 4 {
+				t.Fatalf("reference run too small (records=%d ticks=%d)", len(full.Records), counter.n)
+			}
 
-	// Uninterrupted reference run (also counts scheduler ticks so the
-	// kill point lands mid-collection deterministically).
-	ecoA := newChaosEco(t, 0.002, prof)
-	counterA := &tickCancelDriver{PushDriver: ecoA}
-	full, err := chaosCrawler(t, ecoA, func(c *Config) { c.Driver = counterA }).Run(ecoA.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Records) == 0 || counterA.n < 4 {
-		t.Fatalf("reference run too small to test resume (records=%d ticks=%d)", len(full.Records), counterA.n)
-	}
+			for q := 1; q <= 3; q++ {
+				eco := newChaosEco(t, 0.002, tc.prof())
+				ctx, cancel := context.WithCancel(context.Background())
+				killer := &tickCancelDriver{PushDriver: eco, limit: counter.n * q / 4, cancel: cancel}
+				partial, err := crawlContext(t, ctx, eco, func(c *crawler.Config) { c.Driver = killer })
+				cancel()
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("killed at %d/4: err = %v, want context.Canceled", q, err)
+				}
+				if len(partial.Records) >= len(full.Records) {
+					t.Fatalf("kill at %d/4 fired too late: partial=%d full=%d", q, len(partial.Records), len(full.Records))
+				}
+				want := marshal(t, full.Records[:len(partial.Records)])
+				if got := marshal(t, partial.Records); !bytes.Equal(want, got) {
+					t.Errorf("killed at %d/4: records are not a prefix of the uninterrupted run's: %s",
+						q, firstDiff(want, got))
+				}
+				t.Logf("killed at %d/4: %d of %d records", q, len(partial.Records), len(full.Records))
+			}
 
-	ckpt := filepath.Join(t.TempDir(), "crawl.ckpt.json")
-
-	// Killed run: cancelled halfway through the tick sequence.
-	ecoB := newChaosEco(t, 0.002, prof)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	killer := &tickCancelDriver{PushDriver: ecoB, limit: counterA.n / 2, cancel: cancel}
-	partial, err := chaosCrawler(t, ecoB, func(c *Config) {
-		c.Driver = killer
-		c.CheckpointPath = ckpt
-	}).RunContext(ctx, ecoB.SeedURLs())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("killed run err = %v, want context.Canceled", err)
+			rerun := crawl(t, newChaosEco(t, 0.002, tc.prof()), nil)
+			if want, got := marshal(t, full), marshal(t, rerun); !bytes.Equal(want, got) {
+				t.Errorf("rerun differs from the uninterrupted run: %s", firstDiff(want, got))
+			}
+		})
 	}
-	if len(partial.Records) >= len(full.Records) {
-		t.Fatalf("kill fired too late: partial=%d full=%d", len(partial.Records), len(full.Records))
-	}
-	if partial.Degradation.CheckpointWrites == 0 {
-		t.Fatal("killed run wrote no checkpoint")
-	}
-
-	// Resumed run: fresh ecosystem, same seeds, replay + merge.
-	ecoC := newChaosEco(t, 0.002, prof)
-	resumed, err := chaosCrawler(t, ecoC, func(c *Config) {
-		c.CheckpointPath = ckpt
-		c.Resume = true
-	}).Run(ecoC.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !resumed.Degradation.ResumedFromCheckpoint {
-		t.Error("resumed run did not load the checkpoint")
-	}
-	if got, want := resumed.Degradation.ReplayedRecords, len(partial.Records); got != want {
-		t.Errorf("replayed %d checkpointed records, want %d", got, want)
-	}
-	if resumed.Degradation.OrphanedCheckpointRecords != 0 {
-		t.Errorf("%d checkpoint records orphaned; deterministic replay should re-mint all",
-			resumed.Degradation.OrphanedCheckpointRecords)
-	}
-	assertUniqueIDs(t, resumed.Records)
-
-	a, _ := json.Marshal(full.Records)
-	b, _ := json.Marshal(resumed.Records)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("resumed record set differs from uninterrupted run: %d vs %d records",
-			len(resumed.Records), len(full.Records))
-	}
-	t.Logf("full=%d partial=%d resumed=%d (replayed %d)",
-		len(full.Records), len(partial.Records), len(resumed.Records),
-		resumed.Degradation.ReplayedRecords)
 }
 
 // TestContainerCrashRecovery drives an aggressive crash plan and checks
@@ -247,11 +155,7 @@ func TestKillAndResumeConvergence(t *testing.T) {
 // collects, with all of it visible in the report.
 func TestContainerCrashRecovery(t *testing.T) {
 	prof := &chaos.Profile{Seed: 5, ContainerCrashFraction: 0.35}
-	eco := newChaosEco(t, 0.002, prof)
-	res, err := chaosCrawler(t, eco, nil).Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := crawl(t, newChaosEco(t, 0.002, prof), nil)
 	deg := res.Degradation
 	if deg.ContainersLost == 0 {
 		t.Fatal("crash plan never fired; test is vacuous")
@@ -270,40 +174,4 @@ func TestContainerCrashRecovery(t *testing.T) {
 		t.Errorf("crash counter missing from faults: %v", deg.Faults)
 	}
 	t.Logf("records=%d lost=%d recovered=%d", len(res.Records), deg.ContainersLost, deg.ContainersRecovered)
-}
-
-// TestCheckpointRoundTrip exercises the checkpoint file itself: write,
-// atomic replace, load, version and device validation.
-func TestCheckpointRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
-	cp := &Checkpoint{
-		Version: CheckpointVersion,
-		Device:  "desktop",
-		NextID:  7,
-		Records: []*WPNRecord{{ID: 3, Device: "desktop", Title: "t", SourceURL: "http://s.test/"}},
-		Cursors: []ContainerCursor{{ID: 1, SeedURL: "http://s.test/", Collected: 1}},
-	}
-	if err := SaveCheckpoint(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite must be atomic-replace, not append.
-	cp.NextID = 9
-	if err := SaveCheckpoint(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.NextID != 9 || len(got.Records) != 1 || got.Records[0].Title != "t" {
-		t.Fatalf("round-tripped checkpoint %+v", got)
-	}
-
-	cp.Version = CheckpointVersion + 1
-	if err := SaveCheckpoint(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path); err == nil {
-		t.Fatal("wrong-version checkpoint accepted")
-	}
 }

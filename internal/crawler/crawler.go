@@ -5,26 +5,27 @@
 // periodically resumes it to drain push messages queued at the push
 // service — producing the WPN message dataset the analysis module mines.
 //
-// Time is fully simulated: the crawler drives the shared virtual clock
-// and the ecosystem's push scheduler in one deterministic event loop.
+// The crawl runs as ShardWorkers: each owns a disjoint set of
+// containers and exposes the crawl's pump phases (seed, poll, dispatch,
+// click, finish) as calls. internal/fleet's coordinator drives them
+// through one deterministic event loop on the shared simulated clock —
+// one worker for a plain crawl, several for a sharded one.
 //
 // The crawler is built to survive the failures a months-long live crawl
 // meets (and which internal/chaos injects deterministically): visits
-// retry transient errors, push-service calls ride a shared per-host
+// retry transient errors, push-service calls ride a per-container
 // circuit breaker, containers that stop responding are declared crashed
-// and re-seeded a bounded number of times, crawl state is periodically
-// checkpointed to JSON and resumable, and every loss is tallied in the
+// and re-seeded a bounded number of times, a worker's state can be saved
+// and restored losslessly (ShardState), and every loss is tallied in the
 // Result's Degradation report.
 package crawler
 
 import (
 	"container/heap"
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -125,31 +126,14 @@ type Config struct {
 	// (webeco.Ecosystem.FaultCounts) into the Degradation report.
 	FaultCounts func() map[string]int
 
-	// --- checkpointing ---
-
-	// CheckpointPath, when set, enables periodic JSON checkpoints of
-	// the crawl state (records + per-container cursors), written
-	// atomically. A checkpoint is also written on cancellation and at
-	// completion.
-	CheckpointPath string
-	// CheckpointEvery is the simulated-time interval between periodic
-	// checkpoint writes. Default 6h.
-	CheckpointEvery time.Duration
-	// Resume, with CheckpointPath, merges a previous checkpoint into
-	// this run: the deterministic replay deduplicates re-collected
-	// records against the checkpointed ones, so a killed-and-resumed
-	// crawl converges to the same record set as an uninterrupted one.
-	// A missing checkpoint file is not an error (fresh start).
-	Resume bool
-
 	// --- telemetry ---
 
 	// Metrics, if set, receives crawler counters mirroring the
 	// Degradation report (visit retries/failures, poll failures, breaker
-	// fast-fails, containers lost/recovered, checkpoint writes), a
-	// per-container pump-latency histogram, breaker transition counts,
-	// and is threaded into every browser the crawl creates. Nil disables
-	// with no overhead on the pump hot path beyond one nil check.
+	// fast-fails, containers lost/recovered), a per-container
+	// pump-latency histogram, and breaker transition counts, and is
+	// threaded into every browser the crawl creates. Nil disables with
+	// no overhead on the pump hot path beyond one nil check.
 	Metrics *telemetry.Registry
 	// Tracer, if set, records every browser event as a parent-linked
 	// span reconstructing WPN attack chains (exported as JSONL
@@ -157,12 +141,13 @@ type Config struct {
 	Tracer *telemetry.Tracer
 }
 
-// crawlMetrics holds the crawler's preresolved instruments. Counters
-// are created up front (even if never incremented) so snapshot key sets
-// are deterministic across runs and can be golden-tested. The zero
-// value (telemetry disabled) holds nil instruments, whose methods all
-// no-op; enabled gates the one site that would otherwise pay for a
-// timestamp (pump latency).
+// crawlMetrics holds a worker's preresolved instruments. Counters are
+// created up front (even if never incremented) so snapshot key sets are
+// deterministic across runs and can be golden-tested. The zero value
+// (telemetry disabled) holds nil instruments, whose methods all no-op;
+// enabled gates the one site that would otherwise pay for a timestamp
+// (pump latency). The crawl-wide instruments (record count, batch size,
+// pump-worker gauge) belong to the fleet coordinator.
 type crawlMetrics struct {
 	enabled             bool
 	visits              *telemetry.Counter
@@ -173,11 +158,7 @@ type crawlMetrics struct {
 	breakerFastFails    *telemetry.Counter
 	containersLost      *telemetry.Counter
 	containersRecovered *telemetry.Counter
-	checkpointWrites    *telemetry.Counter
-	records             *telemetry.Counter
 	pumpLatency         *telemetry.Histogram
-	batchSize           *telemetry.Histogram
-	pumpWorkers         *telemetry.Gauge
 }
 
 func newCrawlMetrics(reg *telemetry.Registry) crawlMetrics {
@@ -194,20 +175,15 @@ func newCrawlMetrics(reg *telemetry.Registry) crawlMetrics {
 		breakerFastFails:    reg.Counter("crawler_breaker_fast_fails"),
 		containersLost:      reg.Counter("crawler_containers_lost"),
 		containersRecovered: reg.Counter("crawler_containers_recovered"),
-		checkpointWrites:    reg.Counter("crawler_checkpoint_writes"),
-		records:             reg.Counter("crawler_records_emitted"),
 		pumpLatency:         reg.Histogram("crawler_pump_seconds", telemetry.LatencyBuckets),
-		batchSize:           reg.Histogram("crawler_pump_batch_size", telemetry.SizeBuckets),
-		pumpWorkers:         reg.Gauge("crawler_pump_workers"),
 	}
 }
 
 // WithDefaults returns the config with every unset field filled in,
-// exactly as New applies them. The fleet coordinator uses it so its
-// event loop and its shard workers agree on effective knob values.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
-func (c Config) withDefaults() Config {
+// exactly as NewShardWorker applies them. The fleet coordinator uses it
+// so its event loop and its shard workers agree on effective knob
+// values.
+func (c Config) WithDefaults() Config {
 	if c.MonitorWindow <= 0 {
 		c.MonitorWindow = 15 * time.Minute
 	}
@@ -240,9 +216,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRecoveries <= 0 {
 		c.MaxRecoveries = 2
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 6 * time.Hour
 	}
 	return c
 }
@@ -324,26 +297,13 @@ type Degradation struct {
 	// RecordsDroppedEst estimates records that can no longer arrive:
 	// messages still queued for subscriptions lost in crashes.
 	RecordsDroppedEst int `json:"records_dropped_est,omitempty"`
-	// CheckpointWrites counts successful checkpoint writes.
-	CheckpointWrites int `json:"checkpoint_writes,omitempty"`
-	// CheckpointFallbacks counts resumes that found the primary
-	// checkpoint unreadable (truncated or corrupt JSON, e.g. after a
-	// mid-write crash) and fell back to the rotated .bak copy.
-	CheckpointFallbacks int `json:"checkpoint_fallbacks,omitempty"`
-	// ResumedFromCheckpoint marks a run that loaded a checkpoint;
-	// ReplayedRecords counts records deduplicated against it, and
-	// OrphanedCheckpointRecords counts checkpointed records the replay
-	// did not re-mint (kept, appended at the end).
-	ResumedFromCheckpoint     bool `json:"resumed_from_checkpoint,omitempty"`
-	ReplayedRecords           int  `json:"replayed_records,omitempty"`
-	OrphanedCheckpointRecords int  `json:"orphaned_checkpoint_records,omitempty"`
 }
 
-// Merge adds o's tallies into d: counters sum, flags OR, and fault
-// maps fold key-wise. The fleet coordinator uses it to aggregate
-// per-shard Degradation reports into one — because every tally is
-// per-event and containers are partitioned across shards, the merged
-// report equals the single-process one.
+// Merge adds o's tallies into d: counters sum and fault maps fold
+// key-wise. The fleet coordinator uses it to aggregate per-shard
+// Degradation reports into one — because every tally is per-event and
+// containers are partitioned across shards, the merged report is the
+// same at every shard count.
 func (d *Degradation) Merge(o Degradation) {
 	if len(o.Faults) > 0 {
 		if d.Faults == nil {
@@ -362,11 +322,6 @@ func (d *Degradation) Merge(o Degradation) {
 	d.ContainersLost += o.ContainersLost
 	d.ContainersRecovered += o.ContainersRecovered
 	d.RecordsDroppedEst += o.RecordsDroppedEst
-	d.CheckpointWrites += o.CheckpointWrites
-	d.CheckpointFallbacks += o.CheckpointFallbacks
-	d.ResumedFromCheckpoint = d.ResumedFromCheckpoint || o.ResumedFromCheckpoint
-	d.ReplayedRecords += o.ReplayedRecords
-	d.OrphanedCheckpointRecords += o.OrphanedCheckpointRecords
 }
 
 // Result is the output of one crawl.
@@ -422,22 +377,6 @@ func (h *containerHeap) Pop() interface{} {
 	return c
 }
 
-// Crawler runs crawls.
-type Crawler struct {
-	cfg    Config
-	tel    crawlMetrics // zero value when telemetry is disabled
-	nextID int
-}
-
-// New creates a Crawler.
-func New(cfg Config) (*Crawler, error) {
-	if cfg.Clock == nil || cfg.NewClient == nil || cfg.Driver == nil {
-		return nil, fmt.Errorf("crawler: Clock, NewClient and Driver are required")
-	}
-	cfg = cfg.withDefaults()
-	return &Crawler{cfg: cfg, tel: newCrawlMetrics(cfg.Metrics)}, nil
-}
-
 // newBreaker builds one container's private push-service circuit
 // breaker. Each container owns its breaker — like the paper's
 // independent Docker sessions, every browser discovers a push-service
@@ -446,170 +385,25 @@ func New(cfg Config) (*Crawler, error) {
 // visits can fan out across containers without request interleaving
 // touching breaker decisions. All containers report transitions into
 // the same ledger family.
-func (c *Crawler) newBreaker() *httpx.Breaker {
+func (w *ShardWorker) newBreaker() *httpx.Breaker {
 	// Threshold deliberately below CrashThreshold: a sick push
 	// service must trip the circuit (fast-fails, not counted
 	// against containers) before any single container accumulates
 	// enough poll failures to be misdiagnosed as crashed.
-	b := httpx.NewBreaker(c.cfg.Clock, httpx.BreakerConfig{Threshold: 2})
-	if c.cfg.Metrics != nil {
-		b.SetTransitions(c.cfg.Metrics.Family("breaker_transitions", "edge"))
+	b := httpx.NewBreaker(w.cfg.Clock, httpx.BreakerConfig{Threshold: 2})
+	if w.cfg.Metrics != nil {
+		b.SetTransitions(w.cfg.Metrics.Family("breaker_transitions", "edge"))
 	}
 	return b
 }
 
-// Run crawls the seed URLs with background context; see RunContext.
-func (c *Crawler) Run(seeds []string) (*Result, error) {
-	return c.RunContext(context.Background(), seeds)
-}
-
-// run is the state of one RunContext call: the result under
-// construction, degradation tallies, and checkpoint/resume bookkeeping.
-type run struct {
-	c   *Crawler
-	cfg *Config
-	ctx context.Context
-	res *Result
-
-	// mu guards Degradation counters during the parallel seeding phase
-	// (the monitor loop is single-threaded).
-	mu sync.Mutex
-
-	// occ counts occurrences of each record content key minted so far;
-	// restored maps "key<RS>occurrence" to checkpointed records not yet
-	// matched by the replay.
-	occ      map[string]int
-	restored map[string]*WPNRecord
-	cpNextID int
-
-	// lostTokens are subscriptions that died with crashed containers.
-	lostTokens []string
-
-	end            time.Time
-	lastCheckpoint time.Time
-}
-
-// RunContext crawls the seed URLs: visits each in its own container,
-// then runs the monitoring event loop for the collection window,
-// gathering every notification pushed to any container. Cancelling ctx
-// stops the crawl at the next safe point, writes a checkpoint if
-// configured, and returns the records collected so far along with
-// ctx.Err().
-func (c *Crawler) RunContext(ctx context.Context, seeds []string) (*Result, error) {
-	res := &Result{SeedURLs: seeds}
-	r := &run{
-		c:        c,
-		cfg:      &c.cfg,
-		ctx:      ctx,
-		res:      res,
-		occ:      make(map[string]int),
-		restored: make(map[string]*WPNRecord),
-	}
-	if c.cfg.Resume && c.cfg.CheckpointPath != "" {
-		if err := r.loadCheckpoint(); err != nil {
-			return res, err
-		}
-	}
-
-	live := r.seedPhase(seeds)
-	res.Containers = len(live)
-
-	r.monitor(live)
-	r.finish(live)
-	return res, ctx.Err()
-}
-
-// bump applies a Degradation mutation under the run lock (needed only
-// for the parallel seeding phase, but always taken for simplicity).
-func (r *run) bump(f func(d *Degradation)) {
-	r.mu.Lock()
-	f(&r.res.Degradation)
-	r.mu.Unlock()
-}
-
-// seedPhase visits every URL in parallel container batches (the paper's
-// 20–50 concurrent Docker sessions) and keeps containers whose visit
-// produced a push subscription.
-func (r *run) seedPhase(seeds []string) []*container {
-	containers := make([]*container, len(seeds))
-	for i, u := range seeds {
-		containers[i] = r.c.newContainer(u)
-	}
-	live, outcomes := r.seedContainers(containers, seeds)
-	for i, oc := range outcomes {
-		if oc.requested {
-			r.res.NPRURLs = append(r.res.NPRURLs, seeds[i])
-		}
-	}
-	return live
-}
-
-// seedOutcome classifies one seed visit: did the page request
-// notification permission, and did the visit register a subscription.
-type seedOutcome struct {
-	requested  bool
-	registered bool
-}
-
-// seedContainers visits urls[i] with containers[i] in parallel (bounded
-// by MaxContainers) and folds the outcomes serially in seed order:
-// containers whose visit produced a push subscription become live.
-// Visits do not advance the simulated clock, so parallelism cannot
-// reorder time. Shared by the single-process seed phase and shard
-// workers (which pre-build containers with global ids).
-func (r *run) seedContainers(containers []*container, urls []string) ([]*container, []seedOutcome) {
-	type visitOutcome struct {
-		ct        *container
-		requested bool
-		token     string
-	}
-	outcomes := make([]visitOutcome, len(urls))
-	sem := make(chan struct{}, r.cfg.MaxContainers)
-	var wg sync.WaitGroup
-	for i, u := range urls {
-		if r.ctx.Err() != nil {
-			break
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, u string) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if r.ctx.Err() != nil {
-				return
-			}
-			ct := containers[i]
-			vr, err := r.visitRetry(ct, u)
-			if err != nil {
-				return // dead site after retries: container discarded
-			}
-			oc := visitOutcome{requested: vr.RequestedPermission}
-			if vr.Registration != nil {
-				oc.ct = ct
-				oc.token = vr.Registration.Sub.Token
-			}
-			outcomes[i] = oc
-		}(i, u)
-	}
-	wg.Wait()
-
-	var live []*container
-	folded := make([]seedOutcome, len(urls))
-	now := r.cfg.Clock.Now()
-	for i, oc := range outcomes {
-		folded[i] = seedOutcome{requested: oc.requested, registered: oc.ct != nil}
-		if oc.ct == nil {
-			continue
-		}
-		ct := oc.ct
-		ct.registeredAt = now
-		ct.activeUntil = now.Add(r.cfg.MonitorWindow)
-		ct.nextResume = now.Add(r.cfg.ResumeInterval)
-		ct.sourceByToken[oc.token] = urls[i]
-		ct.regTimeByToken[oc.token] = now
-		live = append(live, ct)
-	}
-	return live, folded
+// bump applies a Degradation mutation under the worker lock: the seed
+// visits and landing-page visits that tally retries run on pool
+// goroutines.
+func (w *ShardWorker) bump(f func(d *Degradation)) {
+	w.mu.Lock()
+	f(&w.deg)
+	w.mu.Unlock()
 }
 
 // visitRetry visits a URL with bounded retries. A visit is retried when
@@ -618,32 +412,32 @@ func (r *run) seedContainers(containers []*container, urls []string) ([]*contain
 // off on one transient failure. Cancellation is checked before every
 // attempt, so a cancelled crawl never sits out a full retry ladder; the
 // abandoned visit is tallied as aborted, not failed.
-func (r *run) visitRetry(ct *container, u string) (*browser.VisitResult, error) {
+func (w *ShardWorker) visitRetry(ct *container, u string) (*browser.VisitResult, error) {
 	var (
 		vr  *browser.VisitResult
 		err error
 	)
-	for attempt := 1; attempt <= r.cfg.VisitAttempts; attempt++ {
-		if cerr := r.ctx.Err(); cerr != nil {
-			r.bump(func(d *Degradation) { d.VisitsAborted++ })
-			r.c.tel.visitsAborted.Inc()
+	for attempt := 1; attempt <= w.cfg.VisitAttempts; attempt++ {
+		if cerr := w.ctx.Err(); cerr != nil {
+			w.bump(func(d *Degradation) { d.VisitsAborted++ })
+			w.tel.visitsAborted.Inc()
 			return vr, cerr
 		}
 		if attempt > 1 {
-			r.bump(func(d *Degradation) { d.VisitRetries++ })
-			r.c.tel.visitRetries.Inc()
+			w.bump(func(d *Degradation) { d.VisitRetries++ })
+			w.tel.visitRetries.Inc()
 		}
-		r.c.tel.visits.Inc()
+		w.tel.visits.Inc()
 		vr, err = ct.br.Visit(u)
 		if err == nil && !transientStatus(vr) {
 			return vr, nil
 		}
 	}
-	r.bump(func(d *Degradation) { d.VisitFailures++ })
-	r.c.tel.visitFailures.Inc()
+	w.bump(func(d *Degradation) { d.VisitFailures++ })
+	w.tel.visitFailures.Inc()
 	if err == nil {
 		err = fmt.Errorf("crawler: visit %s: status %d after %d attempts",
-			u, vr.Navigation.Status, r.cfg.VisitAttempts)
+			u, vr.Navigation.Status, w.cfg.VisitAttempts)
 	}
 	return vr, err
 }
@@ -655,106 +449,38 @@ func transientStatus(vr *browser.VisitResult) bool {
 	return nav != nil && (nav.Status >= 500 || nav.Status == http.StatusTooManyRequests)
 }
 
-func (c *Crawler) clientID(seedURL string) string {
-	return fmt.Sprintf("%s#%s", seedURL, c.cfg.Device)
+func (w *ShardWorker) clientID(seedURL string) string {
+	return fmt.Sprintf("%s#%s", seedURL, w.cfg.Device)
 }
 
-func (c *Crawler) newBrowser(seedURL string, brk *httpx.Breaker) *browser.Browser {
+func (w *ShardWorker) newBrowser(seedURL string, brk *httpx.Breaker) *browser.Browser {
 	return browser.New(browser.Config{
-		Clock:       c.cfg.Clock,
-		Client:      c.cfg.NewClient(),
-		Device:      c.cfg.Device,
-		RealDevice:  c.cfg.RealDevice,
-		ClickDelay:  c.cfg.ClickDelay,
-		ClientID:    c.clientID(seedURL),
+		Clock:       w.cfg.Clock,
+		Client:      w.cfg.NewClient(),
+		Device:      w.cfg.Device,
+		RealDevice:  w.cfg.RealDevice,
+		ClickDelay:  w.cfg.ClickDelay,
+		ClientID:    w.clientID(seedURL),
 		PushBreaker: brk,
-		Metrics:     c.cfg.Metrics,
-		Tracer:      c.cfg.Tracer,
+		Metrics:     w.cfg.Metrics,
+		Tracer:      w.cfg.Tracer,
 	})
 }
 
-func (c *Crawler) newContainer(seedURL string) *container {
-	c.nextID++
-	return c.newContainerWithID(c.nextID, seedURL)
-}
-
-// newContainerWithID builds a container with an explicit id instead of
-// minting one from the crawler's counter. Shard workers use it so a
-// container's id is its position in the *global* seed list regardless of
-// which shard owns it — the invariant the coordinator's id-order merge
-// and ID minting depend on.
-func (c *Crawler) newContainerWithID(id int, seedURL string) *container {
-	brk := c.newBreaker()
+// newContainer builds a container. Its id is its position in the
+// *global* seed list plus one, whichever shard owns it — the invariant
+// the coordinator's id-order merge and record-ID minting depend on.
+func (w *ShardWorker) newContainer(id int, seedURL string) *container {
+	brk := w.newBreaker()
 	return &container{
 		id:             id,
 		seedURL:        seedURL,
-		clientID:       c.clientID(seedURL),
+		clientID:       w.clientID(seedURL),
 		brk:            brk,
-		br:             c.newBrowser(seedURL, brk),
+		br:             w.newBrowser(seedURL, brk),
 		sourceByToken:  make(map[string]string),
 		regTimeByToken: make(map[string]time.Time),
 	}
-}
-
-// monitor is the unified event loop: it advances the simulated clock to
-// each push delivery or container resume, flushes the scheduler, pumps
-// the due containers as one tick batch, processes notification
-// auto-clicks, and periodically checkpoints.
-func (r *run) monitor(live []*container) {
-	clock := r.cfg.Clock
-	r.end = clock.Now().Add(r.cfg.CollectionWindow)
-	r.lastCheckpoint = clock.Now()
-	r.c.tel.pumpWorkers.Set(int64(r.cfg.PumpWorkers))
-
-	resumes := make(containerHeap, len(live))
-	copy(resumes, live)
-	heap.Init(&resumes)
-
-	for {
-		if r.ctx.Err() != nil {
-			return // finish() writes the cancellation checkpoint
-		}
-		now := clock.Now()
-		if !now.Before(r.end) {
-			break
-		}
-		// Next event: a scheduled push or a container resume.
-		next := r.end
-		if at, ok := r.cfg.Driver.NextPushAt(); ok && at.Before(next) {
-			next = at
-		}
-		if len(resumes) > 0 && resumes[0].nextResume.Before(next) {
-			next = resumes[0].nextResume
-		}
-		// Tick coalescing: step past the first due event by the batch
-		// window so everything due inside it is pumped as one batch.
-		if w := r.cfg.BatchWindow; w > 0 && next.Before(r.end) {
-			if q := next.Add(w); q.Before(r.end) {
-				next = q
-			} else {
-				next = r.end
-			}
-		}
-		if next.After(now) {
-			clock.Advance(next.Sub(now))
-			now = next
-		}
-
-		r.cfg.Driver.Tick()
-
-		r.pumpBatch(r.collectDue(&resumes, live, now))
-
-		r.maybeCheckpoint(live)
-
-		// Safety: if nothing is scheduled and no resumes remain, stop.
-		if _, ok := r.cfg.Driver.NextPushAt(); !ok && len(resumes) == 0 {
-			break
-		}
-	}
-
-	// Final drain at the end of the window, respecting the
-	// per-container notification cap like every other pump site.
-	r.pumpBatch(r.finalBatch(live))
 }
 
 // batchItem is one container's slot in a tick batch: the messages its
@@ -787,30 +513,30 @@ type landingVisit struct {
 // and sorted by container id so every later phase iterates in one
 // stable order. Crash-plan evaluation and heap bookkeeping stay here,
 // on the serial path.
-func (r *run) collectDue(resumes *containerHeap, live []*container, now time.Time) []*batchItem {
+func (w *ShardWorker) collectDue(now time.Time) []*batchItem {
 	var batch []*batchItem
 	inBatch := make(map[int]bool)
 
 	// Resume containers due now.
-	for len(*resumes) > 0 && !(*resumes)[0].nextResume.After(now) {
-		ct := heap.Pop(resumes).(*container)
+	for len(w.resumes) > 0 && !w.resumes[0].nextResume.After(now) {
+		ct := heap.Pop(&w.resumes).(*container)
 		ct.cycles++
-		if !ct.dead && r.cfg.CrashPlan != nil && r.cfg.CrashPlan(ct.clientID, ct.cycles) {
-			r.crashContainer(ct)
+		if !ct.dead && w.cfg.CrashPlan != nil && w.cfg.CrashPlan(ct.clientID, ct.cycles) {
+			w.crashContainer(ct)
 		}
 		if !ct.dead && !inBatch[ct.id] {
 			inBatch[ct.id] = true
 			batch = append(batch, &batchItem{ct: ct})
 		}
-		ct.nextResume = now.Add(r.cfg.ResumeInterval)
-		if !ct.dead && ct.nextResume.Before(r.end) && ct.collected < r.cfg.MaxNotificationsPerContainer {
-			heap.Push(resumes, ct)
+		ct.nextResume = now.Add(w.cfg.ResumeInterval)
+		if !ct.dead && ct.nextResume.Before(w.end) && ct.collected < w.cfg.MaxNotificationsPerContainer {
+			heap.Push(&w.resumes, ct)
 		}
 	}
 
 	// Containers still inside their live monitoring window.
-	for _, ct := range live {
-		if !ct.dead && !now.After(ct.activeUntil) && ct.collected < r.cfg.MaxNotificationsPerContainer && !inBatch[ct.id] {
+	for _, ct := range w.live {
+		if !ct.dead && !now.After(ct.activeUntil) && ct.collected < w.cfg.MaxNotificationsPerContainer && !inBatch[ct.id] {
 			inBatch[ct.id] = true
 			batch = append(batch, &batchItem{ct: ct})
 		}
@@ -822,10 +548,10 @@ func (r *run) collectDue(resumes *containerHeap, live []*container, now time.Tim
 
 // finalBatch builds the end-of-window drain batch: live containers that
 // have not yet hit the per-container notification cap.
-func (r *run) finalBatch(live []*container) []*batchItem {
+func (w *ShardWorker) finalBatch() []*batchItem {
 	var batch []*batchItem
-	for _, ct := range live {
-		if !ct.dead && ct.collected < r.cfg.MaxNotificationsPerContainer {
+	for _, ct := range w.live {
+		if !ct.dead && ct.collected < w.cfg.MaxNotificationsPerContainer {
 			batch = append(batch, &batchItem{ct: ct})
 		}
 	}
@@ -833,7 +559,7 @@ func (r *run) finalBatch(live []*container) []*batchItem {
 	return batch
 }
 
-// pumpBatch processes one tick's due containers in phases:
+// A tick pumps its due containers in phases:
 //
 //  1. poll (parallel, clock frozen) — each poll touches only its
 //     container's browser, client, and private circuit breaker — then
@@ -843,66 +569,37 @@ func (r *run) finalBatch(live []*container) []*batchItem {
 //  2. push dispatch (parallel, clock frozen) — per-container ad
 //     fetches and notification display, ShownAt identical for the
 //     whole batch;
-//  3. one ClickDelay advance for the batch (the clock never moves
-//     inside a phase, so simulated time cannot reorder);
+//  3. one ClickDelay advance for the batch, made by the coordinator
+//     (the clock never moves inside a phase, so simulated time cannot
+//     reorder);
 //  4. auto-clicks (parallel, clock frozen) — redirect chains and
 //     landing pages, the crawl's dominant HTTP cost — then the
 //     landing pages that request permission (§6.2) are visited and
 //     subscribed in a second parallel sweep (per-container traffic;
 //     token minting is registration-identity-keyed, so cross-container
 //     arrival order cannot leak into the output);
-//  5. merge (serial, ascending container id) — record emission, ID
-//     minting, checkpoint-replay dedup, and folding the landing-page
-//     subscriptions into result and container state.
+//  5. fold (serial, ascending container id) — record construction and
+//     folding the landing-page subscriptions into container state; the
+//     coordinator then mints record IDs across shards in container-id
+//     order.
 //
 // Every phase iterates the batch in the same stable order, fault and
 // latency draws are keyed per container, and all cross-container state
 // is touched only in the serial steps, which is what makes the result
 // byte-identical at any PumpWorkers count.
-func (r *run) pumpBatch(batch []*batchItem) {
-	if len(batch) == 0 {
-		return
-	}
-	tel := r.c.tel.enabled
-	if tel {
-		r.c.tel.batchSize.Observe(float64(len(batch)))
-	}
-
-	if !r.phasePoll(batch, tel) {
-		r.observeBatchLatency(batch, tel)
-		return
-	}
-
-	r.phaseDispatch(batch, tel)
-
-	// Phase 3: one click-delay advance for the whole batch.
-	r.cfg.Clock.Advance(r.cfg.ClickDelay)
-
-	r.phaseClick(batch, tel)
-
-	// Phase 5: serial merge in container-id order.
-	for _, it := range batch {
-		recs, additional := r.foldItem(it)
-		for _, rec := range recs {
-			r.emit(rec)
-		}
-		r.res.AdditionalURLs = append(r.res.AdditionalURLs, additional...)
-	}
-	r.observeBatchLatency(batch, tel)
-}
 
 // phasePoll is pump phase 1: parallel polls at the frozen tick instant,
 // then a serial classification sweep in ascending container id
 // (Degradation tallies, poll-failure crash detection, recovery
 // re-seeds). Reports whether any container received messages — when no
 // shard in a fleet did, the tick ends here with no clock advance.
-func (r *run) phasePoll(batch []*batchItem, tel bool) bool {
-	r.forEach(batch, tel, func(it *batchItem) {
-		it.polled, it.msgs, it.pollErr = r.pollHTTP(it.ct)
+func (w *ShardWorker) phasePoll(batch []*batchItem) bool {
+	w.forEach(batch, func(it *batchItem) {
+		it.polled, it.msgs, it.pollErr = w.pollHTTP(it.ct)
 	})
 	any := false
 	for _, it := range batch {
-		r.classifyPoll(it.ct, it.polled, it.pollErr)
+		w.classifyPoll(it.ct, it.polled, it.pollErr)
 		if len(it.msgs) > 0 {
 			any = true
 		}
@@ -913,8 +610,8 @@ func (r *run) phasePoll(batch []*batchItem, tel bool) bool {
 // phaseDispatch is pump phase 2: parallel push dispatch at the frozen
 // poll instant — per-container ad fetches and notification display,
 // ShownAt identical for the whole batch.
-func (r *run) phaseDispatch(batch []*batchItem, tel bool) {
-	r.forEach(batch, tel, func(it *batchItem) {
+func (w *ShardWorker) phaseDispatch(batch []*batchItem) {
+	w.forEach(batch, func(it *batchItem) {
 		if len(it.msgs) > 0 {
 			it.ct.br.DispatchPushes(it.msgs)
 		}
@@ -923,13 +620,13 @@ func (r *run) phaseDispatch(batch []*batchItem, tel bool) {
 
 // phaseClick is pump phase 4: parallel auto-clicks at the frozen
 // post-delay instant, then parallel landing-page subscription visits.
-func (r *run) phaseClick(batch []*batchItem, tel bool) {
-	r.forEach(batch, tel, func(it *batchItem) {
+func (w *ShardWorker) phaseClick(batch []*batchItem) {
+	w.forEach(batch, func(it *batchItem) {
 		if len(it.msgs) > 0 {
 			it.outcomes = it.ct.br.ProcessClicks()
 		}
 	})
-	r.forEach(batch, tel, func(it *batchItem) {
+	w.forEach(batch, func(it *batchItem) {
 		if len(it.outcomes) == 0 {
 			return
 		}
@@ -937,7 +634,7 @@ func (r *run) phaseClick(batch []*batchItem, tel bool) {
 		for i, oc := range it.outcomes {
 			if nav := oc.Navigation; nav != nil && nav.Doc != nil &&
 				nav.Doc.RequestsNotification && !nav.Crashed {
-				vr, err := r.visitRetry(it.ct, nav.FinalURL)
+				vr, err := w.visitRetry(it.ct, nav.FinalURL)
 				it.visits[i] = landingVisit{url: nav.FinalURL, vr: vr, err: err}
 			}
 		}
@@ -946,56 +643,56 @@ func (r *run) phaseClick(batch []*batchItem, tel bool) {
 
 // foldItem folds one pumped batch item into its container's state (the
 // per-container half of phase 5): it builds the item's records in
-// outcome order — IDs unassigned, the caller mints on its serial path —
-// and returns the §6.2 additional-subscription URLs whose landing pages
-// phase 4 subscribed right there.
-func (r *run) foldItem(it *batchItem) (recs []*WPNRecord, additional []string) {
+// outcome order — IDs unassigned, the coordinator mints on its serial
+// path — and returns the §6.2 additional-subscription URLs whose landing
+// pages phase 4 subscribed right there.
+func (w *ShardWorker) foldItem(it *batchItem) (recs []*WPNRecord, additional []string) {
 	ct := it.ct
 	for i, oc := range it.outcomes {
-		recs = append(recs, r.c.record(ct, oc))
+		recs = append(recs, w.record(ct, oc))
 		ct.collected++
 		if v := it.visits[i]; v.err == nil && v.vr != nil && v.vr.Registration != nil {
 			additional = append(additional, v.url)
 			ct.sourceByToken[v.vr.Registration.Sub.Token] = v.url
-			ct.regTimeByToken[v.vr.Registration.Sub.Token] = r.cfg.Clock.Now()
+			ct.regTimeByToken[v.vr.Registration.Sub.Token] = w.cfg.Clock.Now()
 			// Re-opening the container's live window mirrors the
 			// paper keeping sessions alive after new registrations.
-			ct.activeUntil = r.cfg.Clock.Now().Add(r.cfg.MonitorWindow)
+			ct.activeUntil = w.cfg.Clock.Now().Add(w.cfg.MonitorWindow)
 		}
 	}
 	return recs, additional
 }
 
 // observeBatchLatency records each item's accumulated pump wall-time.
-func (r *run) observeBatchLatency(batch []*batchItem, tel bool) {
-	if !tel {
+func (w *ShardWorker) observeBatchLatency(batch []*batchItem) {
+	if !w.tel.enabled {
 		return
 	}
 	for _, it := range batch {
-		r.c.tel.pumpLatency.Observe(it.elapsed.Seconds())
+		w.tel.pumpLatency.Observe(it.elapsed.Seconds())
 	}
 }
 
 // forEach runs f over the batch on PumpWorkers goroutines (the seeding
 // phase's bounded-semaphore discipline), or inline when the pool would
-// be pointless. When timed, each item's wall-time accrues to its own
-// slot — items are goroutine-private, so no lock is needed.
-func (r *run) forEach(batch []*batchItem, timed bool, f func(*batchItem)) {
+// be pointless. With telemetry on, each item's wall-time accrues to its
+// own slot — items are goroutine-private, so no lock is needed.
+func (w *ShardWorker) forEach(batch []*batchItem, f func(*batchItem)) {
 	run := f
-	if timed {
+	if w.tel.enabled {
 		run = func(it *batchItem) {
 			start := time.Now()
 			f(it)
 			it.elapsed += time.Since(start)
 		}
 	}
-	if r.cfg.PumpWorkers <= 1 || len(batch) == 1 {
+	if w.cfg.PumpWorkers <= 1 || len(batch) == 1 {
 		for _, it := range batch {
 			run(it)
 		}
 		return
 	}
-	sem := make(chan struct{}, r.cfg.PumpWorkers)
+	sem := make(chan struct{}, w.cfg.PumpWorkers)
 	var wg sync.WaitGroup
 	for _, it := range batch {
 		wg.Add(1)
@@ -1014,11 +711,11 @@ func (r *run) forEach(batch []*batchItem, timed bool, f func(*batchItem)) {
 // out — it touches only the container's own browser, client, and
 // private breaker. Folding the outcome into shared state stays on the
 // serial path (classifyPoll).
-func (r *run) pollHTTP(ct *container) (polled bool, msgs []webpush.Message, err error) {
-	if r.cfg.Pending != nil && !r.hasPending(ct) {
+func (w *ShardWorker) pollHTTP(ct *container) (polled bool, msgs []webpush.Message, err error) {
+	if w.cfg.Pending != nil && !w.hasPending(ct) {
 		return false, nil, nil
 	}
-	msgs, err = ct.br.PollPush(r.cfg.PushHost)
+	msgs, err = ct.br.PollPush(w.cfg.PushHost)
 	return true, msgs, err
 }
 
@@ -1027,7 +724,7 @@ func (r *run) pollHTTP(ct *container) (polled bool, msgs []webpush.Message, err 
 // re-seed crashContainer may run. Open-circuit fast-fails do not feed
 // crash detection (the push service being down says nothing about the
 // container).
-func (r *run) classifyPoll(ct *container, polled bool, err error) {
+func (w *ShardWorker) classifyPoll(ct *container, polled bool, err error) {
 	if !polled {
 		return
 	}
@@ -1036,152 +733,73 @@ func (r *run) classifyPoll(ct *container, polled bool, err error) {
 		return
 	}
 	if errors.Is(err, httpx.ErrCircuitOpen) {
-		r.bump(func(d *Degradation) { d.BreakerFastFails++ })
-		r.c.tel.breakerFastFails.Inc()
+		w.bump(func(d *Degradation) { d.BreakerFastFails++ })
+		w.tel.breakerFastFails.Inc()
 		return
 	}
-	r.bump(func(d *Degradation) { d.PollFailures++ })
-	r.c.tel.pollFailures.Inc()
+	w.bump(func(d *Degradation) { d.PollFailures++ })
+	w.tel.pollFailures.Inc()
 	// Attribute the failure: if this failure tripped (or probed) the
 	// container's view of the push host's circuit, the service is sick
 	// — that says nothing about the container, so it must not feed
 	// crash detection.
-	if ct.brk.State(r.pushHostName()) == "closed" {
+	if ct.brk.State(w.pushHostName()) == "closed" {
 		ct.pollFails++
-		if ct.pollFails >= r.cfg.CrashThreshold {
+		if ct.pollFails >= w.cfg.CrashThreshold {
 			ct.pollFails = 0
-			r.crashContainer(ct)
+			w.crashContainer(ct)
 		}
 	}
-}
-
-// emit mints an ID onto a folded record and appends it, deduplicating
-// against restored checkpoint records when resuming: a replayed record
-// keeps the checkpointed copy so the merged result matches an
-// uninterrupted run byte for byte. Always called on the serial merge
-// path, in ascending container-id order within a tick.
-func (r *run) emit(rec *WPNRecord) {
-	r.c.nextID++
-	rec.ID = r.c.nextID
-	key := recordKey(rec)
-	r.occ[key]++
-	fullKey := fmt.Sprintf("%s\x1e%d", key, r.occ[key])
-	if old, ok := r.restored[fullKey]; ok {
-		delete(r.restored, fullKey)
-		r.res.Degradation.ReplayedRecords++
-		rec = old
-	}
-	r.res.Records = append(r.res.Records, rec)
-	r.c.tel.records.Inc()
-}
-
-// recordKey is the content identity of a record, independent of the
-// minted ID: used to match replayed records against checkpointed ones.
-func recordKey(rec *WPNRecord) string {
-	return strings.Join([]string{
-		rec.Device, rec.SourceURL, rec.SWURL, rec.Title, rec.Body, rec.TargetURL,
-		rec.ShownAt.UTC().Format(time.RFC3339Nano),
-	}, "\x1f")
 }
 
 // crashContainer models a container process dying: browser state
 // (registrations, cookies) is gone. Bounded recovery re-seeds it with a
 // fresh browser — re-visit, re-subscribe — exactly what the paper's
-// operators did with crashed Docker sessions.
-func (r *run) crashContainer(ct *container) {
-	deg := &r.res.Degradation
+// operators did with crashed Docker sessions. Runs on the serial path.
+func (w *ShardWorker) crashContainer(ct *container) {
+	deg := &w.deg
 	deg.ContainersLost++
-	r.c.tel.containersLost.Inc()
+	w.tel.containersLost.Inc()
 	deg.DroppedNotifications += ct.br.DroppedNotifications()
 	for tok := range ct.sourceByToken {
-		r.lostTokens = append(r.lostTokens, tok)
+		w.lostTokens = append(w.lostTokens, tok)
 	}
-	if ct.recoveries >= r.cfg.MaxRecoveries {
+	if ct.recoveries >= w.cfg.MaxRecoveries {
 		ct.dead = true
 		return
 	}
 	ct.recoveries++
 	// The replacement process starts with a fresh breaker, like a real
 	// restarted container rediscovering push-service health from zero.
-	ct.brk = r.c.newBreaker()
-	ct.br = r.c.newBrowser(ct.seedURL, ct.brk)
+	ct.brk = w.newBreaker()
+	ct.br = w.newBrowser(ct.seedURL, ct.brk)
 	ct.sourceByToken = make(map[string]string)
 	ct.regTimeByToken = make(map[string]time.Time)
-	vr, err := r.visitRetry(ct, ct.seedURL)
+	vr, err := w.visitRetry(ct, ct.seedURL)
 	if err != nil || vr.Registration == nil {
 		ct.dead = true
 		return
 	}
-	now := r.cfg.Clock.Now()
+	now := w.cfg.Clock.Now()
 	tok := vr.Registration.Sub.Token
 	ct.sourceByToken[tok] = ct.seedURL
 	ct.regTimeByToken[tok] = now
-	ct.activeUntil = now.Add(r.cfg.MonitorWindow)
+	ct.activeUntil = now.Add(w.cfg.MonitorWindow)
 	deg.ContainersRecovered++
-	r.c.tel.containersRecovered.Inc()
-}
-
-// finish folds remaining degradation sources into the report, appends
-// orphaned checkpoint records, enforces record-ID uniqueness, and
-// writes the final checkpoint.
-func (r *run) finish(live []*container) {
-	deg := &r.res.Degradation
-	for _, ct := range live {
-		deg.DroppedNotifications += ct.br.DroppedNotifications()
-	}
-	// Messages still queued for subscriptions lost in crashes can never
-	// be collected.
-	if r.cfg.Pending != nil {
-		for _, tok := range r.lostTokens {
-			deg.RecordsDroppedEst += r.cfg.Pending.Pending(tok)
-		}
-	}
-	if r.cfg.FaultCounts != nil {
-		if fc := r.cfg.FaultCounts(); len(fc) > 0 {
-			deg.Faults = fc
-		}
-	}
-
-	// Checkpointed records the replay never re-minted (divergence —
-	// cannot happen under a deterministic ecosystem, but the crawl DID
-	// observe them): keep them, appended in original-ID order.
-	if len(r.restored) > 0 {
-		orphans := make([]*WPNRecord, 0, len(r.restored))
-		for _, rec := range r.restored {
-			orphans = append(orphans, rec)
-		}
-		sort.Slice(orphans, func(i, j int) bool { return orphans[i].ID < orphans[j].ID })
-		r.res.Records = append(r.res.Records, orphans...)
-		deg.OrphanedCheckpointRecords = len(orphans)
-	}
-
-	// Record IDs must be unique even across resume merges.
-	if r.c.nextID < r.cpNextID {
-		r.c.nextID = r.cpNextID
-	}
-	seen := make(map[int]bool, len(r.res.Records))
-	for _, rec := range r.res.Records {
-		if seen[rec.ID] {
-			r.c.nextID++
-			rec.ID = r.c.nextID
-		}
-		seen[rec.ID] = true
-	}
-
-	r.writeCheckpoint(live)
+	w.tel.containersRecovered.Inc()
 }
 
 // pushHostName resolves the push service host for breaker lookups.
-func (r *run) pushHostName() string {
-	if r.cfg.PushHost != "" {
-		return r.cfg.PushHost
+func (w *ShardWorker) pushHostName() string {
+	if w.cfg.PushHost != "" {
+		return w.cfg.PushHost
 	}
 	return fcm.DefaultHost
 }
 
-func (r *run) hasPending(ct *container) bool {
+func (w *ShardWorker) hasPending(ct *container) bool {
 	for _, reg := range ct.br.Registrations() {
-		if r.cfg.Pending.Pending(reg.Sub.Token) > 0 {
+		if w.cfg.Pending.Pending(reg.Sub.Token) > 0 {
 			return true
 		}
 	}
@@ -1189,10 +807,10 @@ func (r *run) hasPending(ct *container) bool {
 }
 
 // record converts one click outcome into a WPNRecord. The ID is left
-// unassigned: minting happens on the caller's serial merge path (the
-// run's emit, or the fleet coordinator's cross-shard merge), so shard
-// workers can build records without owning the global ID sequence.
-func (c *Crawler) record(ct *container, oc browser.ClickOutcome) *WPNRecord {
+// unassigned: minting happens on the fleet coordinator's serial
+// cross-shard merge, so workers can build records without owning the
+// global ID sequence.
+func (w *ShardWorker) record(ct *container, oc browser.ClickOutcome) *WPNRecord {
 	dn := oc.Notification
 	src := ct.sourceByToken[dn.Registration.Sub.Token]
 	if src == "" {
@@ -1203,7 +821,7 @@ func (c *Crawler) record(ct *container, oc browser.ClickOutcome) *WPNRecord {
 		regAt = ct.registeredAt
 	}
 	rec := &WPNRecord{
-		Device:       c.cfg.Device.String(),
+		Device:       w.cfg.Device.String(),
 		SourceURL:    src,
 		SourceDomain: urlx.ESLDOf(src),
 		SWURL:        dn.Registration.Script.URL,
@@ -1212,7 +830,7 @@ func (c *Crawler) record(ct *container, oc browser.ClickOutcome) *WPNRecord {
 		IconURL:      dn.Notification.Icon,
 		ShownAt:      dn.ShownAt,
 		RegisteredAt: regAt,
-		ClickedAt:    c.cfg.Clock.Now(),
+		ClickedAt:    w.cfg.Clock.Now(),
 		TargetURL:    dn.Notification.TargetURL,
 		PayloadAdID:  dn.PayloadAdID,
 	}

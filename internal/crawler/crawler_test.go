@@ -1,18 +1,28 @@
-package crawler
+package crawler_test
 
 import (
+	"context"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"pushadminer/internal/browser"
+	"pushadminer/internal/chaos"
+	"pushadminer/internal/crawler"
+	"pushadminer/internal/fleet"
 	"pushadminer/internal/webeco"
 )
 
-func newEco(t *testing.T, scale float64) *webeco.Ecosystem {
+func newEco(t testing.TB, scale float64) *webeco.Ecosystem {
 	t.Helper()
-	eco, err := webeco.New(webeco.Config{Seed: 11, Scale: scale})
+	return newChaosEco(t, scale, nil)
+}
+
+// newChaosEco builds the standard test ecosystem with a chaos profile.
+func newChaosEco(t testing.TB, scale float64, prof *chaos.Profile) *webeco.Ecosystem {
+	t.Helper()
+	eco, err := webeco.New(webeco.Config{Seed: 11, Scale: scale, Chaos: prof})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,36 +30,63 @@ func newEco(t *testing.T, scale float64) *webeco.Ecosystem {
 	return eco
 }
 
-func newCrawler(t *testing.T, eco *webeco.Ecosystem, device browser.DeviceType, real bool) *Crawler {
-	t.Helper()
-	c, err := New(Config{
+// crawlConfig wires a 7-day crawl to an ecosystem, with fault
+// injection and recovery hooked up, plus optional overrides.
+func crawlConfig(eco *webeco.Ecosystem, mod func(*crawler.Config)) crawler.Config {
+	cfg := crawler.Config{
 		Clock:            eco.Clock,
 		NewClient:        func() *http.Client { return eco.Net.ClientNoRedirect() },
 		Driver:           eco,
 		Pending:          eco.Push,
-		Device:           device,
-		RealDevice:       real,
+		Device:           browser.Desktop,
 		CollectionWindow: 7 * 24 * time.Hour,
-	})
+		CrashPlan:        eco.CrashPlan(),
+		FaultCounts:      eco.FaultCounts,
+	}
+	if mod != nil {
+		mod(&cfg)
+	}
+	return cfg
+}
+
+// crawlContext runs one crawl the way every caller does: through the
+// fleet, here with its default single shard.
+func crawlContext(t *testing.T, ctx context.Context, eco *webeco.Ecosystem, mod func(*crawler.Config)) (*crawler.Result, error) {
+	t.Helper()
+	res, _, err := fleet.Run(ctx, fleet.Config{Crawl: crawlConfig(eco, mod)}, eco.SeedURLs())
+	return res, err
+}
+
+// crawl runs an uncancelled crawl and fails the test on error.
+func crawl(t *testing.T, eco *webeco.Ecosystem, mod func(*crawler.Config)) *crawler.Result {
+	t.Helper()
+	res, err := crawlContext(t, context.Background(), eco, mod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return res
+}
+
+// onDevice selects the crawl's device profile.
+func onDevice(device browser.DeviceType, real bool) func(*crawler.Config) {
+	return func(c *crawler.Config) {
+		c.Device = device
+		c.RealDevice = real
+	}
 }
 
 func TestNewRequiresDeps(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("New accepted empty config")
+	if _, err := crawler.NewShardWorker(context.Background(), crawler.Config{}, 0, nil); err == nil {
+		t.Fatal("NewShardWorker accepted empty config")
+	}
+	if _, _, err := fleet.Run(context.Background(), fleet.Config{}, nil); err == nil {
+		t.Fatal("fleet.Run accepted empty crawl config")
 	}
 }
 
 func TestCrawlCollectsWPNs(t *testing.T) {
 	eco := newEco(t, 0.004)
-	c := newCrawler(t, eco, browser.Desktop, false)
-	res, err := c.Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := crawl(t, eco, onDevice(browser.Desktop, false))
 	if len(res.SeedURLs) == 0 {
 		t.Fatal("no seed URLs")
 	}
@@ -101,14 +138,8 @@ func TestCrawlCollectsWPNs(t *testing.T) {
 }
 
 func TestCrawlDeterministic(t *testing.T) {
-	run := func() *Result {
-		eco := newEco(t, 0.002)
-		c := newCrawler(t, eco, browser.Desktop, false)
-		res, err := c.Run(eco.SeedURLs())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	run := func() *crawler.Result {
+		return crawl(t, newEco(t, 0.002), onDevice(browser.Desktop, false))
 	}
 	a, b := run(), run()
 	if len(a.Records) != len(b.Records) {
@@ -124,11 +155,7 @@ func TestCrawlDeterministic(t *testing.T) {
 
 func TestMobileGetsMobileTailoredAds(t *testing.T) {
 	eco := newEco(t, 0.004)
-	c := newCrawler(t, eco, browser.Mobile, true)
-	res, err := c.Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := crawl(t, eco, onDevice(browser.Mobile, true))
 	if len(res.Records) == 0 {
 		t.Fatal("mobile crawl collected nothing")
 	}
@@ -150,11 +177,7 @@ func TestMobileGetsMobileTailoredAds(t *testing.T) {
 
 func TestEmulatedMobileMissesRealDeviceCampaigns(t *testing.T) {
 	eco := newEco(t, 0.004)
-	c := newCrawler(t, eco, browser.Mobile, false) // emulator
-	res, err := c.Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := crawl(t, eco, onDevice(browser.Mobile, false)) // emulator
 	for _, r := range res.Records {
 		if strings.Contains(r.Title, "Missed call") || strings.Contains(r.Title, "Voicemail waiting") {
 			t.Errorf("emulator received real-device-only campaign: %q", r.Title)
@@ -165,11 +188,7 @@ func TestEmulatedMobileMissesRealDeviceCampaigns(t *testing.T) {
 func TestFirstNotificationLatency(t *testing.T) {
 	// The §6.1.2 pilot: ~98% of first notifications within 15 minutes.
 	eco := newEco(t, 0.004)
-	c := newCrawler(t, eco, browser.Desktop, false)
-	res, err := c.Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := crawl(t, eco, onDevice(browser.Desktop, false))
 	firstBySource := map[string]time.Duration{}
 	for _, r := range res.Records {
 		d := r.ShownAt.Sub(r.RegisteredAt)
@@ -196,11 +215,7 @@ func TestQueuedWhileSuspendedDelivered(t *testing.T) {
 	// Messages scheduled long after the monitoring window must still be
 	// collected via container resumes.
 	eco := newEco(t, 0.002)
-	c := newCrawler(t, eco, browser.Desktop, false)
-	res, err := c.Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := crawl(t, eco, onDevice(browser.Desktop, false))
 	late := 0
 	for _, r := range res.Records {
 		if r.ShownAt.Sub(r.RegisteredAt) > time.Hour {

@@ -1,10 +1,9 @@
-package crawler
+package crawler_test
 
 import (
 	"net/http"
 	"testing"
 
-	"pushadminer/internal/browser"
 	"pushadminer/internal/chaos"
 	"pushadminer/internal/fcm"
 	"pushadminer/internal/webeco"
@@ -21,10 +20,7 @@ func TestCrawlSurvivesFlakyPushService(t *testing.T) {
 		Only:             []string{fcm.DefaultHost},
 	}
 	eco := newChaosEco(t, 0.002, prof)
-	res, err := chaosCrawler(t, eco, nil).Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := crawl(t, eco, nil)
 	injected := eco.Chaos().Stats()["http_503"]
 	if injected == 0 {
 		t.Fatal("failure injection never fired; test is vacuous")
@@ -39,7 +35,7 @@ func TestCrawlSurvivesFlakyPushService(t *testing.T) {
 	t.Logf("survived %d injected 503s, collected %d WPNs", injected, len(res.Records))
 }
 
-// TestCrawlSurvivesDeadBlocklistHost: analysis-time blocklist outages
+// TestCrawlIndependentOfBlocklists: analysis-time blocklist outages
 // must not be fatal to lookup-capable clients either — the HTTP client
 // surfaces errors, which LabelKnownMalicious propagates; here we check
 // the crawl phase itself never touches blocklists (it must not).
@@ -52,11 +48,7 @@ func TestCrawlIndependentOfBlocklists(t *testing.T) {
 	eco.Net.Handle(webeco.GSBHost, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "down", http.StatusServiceUnavailable)
 	}))
-	c := newCrawler(t, eco, browser.Desktop, false)
-	res, err := c.Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := crawl(t, eco, nil)
 	if len(res.Records) == 0 {
 		t.Fatal("crawl failed with blocklists down; collection must not depend on them")
 	}

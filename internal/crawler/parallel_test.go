@@ -1,11 +1,10 @@
-package crawler
+package crawler_test
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -13,16 +12,18 @@ import (
 	"testing"
 	"time"
 
-	"pushadminer/internal/browser"
 	"pushadminer/internal/chaos"
+	"pushadminer/internal/crawler"
+	"pushadminer/internal/fleet"
 	"pushadminer/internal/webeco"
 )
 
 // TestSerialParallelParity is the determinism contract of the batched
-// monitor: the same crawl at PumpWorkers=1 (the serial reference path)
-// and PumpWorkers=8 must produce byte-identical Result JSON — records,
-// Degradation, the lot — and byte-identical checkpoint files, across
-// seeds and with chaos on and off.
+// pump phases: the same crawl at PumpWorkers=1 (the serial reference
+// path) and PumpWorkers=8 must produce byte-identical Result JSON —
+// records, Degradation, the lot — and byte-identical final shard-state
+// files (every container's cursor, breaker, registrations and cookies),
+// across seeds and with chaos on and off.
 func TestSerialParallelParity(t *testing.T) {
 	run := func(seed int64, prof *chaos.Profile, window time.Duration, workers int) ([]byte, []byte) {
 		t.Helper()
@@ -31,24 +32,22 @@ func TestSerialParallelParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer eco.Close()
-		ckpt := filepath.Join(t.TempDir(), "parity.ckpt.json")
-		res, err := chaosCrawler(t, eco, func(c *Config) {
-			c.PumpWorkers = workers
-			c.BatchWindow = window
-			c.CheckpointPath = ckpt
-		}).Run(eco.SeedURLs())
+		dir := t.TempDir()
+		res, _, err := fleet.Run(context.Background(), fleet.Config{
+			Crawl: crawlConfig(eco, func(c *crawler.Config) {
+				c.PumpWorkers = workers
+				c.BatchWindow = window
+			}),
+			Dir: dir,
+		}, eco.SeedURLs())
 		if err != nil {
 			t.Fatal(err)
 		}
-		resJSON, err := json.MarshalIndent(res, "", " ")
+		state, err := os.ReadFile(filepath.Join(dir, "shard-0.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ckptJSON, err := os.ReadFile(ckpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resJSON, ckptJSON
+		return marshal(t, res), state
 	}
 
 	for _, tc := range []struct {
@@ -66,16 +65,16 @@ func TestSerialParallelParity(t *testing.T) {
 		{"seed11/window/chaos", 11, acceptanceProfile(), time.Hour},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serialRes, serialCkpt := run(tc.seed, tc.prof, tc.window, 1)
-			parallelRes, parallelCkpt := run(tc.seed, tc.prof, tc.window, 8)
+			serialRes, serialState := run(tc.seed, tc.prof, tc.window, 1)
+			parallelRes, parallelState := run(tc.seed, tc.prof, tc.window, 8)
 			if !bytes.Equal(serialRes, parallelRes) {
 				t.Errorf("parallel Result diverges from serial (serial %d bytes, parallel %d bytes):\n%s",
 					len(serialRes), len(parallelRes), firstDiff(serialRes, parallelRes))
 			}
-			if !bytes.Equal(serialCkpt, parallelCkpt) {
-				t.Errorf("parallel checkpoint diverges from serial:\n%s", firstDiff(serialCkpt, parallelCkpt))
+			if !bytes.Equal(serialState, parallelState) {
+				t.Errorf("parallel shard state diverges from serial:\n%s", firstDiff(serialState, parallelState))
 			}
-			var res Result
+			var res crawler.Result
 			if err := json.Unmarshal(serialRes, &res); err != nil {
 				t.Fatal(err)
 			}
@@ -84,31 +83,6 @@ func TestSerialParallelParity(t *testing.T) {
 			}
 		})
 	}
-}
-
-// firstDiff renders the context around the first diverging byte.
-func firstDiff(a, b []byte) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			lo, hi := i-120, i+120
-			if lo < 0 {
-				lo = 0
-			}
-			ha, hb := hi, hi
-			if ha > len(a) {
-				ha = len(a)
-			}
-			if hb > len(b) {
-				hb = len(b)
-			}
-			return fmt.Sprintf("byte %d:\na: %s\nb: %s", i, a[lo:ha], b[lo:hb])
-		}
-	}
-	return fmt.Sprintf("lengths differ: %d vs %d", len(a), len(b))
 }
 
 // cancelOnFirstRequest is a RoundTripper that cancels a context on its
@@ -133,19 +107,10 @@ func TestVisitRetryAbortsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rt := &cancelOnFirstRequest{cancel: cancel}
-	c, err := New(Config{
-		Clock:            eco.Clock,
-		NewClient:        func() *http.Client { return &http.Client{Transport: rt} },
-		Driver:           eco,
-		Pending:          eco.Push,
-		Device:           browser.Desktop,
-		CollectionWindow: 7 * 24 * time.Hour,
-		MaxContainers:    1, // one visit in flight: the abort count is exact
+	res, err := crawlContext(t, ctx, eco, func(c *crawler.Config) {
+		c.NewClient = func() *http.Client { return &http.Client{Transport: rt} }
+		c.MaxContainers = 1 // one visit in flight: the abort count is exact
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.RunContext(ctx, eco.SeedURLs())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -161,25 +126,6 @@ func TestVisitRetryAbortsOnCancel(t *testing.T) {
 	}
 }
 
-// TestFinalDrainRespectsCap pins the satellite bugfix: the end-of-window
-// drain must honour MaxNotificationsPerContainer like every other pump
-// site instead of pumping capped containers one last time.
-func TestFinalDrainRespectsCap(t *testing.T) {
-	r := &run{cfg: &Config{MaxNotificationsPerContainer: 2}}
-	under := &container{id: 3, collected: 1}
-	at := &container{id: 1, collected: 2}
-	over := &container{id: 2, collected: 5}
-	dead := &container{id: 4, collected: 0, dead: true}
-	batch := r.finalBatch([]*container{under, at, over, dead})
-	if len(batch) != 1 || batch[0].ct != under {
-		ids := make([]int, len(batch))
-		for i, it := range batch {
-			ids[i] = it.ct.id
-		}
-		t.Fatalf("finalBatch drained containers %v, want only id 3 (under cap, alive)", ids)
-	}
-}
-
 // TestCrawlHonorsNotificationCap drives a full crawl with a cap of one
 // notification per container. The cap gates scheduling, not emission: a
 // container's single pump may drain a multi-message queue, so a
@@ -191,13 +137,10 @@ func TestFinalDrainRespectsCap(t *testing.T) {
 func TestCrawlHonorsNotificationCap(t *testing.T) {
 	const cap = 1
 	eco := newEco(t, 0.002)
-	res, err := chaosCrawler(t, eco, func(c *Config) {
+	res := crawl(t, eco, func(c *crawler.Config) {
 		c.MaxNotificationsPerContainer = cap
 		c.CrashPlan = nil // keep the container set fixed
-	}).Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if len(res.Records) == 0 {
 		t.Fatal("cap run collected no records; test is vacuous")
 	}

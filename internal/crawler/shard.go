@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -18,12 +19,12 @@ import (
 // click everywhere, then merge the shards' records serially in
 // container-id order. Records leave the worker with ID unassigned; the
 // coordinator mints IDs on its serial merge path, which is what makes a
-// fleet run byte-identical to the single-process crawl.
+// fleet run byte-identical at every shard count.
 
 // ShardSeed is one seed URL with its position in the *global* seed
-// list. The container created for it gets id Index+1 — the same id the
-// single-process crawler would mint — so cross-shard id-order merges
-// reproduce the single-process record order.
+// list. The container created for it gets id Index+1 whichever shard
+// owns it, so cross-shard id-order merges reproduce one record order at
+// every shard count.
 type ShardSeed struct {
 	Index int    `json:"index"`
 	URL   string `json:"url"`
@@ -32,7 +33,7 @@ type ShardSeed struct {
 // TickStatus is a worker's scheduling state after a call: the earliest
 // pending container resume and how many resumes remain queued. The
 // coordinator takes the minimum across shards to find the next global
-// event, exactly as the single-process monitor peeks its own heap.
+// event.
 type TickStatus struct {
 	NextResume time.Time
 	HasResume  bool
@@ -87,14 +88,24 @@ type ShardFinish struct {
 // their phases concurrently — all cross-shard state (the clock, the
 // push scheduler, record IDs) is owned by the coordinator.
 type ShardWorker struct {
-	c     *Crawler
-	r     *run
+	cfg   Config
+	tel   crawlMetrics // zero value when telemetry is disabled
+	ctx   context.Context
 	id    int
 	seeds []ShardSeed
 
 	live    []*container
 	resumes containerHeap
 	batch   []*batchItem
+	// end is the collection-window end, fixed at seeding (heap re-queue
+	// decisions depend on it).
+	end time.Time
+
+	// mu guards deg, which the parallel visit phases tally into.
+	mu  sync.Mutex
+	deg Degradation
+	// lostTokens are subscriptions that died with crashed containers.
+	lostTokens []string
 
 	// dirty marks shard state changed since the last TakeDirty, so the
 	// transport persists exactly the ticks that mutated something.
@@ -103,8 +114,8 @@ type ShardWorker struct {
 
 // NewShardWorker builds a worker for one shard of the fleet. seeds
 // carry global indices; cfg is the same crawl config every shard and
-// the coordinator share (checkpointing fields are ignored — shard
-// durability is the transport's job).
+// the coordinator share. Cancelling ctx aborts visits at their next
+// attempt.
 func NewShardWorker(ctx context.Context, cfg Config, shard int, seeds []ShardSeed) (*ShardWorker, error) {
 	if cfg.Clock == nil || cfg.NewClient == nil || cfg.Driver == nil {
 		return nil, fmt.Errorf("crawler: Clock, NewClient and Driver are required")
@@ -112,18 +123,8 @@ func NewShardWorker(ctx context.Context, cfg Config, shard int, seeds []ShardSee
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cfg = cfg.withDefaults()
-	c := &Crawler{cfg: cfg, tel: newCrawlMetrics(cfg.Metrics)}
-	w := &ShardWorker{c: c, id: shard, seeds: seeds}
-	w.r = &run{
-		c:        c,
-		cfg:      &c.cfg,
-		ctx:      ctx,
-		res:      &Result{},
-		occ:      make(map[string]int),
-		restored: make(map[string]*WPNRecord),
-	}
-	return w, nil
+	cfg = cfg.WithDefaults()
+	return &ShardWorker{cfg: cfg, tel: newCrawlMetrics(cfg.Metrics), ctx: ctx, id: shard, seeds: seeds}, nil
 }
 
 // ShardID returns the worker's shard number.
@@ -173,30 +174,73 @@ func (w *ShardWorker) TakeDirty() bool {
 	return d
 }
 
-// Seed visits the shard's seed URLs in parallel containers and reports
-// per-seed outcomes for the coordinator's global NPR list. Containers
-// are created with their global ids before any visit.
+// Seed visits the shard's seed URLs in parallel containers (bounded by
+// MaxContainers — the paper's 20–50 concurrent Docker sessions) and
+// reports per-seed outcomes for the coordinator's global NPR list.
+// Containers are created with their global ids before any visit; those
+// whose visit produced a push subscription go live. Visits do not
+// advance the simulated clock, so parallelism cannot reorder time, and
+// outcomes fold serially in seed order.
 func (w *ShardWorker) Seed() (*ShardSeedReport, error) {
-	containers := make([]*container, len(w.seeds))
-	urls := make([]string, len(w.seeds))
-	for i, s := range w.seeds {
-		urls[i] = s.URL
-		containers[i] = w.c.newContainerWithID(s.Index+1, s.URL)
+	type visitOutcome struct {
+		requested, registered bool
+		token                 string
 	}
-	live, outcomes := w.r.seedContainers(containers, urls)
-	w.live = live
-	w.resumes = make(containerHeap, len(live))
-	copy(w.resumes, live)
-	heap.Init(&w.resumes)
-	w.r.end = w.c.cfg.Clock.Now().Add(w.c.cfg.CollectionWindow)
-	w.dirty = true
+	containers := make([]*container, len(w.seeds))
+	for i, s := range w.seeds {
+		containers[i] = w.newContainer(s.Index+1, s.URL)
+	}
+	outcomes := make([]visitOutcome, len(w.seeds))
+	sem := make(chan struct{}, w.cfg.MaxContainers)
+	var wg sync.WaitGroup
+	for i := range w.seeds {
+		if w.ctx.Err() != nil {
+			break
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if w.ctx.Err() != nil {
+				return
+			}
+			vr, err := w.visitRetry(containers[i], w.seeds[i].URL)
+			if err != nil {
+				return // dead site after retries: container discarded
+			}
+			outcomes[i].requested = vr.RequestedPermission
+			if vr.Registration != nil {
+				outcomes[i].registered = true
+				outcomes[i].token = vr.Registration.Sub.Token
+			}
+		}(i)
+	}
+	wg.Wait()
 
-	rep := &ShardSeedReport{Status: w.status()}
+	now := w.cfg.Clock.Now()
+	rep := &ShardSeedReport{}
 	for i, oc := range outcomes {
 		rep.Outcomes = append(rep.Outcomes, ShardSeedOutcome{
 			Index: w.seeds[i].Index, Requested: oc.requested, Registered: oc.registered,
 		})
+		if !oc.registered {
+			continue
+		}
+		ct := containers[i]
+		ct.registeredAt = now
+		ct.activeUntil = now.Add(w.cfg.MonitorWindow)
+		ct.nextResume = now.Add(w.cfg.ResumeInterval)
+		ct.sourceByToken[oc.token] = ct.seedURL
+		ct.regTimeByToken[oc.token] = now
+		w.live = append(w.live, ct)
 	}
+	w.resumes = make(containerHeap, len(w.live))
+	copy(w.resumes, w.live)
+	heap.Init(&w.resumes)
+	w.end = now.Add(w.cfg.CollectionWindow)
+	w.dirty = true
+	rep.Status = w.status()
 	return rep, nil
 }
 
@@ -218,14 +262,14 @@ func (w *ShardWorker) status() TickStatus {
 func (w *ShardWorker) Poll(now time.Time, final bool) (*TickPoll, error) {
 	popped := len(w.resumes) > 0 && !w.resumes[0].nextResume.After(now)
 	if final {
-		w.batch = w.r.finalBatch(w.live)
+		w.batch = w.finalBatch()
 	} else {
-		w.batch = w.r.collectDue(&w.resumes, w.live, now)
+		w.batch = w.collectDue(now)
 	}
 	if popped || len(w.batch) > 0 {
 		w.dirty = true
 	}
-	any := w.r.phasePoll(w.batch, w.c.tel.enabled)
+	any := w.phasePoll(w.batch)
 	return &TickPoll{Due: len(w.batch), Any: any, Status: w.status()}, nil
 }
 
@@ -233,7 +277,7 @@ func (w *ShardWorker) Poll(now time.Time, final bool) (*TickPoll, error) {
 // it only on ticks where some shard's poll returned messages, before
 // advancing the shared clock by ClickDelay.
 func (w *ShardWorker) Dispatch() error {
-	w.r.phaseDispatch(w.batch, w.c.tel.enabled)
+	w.phaseDispatch(w.batch)
 	return nil
 }
 
@@ -244,33 +288,33 @@ func (w *ShardWorker) Dispatch() error {
 // and the clock advance and calls Click directly; the phases are
 // no-ops then and the call just closes the batch.
 func (w *ShardWorker) Click() (*TickResult, error) {
-	tel := w.c.tel.enabled
-	w.r.phaseClick(w.batch, tel)
+	w.phaseClick(w.batch)
 	res := &TickResult{}
 	for _, it := range w.batch {
-		recs, additional := w.r.foldItem(it)
+		recs, additional := w.foldItem(it)
 		if len(recs) > 0 || len(additional) > 0 {
 			res.Items = append(res.Items, TickItem{
 				ContainerID: it.ct.id, Records: recs, AdditionalURLs: additional,
 			})
 		}
 	}
-	w.r.observeBatchLatency(w.batch, tel)
+	w.observeBatchLatency(w.batch)
 	w.batch = nil
 	return res, nil
 }
 
 // Finish returns the shard's final accounting: its Degradation with
-// the end-of-crawl per-container losses folded in, mirroring the
-// single-process finish.
+// the end-of-crawl per-container losses folded in — notifications the
+// live browsers dropped, and messages still queued for subscriptions
+// lost in crashes, which can never be collected.
 func (w *ShardWorker) Finish() (*ShardFinish, error) {
-	deg := w.r.res.Degradation
+	deg := w.deg
 	for _, ct := range w.live {
 		deg.DroppedNotifications += ct.br.DroppedNotifications()
 	}
-	if w.r.cfg.Pending != nil {
-		for _, tok := range w.r.lostTokens {
-			deg.RecordsDroppedEst += w.r.cfg.Pending.Pending(tok)
+	if w.cfg.Pending != nil {
+		for _, tok := range w.lostTokens {
+			deg.RecordsDroppedEst += w.cfg.Pending.Pending(tok)
 		}
 	}
 	return &ShardFinish{Degradation: deg}, nil
@@ -282,7 +326,11 @@ func (w *ShardWorker) Finish() (*ShardFinish, error) {
 // and the dead shard's Degradation tallies and lost tokens fold in so
 // the fleet's final aggregate misses nothing.
 func (w *ShardWorker) Adopt(st *ShardState) error {
-	if err := w.checkState(st); err != nil {
+	held := make(map[int]bool, len(w.seeds))
+	for _, s := range w.seeds {
+		held[s.Index] = true
+	}
+	if err := w.checkState(st, held); err != nil {
 		return err
 	}
 	for i := range st.Containers {
@@ -291,7 +339,7 @@ func (w *ShardWorker) Adopt(st *ShardState) error {
 		// this worker's tracer would parent new events under unrelated
 		// spans. Adopted chains restart as roots instead.
 		st.Containers[i].Chain = nil
-		ct := w.c.containerFromState(&st.Containers[i])
+		ct := w.containerFromState(&st.Containers[i])
 		w.live = append(w.live, ct)
 		if st.Containers[i].InHeap {
 			heap.Push(&w.resumes, ct)
@@ -300,18 +348,51 @@ func (w *ShardWorker) Adopt(st *ShardState) error {
 	sort.Slice(w.live, func(i, j int) bool { return w.live[i].id < w.live[j].id })
 	w.seeds = append(w.seeds, st.Seeds...)
 	sort.Slice(w.seeds, func(i, j int) bool { return w.seeds[i].Index < w.seeds[j].Index })
-	w.r.res.Degradation.Merge(st.Degradation)
-	w.r.lostTokens = append(w.r.lostTokens, st.LostTokens...)
+	w.deg.Merge(st.Degradation)
+	w.lostTokens = append(w.lostTokens, st.LostTokens...)
 	w.dirty = true
 	return nil
 }
 
-func (w *ShardWorker) checkState(st *ShardState) error {
+// checkState rejects a state this worker cannot restore or adopt:
+// another format version or device, or a malformed body — a seed index
+// listed twice or already held by this worker (held, for adoption), a
+// container whose id is missing from the state's seeds or appears
+// twice, or a registration the pump phases would dereference without a
+// script or poll without a token. Restoring such a state would panic on
+// a pool goroutine at the next poll instead of failing here.
+func (w *ShardWorker) checkState(st *ShardState, held map[int]bool) error {
+	if st == nil {
+		return fmt.Errorf("crawler: nil shard state")
+	}
 	if st.Version != ShardStateVersion {
 		return fmt.Errorf("crawler: shard state version %d, want %d", st.Version, ShardStateVersion)
 	}
-	if dev := w.c.cfg.Device.String(); st.Device != dev {
+	if dev := w.cfg.Device.String(); st.Device != dev {
 		return fmt.Errorf("crawler: shard state is for device %q, this worker is %q", st.Device, dev)
+	}
+	seeded := make(map[int]bool, len(st.Seeds))
+	for _, s := range st.Seeds {
+		if s.Index < 0 || seeded[s.Index] || held[s.Index] {
+			return fmt.Errorf("crawler: shard state seed index %d invalid or repeated", s.Index)
+		}
+		seeded[s.Index] = true
+	}
+	seen := make(map[int]bool, len(st.Containers))
+	for _, cs := range st.Containers {
+		id := cs.Cursor.ID
+		switch {
+		case !seeded[id-1]:
+			return fmt.Errorf("crawler: shard state container %d has no seed", id)
+		case seen[id]:
+			return fmt.Errorf("crawler: shard state container %d appears twice", id)
+		}
+		seen[id] = true
+		for _, reg := range cs.Registrations {
+			if reg == nil || reg.Script == nil || reg.Sub.Token == "" {
+				return fmt.Errorf("crawler: shard state container %d has a malformed registration", id)
+			}
+		}
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"pushadminer/internal/httpx"
@@ -17,8 +18,46 @@ import (
 // incompatibly; LoadShardState rejects other versions.
 const ShardStateVersion = 1
 
+// ContainerCursor is the persisted scheduling position of one
+// container: its identity, monitoring-window and resume times, and the
+// crash/recovery tallies the pump phases consult.
+type ContainerCursor struct {
+	ID           int                  `json:"id"`
+	SeedURL      string               `json:"seed_url"`
+	ClientID     string               `json:"client_id"`
+	RegisteredAt time.Time            `json:"registered_at"`
+	ActiveUntil  time.Time            `json:"active_until"`
+	NextResume   time.Time            `json:"next_resume"`
+	Collected    int                  `json:"collected"`
+	Cycles       int                  `json:"cycles"`
+	Recoveries   int                  `json:"recoveries"`
+	PollFails    int                  `json:"poll_fails,omitempty"`
+	Dead         bool                 `json:"dead,omitempty"`
+	Sources      map[string]string    `json:"sources,omitempty"`   // token → source URL
+	RegTimes     map[string]time.Time `json:"reg_times,omitempty"` // token → registration time
+}
+
+// cursor captures the container's persisted position.
+func (ct *container) cursor() ContainerCursor {
+	return ContainerCursor{
+		ID:           ct.id,
+		SeedURL:      ct.seedURL,
+		ClientID:     ct.clientID,
+		RegisteredAt: ct.registeredAt,
+		ActiveUntil:  ct.activeUntil,
+		NextResume:   ct.nextResume,
+		Collected:    ct.collected,
+		Cycles:       ct.cycles,
+		Recoveries:   ct.recoveries,
+		PollFails:    ct.pollFails,
+		Dead:         ct.dead,
+		Sources:      ct.sourceByToken,
+		RegTimes:     ct.regTimeByToken,
+	}
+}
+
 // ShardContainerState is one container's complete persisted state:
-// the checkpoint cursor plus everything a restarted worker needs to
+// its cursor plus everything a restarted worker needs to
 // resume the container *losslessly* — circuit-breaker host states (so
 // a chaos 5xx burst is not re-probed at full rate after failover),
 // service-worker registrations with their push subscriptions, the
@@ -40,8 +79,8 @@ type ShardContainerState struct {
 	// its IDs reference the shard's tracer, which the fleet transport
 	// owns across restarts — so a restored worker keeps extending the
 	// chains the lost one left open and the stitched fleet trace stays
-	// byte-identical to the single-process trace. Adopt drops it: the
-	// IDs are meaningless against another shard's tracer.
+	// byte-identical to a kill-free trace. Adopt drops it: the IDs are
+	// meaningless against another shard's tracer.
 	Chain *telemetry.ChainState `json:"chain,omitempty"`
 }
 
@@ -77,12 +116,12 @@ func (w *ShardWorker) State() (*ShardState, error) {
 	st := &ShardState{
 		Version:     ShardStateVersion,
 		Shard:       w.id,
-		Device:      w.c.cfg.Device.String(),
-		SimTime:     w.c.cfg.Clock.Now(),
-		End:         w.r.end,
+		Device:      w.cfg.Device.String(),
+		SimTime:     w.cfg.Clock.Now(),
+		End:         w.end,
 		Seeds:       w.seeds,
-		LostTokens:  w.r.lostTokens,
-		Degradation: w.r.res.Degradation,
+		LostTokens:  w.lostTokens,
+		Degradation: w.deg,
 	}
 	for _, ct := range w.live {
 		st.Containers = append(st.Containers, ShardContainerState{
@@ -102,20 +141,24 @@ func (w *ShardWorker) State() (*ShardState, error) {
 // browsers and breakers are constructed (pure, no HTTP) and rehydrated
 // with the saved registrations, breaker host states, cookies, and
 // tallies. The restored worker is byte-equivalent to the lost one at
-// the tick boundary the state was saved on.
+// the tick boundary the state was saved on. A malformed state is an
+// error (see checkState), never a worker that panics later.
 func RestoreShardWorker(ctx context.Context, cfg Config, st *ShardState) (*ShardWorker, error) {
+	if st == nil {
+		return nil, fmt.Errorf("crawler: nil shard state")
+	}
 	w, err := NewShardWorker(ctx, cfg, st.Shard, st.Seeds)
 	if err != nil {
 		return nil, err
 	}
-	if err := w.checkState(st); err != nil {
+	if err := w.checkState(st, nil); err != nil {
 		return nil, err
 	}
-	w.r.end = st.End
-	w.r.res.Degradation = st.Degradation
-	w.r.lostTokens = st.LostTokens
+	w.end = st.End
+	w.deg = st.Degradation
+	w.lostTokens = st.LostTokens
 	for i := range st.Containers {
-		ct := w.c.containerFromState(&st.Containers[i])
+		ct := w.containerFromState(&st.Containers[i])
 		w.live = append(w.live, ct)
 		if st.Containers[i].InHeap {
 			w.resumes = append(w.resumes, ct)
@@ -128,9 +171,9 @@ func RestoreShardWorker(ctx context.Context, cfg Config, st *ShardState) (*Shard
 // containerFromState rebuilds one container from its persisted state.
 // No HTTP happens: the browser's registrations were announced when
 // first created and the push service's token state lives server-side.
-func (c *Crawler) containerFromState(cs *ShardContainerState) *container {
+func (w *ShardWorker) containerFromState(cs *ShardContainerState) *container {
 	cur := &cs.Cursor
-	ct := c.newContainerWithID(cur.ID, cur.SeedURL)
+	ct := w.newContainer(cur.ID, cur.SeedURL)
 	ct.registeredAt = cur.RegisteredAt
 	ct.activeUntil = cur.ActiveUntil
 	ct.nextResume = cur.NextResume
@@ -152,9 +195,9 @@ func (c *Crawler) containerFromState(cs *ShardContainerState) *container {
 	return ct
 }
 
-// SaveShardState atomically writes a shard state file with the same
-// backup-rotation discipline as run checkpoints: the previous state
-// rotates to path+".bak" so a torn write can always fall back one tick.
+// SaveShardState atomically writes a shard state file (writeFileDurable):
+// the previous state rotates to path+".bak" so a torn write can always
+// fall back one tick.
 func SaveShardState(path string, st *ShardState) error {
 	data, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
@@ -167,8 +210,9 @@ func SaveShardState(path string, st *ShardState) error {
 }
 
 // LoadShardState reads a shard state file, falling back to the rotated
-// .bak when the primary is missing, truncated, or corrupt. fellBack
-// reports that the backup was used.
+// .bak when the primary is missing, truncated, corrupt, or of another
+// version. fellBack reports that the backup was used. When both copies
+// are unusable the primary's error is returned.
 func LoadShardState(path string) (st *ShardState, fellBack bool, err error) {
 	st, err = loadShardState(path)
 	if err == nil {
@@ -193,4 +237,36 @@ func loadShardState(path string) (*ShardState, error) {
 		return nil, fmt.Errorf("crawler: shard state %s: version %d, want %d", path, st.Version, ShardStateVersion)
 	}
 	return &st, nil
+}
+
+// writeFileDurable is the atomic write with backup rotation behind
+// shard state: temp file in the same directory, fsync, rotate the
+// existing file to .bak, rename into place. The rotation is best-effort
+// — failing to keep a backup must not fail the write.
+func writeFileDurable(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
+	if err != nil {
+		return fmt.Errorf("temp file: %w", err)
+	}
+	tmpName := tmp.Name()
+	_, werr := tmp.Write(data)
+	if werr == nil {
+		werr = tmp.Sync()
+	}
+	if cerr := tmp.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("write: %w", werr)
+	}
+	if _, err := os.Stat(path); err == nil {
+		os.Rename(path, path+".bak")
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		os.Remove(tmpName)
+		return fmt.Errorf("commit: %w", err)
+	}
+	return nil
 }

@@ -1,10 +1,10 @@
-package crawler
+package crawler_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
+	"pushadminer/internal/crawler"
 	"pushadminer/internal/telemetry"
 	"pushadminer/internal/webeco"
 )
@@ -28,10 +28,7 @@ func TestTelemetryReconcilesWithChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { eco.Close() })
-	res, err := chaosCrawler(t, eco, func(c *Config) { c.Metrics = reg }).Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := crawl(t, eco, func(c *crawler.Config) { c.Metrics = reg })
 	snap := reg.Snapshot()
 	deg := res.Degradation
 
@@ -95,7 +92,6 @@ func TestTelemetryReconcilesWithChaos(t *testing.T) {
 		"crawler_breaker_fast_fails":    deg.BreakerFastFails,
 		"crawler_containers_lost":       deg.ContainersLost,
 		"crawler_containers_recovered":  deg.ContainersRecovered,
-		"crawler_checkpoint_writes":     deg.CheckpointWrites,
 		"crawler_visits_aborted":        deg.VisitsAborted,
 		"browser_notifications_dropped": deg.DroppedNotifications,
 	} {
@@ -136,33 +132,6 @@ func TestTelemetryReconcilesWithChaos(t *testing.T) {
 		chaosFam, errKinds, inj, tr, len(res.Records))
 }
 
-// TestDisabledCrawlMetricsZeroAlloc guards the telemetry-off hot path:
-// the zero-value crawlMetrics (what every crawler gets when
-// Config.Metrics is nil) must make all instrument calls on the pump and
-// visit paths free — no allocations, just nil-receiver no-ops. The
-// distance-matrix hot loop has the same property by construction: with
-// metrics disabled ClusterWPNs never wraps the keep function at all.
-func TestDisabledCrawlMetricsZeroAlloc(t *testing.T) {
-	var tel crawlMetrics
-	if tel.enabled {
-		t.Fatal("zero-value crawlMetrics reports enabled")
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		tel.visits.Inc()
-		tel.visitRetries.Inc()
-		tel.pollFailures.Inc()
-		tel.breakerFastFails.Inc()
-		tel.records.Inc()
-		tel.visitsAborted.Inc()
-		tel.pumpLatency.Observe(0.5)
-		tel.batchSize.Observe(3)
-		tel.pumpWorkers.Set(8)
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled crawl metrics allocate %v per pump-path round, want 0", allocs)
-	}
-}
-
 // TestTelemetryParity: the same seeded chaos crawl with telemetry fully
 // attached and fully absent must produce byte-identical records and
 // degradation reports. Observation must never perturb the simulation.
@@ -181,37 +150,16 @@ func TestTelemetryParity(t *testing.T) {
 		if attach {
 			tracer = telemetry.NewTracer(eco.Clock.Now)
 		}
-		res, err := chaosCrawler(t, eco, func(c *Config) {
+		res := crawl(t, eco, func(c *crawler.Config) {
 			c.Metrics = reg
 			c.Tracer = tracer
-		}).Run(eco.SeedURLs())
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
 		if attach && tracer.Len() == 0 {
 			t.Fatal("tracer attached but recorded no spans")
 		}
-		b, err := json.MarshalIndent(res, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
+		return marshal(t, res)
 	}
-	on, off := run(true), run(false)
-	if !bytes.Equal(on, off) {
-		for i := 0; i < len(on) && i < len(off); i++ {
-			if on[i] != off[i] {
-				lo, hi := i-120, i+120
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > len(on) {
-					hi = len(on)
-				}
-				t.Fatalf("telemetry-on result diverges from telemetry-off at byte %d:\non:  %s\noff: %s",
-					i, on[lo:hi], off[lo:min2(hi, len(off))])
-			}
-		}
-		t.Fatalf("results differ in length: on=%d off=%d", len(on), len(off))
+	if on, off := run(true), run(false); !bytes.Equal(on, off) {
+		t.Fatalf("telemetry-on result diverges from telemetry-off at %s", firstDiff(on, off))
 	}
 }

@@ -72,7 +72,7 @@ func (s *Service) Register(origin, swURL string) webpush.Subscription {
 // origin, script, and a per-identity sequence — rather than a global
 // arrival counter, so a set of concurrent registrations gets the same
 // tokens regardless of the order their requests land — what keeps
-// parallel crawls byte-identical to serial ones down to checkpoint
+// parallel crawls byte-identical to serial ones down to shard-state
 // content.
 func (s *Service) register(instance, origin, swURL string) webpush.Subscription {
 	s.mu.Lock()

@@ -14,9 +14,9 @@ import (
 	"pushadminer/internal/telemetry"
 )
 
-// coordinator replicates the single-process monitor event loop across
-// shard workers. Per tick, in order: advance the shared clock to the
-// next global event (earliest scheduled push or container resume across
+// coordinator runs the crawl's monitor event loop across shard
+// workers. Per tick, in order: advance the shared clock to the next
+// global event (earliest scheduled push or container resume across
 // all shards), sweep heartbeats (kills, restarts, and work stealing all
 // happen here, before any worker touches the tick), flush the push
 // scheduler, poll every live shard in parallel, dispatch + advance the
@@ -41,12 +41,10 @@ type coordinator struct {
 	met   *fleetMetrics
 
 	// Coordinator-owned crawl instruments: the global batch-size
-	// histogram, record counter, checkpoint-write counter, and
-	// pump-worker gauge the single-process monitor would own.
-	batchSize        *telemetry.Histogram
-	records          *telemetry.Counter
-	checkpointWrites *telemetry.Counter
-	pumpWorkers      *telemetry.Gauge
+	// histogram, record counter, and pump-worker gauge.
+	batchSize   *telemetry.Histogram
+	records     *telemetry.Counter
+	pumpWorkers *telemetry.Gauge
 
 	res    *crawler.Result
 	report *Report
@@ -109,7 +107,6 @@ func newCoordinator(ctx context.Context, cfg Config, crawlCfg crawler.Config, tr
 	if reg := crawlCfg.Metrics; reg != nil {
 		co.batchSize = reg.Histogram("crawler_pump_batch_size", telemetry.SizeBuckets)
 		co.records = reg.Counter("crawler_records_emitted")
-		co.checkpointWrites = reg.Counter("crawler_checkpoint_writes")
 		co.pumpWorkers = reg.Gauge("crawler_pump_workers")
 		telemetry.SetFleetz(co.fleetStatus)
 	}
@@ -196,7 +193,7 @@ func (co *coordinator) updateStatus(done bool) {
 			Containers:    co.owned[k],
 			Queued:        co.status[k].Queued,
 			Restarts:      co.restarts[k],
-			RestartBudget: co.cfg.MaxRestarts - co.restarts[k],
+			RestartBudget: max(0, co.cfg.MaxRestarts-co.restarts[k]),
 			Adopted:       co.report.Workers[k].Adopted,
 			Lost:          co.report.Workers[k].Lost,
 		}
@@ -243,7 +240,7 @@ func (co *coordinator) forAlive(f func(k int) error) error {
 }
 
 // run drives the whole fleet crawl: seed, monitor loop, final drain,
-// finish. It mirrors crawler.RunContext step for step.
+// finish.
 func (co *coordinator) run(seeds []string) error {
 	clock := co.crawl.Clock
 	co.met.shards.Set(int64(co.n))
@@ -276,7 +273,7 @@ func (co *coordinator) run(seeds []string) error {
 		})
 	}
 	// Global seed order, not shard order: NPRURLs must list seed URLs
-	// exactly as the single-process seed phase does.
+	// in one order at every shard count.
 	sort.Slice(outcomes, func(i, j int) bool { return outcomes[i].Index < outcomes[j].Index })
 	for _, oc := range outcomes {
 		if oc.Requested {
@@ -302,8 +299,7 @@ func (co *coordinator) run(seeds []string) error {
 			break
 		}
 		// Next global event: a scheduled push or any shard's earliest
-		// container resume — the fleet-wide version of the monitor's
-		// heap peek.
+		// container resume.
 		next := co.end
 		if at, ok := co.crawl.Driver.NextPushAt(); ok && at.Before(next) {
 			next = at
@@ -313,6 +309,8 @@ func (co *coordinator) run(seeds []string) error {
 				next = co.status[k].NextResume
 			}
 		}
+		// Tick coalescing: step past the first due event by the batch
+		// window so everything due inside it is pumped as one batch.
 		if w := co.crawl.BatchWindow; w > 0 && next.Before(co.end) {
 			if q := next.Add(w); q.Before(co.end) {
 				next = q
@@ -344,8 +342,9 @@ func (co *coordinator) run(seeds []string) error {
 		}
 	}
 
-	// Final drain at the end of the window (skipped on cancellation,
-	// like the single-process monitor).
+	// Final drain at the end of the window, skipped on cancellation so
+	// a cancelled run's records stay a prefix of the uninterrupted
+	// run's.
 	if !cancelled {
 		if err := co.pump(clock.Now(), true); err != nil {
 			return err
@@ -385,8 +384,8 @@ func (co *coordinator) pump(now time.Time, final bool) error {
 		if err := co.forAlive(func(k int) error { return co.tr.Dispatch(k, segDispatch) }); err != nil {
 			return err
 		}
-		// One ClickDelay advance for the whole fleet-wide batch, the
-		// same single advance the monitor's pumpBatch performs.
+		// One ClickDelay advance for the whole fleet-wide batch (pump
+		// phase 3).
 		co.crawl.Clock.Advance(co.crawl.ClickDelay)
 	}
 
@@ -400,11 +399,10 @@ func (co *coordinator) pump(now time.Time, final bool) error {
 		return err
 	}
 
-	// Serial merge in ascending container id — the cross-shard version
-	// of pump phase 5. Container ids are global (seed index + 1) and
-	// each container lives on exactly one shard, so this ordering is
-	// exactly the order the single-process merge walks its batch in,
-	// and minting IDs here reproduces its ID sequence.
+	// Serial merge in ascending container id — the cross-shard half of
+	// pump phase 5. Container ids are global (seed index + 1) and each
+	// container lives on exactly one shard, so this ordering, and the
+	// ID sequence minted here, is the same at every shard count.
 	var items []crawler.TickItem
 	for k := 0; k < co.n; k++ {
 		if results[k] != nil {
@@ -484,15 +482,23 @@ func (co *coordinator) heartbeatSweep(now time.Time) error {
 
 // handleDown reacts to a dead worker: restart it from its last saved
 // shard state while its budget lasts, otherwise hand its orphaned
-// containers to the least-loaded live worker. Either way the containers
-// resume exactly where the last tick-boundary save left them, so the
-// kill is invisible in the merged output.
+// containers to the least-loaded live worker. The last live worker —
+// every worker of a one-shard crawl — has no one to hand them to, so it
+// is restarted whatever its budget. Either way the containers resume
+// exactly where the last tick-boundary save left them, so the kill is
+// invisible in the merged output.
 func (co *coordinator) handleDown(k int) error {
 	co.report.Kills++
 	co.met.kills.Inc()
 	co.event(EvKillDetected, k, nil)
 
-	if co.restarts[k] < co.cfg.MaxRestarts {
+	live := 0
+	for j := 0; j < co.n; j++ {
+		if co.alive[j] {
+			live++
+		}
+	}
+	if co.restarts[k] < co.cfg.MaxRestarts || live == 1 {
 		co.restarts[k]++
 		fellBack, err := co.tr.Restart(k)
 		if fellBack {
@@ -533,21 +539,16 @@ func (co *coordinator) handleDown(k int) error {
 	}
 	co.event(EvOrphanSteal, k, map[string]string{"containers": strconv.Itoa(len(st.Containers))})
 	// Steal to the live worker owning the fewest containers (ties to
-	// the lowest shard id). The choice is pure load balancing: records
-	// merge by global container id and every draw is keyed by container
-	// or worker identity, so the adopter's identity cannot leak into
-	// the output.
+	// the lowest shard id); there is one, since the last live worker is
+	// always restarted. The choice is pure load balancing: records merge
+	// by global container id and every draw is keyed by container or
+	// worker identity, so the adopter's identity cannot leak into the
+	// output.
 	target := -1
 	for j := 0; j < co.n; j++ {
-		if !co.alive[j] {
-			continue
-		}
-		if target < 0 || co.owned[j] < co.owned[target] {
+		if co.alive[j] && (target < 0 || co.owned[j] < co.owned[target]) {
 			target = j
 		}
-	}
-	if target < 0 {
-		return fmt.Errorf("fleet: all shard workers dead")
 	}
 	if err := co.tr.Adopt(target, st); err != nil {
 		return err
@@ -579,17 +580,17 @@ func (co *coordinator) totalQueued() int {
 }
 
 // finish aggregates the shards' final accounting — per-shard
-// Degradations merge tally-wise into one report equal to the
-// single-process one — snapshots the ecosystem fault counters once,
-// writes the optional merged checkpoint, stitches the shard trace
-// streams into the main tracer, absorbs the shards' final telemetry
-// snapshots into the main registry, and writes the event ledger.
+// Degradations merge tally-wise into one report, the same at every
+// shard count — snapshots the ecosystem fault counters once, stitches
+// the shard trace streams into the main tracer, absorbs the shards'
+// final telemetry snapshots into the main registry, and writes the
+// event ledger.
 //
-// The order is load-bearing: the checkpoint write and the trace stitch
-// both increment coordinator-registry counters, so they must land
-// before Report.Coordinator is captured and the shard snapshots are
-// absorbed — otherwise the exact-merge contract (final registry state
-// equals Coordinator merged with every ShardSnapshot) breaks.
+// The order is load-bearing: the trace stitch increments a
+// coordinator-registry counter, so it must land before
+// Report.Coordinator is captured and the shard snapshots are absorbed —
+// otherwise the exact-merge contract (final registry state equals
+// Coordinator merged with every ShardSnapshot) breaks.
 func (co *coordinator) finish() error {
 	segFin := co.seg()
 	for k := 0; k < co.n; k++ {
@@ -607,7 +608,6 @@ func (co *coordinator) finish() error {
 			co.res.Degradation.Faults = fc
 		}
 	}
-	co.writeMergedCheckpoint()
 	co.stitchTrace()
 	co.absorbTelemetry()
 	if co.cfg.LedgerPath != "" {
@@ -625,8 +625,8 @@ func (co *coordinator) finish() error {
 // chain spans are retroactively mutated while open, so nothing can be
 // shipped incrementally — and include lost workers' spans (the
 // transport owns each shard's buffer across kills). At Shards=1 the
-// stitch is the identity and the main tracer's JSONL output is
-// byte-identical to a single-process traced run.
+// stitch is the identity: the main tracer's JSONL output is
+// byte-identical to a lone ShardWorker traced straight into it.
 func (co *coordinator) stitchTrace() {
 	if co.crawl.Tracer == nil {
 		return
@@ -665,45 +665,5 @@ func (co *coordinator) absorbTelemetry() {
 	for k := 0; k < co.n; k++ {
 		co.crawl.Metrics.Absorb(fmt.Sprintf("shard-%d", k), co.snaps[k])
 		co.report.ShardSnapshots[k] = co.snaps[k]
-	}
-}
-
-// writeMergedCheckpoint writes one global checkpoint equivalent to the
-// single-process final checkpoint: all records, cursors from every live
-// shard in container-id order, and the merged Degradation. The fleet
-// writes no periodic checkpoints — per-shard state files are its
-// durable layer — so a fleet checkpoint counts exactly one write.
-func (co *coordinator) writeMergedCheckpoint() {
-	if co.crawl.CheckpointPath == "" {
-		return
-	}
-	cp := &crawler.Checkpoint{
-		Version:        crawler.CheckpointVersion,
-		Device:         co.crawl.Device.String(),
-		SimTime:        co.crawl.Clock.Now(),
-		NextID:         co.nextID,
-		SeedURLs:       co.res.SeedURLs,
-		NPRURLs:        co.res.NPRURLs,
-		AdditionalURLs: co.res.AdditionalURLs,
-		Containers:     co.res.Containers,
-		Records:        co.res.Records,
-		Degradation:    co.res.Degradation,
-	}
-	for k := 0; k < co.n; k++ {
-		if !co.alive[k] {
-			continue
-		}
-		st, err := co.tr.State(k)
-		if err != nil {
-			continue
-		}
-		for _, cs := range st.Containers {
-			cp.Cursors = append(cp.Cursors, cs.Cursor)
-		}
-	}
-	sort.Slice(cp.Cursors, func(i, j int) bool { return cp.Cursors[i].ID < cp.Cursors[j].ID })
-	if err := crawler.SaveCheckpoint(co.crawl.CheckpointPath, cp); err == nil {
-		co.res.Degradation.CheckpointWrites++
-		co.checkpointWrites.Inc()
 	}
 }

@@ -1,10 +1,10 @@
-// Package fleet shards the WPN crawl across a coordinator and N shard
-// workers with a self-healing control plane. Each shard owns a disjoint
-// subset of the containers — its own browsers, per-container circuit
-// breakers, pump-worker pool, suspension heap, and durable state file —
-// while the coordinator owns everything global: the simulated clock,
-// the push scheduler, record-ID minting, and the serial id-order merge
-// of shard results.
+// Package fleet drives every WPN crawl: a coordinator plus N shard
+// workers (one for a plain crawl) under a self-healing control plane.
+// Each shard owns a disjoint subset of the containers — its own
+// browsers, per-container circuit breakers, pump-worker pool,
+// suspension heap, and durable state file — while the coordinator owns
+// everything global: the simulated clock, the push scheduler, record-ID
+// minting, and the serial id-order merge of shard results.
 //
 // The control plane heartbeats every worker at tick boundaries, detects
 // dead workers (driven by a chaos crash plan in tests), restarts them
@@ -14,8 +14,9 @@
 // workers only die at tick boundaries — after their state save — and
 // restore is pure deserialization, a fleet run at ANY shard count,
 // under ANY kill schedule, produces byte-identical records and an
-// identical Degradation report to the single-process crawl. The fleet
-// parity matrix test pins exactly that.
+// identical Degradation report to a kill-free one-shard run. The fleet
+// parity matrix test pins exactly that, against a reference loop that
+// drives a single ShardWorker directly.
 //
 // Workers run in-process behind the Transport interface ("virtual
 // shards"); a subprocess/loopback transport can replace localTransport
@@ -38,9 +39,7 @@ import (
 // Config configures a fleet crawl.
 type Config struct {
 	// Crawl is the shared crawl configuration every shard worker and the
-	// coordinator use. Crawl.Resume is rejected: shard state files are
-	// the fleet's durable layer (Crawl.CheckpointPath still works — the
-	// coordinator writes one merged checkpoint at the end).
+	// coordinator use.
 	Crawl crawler.Config
 	// Shards is the number of shard workers. <= 0 defaults to 1.
 	Shards int
@@ -50,7 +49,9 @@ type Config struct {
 	Heartbeat time.Duration
 	// MaxRestarts bounds restart-with-resume attempts per worker; after
 	// the budget a dead worker's containers are stolen by a live one.
-	// 0 defaults to 2; negative means never restart (steal immediately).
+	// The last live worker is always restarted (nothing could steal its
+	// containers). 0 defaults to 2; negative means never restart (steal
+	// immediately).
 	MaxRestarts int
 	// Dir is where shard state files (shard-<k>.json) are written.
 	// Empty with a WorkerCrashPlan set uses a private temp directory;
@@ -151,7 +152,7 @@ type WorkerStatus struct {
 }
 
 // Report is the fleet run's control-plane accounting, alongside the
-// crawl Result (which is byte-identical to a single-process run).
+// crawl Result (which is byte-identical at every shard count).
 type Report struct {
 	Shards     int            `json:"shards"`
 	Workers    []WorkerStatus `json:"workers"`
@@ -309,9 +310,12 @@ func (s FleetStatus) String() string {
 	return b.String()
 }
 
-// Run crawls the seed URLs with a sharded fleet and returns the merged
-// result plus the control plane's report. Cancelling ctx stops the
-// crawl at the next tick boundary, like the single-process crawler.
+// Run crawls the seed URLs with a fleet of cfg.Shards workers and
+// returns the merged result plus the control plane's report.
+// Cancelling ctx stops the crawl at the next tick boundary (no final
+// drain) and returns the records collected so far with ctx.Err(); they
+// are a prefix of an uninterrupted run's records, so a killed crawl is
+// simply run again.
 func Run(ctx context.Context, cfg Config, seeds []string) (*crawler.Result, *Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -331,9 +335,6 @@ func Run(ctx context.Context, cfg Config, seeds []string) (*crawler.Result, *Rep
 	crawlCfg := cfg.Crawl.WithDefaults()
 	if crawlCfg.Clock == nil || crawlCfg.NewClient == nil || crawlCfg.Driver == nil {
 		return nil, nil, fmt.Errorf("fleet: Crawl.Clock, Crawl.NewClient and Crawl.Driver are required")
-	}
-	if crawlCfg.Resume {
-		return nil, nil, fmt.Errorf("fleet: checkpoint resume is not supported with shards (shard state files are the fleet's durable layer)")
 	}
 
 	// Shard durability: required the moment workers can die. A crash

@@ -60,18 +60,12 @@ func chaosProfile(workerCrashes float64) *chaos.Profile {
 	return &p
 }
 
-// baselineRun is the ground truth: the single-process crawl.
+// baselineRun is the ground truth: the reference loop driving one
+// ShardWorker directly.
 func baselineRun(t *testing.T, seed int64, prof *chaos.Profile) []byte {
 	t.Helper()
 	eco := newEco(t, seed, prof)
-	c, err := crawler.New(crawlConfig(eco, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := c.Run(eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := referenceCrawl(t, crawlConfig(eco, nil), eco.SeedURLs())
 	if len(res.Records) == 0 {
 		t.Fatal("baseline collected no records; parity test is vacuous")
 	}
@@ -102,9 +96,10 @@ func marshal(t *testing.T, res *crawler.Result) []byte {
 	return b
 }
 
-// TestFleetParityMatrix is the tentpole contract: a fleet run at any
-// shard count, with any kill schedule, converges to the single-process
-// result — byte-identical records, URL lists, and Degradation report.
+// TestFleetParityMatrix is the fleet's contract: a fleet run at any
+// shard count, with any kill schedule, converges to the reference
+// loop's result — byte-identical records, URL lists, and Degradation
+// report.
 func TestFleetParityMatrix(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -117,7 +112,7 @@ func TestFleetParityMatrix(t *testing.T) {
 		// Full chaos plus worker kills: each worker sees ~28 heartbeat
 		// cycles at the 6h default over 7 days, so a 5% kill fraction
 		// exercises restarts (and, depending on the draw, stealing).
-		{"seed11/chaos", 11, func() *chaos.Profile { return chaosProfile(0.05) }, []int{2, 4}},
+		{"seed11/chaos", 11, func() *chaos.Profile { return chaosProfile(0.05) }, []int{1, 2, 4}},
 		{"seed23/chaos", 23, func() *chaos.Profile { return chaosProfile(0.05) }, []int{3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,7 +120,7 @@ func TestFleetParityMatrix(t *testing.T) {
 			for _, shards := range tc.shards {
 				got, rep := fleetRun(t, tc.seed, tc.prof(), shards)
 				if !bytes.Equal(want, got) {
-					t.Errorf("shards=%d diverges from single-process baseline (%d vs %d bytes):\n%s",
+					t.Errorf("shards=%d diverges from the reference loop (%d vs %d bytes):\n%s",
 						shards, len(want), len(got), firstDiff(want, got))
 				}
 				t.Logf("shards=%d kills=%d restarts=%d lost=%d stolen=%d saves=%d",
@@ -156,7 +151,7 @@ func TestFleetRestartsUnderKills(t *testing.T) {
 
 // TestFleetWorkStealing kills one worker with no restart budget: its
 // containers must be adopted by a live shard and the merged result must
-// still match the single-process baseline byte for byte.
+// still match the reference loop byte for byte.
 func TestFleetWorkStealing(t *testing.T) {
 	want := baselineRun(t, 11, nil)
 
@@ -197,6 +192,71 @@ func TestFleetWorkStealing(t *testing.T) {
 	}
 }
 
+// TestOneShardKillEveryHeartbeat is the kill matrix of the default
+// one-shard path: the lone worker dies at every hourly heartbeat and is
+// restored from its shard state each time — past its restart budget,
+// because the last live worker has no one to hand its containers to.
+// With and without the acceptance faults, the Result must stay
+// byte-identical to the kill-free run's and every counter outside the
+// fleet's own control plane must match.
+func TestOneShardKillEveryHeartbeat(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prof func() *chaos.Profile
+	}{
+		{"clean", func() *chaos.Profile { return nil }},
+		{"faults", func() *chaos.Profile { return chaosProfile(0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(plan func(string, int) bool) ([]byte, map[string]int64, *Report) {
+				reg := telemetry.New()
+				eco, err := webeco.New(webeco.Config{Seed: 11, Scale: 0.002, Chaos: tc.prof(), Telemetry: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer eco.Close()
+				res, rep, err := Run(context.Background(), Config{
+					Crawl:           crawlConfig(eco, func(c *crawler.Config) { c.Metrics = reg }),
+					Heartbeat:       time.Hour,
+					Dir:             t.TempDir(),
+					WorkerCrashPlan: plan,
+				}, eco.SeedURLs())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return marshal(t, res), reg.Snapshot().Counters, rep
+			}
+			want, wantC, _ := run(nil)
+			got, gotC, rep := run(func(string, int) bool { return true })
+			if rep.Kills < 100 || rep.Restarts != rep.Kills || rep.WorkersLost != 0 {
+				t.Fatalf("kills=%d restarts=%d lost=%d; want every hourly heartbeat killed and restarted",
+					rep.Kills, rep.Restarts, rep.WorkersLost)
+			}
+			if !bytes.Equal(want, got) {
+				t.Errorf("result under kills diverges from the kill-free run:\n%s", firstDiff(want, got))
+			}
+			for k := range mergeKeys(wantC, gotC) {
+				if !strings.HasPrefix(k, "fleet_") && wantC[k] != gotC[k] {
+					t.Errorf("counter %s = %d under kills, %d kill-free", k, gotC[k], wantC[k])
+				}
+			}
+			t.Logf("kills=%d restarts=%d saves=%d", rep.Kills, rep.Restarts, rep.StateSaves)
+		})
+	}
+}
+
+// mergeKeys returns the union of two counter maps' keys.
+func mergeKeys(a, b map[string]int64) map[string]bool {
+	keys := make(map[string]bool, len(a)+len(b))
+	for k := range a {
+		keys[k] = true
+	}
+	for k := range b {
+		keys[k] = true
+	}
+	return keys
+}
+
 // TestFleetTelemetry pins the fleet gauge/counter key set and that the
 // control-plane instruments move under kills.
 func TestFleetTelemetry(t *testing.T) {
@@ -235,19 +295,6 @@ func TestFleetTelemetry(t *testing.T) {
 	}
 	if reg.Counter("crawler_records_emitted").Value() == 0 {
 		t.Error("coordinator minted records but crawler_records_emitted is 0")
-	}
-}
-
-// TestFleetRejectsResume: checkpoint-replay resume belongs to the
-// single-process crawler; the fleet's durable layer is shard state.
-func TestFleetRejectsResume(t *testing.T) {
-	eco := newEco(t, 11, nil)
-	cfg := crawlConfig(eco, func(c *crawler.Config) {
-		c.Resume = true
-		c.CheckpointPath = t.TempDir() + "/ckpt.json"
-	})
-	if _, _, err := Run(context.Background(), Config{Crawl: cfg, Shards: 2}, eco.SeedURLs()); err == nil {
-		t.Fatal("fleet accepted Crawl.Resume; want an error")
 	}
 }
 

@@ -89,7 +89,7 @@ func TestFleetTelemetryExactMerge(t *testing.T) {
 }
 
 // TestFleetTraceParity: a traced fleet run's stitched spans must be
-// byte-identical (as JSONL) to the single-process trace. Pinned at
+// byte-identical (as JSONL) to the reference loop's trace. Pinned at
 // MaxContainers=1 and PumpWorkers=1 — the only setting where span
 // emission order is deterministic even within the seed fan-out — and
 // exercised both kill-free and under a worker kill + restart, where
@@ -112,16 +112,10 @@ func TestFleetTraceParity(t *testing.T) {
 	baseline := func(t *testing.T) []byte {
 		tr := telemetry.NewTracer(nil)
 		eco := newEco(t, 11, nil)
-		c, err := crawler.New(crawlConfig(eco, func(c *crawler.Config) {
+		referenceCrawl(t, crawlConfig(eco, func(c *crawler.Config) {
 			serial(c)
 			c.Tracer = tr
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Run(eco.SeedURLs()); err != nil {
-			t.Fatal(err)
-		}
+		}), eco.SeedURLs())
 		if tr.Len() == 0 {
 			t.Fatal("baseline produced no spans; trace parity is vacuous")
 		}
@@ -154,7 +148,7 @@ func TestFleetTraceParity(t *testing.T) {
 			t.Error("fleet stitched no spans")
 		}
 		if !bytes.Equal(want, got) {
-			t.Errorf("stitched trace diverges from single-process trace:\n%s", firstDiff(want, got))
+			t.Errorf("stitched trace diverges from the reference trace:\n%s", firstDiff(want, got))
 		}
 	})
 
@@ -166,7 +160,7 @@ func TestFleetTraceParity(t *testing.T) {
 			t.Fatalf("kills=%d restarts=%d, want 2/2", rep.Kills, rep.Restarts)
 		}
 		if !bytes.Equal(want, got) {
-			t.Errorf("stitched trace under kills diverges from single-process trace:\n%s", firstDiff(want, got))
+			t.Errorf("stitched trace under kills diverges from the reference trace:\n%s", firstDiff(want, got))
 		}
 	})
 }

@@ -39,8 +39,6 @@ type Transport interface {
 	Click(shard int, seg int64) (*crawler.TickResult, error)
 	// Finish returns the shard's end-of-crawl accounting.
 	Finish(shard int, seg int64) (*crawler.ShardFinish, error)
-	// State snapshots a live shard (final merged checkpoint assembly).
-	State(shard int) (*crawler.ShardState, error)
 	// Restart revives a dead worker from its last durable state.
 	// fellBack reports the primary state file was unusable and the
 	// rotated .bak was used.
@@ -283,14 +281,6 @@ func (t *localTransport) Spans(shard int) ([]telemetry.Span, error) {
 	// transport-owned and outlives the worker (see the interface doc),
 	// so a lost shard's chains still reach the stitched trace.
 	return t.tracers[shard].Spans(), nil
-}
-
-func (t *localTransport) State(shard int) (*crawler.ShardState, error) {
-	w, err := t.worker(shard)
-	if err != nil {
-		return nil, err
-	}
-	return w.State()
 }
 
 func (t *localTransport) Restart(shard int) (bool, error) {

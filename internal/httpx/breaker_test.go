@@ -187,7 +187,7 @@ func TestParseRetryAfterHTTPDate(t *testing.T) {
 }
 
 // TestBreakerExportRestore pins the fleet failover contract: a restarted
-// shard worker rehydrates breaker state from its checkpoint instead of
+// shard worker rehydrates breaker state from its shard state instead of
 // starting closed, so an open circuit stays open (anchored at the saved
 // OpenedAt) and half-open probing resumes on the original cooldown
 // schedule.

@@ -62,7 +62,7 @@ func NewChainRecorder(tr *Tracer, container string) *ChainRecorder {
 // shard-worker state so a restarted worker's recorders keep linking
 // events into the chains the killed worker left open — without it,
 // every post-restart event would start a fresh root and the stitched
-// trace could never match the uninterrupted single-process one. The
+// trace could never match the uninterrupted kill-free one. The
 // IDs are only meaningful against the same tracer the state was
 // captured from (the fleet transport owns per-shard tracers across
 // restarts); chains adopted onto a different shard's tracer must be

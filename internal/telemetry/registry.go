@@ -392,7 +392,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 
 // WriteSnapshotFile writes the snapshot JSON to a file atomically, with
 // the same temp-file + fsync + rename discipline as the crawler's
-// checkpoint writer: a crash mid-write can never leave a truncated or
+// shard-state writer: a crash mid-write can never leave a truncated or
 // half-serialized metrics file at path, only a stale previous one.
 func (r *Registry) WriteSnapshotFile(path string) error {
 	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")

@@ -34,7 +34,7 @@ type Span struct {
 	// exists so spans from per-shard tracers can be stitched back into
 	// one coordinator-ordered trace (StitchSpans), and is deliberately
 	// excluded from the JSONL export: a stitched fleet trace must be
-	// byte-identical to the single-process trace at shards=1.
+	// byte-identical at shards=1 to the lone worker's own trace.
 	Seg int64 `json:"-"`
 }
 
@@ -204,8 +204,8 @@ func (t *Tracer) WriteTraceFile(path string) error {
 // phases in — then renumbered from 1 with parents remapped per stream.
 // At shards=1 the stitch is the identity: segments ascend with local
 // IDs, so the output equals the input stream renumbered onto itself,
-// which is what makes a stitched fleet trace byte-identical to the
-// single-process trace.
+// which is what makes a stitched one-shard fleet trace byte-identical
+// to the lone worker's own trace.
 //
 // The returned spans carry Seg 0 and are self-consistent, ready for
 // Tracer.Append or WriteJSONL.
@@ -265,8 +265,8 @@ func StitchSpans(streams [][]Span) []Span {
 // Append splices an already-stitched, self-consistent span slice onto
 // the tracer, re-basing IDs and parent links past the spans already
 // recorded. The fleet coordinator uses it to land each device crawl's
-// stitched trace on the study's shared tracer exactly where the
-// single-process crawl would have emitted it. Nil-safe no-op.
+// stitched trace on the study's shared tracer exactly where a worker
+// tracing straight into it would have emitted it. Nil-safe no-op.
 func (t *Tracer) Append(spans []Span) {
 	if t == nil || len(spans) == 0 {
 		return

@@ -225,10 +225,12 @@ func (e *Ecosystem) CrashPlan() func(clientID string, cycle int) bool {
 }
 
 // WorkerCrashPlan returns the chaos injector's fleet worker-kill
-// decider, or nil without chaos. Wire it to fleet.Config.WorkerCrashPlan
-// to drive shard-worker kills from the profile's WorkerCrashFraction.
+// decider, or nil when no worker can die (no chaos, or a profile with
+// WorkerCrashFraction <= 0). Wire it to fleet.Config.WorkerCrashPlan to
+// drive shard-worker kills from the profile; a nil plan keeps the fleet
+// from paying for durable shard state it could never restore from.
 func (e *Ecosystem) WorkerCrashPlan() func(workerID string, cycle int) bool {
-	if e.chaos == nil {
+	if e.chaos == nil || e.Cfg.Chaos.WorkerCrashFraction <= 0 {
 		return nil
 	}
 	return e.chaos.ShouldCrashWorker

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pushadminer/internal/chaos"
 	"pushadminer/internal/page"
 )
 
@@ -22,6 +23,29 @@ func newEco(t *testing.T, cfg Config) *Ecosystem {
 	}
 	t.Cleanup(func() { e.Close() })
 	return e
+}
+
+// TestWorkerCrashPlanOnlyWhenWorkersCanDie: the fleet makes shard state
+// durable (a temp dir and an fsync'd file per dirty tick) whenever it
+// is handed a worker crash plan, so the ecosystem hands one out only
+// when its chaos profile can actually kill a worker.
+func TestWorkerCrashPlanOnlyWhenWorkersCanDie(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		prof *chaos.Profile
+		want bool
+	}{
+		{"no chaos", nil, false},
+		{"workercrashes=0", &chaos.Profile{Seed: 1, Error5xxFraction: 0.1}, false},
+		{"workercrashes=0.05", &chaos.Profile{Seed: 1, WorkerCrashFraction: 0.05}, true},
+	} {
+		cfg := tinyConfig()
+		cfg.Chaos = tc.prof
+		e := newEco(t, cfg)
+		if got := e.WorkerCrashPlan() != nil; got != tc.want {
+			t.Errorf("%s: WorkerCrashPlan set = %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }
 
 func TestScaledCounts(t *testing.T) {

@@ -93,7 +93,7 @@ done
 sed 's/^/    /' "$TMPD/fleetz.txt"
 
 # Let the desktop fleet finish so its ledger is written, then check it
-# (ledger paths derive per device from the base path, like checkpoints:
+# (ledger paths derive per device from the base path:
 # ledger.jsonl → ledger.desktop.jsonl).
 echo "==> fleetz smoke: event ledger"
 LEDGER="$TMPD/ledger.desktop.jsonl"

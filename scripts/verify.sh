@@ -23,7 +23,7 @@ go test -count=1 \
 	-run '^(TestClusterParityBlockedVsExact|TestIncrementalConvergesToBatch)$' \
 	./internal/core/
 
-echo "==> parallel-monitor parity smoke (serial vs parallel, small n)"
+echo "==> parallel-pump parity smoke (serial vs parallel, small n)"
 go test -run '^TestSerialParallelParity$/^seed11$' -count=1 ./internal/crawler/
 
 # bench_check subsumes the old bench smokes: it runs the same cheap
@@ -32,8 +32,6 @@ go test -run '^TestSerialParallelParity$/^seed11$' -count=1 ./internal/crawler/
 sh scripts/bench_check.sh
 
 sh scripts/telemetry_smoke.sh
-
-sh scripts/fleet_smoke.sh
 
 sh scripts/fleetz_smoke.sh
 
