@@ -48,12 +48,12 @@ fleetz-smoke:
 	sh scripts/fleetz_smoke.sh
 
 # mining-smoke runs the blocked-vs-exact parity matrix (3 seeds × 3
-# linkages) and the incremental-converges-to-batch checks — the gates
-# behind the sub-quadratic mining path.
+# linkages), the incremental-converges-to-batch checks and the linkage
+# property test — the gates behind the sub-quadratic mining path.
 mining-smoke:
 	$(GO) test -count=1 \
-		-run '^(TestClusterParityBlockedVsExact|TestBlockedComponentsPartition|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalOptionReplaysToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip)$$' \
-		./internal/core/
+		-run '^(TestClusterParityBlockedVsExact|TestBlockedComponentsPartition|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties)$$' \
+		./internal/core/ ./internal/cluster/
 
 # miningz-smoke runs a blocked mine with the debug server up and asserts
 # the live /miningz introspection view (JSON schema + wpnstat dashboard),

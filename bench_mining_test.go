@@ -1,11 +1,10 @@
 // Mining benchmark suite: the §5.1.1 clustering hot path measured at
-// two corpus sizes, each in four modes — the pre-optimization naive
-// reference, the cached-kernel exact path, the SimHash-pruned fast
-// path, and the sub-quadratic LSH-blocked path — plus a large-n run of
-// the blocked path alone at sizes where every O(n²) mode is infeasible.
+// two corpus sizes on both clustering routes — the cached-kernel exact
+// route and the sub-quadratic LSH-blocked one — plus a large-n run of
+// the blocked route alone at sizes where the O(n²) route is infeasible.
 // scripts/bench.sh runs these and records BENCH_mining.json so the perf
 // trajectory is tracked across PRs; the parity tests in internal/core
-// guarantee the modes agree before the speedup counts.
+// guarantee the routes agree before the speedup counts.
 //
 // Run with:
 //
@@ -21,7 +20,6 @@ import (
 
 	"pushadminer/internal/cluster"
 	"pushadminer/internal/core"
-	"pushadminer/internal/simhash"
 	"pushadminer/internal/telemetry"
 	"pushadminer/internal/textmine"
 )
@@ -58,7 +56,6 @@ func miningFeatures(b *testing.B, n int) *core.FeatureSet {
 
 // BenchmarkClusterWPNs measures the full first-stage clustering
 // (distance matrix, agglomeration, silhouette-chosen cut) end to end.
-// The acceptance bar: cached and pruned at n=2000 must beat naive ≥3×.
 //
 // Each mode also reports a per-stage wall-time breakdown
 // ("<stage>-ns/op": distance_matrix, linkage, cut, silhouette) taken
@@ -73,9 +70,7 @@ func BenchmarkClusterWPNs(b *testing.B) {
 				name string
 				opts core.ClusterOptions
 			}{
-				{"naive", core.ClusterOptions{Naive: true}},
 				{"cached", core.ClusterOptions{}},
-				{"pruned", core.ClusterOptions{Prune: core.PruneOptions{Enabled: true}}},
 				{"blocked", core.ClusterOptions{Blocked: true}},
 			} {
 				mode := mode
@@ -110,153 +105,95 @@ func BenchmarkClusterWPNs(b *testing.B) {
 // measurement behind the "streaming mining" claim — the paper-scale
 // corpus clusters in seconds on the blocked path.
 //
-// Two modes at n=50000: "blocked" (the default memoized cut sweep,
-// which re-cuts a block only at its own merge heights) and "fullsweep"
-// (-full-sweep: every candidate height re-cuts and re-scores every
-// block — the pre-memoization reference). The parity tests guarantee
-// they are bit-identical, so the ratio is pure sweep savings. Set
-// BENCH_XL=1 to add an n=100000 point (memoized only; the full sweep
-// there measures nothing new, just burns minutes).
+// Set BENCH_XL=1 to add an n=100000 point.
 func BenchmarkClusterWPNsBlockedLarge(b *testing.B) {
 	sizes := []int{50000}
 	if os.Getenv("BENCH_XL") != "" {
 		sizes = append(sizes, 100000)
 	}
 	for _, n := range sizes {
-		modes := []struct {
-			name string
-			opts core.ClusterOptions
-		}{
-			{"blocked", core.ClusterOptions{Blocked: true}},
-		}
-		if n == 50000 {
-			modes = append(modes, struct {
-				name string
-				opts core.ClusterOptions
-			}{"fullsweep", core.ClusterOptions{Blocked: true, FullSweep: true}})
-		}
-		for _, mode := range modes {
-			mode := mode
-			b.Run(fmt.Sprintf("n=%d/%s", n, mode.name), func(b *testing.B) {
-				fs := miningFeatures(b, n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res := core.ClusterWPNs(fs, mode.opts)
-					benchSink = res.Silhouette
+		b.Run(fmt.Sprintf("n=%d/blocked", n), func(b *testing.B) {
+			fs := miningFeatures(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res := core.ClusterWPNs(fs, core.ClusterOptions{Blocked: true})
+				benchSink = res.Silhouette
+			}
+			b.StopTimer()
+			reg := telemetry.New()
+			benchSink = core.ClusterWPNs(fs, core.ClusterOptions{Blocked: true, Metrics: reg}).Silhouette
+			snap := reg.Snapshot()
+			for _, s := range []string{"blocks", "block_linkage", "cut"} {
+				if ns := snap.Families["mining_stage_ns"][s]; ns > 0 {
+					b.ReportMetric(float64(ns), s+"-ns/op")
 				}
-				b.StopTimer()
-				reg := telemetry.New()
-				opts := mode.opts
-				opts.Metrics = reg
-				benchSink = core.ClusterWPNs(fs, opts).Silhouette
-				snap := reg.Snapshot()
-				for _, s := range []string{"blocks", "block_linkage", "cut"} {
-					if ns := snap.Families["mining_stage_ns"][s]; ns > 0 {
-						b.ReportMetric(float64(ns), s+"-ns/op")
+			}
+			if pairs := snap.Families["cluster_pairs"]; pairs != nil {
+				b.ReportMetric(float64(pairs["exact"]), "exact-pairs")
+			}
+			// Cut-sweep attribution: wall time per candidate-height
+			// bucket ("sweep_<bucket>-ns/op"), folded by bench.sh into a
+			// sweep_ns object so BENCH_mining.json shows where the sweep
+			// spends its time. Zero buckets (heights the corpus never
+			// sampled) are skipped.
+			if sweep := snap.Families["mining_sweep_ns"]; sweep != nil {
+				buckets := make([]string, 0, len(sweep))
+				for k := range sweep {
+					buckets = append(buckets, k)
+				}
+				sort.Strings(buckets)
+				for _, k := range buckets {
+					if ns := sweep[k]; ns > 0 {
+						b.ReportMetric(float64(ns), "sweep_"+k+"-ns/op")
 					}
 				}
-				if pairs := snap.Families["cluster_pairs"]; pairs != nil {
-					b.ReportMetric(float64(pairs["exact"]), "exact-pairs")
+			}
+			// Memo accounting: how many (height, block) cells the sweep
+			// served from cache vs how many blocks it actually crossed
+			// and summed per height — bench.sh folds these into
+			// sweep_memo_hits / sweep_blocks_rescored so the speedup is
+			// attributable, not just observed.
+			if memo := snap.Families["mining_sweep_memo"]; memo != nil {
+				b.ReportMetric(float64(memo["hit"]), "memo-hits")
+			}
+			if blocks := snap.Families["mining_sweep_blocks"]; blocks != nil {
+				var rescored int64
+				for _, v := range blocks {
+					rescored += v
 				}
-				// Cut-sweep attribution: wall time per candidate-height
-				// bucket ("sweep_<bucket>-ns/op"), folded by bench.sh into a
-				// sweep_ns object so BENCH_mining.json shows where the sweep
-				// spends its time. Zero buckets (heights the corpus never
-				// sampled) are skipped.
-				if sweep := snap.Families["mining_sweep_ns"]; sweep != nil {
-					buckets := make([]string, 0, len(sweep))
-					for k := range sweep {
-						buckets = append(buckets, k)
-					}
-					sort.Strings(buckets)
-					for _, k := range buckets {
-						if ns := sweep[k]; ns > 0 {
-							b.ReportMetric(float64(ns), "sweep_"+k+"-ns/op")
-						}
-					}
-				}
-				// Memo accounting: how many (height, block) cells the sweep
-				// served from cache vs how many blocks it actually crossed
-				// and summed per height — bench.sh folds these into
-				// sweep_memo_hits / sweep_blocks_rescored so the speedup is
-				// attributable, not just observed. The fullsweep mode
-				// reports no memo family (it never consults the cache).
-				if memo := snap.Families["mining_sweep_memo"]; memo != nil {
-					b.ReportMetric(float64(memo["hit"]), "memo-hits")
-				}
-				if blocks := snap.Families["mining_sweep_blocks"]; blocks != nil {
-					var rescored int64
-					for _, v := range blocks {
-						rescored += v
-					}
-					b.ReportMetric(float64(rescored), "blocks-rescored")
-				}
-				b.StartTimer()
-			})
-		}
+				b.ReportMetric(float64(rescored), "blocks-rescored")
+			}
+			b.StartTimer()
+		})
 	}
 }
 
 // BenchmarkSoftCosineMatrix isolates pairwise distance-matrix
-// construction: naive recomputes both self quad-forms per pair, cached
-// reads them from the kernel, pruned additionally masks non-candidates
-// behind the SimHash filter.
+// construction on the cached kernel.
 func BenchmarkSoftCosineMatrix(b *testing.B) {
 	for _, n := range miningSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/cached", n), func(b *testing.B) {
 			fs := miningFeatures(b, n)
-			keep := func(i, j int) bool {
-				return simhash.SharesBand(fs.Hashes[i], fs.Hashes[j], 8) ||
-					simhash.Near(fs.Hashes[i], fs.Hashes[j], 24)
-			}
-			for _, mode := range []struct {
-				name string
-				run  func() *cluster.DistMatrix
-			}{
-				{"naive", func() *cluster.DistMatrix { return cluster.Compute(n, fs.NaiveDistance) }},
-				{"cached", func() *cluster.DistMatrix { return cluster.Compute(n, fs.Distance) }},
-				{"pruned", func() *cluster.DistMatrix {
-					return cluster.ComputeMasked(n, fs.Distance, keep, fs.ApproxDistance)
-				}},
-			} {
-				mode := mode
-				b.Run(mode.name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						benchSink = mode.run()
-					}
-				})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = cluster.Compute(n, fs.Distance)
 			}
 		})
 	}
 }
 
 // BenchmarkSilhouetteSweep isolates cut selection over a prebuilt
-// dendrogram: the serial reference sweep against the parallel
-// per-item accumulation sweep (bit-identical results, see the cluster
-// package tests).
+// dendrogram: the parallel per-item accumulation sweep (bit-identical
+// to the serial reference, see the cluster package tests).
 func BenchmarkSilhouetteSweep(b *testing.B) {
 	for _, n := range miningSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d/parallel", n), func(b *testing.B) {
 			fs := miningFeatures(b, n)
 			m := cluster.Compute(n, fs.Distance)
 			dend := cluster.Agglomerative(m)
-			for _, mode := range []struct {
-				name string
-				run  func() cluster.CutResult
-			}{
-				{"serial", func() cluster.CutResult {
-					return cluster.BestCutConservativeSerial(dend, m, 0, 0.15)
-				}},
-				{"parallel", func() cluster.CutResult {
-					return cluster.BestCutConservative(dend, m, 0, 0.15)
-				}},
-			} {
-				mode := mode
-				b.Run(mode.name, func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						benchSink = mode.run()
-					}
-				})
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = cluster.BestCutConservative(dend, m, 0, 0.15)
 			}
 		})
 	}

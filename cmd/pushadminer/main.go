@@ -16,17 +16,11 @@
 //	-blocked       mine with the sub-quadratic LSH-blocked clustering
 //	               path (candidate pairs from the SimHash band index,
 //	               exact clustering within connected-component blocks)
-//	-incremental   mine as a replayed stream: batches feed an
-//	               incremental clusterer that re-clusters only dirty
-//	               blocks (implies the blocked path)
-//	-full-sweep    disable cut-sweep memoization on the blocked path:
-//	               every candidate height re-cuts and re-scores every
-//	               block (the parity/bench reference; output is
-//	               bit-identical, just slower)
 //	-medoid-index P write the persistable medoid classify index
-//	               (campaign medoids + chosen cut) as deterministic
-//	               JSON to P, so a restarted incremental service can
-//	               Add-classify arrivals without re-mining
+//	               (campaign medoids + chosen cut) of a -blocked mine
+//	               as deterministic JSON to P, so a restarted
+//	               incremental service can Add-classify arrivals
+//	               without re-mining
 //	-quiet         suppress progress logging, including the periodic
 //	               mining-progress lines; the live /miningz status is
 //	               still published and served — quiet only silences
@@ -38,9 +32,9 @@
 //	               mining stage wall-times, per-host request counts) to P
 //	-trace-out P   write attack-chain + mining-stage spans as JSONL to P
 //	-mining-ledger P write the deterministic mining event ledger
-//	               (stage brackets, blocks, heights, incremental
-//	               batches) as JSONL to P; byte-stable across reruns
-//	               at a fixed seed
+//	               (stage brackets, blocks, heights, the chosen cut)
+//	               as JSONL to P; byte-stable across reruns at a
+//	               fixed seed
 //	-linger D      keep the process (and its debug server) alive for D
 //	               after the run, so /miningz and /metrics can be
 //	               scraped post-completion
@@ -63,21 +57,19 @@ import (
 
 func main() {
 	var (
-		seed        = flag.Int64("seed", 1, "ecosystem seed")
-		scaleStr    = flag.String("scale", "0.05", `fraction of paper-scale crawl ("paper" = 1.0)`)
-		days        = flag.Int("days", 14, "collection window in simulated days")
-		tables      = flag.String("table", "all", "artifacts to print (1,2,3,4,5,6,f4,f5,f6,cost,eval,detector,scams,experiments,all)")
-		blocked     = flag.Bool("blocked", false, "use the sub-quadratic LSH-blocked clustering path")
-		incremental = flag.Bool("incremental", false, "mine as a replayed stream (implies -blocked)")
-		fullSweep   = flag.Bool("full-sweep", false, "disable cut-sweep memoization on the blocked path (reference/bench baseline; slower, bit-identical output)")
-		medoidOut   = flag.String("medoid-index", "", "write the persistable medoid classify index (campaign medoids + chosen cut) as JSON to this path (blocked/incremental paths)")
-		quiet       = flag.Bool("quiet", false, "suppress progress logging")
-		format      = flag.String("format", "text", "output format: text or json")
-		debugAddr   = flag.String("debug-addr", "", "loopback addr serving /debug/pprof, /debug/vars, /metrics and /miningz (e.g. 127.0.0.1:6060)")
-		metricsOut  = flag.String("metrics-out", "", "write final telemetry snapshot JSON to this path")
-		traceOut    = flag.String("trace-out", "", "write trace spans as JSONL to this path")
-		ledgerOut   = flag.String("mining-ledger", "", "write the deterministic mining event ledger as JSONL to this path")
-		linger      = flag.Duration("linger", 0, "keep the process (and debug server) alive this long after the run")
+		seed       = flag.Int64("seed", 1, "ecosystem seed")
+		scaleStr   = flag.String("scale", "0.05", `fraction of paper-scale crawl ("paper" = 1.0)`)
+		days       = flag.Int("days", 14, "collection window in simulated days")
+		tables     = flag.String("table", "all", "artifacts to print (1,2,3,4,5,6,f4,f5,f6,cost,eval,detector,scams,experiments,all)")
+		blocked    = flag.Bool("blocked", false, "use the sub-quadratic LSH-blocked clustering path")
+		medoidOut  = flag.String("medoid-index", "", "write the persistable medoid classify index (campaign medoids + chosen cut) as JSON to this path (blocked path)")
+		quiet      = flag.Bool("quiet", false, "suppress progress logging")
+		format     = flag.String("format", "text", "output format: text or json")
+		debugAddr  = flag.String("debug-addr", "", "loopback addr serving /debug/pprof, /debug/vars, /metrics and /miningz (e.g. 127.0.0.1:6060)")
+		metricsOut = flag.String("metrics-out", "", "write final telemetry snapshot JSON to this path")
+		traceOut   = flag.String("trace-out", "", "write trace spans as JSONL to this path")
+		ledgerOut  = flag.String("mining-ledger", "", "write the deterministic mining event ledger as JSONL to this path")
+		linger     = flag.Duration("linger", 0, "keep the process (and debug server) alive this long after the run")
 	)
 	flag.Parse()
 
@@ -148,8 +140,6 @@ func main() {
 		Tracer:           tracer,
 	}
 	cfg.Pipeline.Cluster.Blocked = *blocked
-	cfg.Pipeline.Cluster.Incremental = *incremental
-	cfg.Pipeline.Cluster.FullSweep = *fullSweep
 	cfg.Pipeline.MedoidIndexPath = *medoidOut
 	cfg.Pipeline.Ledger = ledger
 	study, err := pushadminer.RunStudy(cfg)
@@ -172,7 +162,7 @@ func main() {
 		if m := study.Analysis.Clusters.Medoids; m != nil {
 			logf("medoid index (%d campaigns, cut %.4f) → %s", len(m.Medoids), m.CutHeight, *medoidOut)
 		} else {
-			logf("warning: -medoid-index set but the selected path produced no medoid index (use -blocked or -incremental)")
+			logf("warning: -medoid-index set but the selected path produced no medoid index (use -blocked)")
 		}
 	}
 	if *metricsOut != "" {

@@ -4,8 +4,7 @@
 // depth, restart budgets, circuit-breaker posture, telemetry merge lag,
 // fleet-wide control-plane totals from wpncrawl) or /miningz (mining
 // pipeline progress — current stage, blocks clustered, cut-sweep
-// heights scored, pair counts, incremental queue depth from
-// pushadminer).
+// heights scored, pair counts and sweep memo hits from pushadminer).
 //
 // Usage:
 //

@@ -177,9 +177,22 @@ func AgglomerativeLinkage(m *DistMatrix, linkage Linkage) *Dendrogram {
 }
 
 // sortMerges stably sorts merges by distance and renumbers the internal
-// cluster ids accordingly.
+// cluster ids accordingly. Float32 rounding in the average-linkage
+// update can leave a merge slightly below the merge that created one of
+// its operands, which the sort would then put first; so each merge is
+// first raised to its operands' heights. NN-chain emission order is
+// topological (an operand exists before it is merged), so one forward
+// pass does it, and ties keep the creator first.
 func sortMerges(dend *Dendrogram) {
 	n := dend.n
+	for k := range dend.merges {
+		m := &dend.merges[k]
+		for _, op := range [2]int{m.A, m.B} {
+			if op >= n && dend.merges[op-n].Distance > m.Distance {
+				m.Distance = dend.merges[op-n].Distance
+			}
+		}
+	}
 	order := make([]int, len(dend.merges))
 	for i := range order {
 		order[i] = i

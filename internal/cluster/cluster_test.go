@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -338,6 +339,74 @@ func TestAgglomerativeQuickInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestLinkageDendrogramProperties checks every linkage's dendrogram
+// over random and tie-heavy matrices, the all-equal one included: each
+// operand is a leaf or an earlier merge, consumed once; heights never
+// decrease; no merge joins a component to itself; and a cut above the
+// top merge leaves one cluster. Tie-heavy matrices draw from a few
+// values, so average linkage's float32 updates produce near-ties.
+func TestLinkageDendrogramProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	matrices := []*DistMatrix{Compute(10, func(i, j int) float64 { return 0.3358427846251048 })}
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(30)
+		if trial%2 == 0 {
+			matrices = append(matrices, randomMatrix(n, rng))
+			continue
+		}
+		vals := make([]float64, 1+rng.Intn(3))
+		for i := range vals {
+			vals[i] = rng.Float64()
+		}
+		d := make([]float64, n*n)
+		for i := range d {
+			d[i] = vals[rng.Intn(len(vals))]
+		}
+		matrices = append(matrices, Compute(n, func(i, j int) float64 { return d[i*n+j] }))
+	}
+	for mi, m := range matrices {
+		for _, linkage := range []Linkage{Average, Single, Complete} {
+			if err := checkDendrogram(AgglomerativeLinkage(m, linkage)); err != nil {
+				t.Fatalf("matrix %d (n=%d) %s linkage: %v", mi, m.Len(), linkage, err)
+			}
+		}
+	}
+}
+
+// checkDendrogram reports the first violated dendrogram property.
+func checkDendrogram(d *Dendrogram) error {
+	n, merges := d.Len(), d.Merges()
+	if len(merges) != n-1 {
+		return fmt.Errorf("%d merges over %d leaves", len(merges), n)
+	}
+	uf := NewUnionFind(n)
+	leaf := make([]int, n+len(merges)) // cluster id -> one of its leaves
+	used := make([]bool, n+len(merges))
+	for i := 0; i < n; i++ {
+		leaf[i] = i
+	}
+	for k, mg := range merges {
+		if k > 0 && mg.Distance < merges[k-1].Distance {
+			return fmt.Errorf("merge %d at %v below merge %d at %v", k, mg.Distance, k-1, merges[k-1].Distance)
+		}
+		for _, op := range []int{mg.A, mg.B} {
+			if op < 0 || op >= n+k || used[op] {
+				return fmt.Errorf("merge %d operand %d is not a leaf or an earlier unconsumed merge", k, op)
+			}
+			used[op] = true
+		}
+		if uf.Same(leaf[mg.A], leaf[mg.B]) {
+			return fmt.Errorf("merge %d joins a component to itself", k)
+		}
+		uf.Union(leaf[mg.A], leaf[mg.B])
+		leaf[n+k] = leaf[mg.A]
+	}
+	if k := NumClusters(d.CutByHeight(merges[len(merges)-1].Distance + 1)); k != 1 {
+		return fmt.Errorf("cut above the top merge gives %d clusters, want 1", k)
+	}
+	return nil
 }
 
 func TestCutLabelsDeterministicOrder(t *testing.T) {

@@ -153,19 +153,6 @@ func unindex(n, idx int) (int, int) {
 // triangular rows would hand early workers ~n pairs and late workers
 // almost none. f must be safe for concurrent calls.
 func Compute(n int, f func(i, j int) float64) *DistMatrix {
-	return computeBlocks(n, f, nil, nil)
-}
-
-// ComputeMasked is Compute with a candidate filter: pairs for which
-// keep(i, j) is false skip the exact (expensive) distance evaluation and
-// take the cheap far(i, j) estimate instead. A nil keep computes every
-// pair exactly. keep, f, and far must be safe for concurrent calls; keep
-// is evaluated exactly once per pair.
-func ComputeMasked(n int, f func(i, j int) float64, keep func(i, j int) bool, far func(i, j int) float64) *DistMatrix {
-	return computeBlocks(n, f, keep, far)
-}
-
-func computeBlocks(n int, f func(i, j int) float64, keep func(i, j int) bool, far func(i, j int) float64) *DistMatrix {
 	m := NewDistMatrix(n)
 	total := len(m.data)
 	if total == 0 {
@@ -201,11 +188,7 @@ func computeBlocks(n int, f func(i, j int) float64, keep func(i, j int) bool, fa
 				}
 				i, j := unindex(n, start)
 				for idx := start; idx < end; idx++ {
-					if keep == nil || keep(i, j) {
-						m.data[idx] = float32(f(i, j))
-					} else {
-						m.data[idx] = float32(far(i, j))
-					}
+					m.data[idx] = float32(f(i, j))
 					j++
 					if j == n {
 						i++

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -35,43 +36,21 @@ func TestComputeBalancedMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestComputeMasked(t *testing.T) {
-	n := 60
-	f := func(i, j int) float64 { return 0.1 }
-	keep := func(i, j int) bool { return (i+j)%3 == 0 }
-	m := ComputeMasked(n, f, keep, func(i, j int) float64 { return 0.9 })
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			want := 0.9
-			if (i+j)%3 == 0 {
-				want = 0.1
-			}
-			if got := m.At(i, j); got != float64(float32(want)) {
-				t.Fatalf("At(%d,%d) = %v, want %v", i, j, got, want)
-			}
-		}
-	}
-	// nil keep computes every pair.
-	m2 := ComputeMasked(5, func(i, j int) float64 { return float64(i + j) }, nil, nil)
-	if got := m2.At(1, 3); got != 4 {
-		t.Fatalf("nil keep: At(1,3) = %v, want 4", got)
-	}
-}
-
-// TestComputeMaskedEvaluatesKeepOncePerPair guards the contract that the
-// filter is not re-invoked (it may be stateful or expensive).
+// TestComputeMaskedKeepSeesEveryPairOnce guards Compute's scheduling:
+// the balanced block claims cover every pair exactly once, so f is
+// never skipped or re-invoked (it may be stateful or expensive).
 func TestComputeMaskedKeepSeesEveryPairOnce(t *testing.T) {
 	n := 40
 	var mu sync.Mutex
 	seen := make(map[[2]int]int)
-	ComputeMasked(n, func(i, j int) float64 { return 0 }, func(i, j int) bool {
+	Compute(n, func(i, j int) float64 {
 		mu.Lock()
 		seen[[2]int{i, j}]++
 		mu.Unlock()
-		return false
-	}, func(i, j int) float64 { return 1 })
+		return 0
+	})
 	if len(seen) != n*(n-1)/2 {
-		t.Fatalf("keep saw %d pairs, want %d", len(seen), n*(n-1)/2)
+		t.Fatalf("f saw %d pairs, want %d", len(seen), n*(n-1)/2)
 	}
 	for p, c := range seen {
 		if c != 1 {
@@ -80,6 +59,9 @@ func TestComputeMaskedKeepSeesEveryPairOnce(t *testing.T) {
 	}
 }
 
+// TestSilhouetteMatchesSerialBitForBit pins the parallel silhouette and
+// the conservative sweep built on it to the serial references, bit for
+// bit, on random matrices under random and cut labelings.
 func TestSilhouetteMatchesSerialBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 30; trial++ {
@@ -97,9 +79,14 @@ func TestSilhouetteMatchesSerialBitForBit(t *testing.T) {
 			}
 		}
 		fast := Silhouette(m, labels)
-		slow := SilhouetteSerial(m, labels)
+		slow := silhouetteSerial(m, labels)
 		if fast != slow {
 			t.Fatalf("trial %d (n=%d k=%d): parallel silhouette %v != serial %v", trial, n, k, fast, slow)
+		}
+		d := AgglomerativeLinkage(m, Linkage(trial%3))
+		got, want := BestCutConservative(d, m, 8, 0.15), bestCutConservativeSerial(d, m, 8, 0.15)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (n=%d): sweep %+v != serial %+v", trial, n, got, want)
 		}
 	}
 }
@@ -226,7 +213,7 @@ func TestTieHeavyDendrogram(t *testing.T) {
 		t.Errorf("at top tie height: %d clusters, want 1", k)
 	}
 	// The silhouette of the tie cut must agree across implementations.
-	if Silhouette(m, labels) != SilhouetteSerial(m, labels) {
+	if Silhouette(m, labels) != silhouetteSerial(m, labels) {
 		t.Error("tie-cut silhouette differs between implementations")
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 )
 
@@ -16,9 +15,12 @@ import (
 //
 // Per item the cluster sums are accumulated into a dense per-worker
 // array in one O(n) pass (instead of walking a label→members map per
-// cluster), and items are fanned across GOMAXPROCS. The result is
-// bit-identical to SilhouetteSerial: per-cluster sums accumulate in the
-// same ascending-index order and the total is reduced in item order.
+// cluster), and items are fanned across GOMAXPROCS. The arrays span
+// the label range, so labels should be dense, like CutByHeight's
+// contiguous 0..k−1. The result is bit-identical to the serial
+// map-walking definition (the package tests keep it as the reference):
+// per-cluster sums accumulate in the same ascending-index order and the
+// total is reduced in item order.
 func Silhouette(m *DistMatrix, labels []int) float64 {
 	n := m.Len()
 	if n == 0 || len(labels) != n {
@@ -34,11 +36,6 @@ func Silhouette(m *DistMatrix, labels []int) float64 {
 		}
 	}
 	span := maxL - minL + 1
-	if span > 4*n+16 {
-		// Pathologically sparse label values: dense accumulators would
-		// waste memory, and the map-based reference handles it fine.
-		return SilhouetteSerial(m, labels)
-	}
 	counts := make([]int, span)
 	for _, l := range labels {
 		counts[l-minL]++
@@ -84,7 +81,7 @@ func Silhouette(m *DistMatrix, labels []int) float64 {
 				// condensed storage: for j < i the offset of (j, i)
 				// advances by n-j-2 per step; for j > i the entries are
 				// contiguous. Same ascending-j accumulation order as
-				// m.At(i, j) — and as SilhouetteSerial — so the result
+				// m.At(i, j) — and as the serial reference — so the result
 				// stays bit-identical; the skipped j == i term is the
 				// zero diagonal.
 				idx := i - 1 // condensed offset of (0, i)
@@ -127,61 +124,6 @@ func Silhouette(m *DistMatrix, labels []int) float64 {
 	return total / float64(n)
 }
 
-// SilhouetteSerial is the single-threaded, map-walking reference
-// implementation of Silhouette. It is what the optimized version must
-// reproduce bit-for-bit; the parity tests and the naive-path benchmarks
-// keep it honest (and measurable).
-func SilhouetteSerial(m *DistMatrix, labels []int) float64 {
-	n := m.Len()
-	if n == 0 || len(labels) != n {
-		return 0
-	}
-	groups := Members(labels)
-	if len(groups) < 2 {
-		return 0
-	}
-	clusterIDs := make([]int, 0, len(groups))
-	for id := range groups {
-		clusterIDs = append(clusterIDs, id)
-	}
-	sort.Ints(clusterIDs)
-
-	var total float64
-	for i := 0; i < n; i++ {
-		own := labels[i]
-		if len(groups[own]) == 1 {
-			continue // s(i) = 0 for singletons
-		}
-		var a float64
-		bestB := -1.0
-		for _, cid := range clusterIDs {
-			members := groups[cid]
-			var sum float64
-			for _, j := range members {
-				if j != i {
-					sum += m.At(i, j)
-				}
-			}
-			if cid == own {
-				a = sum / float64(len(members)-1)
-			} else {
-				mean := sum / float64(len(members))
-				if bestB < 0 || mean < bestB {
-					bestB = mean
-				}
-			}
-		}
-		denom := a
-		if bestB > denom {
-			denom = bestB
-		}
-		if denom > 0 {
-			total += (bestB - a) / denom
-		}
-	}
-	return total / float64(n)
-}
-
 // CutResult pairs a dendrogram cut height with its labeling and score.
 type CutResult struct {
 	Height     float64
@@ -206,18 +148,6 @@ func BestCut(d *Dendrogram, m *DistMatrix, maxCandidates int) CutResult {
 // a positive tol trades a little silhouette for much tighter clusters,
 // leaving fragments for meta-clustering to reconnect.
 func BestCutConservative(d *Dendrogram, m *DistMatrix, maxCandidates int, tol float64) CutResult {
-	return bestCut(d, m, maxCandidates, tol, Silhouette)
-}
-
-// BestCutConservativeSerial is BestCutConservative evaluated with the
-// serial reference silhouette. Candidate selection is identical; it
-// exists so parity tests and the naive-path benchmark measure the
-// pre-optimization sweep.
-func BestCutConservativeSerial(d *Dendrogram, m *DistMatrix, maxCandidates int, tol float64) CutResult {
-	return bestCut(d, m, maxCandidates, tol, SilhouetteSerial)
-}
-
-func bestCut(d *Dendrogram, m *DistMatrix, maxCandidates int, tol float64, sil func(*DistMatrix, []int) float64) CutResult {
 	if maxCandidates <= 0 {
 		maxCandidates = 64
 	}
@@ -253,7 +183,7 @@ func bestCut(d *Dendrogram, m *DistMatrix, maxCandidates int, tol float64, sil f
 		if k < 2 || k >= d.Len() {
 			continue
 		}
-		s := sil(m, labels)
+		s := Silhouette(m, labels)
 		res := CutResult{Height: h, Labels: labels, Silhouette: s, Clusters: k}
 		evaluated = append(evaluated, cand{res})
 		if s > best.Silhouette {
@@ -283,8 +213,8 @@ func bestCut(d *Dendrogram, m *DistMatrix, maxCandidates int, tol float64, sil f
 
 // SampleCutHeights bounds a candidate cut-height sweep to at most max
 // heights, sampled evenly with both the first and the final height
-// always included — the same policy bestCut applies to a single
-// dendrogram's distinct merge heights. The blocked mining path calls it
+// always included — the same policy BestCutConservative applies to a
+// single dendrogram's distinct merge heights. The blocked mining path calls it
 // over the heights pooled across per-block dendrograms so its sweep
 // matches the exact path's. cands must be ascending and deduplicated.
 func SampleCutHeights(cands []float64, max int) []float64 {

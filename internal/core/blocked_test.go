@@ -39,8 +39,7 @@ func TestClusterParityBlockedVsExact(t *testing.T) {
 // confirmation is what prevents that percolation).
 func TestBlockedComponentsPartition(t *testing.T) {
 	fs := parityFS(t, 1, 150)
-	bands, link, distT := blockedParams(PruneOptions{})
-	comps := blockedComponents(fs, bands, link, distT, nil)
+	comps := blockedComponents(fs, nil)
 	if len(comps) < 2 {
 		t.Fatalf("only %d block(s): candidate graph percolated", len(comps))
 	}
@@ -72,7 +71,7 @@ func TestBlockedComponentsPartition(t *testing.T) {
 	// confirmed near by exact distance belong to one block.
 	for i := range fs.Hashes {
 		for j := i + 1; j < len(fs.Hashes); j++ {
-			if simhash.SharesBand(fs.Hashes[i], fs.Hashes[j], bands) && blockedEdge(fs, i, j, link, distT) {
+			if simhash.SharesBand(fs.Hashes[i], fs.Hashes[j], blockBands) && blockedEdge(fs, i, j) {
 				bi, bj := -1, -1
 				for b, comp := range comps {
 					for _, id := range comp {
@@ -105,42 +104,5 @@ func TestBlockedFixedCutHeight(t *testing.T) {
 	}
 	if blocked.CutHeight != h {
 		t.Fatalf("blocked CutHeight = %v, want %v", blocked.CutHeight, h)
-	}
-}
-
-// TestPruneSentinels pins the negative-disables contract: zero still
-// means default (back-compat), negative disables the test — previously
-// inexpressible, since 0 silently became 24/8.
-func TestPruneSentinels(t *testing.T) {
-	d := PruneOptions{}.withDefaults()
-	if d.Bands != 8 || d.MaxHamming != 24 || d.BlockDistance != 0.3 {
-		t.Fatalf("zero defaults = (%d, %d, %g), want (8, 24, 0.3)", d.Bands, d.MaxHamming, d.BlockDistance)
-	}
-	n := PruneOptions{Bands: -1, MaxHamming: -1, BlockDistance: -1}.withDefaults()
-	if n.Bands != -1 || n.MaxHamming != -1 || n.BlockDistance != -1 {
-		t.Fatalf("negative sentinels not preserved: (%d, %d, %g)", n.Bands, n.MaxHamming, n.BlockDistance)
-	}
-	k := PruneOptions{Bands: 4, MaxHamming: 16, BlockDistance: 0.1}.withDefaults()
-	if k.Bands != 4 || k.MaxHamming != 16 || k.BlockDistance != 0.1 {
-		t.Fatalf("explicit values not preserved: (%d, %d, %g)", k.Bands, k.MaxHamming, k.BlockDistance)
-	}
-}
-
-// TestPruneSentinelPaths runs the pruned path with each test disabled
-// and checks the partition still matches the exact one on a corpus the
-// default (OR of both tests) already handles — each test alone is
-// strictly more conservative than their union, so the kept set still
-// covers every within-cluster pair.
-func TestPruneSentinelPaths(t *testing.T) {
-	fs := parityFS(t, 3, 120)
-	exact := ClusterWPNs(fs, ClusterOptions{})
-	for name, p := range map[string]PruneOptions{
-		"band-only": {Enabled: true, MaxHamming: -1},
-		"near-only": {Enabled: true, Bands: -1},
-	} {
-		pruned := ClusterWPNs(fs, ClusterOptions{Prune: p})
-		if !sameLabels(exact.Labels, pruned.Labels) {
-			t.Errorf("%s: labels differ from exact", name)
-		}
 	}
 }

@@ -29,7 +29,7 @@ type Features struct {
 // term-similarity model, and the precomputed pairwise kernel: per-record
 // self quad-form norms and document vectors (textmine.DocKernel) plus
 // SimHash fingerprints over the combined text+path tokens for banded
-// candidate pruning. Everything a pairwise Distance call needs is
+// candidate generation. Everything a pairwise Distance call needs is
 // computed once here instead of once per pair.
 type FeatureSet struct {
 	Records  []*crawler.WPNRecord
@@ -37,14 +37,13 @@ type FeatureSet struct {
 	Emb      *textmine.Embeddings
 	Sim      *textmine.TermSimMatrix
 	// Kernel caches per-document self norms and document vectors; see
-	// Distance and NaiveDistance.
+	// Distance.
 	Kernel *textmine.DocKernel
 	// Hashes are per-record SimHash fingerprints over the message's
-	// content tokens and landing-path tokens, backing the banded
-	// candidate pruning of ClusterWPNs.
+	// content tokens and landing-path tokens, backing the band index of
+	// the blocked clustering path.
 	Hashes []simhash.Hash
-	// SoftOpts are the soft-cosine options the model was built with (the
-	// naive reference path re-derives distances from them).
+	// SoftOpts are the soft-cosine options the model was built with.
 	SoftOpts textmine.SoftCosineOptions
 	// UseText and UsePath toggle feature groups (ablation A2).
 	UseText, UsePath bool
@@ -136,7 +135,7 @@ func ExtractFeatures(records []*crawler.WPNRecord, opts FeatureOptions) (*Featur
 // one of them under ablation). It runs on the cached kernel — one cross
 // quad-form per call, self norms precomputed — and a merge-based Jaccard
 // over the already-sorted path tokens; the values are bit-identical to
-// NaiveDistance.
+// recomputing every quad-form from scratch.
 func (fs *FeatureSet) Distance(i, j int) float64 {
 	fi, fj := &fs.Features[i], &fs.Features[j]
 	switch {
@@ -153,13 +152,11 @@ func (fs *FeatureSet) Distance(i, j int) float64 {
 	}
 }
 
-// ApproxDistance is the cheap far-pair estimate stored for pairs the
-// SimHash filter prunes away: the text component is the precomputed
-// document-vector cosine (one dense dot product instead of a sparse
-// quad-form), the path component is the same merge Jaccard as Distance
-// (already cheap). Substituting an estimate rather than a constant
-// keeps the full-matrix silhouette — and hence the conservative cut
-// selection — close to the exact path's.
+// ApproxDistance is the cheap far-pair estimate the blocked path uses
+// for its cross-block silhouette terms: the text component is the
+// precomputed document-vector cosine (one dense dot product instead of
+// a sparse quad-form), the path component is the same merge Jaccard as
+// Distance (already cheap).
 func (fs *FeatureSet) ApproxDistance(i, j int) float64 {
 	fi, fj := &fs.Features[i], &fs.Features[j]
 	switch {
@@ -171,27 +168,6 @@ func (fs *FeatureSet) ApproxDistance(i, j int) float64 {
 		return fs.Kernel.ApproxDistance(i, j)
 	case fs.UsePath:
 		return urlx.JaccardSorted(fi.PathTokens, fj.PathTokens)
-	default:
-		return 0
-	}
-}
-
-// NaiveDistance recomputes the pairwise distance from scratch — three
-// quad-forms per call (both self quad-forms rediscovered every time) and
-// a map-based Jaccard — exactly what the pipeline did before the kernel
-// cache existed. It is the reference the parity tests and benchmarks
-// compare Distance against; the two agree bit-for-bit.
-func (fs *FeatureSet) NaiveDistance(i, j int) float64 {
-	fi, fj := &fs.Features[i], &fs.Features[j]
-	switch {
-	case fs.UseText && fs.UsePath:
-		text := 1 - textmine.SoftCosineWith(fi.Text, fj.Text, fs.Sim)
-		path := urlx.Jaccard(fi.PathTokens, fj.PathTokens)
-		return (text + path) / 2
-	case fs.UseText:
-		return 1 - textmine.SoftCosineWith(fi.Text, fj.Text, fs.Sim)
-	case fs.UsePath:
-		return urlx.Jaccard(fi.PathTokens, fj.PathTokens)
 	default:
 		return 0
 	}

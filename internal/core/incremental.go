@@ -56,9 +56,6 @@ type IncrementalClusterer struct {
 	fs   *FeatureSet
 	opts ClusterOptions
 
-	bands, link int
-	distT       float64
-
 	ix      *simhash.BandIndex
 	uf      *cluster.UnionFind
 	added   []bool
@@ -81,17 +78,12 @@ type IncrementalClusterer struct {
 }
 
 // NewIncrementalClusterer prepares an empty clusterer over the feature
-// set. opts is interpreted as for the Blocked batch path (Prune.Bands,
-// Prune.MaxHamming and Prune.BlockDistance parameterize the blocking).
+// set. opts is interpreted as for the Blocked batch path.
 func NewIncrementalClusterer(fs *FeatureSet, opts ClusterOptions) *IncrementalClusterer {
-	bands, link, distT := blockedParams(opts.Prune)
 	return &IncrementalClusterer{
 		fs:    fs,
 		opts:  opts,
-		bands: bands,
-		link:  link,
-		distT: distT,
-		ix:    simhash.NewBandIndex(bands),
+		ix:    simhash.NewBandIndex(blockBands),
 		uf:    cluster.NewUnionFind(len(fs.Records)),
 		added: make([]bool, len(fs.Records)),
 		cache: make(map[int]*blockDendrogram),
@@ -160,7 +152,7 @@ func (c *IncrementalClusterer) Add(i int) int {
 	// examined exactly once — when the later of the two arrives — so
 	// the final components match the batch blockedComponents exactly.
 	for _, j := range c.candBuf {
-		if !c.uf.Same(i, j) && blockedEdge(c.fs, i, j, c.link, c.distT) {
+		if !c.uf.Same(i, j) && blockedEdge(c.fs, i, j) {
 			c.uf.Union(i, j)
 		}
 	}
@@ -168,7 +160,6 @@ func (c *IncrementalClusterer) Add(i int) int {
 	c.added[i] = true
 	c.nAdded++
 	c.stats.Added++
-	c.obs.incrementalAdd()
 	return prov
 }
 
@@ -240,7 +231,7 @@ func (c *IncrementalClusterer) Recluster() *ClusterResult {
 		// memos (the memo lives on the blockDendrogram), so clean
 		// blocks' sweep contributions survive across Recluster calls.
 		var ms sweepMemoStats
-		blocks, per, height, sil, ms = sweepBlockedCut(c.fs, blocks, c.opts.Linkage, c.nAdded, c.opts.MaxCutCandidates, c.opts.conservativeTol(), c.opts.FullSweep, c.obs)
+		blocks, per, height, sil, ms = sweepBlockedCut(c.fs, blocks, c.opts.Linkage, c.nAdded, c.opts.conservativeTol(), c.obs)
 		c.stats.SweepMemoHits += ms.hits
 		c.stats.SweepMemoRefreshes += ms.refreshes
 		c.stats.SweepRescoredBlocks += ms.rescoredBlocks
@@ -267,7 +258,7 @@ func (c *IncrementalClusterer) MedoidIndex() *MedoidIndex {
 	if c.res == nil {
 		return nil
 	}
-	return newMedoidIndex(c.fs, c.medoids, c.res.CutHeight, c.res.Silhouette, c.bands)
+	return newMedoidIndex(c.fs, c.medoids, c.res.CutHeight, c.res.Silhouette)
 }
 
 // RestoreMedoidIndex seeds the clusterer's provisional classifier from
@@ -281,77 +272,4 @@ func (c *IncrementalClusterer) RestoreMedoidIndex(x *MedoidIndex) error {
 	}
 	c.restored = x
 	return nil
-}
-
-// clusterWPNsIncremental replays the feature set as a stream through an
-// IncrementalClusterer in IncrementalBatch-sized batches, re-clustering
-// after each, and returns the final result. It exists to exercise (and
-// time) the streaming path inside the standard pipeline; the outcome is
-// identical to the Blocked batch path.
-func clusterWPNsIncremental(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
-	st := newStageTimer(opts.Metrics, opts.Tracer, opts.parent, opts.Ledger, opts.prog)
-	batch := opts.IncrementalBatch
-	if batch <= 0 {
-		batch = 256
-	}
-	inc := NewIncrementalClusterer(fs, opts)
-	n := len(fs.Records)
-	for start := 0; start < n; start += batch {
-		end := start + batch
-		if end > n {
-			end = n
-		}
-		prev := inc.Stats()
-		done := st.stage("blocks")
-		for i := start; i < end; i++ {
-			inc.Add(i)
-		}
-		done()
-		if opts.Ledger != nil {
-			cur := inc.Stats()
-			opts.Ledger.IncrementalAdd(end-start,
-				cur.AssignedToExisting-prev.AssignedToExisting,
-				cur.ProvisionalNew-prev.ProvisionalNew)
-		}
-		done = st.stage("block_linkage")
-		inc.Recluster()
-		done()
-	}
-	if n == 0 {
-		return inc.forceEmptyResult()
-	}
-	recordBlockedPairs(opts.Metrics, n, blockMembers(inc))
-	if opts.prog != nil {
-		comps := blockMembers(inc)
-		var exact int64
-		for _, c := range comps {
-			m := int64(len(c))
-			exact += m * (m - 1) / 2
-		}
-		opts.prog.addPairs(exact, int64(n)*int64(n-1)/2-exact)
-	}
-	if res := inc.Result(); res != nil {
-		// The medoid pass is already paid for (Recluster maintains it),
-		// so the streaming result always carries the persistable index.
-		res.Medoids = inc.MedoidIndex()
-		if opts.Ledger != nil {
-			opts.Ledger.CutChosen(res.CutHeight, numClusters(res.Labels), res.Silhouette)
-		}
-	}
-	return inc.Result()
-}
-
-// blockMembers snapshots the clusterer's current block membership (for
-// pair accounting).
-func blockMembers(c *IncrementalClusterer) [][]int {
-	return c.uf.ComponentsOf(func(i int) bool { return c.added[i] })
-}
-
-// forceEmptyResult covers the n == 0 replay, where no Recluster ever
-// ran.
-func (c *IncrementalClusterer) forceEmptyResult() *ClusterResult {
-	if c.res == nil {
-		c.res = finishClusterResult(c.fs, nil, 0, 0)
-	}
-	return c.res
 }

@@ -23,6 +23,20 @@ func addOrder(n int) []int {
 	return order
 }
 
+// streamAll adds every record in index order to a fresh clusterer,
+// reclustering after every `every` arrivals and once more at the end,
+// and returns the clusterer with its final result.
+func streamAll(fs *FeatureSet, opts ClusterOptions, every int) (*IncrementalClusterer, *ClusterResult) {
+	inc := NewIncrementalClusterer(fs, opts)
+	for i := range fs.Records {
+		inc.Add(i)
+		if (i+1)%every == 0 {
+			inc.Recluster()
+		}
+	}
+	return inc, inc.Recluster()
+}
+
 // TestIncrementalConvergesToBatch asserts the streaming clusterer,
 // after ingesting the whole corpus in scattered order with periodic
 // re-clusters along the way, lands on exactly the batch Blocked result:
@@ -61,22 +75,6 @@ func TestIncrementalConvergesToBatch(t *testing.T) {
 		if stats.BlocksReused == 0 {
 			t.Errorf("seed %d: no block dendrograms reused across re-clusters", seed)
 		}
-	}
-}
-
-// TestIncrementalOptionReplaysToBatch asserts the ClusterOptions
-// plumbing: Incremental mode inside ClusterWPNs replays the stream and
-// returns the batch Blocked result.
-func TestIncrementalOptionReplaysToBatch(t *testing.T) {
-	fs := parityFS(t, 3, 150)
-	batch := ClusterWPNs(fs, ClusterOptions{Blocked: true})
-	inc := ClusterWPNs(fs, ClusterOptions{Incremental: true, IncrementalBatch: 32})
-	if !sameLabels(batch.Labels, inc.Labels) {
-		t.Fatal("Incremental option result differs from batch Blocked")
-	}
-	if batch.CutHeight != inc.CutHeight || batch.Silhouette != inc.Silhouette {
-		t.Fatalf("Incremental cut/sil (%v, %v) != batch (%v, %v)",
-			inc.CutHeight, inc.Silhouette, batch.CutHeight, batch.Silhouette)
 	}
 }
 
@@ -132,8 +130,8 @@ func TestIncrementalLinkageVariants(t *testing.T) {
 	fs := parityFS(t, 2, 120)
 	for _, linkage := range []cluster.Linkage{cluster.Single, cluster.Complete} {
 		batch := ClusterWPNs(fs, ClusterOptions{Blocked: true, Linkage: linkage})
-		inc := ClusterWPNs(fs, ClusterOptions{Incremental: true, IncrementalBatch: 50, Linkage: linkage})
-		if !sameLabels(batch.Labels, inc.Labels) {
+		_, res := streamAll(fs, ClusterOptions{Linkage: linkage}, 50)
+		if !sameLabels(batch.Labels, res.Labels) {
 			t.Errorf("linkage %s: incremental differs from batch", linkage)
 		}
 	}

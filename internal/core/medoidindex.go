@@ -36,7 +36,8 @@ type MedoidIndex struct {
 	Silhouette float64 `json:"silhouette"`
 	// Records is the feature-set size the index was mined from.
 	Records int `json:"records"`
-	// Bands is the SimHash banding of the candidate lookup.
+	// Bands is the SimHash banding of the candidate lookup, at most 64
+	// (one band per fingerprint bit); 0 means the blocked path's 8.
 	Bands int `json:"bands"`
 	// Medoids is ascending by label, so the serialized form is
 	// deterministic.
@@ -48,8 +49,8 @@ type MedoidIndex struct {
 
 // newMedoidIndex builds the index from a mined medoid map (cluster
 // label -> medoid record).
-func newMedoidIndex(fs *FeatureSet, medoids map[int]int, cutHeight, sil float64, bands int) *MedoidIndex {
-	x := &MedoidIndex{CutHeight: cutHeight, Silhouette: sil, Records: len(fs.Records), Bands: bands}
+func newMedoidIndex(fs *FeatureSet, medoids map[int]int, cutHeight, sil float64) *MedoidIndex {
+	x := &MedoidIndex{CutHeight: cutHeight, Silhouette: sil, Records: len(fs.Records), Bands: blockBands}
 	labels := make([]int, 0, len(medoids))
 	for l := range medoids {
 		labels = append(labels, l)
@@ -65,18 +66,19 @@ func newMedoidIndex(fs *FeatureSet, medoids map[int]int, cutHeight, sil float64,
 // Classify returns the label of the nearest medoid within the cut
 // height among record i's banded candidate medoids, and that distance.
 // Returns (-1, 0) when no medoid is near enough (the record opens new
-// territory) or the index is empty. Deterministic: candidates arrive
+// territory), the index is empty, or fs is not the size of the feature
+// set the index was mined from. Deterministic: candidates arrive
 // in ascending medoid position and ties keep the later (equal-distance
 // updates overwrite), matching the incremental Add's own nearest-medoid
 // rule.
 func (x *MedoidIndex) Classify(fs *FeatureSet, i int) (label int, dist float64) {
-	if x == nil || len(x.Medoids) == 0 || x.CutHeight <= 0 {
+	if x == nil || len(x.Medoids) == 0 || x.CutHeight <= 0 || x.Records != len(fs.Records) {
 		return -1, 0
 	}
 	if x.ix == nil {
 		bands := x.Bands
 		if bands <= 0 {
-			bands = 8
+			bands = blockBands
 		}
 		x.ix = simhash.NewBandIndex(bands)
 		for p, me := range x.Medoids {
@@ -110,7 +112,8 @@ func SaveMedoidIndex(path string, x *MedoidIndex) error {
 	return nil
 }
 
-// LoadMedoidIndex reads a persisted index back.
+// LoadMedoidIndex reads a persisted index back, rejecting one whose
+// banding or medoid records are out of range.
 func LoadMedoidIndex(path string) (*MedoidIndex, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -119,6 +122,9 @@ func LoadMedoidIndex(path string) (*MedoidIndex, error) {
 	var x MedoidIndex
 	if err := json.Unmarshal(data, &x); err != nil {
 		return nil, fmt.Errorf("core: parse medoid index %s: %w", path, err)
+	}
+	if x.Bands < 0 || x.Bands > 64 {
+		return nil, fmt.Errorf("core: medoid index %s: bands %d out of range [0,64]", path, x.Bands)
 	}
 	for _, me := range x.Medoids {
 		if me.Record < 0 || me.Record >= x.Records {

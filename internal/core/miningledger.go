@@ -27,8 +27,7 @@ const (
 	// EvHeightSwept records one pooled-sweep candidate height being
 	// scored. Attrs: height, k (clusters at that cut), valid (whether a
 	// silhouette was computable), silhouette, changed (blocks whose
-	// labeling changed at this height — every block on the full sweep,
-	// only segment crossings on the memoized one), scored_pairs
+	// labeling changed at this height: segment crossings), scored_pairs
 	// (within-block pairs the scoring re-read). All attrs are
 	// structural, independent of memo/cache state, so cold and warm
 	// sweeps ledger identically.
@@ -42,9 +41,6 @@ const (
 	// silhouette (empty when the exact sweep below the crossover chose
 	// the cut and no pooled scoring ran).
 	EvCutChosen = "cut_chosen"
-	// EvIncrementalAdd summarizes one incremental ingestion batch.
-	// Attrs: count, assigned (to existing medoids), provisional.
-	EvIncrementalAdd = "incremental_add"
 	// EvRecluster records one IncrementalClusterer.Recluster call.
 	// Attrs: blocks, reused, rebuilt, clusters.
 	EvRecluster = "recluster"
@@ -146,18 +142,6 @@ func (l *MiningLedger) CutChosen(height float64, k int, silhouette float64) {
 		"height":     strconv.FormatFloat(height, 'g', -1, 64),
 		"k":          strconv.Itoa(k),
 		"silhouette": strconv.FormatFloat(silhouette, 'g', -1, 64),
-	})
-}
-
-// IncrementalAdd summarizes one ingestion batch.
-func (l *MiningLedger) IncrementalAdd(count, assigned, provisional int) {
-	if l == nil {
-		return
-	}
-	l.append(EvIncrementalAdd, map[string]string{
-		"count":       strconv.Itoa(count),
-		"assigned":    strconv.Itoa(assigned),
-		"provisional": strconv.Itoa(provisional),
 	})
 }
 

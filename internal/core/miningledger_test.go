@@ -214,31 +214,34 @@ func TestMiningLedgerWithoutTelemetry(t *testing.T) {
 	}
 }
 
-// TestMiningLedgerIncremental checks the streaming path's events
-// reconcile with its own stats: batch counts sum to the corpus size and
-// every recluster round is recorded.
+// TestMiningLedgerIncremental checks the streaming clusterer's events
+// reconcile with its own stats: one recluster event per Recluster call,
+// their rebuilt/reused attrs summing to the block counters, and one
+// block_clustered event per rebuilt block.
 func TestMiningLedgerIncremental(t *testing.T) {
 	fs := parityFS(t, 1, 150)
 	led := NewMiningLedger()
-	ClusterWPNs(fs, ClusterOptions{Incremental: true, IncrementalBatch: 40, Ledger: led})
+	inc, _ := streamAll(fs, ClusterOptions{Ledger: led}, 40)
 
-	var added, batches, reclusters int64
+	var reclusters, rebuilt, reused, blocks int64
 	for _, ev := range led.Events() {
 		switch ev.Kind {
-		case EvIncrementalAdd:
-			batches++
-			added += atoi(t, ev.Attrs["count"])
 		case EvRecluster:
 			reclusters++
+			rebuilt += atoi(t, ev.Attrs["rebuilt"])
+			reused += atoi(t, ev.Attrs["reused"])
+		case EvBlockClustered:
+			blocks++
 		}
 	}
-	if added != int64(len(fs.Records)) {
-		t.Errorf("incremental_add events cover %d records, corpus has %d", added, len(fs.Records))
+	st := inc.Stats()
+	if reclusters != int64(st.Reclusters) {
+		t.Errorf("%d recluster events, stats count %d Reclusters", reclusters, st.Reclusters)
 	}
-	if wantBatches := int64((len(fs.Records) + 39) / 40); batches != wantBatches {
-		t.Errorf("%d incremental_add events, want %d", batches, wantBatches)
+	if rebuilt != int64(st.BlocksRebuilt) || reused != int64(st.BlocksReused) {
+		t.Errorf("recluster events sum rebuilt=%d reused=%d, stats %d/%d", rebuilt, reused, st.BlocksRebuilt, st.BlocksReused)
 	}
-	if reclusters == 0 {
-		t.Error("no recluster events")
+	if blocks != rebuilt {
+		t.Errorf("%d block_clustered events, want one per rebuilt block (%d)", blocks, rebuilt)
 	}
 }

@@ -41,11 +41,10 @@ func sweepHeightBucket(h float64) string {
 // dist = exact-distance confirmation), block_linkage_exact counts the
 // within-block exact distance evaluations of the dendrogram builds,
 // sweep_scored counts the within-block distance lookups the pooled
-// sweep's silhouette scoring re-reads (full sweep: every valid height ×
-// every pair; memoized sweep: only pairs in blocks whose labeling
-// changed at that height), and sweep_memo_saved is the complement — the
-// per-height re-reads the memo skipped, so scored + saved on the
-// memoized path equals what a full sweep would have re-read.
+// sweep's silhouette scoring re-reads (only pairs in blocks whose
+// labeling changed at that height), and sweep_memo_saved is the
+// complement — the per-height re-reads the memo skipped, so scored +
+// saved equals what an unmemoized sweep would have re-read.
 var miningPairPhases = []string{
 	"blocks_gate_checked", "blocks_gate_rejected",
 	"blocks_dist_checked", "blocks_edges",
@@ -164,12 +163,7 @@ func (o *blockedObs) blocksLinked(comps [][]int) {
 	if o == nil {
 		return
 	}
-	var exact int64
-	for _, c := range comps {
-		m := int64(len(c))
-		exact += m * (m - 1) / 2
-	}
-	o.pairsFam.Add("block_linkage_exact", exact)
+	o.pairsFam.Add("block_linkage_exact", withinBlockPairs(comps))
 	for i, c := range comps {
 		o.led.BlockClustered(i, len(c))
 	}
@@ -181,16 +175,6 @@ func (o *blockedObs) setHeightsTotal(n int) {
 		return
 	}
 	o.prog.setHeights(n)
-}
-
-// sweepEvaluated observes one candidate height's scoring (called from
-// inside the sweep fan-out).
-func (o *blockedObs) sweepEvaluated(height float64, ns int64) {
-	if o == nil {
-		return
-	}
-	o.sweepFam.Add(sweepHeightBucket(height), ns)
-	o.prog.heightDone()
 }
 
 // blocksRebuilt records an incremental Recluster round's dendrogram
@@ -212,39 +196,12 @@ func (o *blockedObs) blocksRebuilt(rebuild []int, comps [][]int) {
 	}
 }
 
-// incrementalAdd observes one streamed record ingested.
-func (o *blockedObs) incrementalAdd() {
-	if o == nil {
-		return
-	}
-	o.prog.incrementalAdd()
-}
-
-// reclustered records one Recluster call draining the add queue.
+// reclustered records one Recluster call in the ledger.
 func (o *blockedObs) reclustered(blocks, reused, rebuilt, clusters int) {
 	if o == nil {
 		return
 	}
 	o.led.Recluster(blocks, reused, rebuilt, clusters)
-	o.prog.reclustered()
-}
-
-// heightSwept records one full-sweep candidate height's outcome:
-// scored pair volume into mining_pairs (valid evaluations only),
-// blocks re-cut (every block, on the full sweep) into
-// mining_sweep_blocks, and the deterministic ledger event. Called
-// serially, in ascending height order, after the sweep fan-out
-// completes.
-func (o *blockedObs) heightSwept(height float64, k int, valid bool, sil float64, changedBlocks int, scoredPairs int64) {
-	if o == nil {
-		return
-	}
-	if valid {
-		o.pairsFam.Add("sweep_scored", scoredPairs)
-	}
-	o.sweepBlocksFam.Add(sweepHeightBucket(height), int64(changedBlocks))
-	o.led.HeightSwept(height, k, valid, sil, changedBlocks, scoredPairs)
-	o.prog.sweepWork(int64(changedBlocks), 0)
 }
 
 // sweepRescored observes one fresh (block, segment) rescore inside the

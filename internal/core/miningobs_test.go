@@ -23,7 +23,6 @@ func TestMiningObservabilityDisabled(t *testing.T) {
 		led.HeightSwept(0.25, 4, true, 0.8, 3, 21)
 		led.SweepMemo(10, 2, 5, 7, 100)
 		led.CutChosen(0.25, 4, 0.8)
-		led.IncrementalAdd(10, 7, 3)
 		led.Recluster(5, 3, 2, 9)
 		prog.setStage("cut")
 		prog.setBlocks(5)
@@ -32,20 +31,15 @@ func TestMiningObservabilityDisabled(t *testing.T) {
 		prog.heightDone()
 		prog.addPairs(10, 20)
 		prog.sweepWork(5, 10)
-		prog.incrementalAdd()
-		prog.reclustered()
 		prog.finish()
 		obs.setBlocksTotal(5)
 		obs.blockBuilt(7, 1000)
 		obs.blocksLinked(nil)
 		obs.blocksRebuilt(nil, nil)
 		obs.setHeightsTotal(64)
-		obs.sweepEvaluated(0.25, 1000)
-		obs.heightSwept(0.25, 4, true, 0.8, 3, 21)
 		obs.sweepRescored(0.25, 1000)
 		obs.heightSweptMemo(0.25, 4, true, 0.8, 3, 21, 1000)
 		obs.sweepMemo(sweepMemoStats{hits: 10, misses: 5})
-		obs.incrementalAdd()
 		obs.reclustered(5, 3, 2, 9)
 		obs.recordTally(nil)
 		st.stage("cut")
@@ -68,24 +62,31 @@ func TestMiningObservabilityDisabled(t *testing.T) {
 }
 
 // TestMiningObservabilityByteParity asserts observation never perturbs
-// clustering output: the blocked and incremental paths produce
-// identical results with every sink attached and with none.
+// clustering output: the blocked path and the incremental clusterer
+// produce identical results with every sink attached and with none.
 func TestMiningObservabilityByteParity(t *testing.T) {
 	fs := parityFS(t, 1, 150)
 	for _, mode := range []struct {
 		name string
-		opts ClusterOptions
+		run  func(*FeatureSet, ClusterOptions) *ClusterResult
 	}{
-		{"blocked", ClusterOptions{Blocked: true}},
-		{"incremental", ClusterOptions{Incremental: true, IncrementalBatch: 40}},
+		{"blocked", func(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
+			opts.Blocked = true
+			return ClusterWPNs(fs, opts)
+		}},
+		{"incremental", func(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
+			_, res := streamAll(fs, opts, 40)
+			return res
+		}},
 	} {
-		plain := ClusterWPNs(fs, mode.opts)
+		plain := mode.run(fs, ClusterOptions{})
 
-		opts := mode.opts
-		opts.Metrics = telemetry.New()
-		opts.Tracer = telemetry.NewTracer(nil)
-		opts.Ledger = NewMiningLedger()
-		observed := ClusterWPNs(fs, opts)
+		opts := ClusterOptions{
+			Metrics: telemetry.New(),
+			Tracer:  telemetry.NewTracer(nil),
+			Ledger:  NewMiningLedger(),
+		}
+		observed := mode.run(fs, opts)
 
 		if !sameLabels(plain.Labels, observed.Labels) {
 			t.Errorf("%s: labels differ with observation attached", mode.name)

@@ -18,8 +18,7 @@ type MiningStatus struct {
 	// Stage is the pipeline stage currently running ("featurize",
 	// "blocks", "cut", ...; "done" after the run finishes).
 	Stage string `json:"stage"`
-	// Mode names the clustering path: naive, cached, pruned, blocked,
-	// or incremental.
+	// Mode names the clustering path: cached (exact) or blocked.
 	Mode string `json:"mode"`
 	// Records is the corpus size entering clustering.
 	Records int `json:"records"`
@@ -42,18 +41,10 @@ type MiningStatus struct {
 	// SweepBlocksRescored / SweepMemoHits describe the pooled cut
 	// sweep's memoization: block re-cuts actually performed vs.
 	// (candidate × block) sweep-grid cells served from the per-block
-	// cut memo. On the full (unmemoized) sweep rescored counts every
-	// block at every height and hits stay 0; both stay 0 below the
-	// validation-scale crossover, where the exact sweep runs.
+	// cut memo. Both stay 0 below the validation-scale crossover, where
+	// the exact sweep runs.
 	SweepBlocksRescored int64 `json:"sweep_blocks_rescored"`
 	SweepMemoHits       int64 `json:"sweep_memo_hits"`
-
-	// IncrementalAdds / Reclusters / QueueDepth describe the streaming
-	// path: records ingested, Recluster calls, and records added since
-	// the last Recluster (the dirty backlog the next call drains).
-	IncrementalAdds int `json:"incremental_adds"`
-	Reclusters      int `json:"reclusters"`
-	QueueDepth      int `json:"recluster_queue_depth"`
 
 	// Done marks the final publication of a run.
 	Done bool `json:"done"`
@@ -73,10 +64,6 @@ func (s MiningStatus) String() string {
 	if s.SweepBlocksRescored > 0 || s.SweepMemoHits > 0 {
 		fmt.Fprintf(&b, "sweep rescored=%d memo hits=%d\n",
 			s.SweepBlocksRescored, s.SweepMemoHits)
-	}
-	if s.Mode == "incremental" || s.IncrementalAdds > 0 {
-		fmt.Fprintf(&b, "incremental adds=%d reclusters=%d queue=%d\n",
-			s.IncrementalAdds, s.Reclusters, s.QueueDepth)
 	}
 	return b.String()
 }
@@ -111,7 +98,6 @@ type miningProgress struct {
 	heightsTotal, heightsDone   atomic.Int64
 	pairsExact, pairsPruned     atomic.Int64
 	sweepRescored, sweepMemoHit atomic.Int64
-	adds, reclusters, queue     atomic.Int64
 	statusVal                   atomic.Value // *MiningStatus
 }
 
@@ -155,9 +141,6 @@ func (p *miningProgress) publish(done bool) {
 		PairsPruned:         p.pairsPruned.Load(),
 		SweepBlocksRescored: p.sweepRescored.Load(),
 		SweepMemoHits:       p.sweepMemoHit.Load(),
-		IncrementalAdds:     int(p.adds.Load()),
-		Reclusters:          int(p.reclusters.Load()),
-		QueueDepth:          int(p.queue.Load()),
 		Done:                done,
 	}
 	if done {
@@ -210,7 +193,7 @@ func (p *miningProgress) setHeights(total int) {
 }
 
 // heightDone marks one candidate height scored (the sweep is bounded
-// by MaxCutCandidates, so per-height publication is cheap).
+// by maxCutCandidates, so per-height publication is cheap).
 func (p *miningProgress) heightDone() {
 	if p == nil {
 		return
@@ -230,7 +213,7 @@ func (p *miningProgress) addPairs(exact, pruned int64) {
 
 // sweepWork accumulates cut-sweep memoization counters (block re-cuts
 // performed, memo cells served). Accumulates only; the next published
-// event (heightDone, reclustered, finish) carries it out.
+// event (heightDone, finish) carries it out.
 func (p *miningProgress) sweepWork(rescored, memoHits int64) {
 	if p == nil {
 		return
@@ -239,42 +222,14 @@ func (p *miningProgress) sweepWork(rescored, memoHits int64) {
 	p.sweepMemoHit.Add(memoHits)
 }
 
-// incrementalAdd records one streamed record ingested since the last
-// Recluster.
-func (p *miningProgress) incrementalAdd() {
-	if p == nil {
-		return
-	}
-	p.adds.Add(1)
-	p.queue.Add(1)
-}
-
-// reclustered records one Recluster call draining the add queue.
-func (p *miningProgress) reclustered() {
-	if p == nil {
-		return
-	}
-	p.reclusters.Add(1)
-	p.queue.Store(0)
-	p.publish(false)
-}
-
 // finish publishes the terminal snapshot.
 func (p *miningProgress) finish() { p.publish(true) }
 
 // clusterMode names the path ClusterWPNs will take for opts, for the
 // status Mode field and progress logging.
 func clusterMode(opts ClusterOptions) string {
-	switch {
-	case opts.Naive:
-		return "naive"
-	case opts.Incremental:
-		return "incremental"
-	case opts.Blocked:
+	if opts.Blocked {
 		return "blocked"
-	case opts.Prune.Enabled:
-		return "pruned"
-	default:
-		return "cached"
 	}
+	return "cached"
 }

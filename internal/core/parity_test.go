@@ -8,7 +8,7 @@ import (
 )
 
 // parityFS extracts features over a synthetic corpus.
-func parityFS(t *testing.T, seed int64, n int) *FeatureSet {
+func parityFS(t testing.TB, seed int64, n int) *FeatureSet {
 	t.Helper()
 	fs, err := ExtractFeatures(SynthWPNRecords(seed, n), FeatureOptions{
 		Word2Vec: textmine.Word2VecConfig{Seed: seed},
@@ -38,7 +38,7 @@ func TestDistanceMatchesNaiveBitForBit(t *testing.T) {
 	n := len(fs.Records)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if got, want := fs.Distance(i, j), fs.NaiveDistance(i, j); got != want {
+			if got, want := fs.Distance(i, j), naiveDistance(fs, i, j); got != want {
 				t.Fatalf("Distance(%d,%d) = %v, naive %v (records %q / %q)",
 					i, j, got, want, fs.Records[i].Body, fs.Records[j].Body)
 			}
@@ -46,60 +46,29 @@ func TestDistanceMatchesNaiveBitForBit(t *testing.T) {
 	}
 }
 
-// TestClusterParityNaiveVsCached asserts the optimized path (cached
-// kernel, balanced block scheduling, parallel silhouette sweep) yields
-// byte-identical labels, cut height, and silhouette to the naive path
-// across seeds and linkages.
+// TestClusterParityNaiveVsCached asserts the exact route (cached
+// kernel, balanced block scheduling) yields byte-identical labels, cut
+// height, and silhouette to a clustering over naiveDistance across
+// seeds and linkages. The cluster package pins the parallel sweep to
+// its serial reference.
 func TestClusterParityNaiveVsCached(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, linkage := range []cluster.Linkage{cluster.Average, cluster.Single, cluster.Complete} {
 			fs := parityFS(t, seed, 150)
-			naive := ClusterWPNs(fs, ClusterOptions{Naive: true, Linkage: linkage})
+			dm := cluster.Compute(len(fs.Records), func(i, j int) float64 { return naiveDistance(fs, i, j) })
+			naive := cluster.BestCutConservative(cluster.AgglomerativeLinkage(dm, linkage), dm, maxCutCandidates, 0.15)
 			fast := ClusterWPNs(fs, ClusterOptions{Linkage: linkage})
 			if !sameLabels(naive.Labels, fast.Labels) {
 				t.Fatalf("seed %d linkage %s: labels differ\nnaive: %v\nfast:  %v",
 					seed, linkage, naive.Labels, fast.Labels)
 			}
-			if naive.CutHeight != fast.CutHeight {
-				t.Errorf("seed %d linkage %s: cut height %v != %v", seed, linkage, naive.CutHeight, fast.CutHeight)
+			if naive.Height != fast.CutHeight {
+				t.Errorf("seed %d linkage %s: cut height %v != %v", seed, linkage, naive.Height, fast.CutHeight)
 			}
 			if naive.Silhouette != fast.Silhouette {
 				t.Errorf("seed %d linkage %s: silhouette %v != %v", seed, linkage, naive.Silhouette, fast.Silhouette)
 			}
 		}
-	}
-}
-
-// TestClusterParityPrunedVsExact asserts SimHash-banded pruning yields
-// the same labeling and cut as the exact-everywhere path on corpora
-// where campaigns are locality-preserved (the default prune settings are
-// tuned to be conservative). The silhouette may differ only through the
-// substituted far-pair distances, so it is checked within a tolerance.
-func TestClusterParityPrunedVsExact(t *testing.T) {
-	for _, seed := range []int64{1, 2, 3} {
-		fs := parityFS(t, seed, 150)
-		exact := ClusterWPNs(fs, ClusterOptions{})
-		pruned := ClusterWPNs(fs, ClusterOptions{Prune: PruneOptions{Enabled: true}})
-		if !sameLabels(exact.Labels, pruned.Labels) {
-			t.Fatalf("seed %d: pruned labels differ\nexact:  %v\npruned: %v", seed, exact.Labels, pruned.Labels)
-		}
-		if diff := pruned.Silhouette - exact.Silhouette; diff > 0.05 || diff < -0.05 {
-			t.Errorf("seed %d: pruned silhouette %v far from exact %v", seed, pruned.Silhouette, exact.Silhouette)
-		}
-	}
-}
-
-// TestPruneDisabledIsExact asserts the parity fallback knob: a zero
-// PruneOptions computes every pair, entry-identical to the default path.
-func TestPrunedMatrixExactWhereKept(t *testing.T) {
-	fs := parityFS(t, 2, 100)
-	exact := ClusterWPNs(fs, ClusterOptions{})
-	fallback := ClusterWPNs(fs, ClusterOptions{Prune: PruneOptions{}})
-	if !sameLabels(exact.Labels, fallback.Labels) {
-		t.Fatal("zero PruneOptions changed the labeling")
-	}
-	if exact.Silhouette != fallback.Silhouette || exact.CutHeight != fallback.CutHeight {
-		t.Fatal("zero PruneOptions changed cut or silhouette")
 	}
 }
 

@@ -17,8 +17,7 @@ import (
 // memoBlocksFor builds the blocked substrate (components + per-block
 // dendrograms) for a feature set, the way clusterWPNsBlocked does.
 func memoBlocksFor(fs *FeatureSet, linkage cluster.Linkage) []*blockDendrogram {
-	bands, link, distT := blockedParams(PruneOptions{})
-	comps := blockedComponents(fs, bands, link, distT, nil)
+	comps := blockedComponents(fs, nil)
 	return buildBlockDendrograms(fs, comps, linkage, nil)
 }
 
@@ -61,10 +60,10 @@ func sweepsAgree(t *testing.T, name string, fs *FeatureSet,
 	}
 }
 
-// TestSweepMemoParityMatrix pins the tentpole invariant: the memoized
-// pooled sweep is bit-identical (labels, cut height, silhouette) to the
-// full pooled sweep across seeds × linkages × block shapes. The sweeps
-// are called directly so the matrix runs above-crossover code on
+// TestSweepMemoParityMatrix pins the memoized pooled sweep to the
+// unmemoized oracle (sweepBlockedCutFull): bit-identical labels, cut
+// height and silhouette across seeds × linkages × block shapes. The
+// sweeps are called directly so the matrix runs above-crossover code on
 // validation-scale corpora.
 func TestSweepMemoParityMatrix(t *testing.T) {
 	linkages := []struct {
@@ -113,11 +112,11 @@ func TestSweepMemoParityMatrix(t *testing.T) {
 				fs := shape.fs(t, seed)
 				blocks := shape.blocks(fs, lk.l)
 				nLive := len(fs.Records)
-				cands := pooledCutCandidates(blocks, 64)
+				cands := pooledCutCandidates(blocks)
 				farD := blockedFar(fs, blocks)
 				const tol = 0.15
 
-				_, fullPer, fullH, fullS := sweepBlockedCutFull(blocks, cands, farD, nLive, tol, nil)
+				fullPer, fullH, fullS := sweepBlockedCutFull(blocks, cands, farD, nLive, tol, nil)
 				_, memoPer, memoH, memoS, ms := sweepBlockedCutMemo(blocks, cands, farD, nLive, tol, nil)
 				sweepsAgree(t, name, fs, fullPer, memoPer, fullH, memoH, fullS, memoS, blocks)
 				if len(cands) > 0 && ms.misses == 0 {
@@ -141,7 +140,7 @@ func TestSweepMemoParityMatrix(t *testing.T) {
 				// and the refreshed sweep must agree with a fresh full
 				// sweep under the same farD.
 				farD2 := farD + 0.01
-				_, fullPer2, fullH2, fullS2 := sweepBlockedCutFull(blocks, cands, farD2, nLive, tol, nil)
+				fullPer2, fullH2, fullS2 := sweepBlockedCutFull(blocks, cands, farD2, nLive, tol, nil)
 				_, memoPer2, memoH2, memoS2, rf := sweepBlockedCutMemo(blocks, cands, farD2, nLive, tol, nil)
 				sweepsAgree(t, name+"/refresh", fs, fullPer2, memoPer2, fullH2, memoH2, fullS2, memoS2, blocks)
 				if rf.misses != 0 {
@@ -165,7 +164,7 @@ func TestSweepMemoObservationParity(t *testing.T) {
 	const tol = 0.15
 
 	plainBlocks := memoBlocksFor(fs, cluster.Average)
-	cands := pooledCutCandidates(plainBlocks, 64)
+	cands := pooledCutCandidates(plainBlocks)
 	farD := blockedFar(fs, plainBlocks)
 	_, plainPer, plainH, plainS, _ := sweepBlockedCutMemo(plainBlocks, cands, farD, nLive, tol, nil)
 
@@ -209,40 +208,30 @@ func TestSweepMemoObservationParity(t *testing.T) {
 	}
 }
 
-// TestBlockedFullSweepOptionParity runs the blocked path end-to-end
-// above the validation-scale crossover with and without FullSweep and
-// asserts identical results — the dispatcher-level version of the
-// parity matrix — and that the incremental replay (whose final
-// Reclusters run the memoized sweep, reusing memos across calls)
-// converges exactly to both.
+// TestBlockedFullSweepOptionParity runs the blocked path end to end
+// above the validation-scale crossover and asserts the result equals
+// the unmemoized oracle sweep over the same blocks — the
+// dispatcher-level version of the parity matrix — and that an
+// incremental stream (whose Reclusters run the memoized sweep, reusing
+// memos across calls) converges exactly to both.
 func TestBlockedFullSweepOptionParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("above-crossover corpus is slow; skipping in -short")
 	}
 	fs := parityFS(t, 1, blockedExactSweepMaxN+88) // 600: pooled sweep engages
 	memo := ClusterWPNs(fs, ClusterOptions{Blocked: true})
-	full := ClusterWPNs(fs, ClusterOptions{Blocked: true, FullSweep: true})
-	if !sameLabels(memo.Labels, full.Labels) {
+	blocks := memoBlocksFor(fs, cluster.Average)
+	fullPer, fullH, fullS := sweepBlockedCutFull(blocks, pooledCutCandidates(blocks), blockedFar(fs, blocks), len(fs.Records), 0.15, nil)
+	if !sameLabels(memo.Labels, stitchBlockedLabels(len(fs.Records), blocks, fullPer)) {
 		t.Error("memoized and full sweeps produced different labels")
 	}
-	if memo.CutHeight != full.CutHeight || memo.Silhouette != full.Silhouette {
+	if memo.CutHeight != fullH || memo.Silhouette != fullS {
 		t.Errorf("memo cut %v/%v, full cut %v/%v",
-			memo.CutHeight, memo.Silhouette, full.CutHeight, full.Silhouette)
+			memo.CutHeight, memo.Silhouette, fullH, fullS)
 	}
 
-	inc := NewIncrementalClusterer(fs, ClusterOptions{})
-	n := len(fs.Records)
-	for start := 0; start < n; start += 200 {
-		end := start + 200
-		if end > n {
-			end = n
-		}
-		for i := start; i < end; i++ {
-			inc.Add(i)
-		}
-		inc.Recluster()
-	}
-	// A second Recluster with no adds: every block reuses its cached
+	inc, _ := streamAll(fs, ClusterOptions{}, 200)
+	// One more Recluster with no adds: every block reuses its cached
 	// dendrogram and its cut memos — pure hits (no refreshes; the far
 	// estimate is unchanged), same result. SweepRescoredBlocks keeps
 	// growing because it counts structural segment crossings, not
@@ -251,7 +240,7 @@ func TestBlockedFullSweepOptionParity(t *testing.T) {
 	res := inc.Recluster()
 	after := inc.Stats()
 	if !sameLabels(res.Labels, memo.Labels) {
-		t.Error("incremental replay did not converge to the batch labels")
+		t.Error("incremental stream did not converge to the batch labels")
 	}
 	if res.CutHeight != memo.CutHeight || res.Silhouette != memo.Silhouette {
 		t.Errorf("incremental cut %v/%v, batch %v/%v",
@@ -430,7 +419,6 @@ func TestSweepBucketNoUnlistedKeys(t *testing.T) {
 	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3, 1.0, 2.5, 0.55} {
 		obs.sweepRescored(h, 1)
 		obs.heightSweptMemo(h, 2, true, 0.5, 1, 1, 1)
-		obs.sweepEvaluated(h, 1)
 	}
 	listed := map[string]bool{}
 	for _, b := range sweepBucketNames {
@@ -447,18 +435,16 @@ func TestSweepBucketNoUnlistedKeys(t *testing.T) {
 }
 
 // TestSweepMemoKParityInversionCorpus pins memo-vs-full k agreement on
-// a corpus whose dendrograms carry near-tie merge inversions. The
-// NN-chain stable sort in cluster.sortMerges can order a consuming
-// merge before its creator when two distances differ only at float32
-// granularity; the renumbering then substitutes leaf 0 for the missing
-// internal id, and the resulting merge is a same-component no-op at
-// cut time. A merge-count-based k (m − applied merges) overstates the
-// cluster count on such blocks, so both sweeps must derive k from the
-// labeling itself. This study corpus (seed 7, scale 0.03, 3 days) is
-// the smallest known reproduction; the ledger comparison below is the
-// regression the bug originally escaped through — the CLI's
-// deterministic mining ledgers diverging between -full-sweep and the
-// memoized default.
+// the study corpus (seed 7, scale 0.03, 3 days) that was the smallest
+// known reproduction of near-tie merge inversions: float32 rounding
+// left a consuming merge below its creator, the sort in
+// cluster.sortMerges put it first, and the renumbering substituted leaf
+// 0 for the missing operand, a same-component no-op merge that made a
+// merge-count k overstate the cluster count. sortMerges now raises such
+// a merge to its creator's height, so the arming check logs "disarmed"
+// and the parity assertions remain as a regression check, with the
+// ledger comparison the bug originally escaped through: the memoized
+// sweep's height_swept events against the unmemoized oracle's.
 func TestSweepMemoKParityInversionCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("study-corpus build is slow; skipping in -short")
@@ -481,13 +467,13 @@ func TestSweepMemoKParityInversionCorpus(t *testing.T) {
 	// (or warm) the memo sweep's cached cells.
 	fullBlocks := memoBlocksFor(fs, cluster.Average)
 	memoBlocks := memoBlocksFor(fs, cluster.Average)
-	cands := pooledCutCandidates(fullBlocks, 64)
+	cands := pooledCutCandidates(fullBlocks)
 	farD := blockedFar(fs, fullBlocks)
 
 	// Soft arming check: the regression is only exercised while the
-	// corpus still contains a duplicate-child (no-op merge) block. If a
-	// future sortMerges fix disarms it, the parity assertions below
-	// stay valid — just no longer load-bearing.
+	// corpus contains a duplicate-child (no-op merge) block, which the
+	// sortMerges fix removed. The parity assertions below stay valid —
+	// just no longer load-bearing.
 	armed := 0
 	for _, bd := range fullBlocks {
 		seen := make(map[int]int)
@@ -504,23 +490,13 @@ func TestSweepMemoKParityInversionCorpus(t *testing.T) {
 		}
 	}
 	if armed == 0 {
-		t.Log("corpus no longer carries a no-op-merge block; k-parity test is disarmed (harmless if sortMerges was fixed)")
+		t.Log("corpus carries no no-op-merge block; k-parity test is disarmed (sortMerges keeps every creator first)")
 	}
 
-	sweepLedger := func(run func(obs *blockedObs)) []MiningEvent {
-		led := NewMiningLedger()
-		obs := newBlockedObs(telemetry.New(), led, nil)
-		run(obs)
-		return led.Events()
-	}
-	var fullPer, memoPer [][]int
-	var fullH, memoH, fullS, memoS float64
-	fullEvents := sweepLedger(func(obs *blockedObs) {
-		_, fullPer, fullH, fullS = sweepBlockedCutFull(fullBlocks, cands, farD, nLive, tol, obs)
-	})
-	memoEvents := sweepLedger(func(obs *blockedObs) {
-		_, memoPer, memoH, memoS, _ = sweepBlockedCutMemo(memoBlocks, cands, farD, nLive, tol, obs)
-	})
+	fullLed, memoLed := NewMiningLedger(), NewMiningLedger()
+	fullPer, fullH, fullS := sweepBlockedCutFull(fullBlocks, cands, farD, nLive, tol, fullLed)
+	_, memoPer, memoH, memoS, _ := sweepBlockedCutMemo(memoBlocks, cands, farD, nLive, tol, newBlockedObs(telemetry.New(), memoLed, nil))
+	fullEvents, memoEvents := fullLed.Events(), memoLed.Events()
 	sweepsAgree(t, "inversion corpus", fs, fullPer, memoPer, fullH, memoH, fullS, memoS, fullBlocks)
 
 	// height_swept semantic attrs (height, k, valid, silhouette) must

@@ -88,10 +88,11 @@ func runTestPipelineInto(t *testing.T, out **Analysis, mod func(*PipelineOptions
 	*out = a
 }
 
-// TestClusterPairAccounting: on the pruned path, every unordered pair
-// must be classified exactly once as exact or pruned; on the exact
-// paths, all pairs are exact. The counts must cover n(n-1)/2 with
-// nothing dropped or double-counted.
+// TestClusterPairAccounting: every unordered pair must be classified
+// exactly once as exact or pruned — on the blocked path ("pruned")
+// pairs outside the blocks are pruned, on the exact path all pairs are
+// exact. The counts must cover n(n-1)/2 with nothing dropped or
+// double-counted.
 func TestClusterPairAccounting(t *testing.T) {
 	fs := parityFS(t, 1, 150)
 	n := int64(len(fs.Records))
@@ -99,9 +100,9 @@ func TestClusterPairAccounting(t *testing.T) {
 
 	t.Run("pruned", func(t *testing.T) {
 		reg := telemetry.New()
-		pruned := ClusterWPNs(fs, ClusterOptions{Prune: PruneOptions{Enabled: true}, Metrics: reg})
-		exact := ClusterWPNs(fs, ClusterOptions{Prune: PruneOptions{Enabled: true}})
-		if !sameLabels(pruned.Labels, exact.Labels) {
+		counted := ClusterWPNs(fs, ClusterOptions{Blocked: true, Metrics: reg})
+		plain := ClusterWPNs(fs, ClusterOptions{Blocked: true})
+		if !sameLabels(counted.Labels, plain.Labels) {
 			t.Error("pair counting changed clustering labels")
 		}
 		pairs := reg.Snapshot().Families["cluster_pairs"]
@@ -109,7 +110,7 @@ func TestClusterPairAccounting(t *testing.T) {
 			t.Errorf("exact %d + pruned %d = %d, want all %d pairs", pairs["exact"], pairs["pruned"], got, allPairs)
 		}
 		if pairs["pruned"] == 0 {
-			t.Error("pruning never skipped a pair; accounting test is vacuous")
+			t.Error("blocking never skipped a pair; accounting test is vacuous")
 		}
 		t.Logf("n=%d exact=%d pruned=%d (%.1f%% skipped)", n, pairs["exact"], pairs["pruned"],
 			100*float64(pairs["pruned"])/float64(allPairs))

@@ -7,7 +7,6 @@ import (
 
 	"pushadminer/internal/cluster"
 	"pushadminer/internal/simhash"
-	"pushadminer/internal/telemetry"
 )
 
 // This file implements the LSH-blocked clustering path (§5.1 at crawl-
@@ -59,9 +58,9 @@ type blockCutMemo struct {
 }
 
 // blockCutMemoCap bounds the per-block memo. Sweeps see at most
-// MaxCutCandidates (default 64) distinct segments, so the cap only
-// bites when candidate pools drift across many reclusters; eviction is
-// FIFO by insertion order, which is deterministic, and an entry still
+// maxCutCandidates distinct segments, so the cap only bites when
+// candidate pools drift across many reclusters; eviction is FIFO by
+// insertion order, which is deterministic, and an entry still
 // referenced by an in-flight sweep stays reachable through its pointer
 // even after leaving the map.
 const blockCutMemoCap = 192
@@ -126,34 +125,37 @@ func buildBlockDendrogram(fs *FeatureSet, members []int, linkage cluster.Linkage
 	return &blockDendrogram{members: members, dm: dm, dend: cluster.AgglomerativeLinkage(dm, linkage)}
 }
 
-// blockedParams resolves the blocking knobs from PruneOptions: bands
-// always positive (blocking is banding; the negative disable sentinel
-// falls back to the default), link = the cheap Hamming gate on bucket
-// pairs (MaxHamming, the same candidate bound the pruned path uses;
-// negative = every bucket pair reaches the distance check), distT =
-// the exact-distance confirmation (BlockDistance; negative disables —
-// ablation only, see the field doc).
-func blockedParams(p PruneOptions) (bands, link int, distT float64) {
-	p = p.withDefaults()
-	bands = p.Bands
-	if bands <= 0 {
-		bands = 8
-	}
-	return bands, p.MaxHamming, p.BlockDistance
-}
+// Blocking parameters, shared by the blocked batch path and the
+// incremental clusterer. Band collisions propose candidate pairs, the
+// Hamming gate filters them cheaply, and the soft-cosine distance
+// confirms: two records block together only when they are near in the
+// metric the clustering itself uses. Hamming admission alone cannot
+// serve here: any threshold loose enough to keep true clusters intact
+// (co-cluster pairs reach HD ≈ 20) admits enough random chain edges
+// (~0.1% of pairs at HD ≤ 20) to percolate the candidate graph into one
+// corpus-sized component at n in the thousands, degenerating blocked to
+// exact-plus-overhead. Distance confirmation is what breaks the chains:
+// spurious band/Hamming collisions are textually far (median
+// candidate-pair distance ≈ 0.5) while agglomeration cut heights stay
+// well under 0.3, and any cluster cut at height h is connected in the
+// ≤h threshold graph, so blocks at T ≥ h coarsen the exact partition by
+// construction.
+const (
+	// blockBands is the number of SimHash bit-bands (8-bit bands of the
+	// 64-bit fingerprint).
+	blockBands = 8
+	// blockMaxHamming is the Hamming gate on bucket pairs.
+	blockMaxHamming = 24
+	// blockDistance is the exact-distance confirmation threshold T.
+	blockDistance = 0.3
+)
 
 // blockedEdge reports whether records i and j (already sharing a band
 // bucket) are confirmed as a block edge: within the Hamming gate, then
-// near under the exact distance. The distance confirmation is what
-// keeps blocks from percolating at scale — spurious bucket collisions
-// are textually far, so the chains that would union the corpus into
-// one giant component never form, while every within-cluster pair sits
-// far below the threshold.
-func blockedEdge(fs *FeatureSet, i, j, link int, distT float64) bool {
-	if link >= 0 && !simhash.Near(fs.Hashes[i], fs.Hashes[j], link) {
-		return false
-	}
-	return distT < 0 || fs.Distance(i, j) <= distT
+// near under the exact distance.
+func blockedEdge(fs *FeatureSet, i, j int) bool {
+	return simhash.Near(fs.Hashes[i], fs.Hashes[j], blockMaxHamming) &&
+		fs.Distance(i, j) <= blockDistance
 }
 
 // unionBucketPairs unions every confirmed pair within one bucket
@@ -163,7 +165,7 @@ func blockedEdge(fs *FeatureSet, i, j, link int, distT float64) bool {
 // With a non-nil tally the edge test is inlined so each decision can be
 // attributed (gate-rejected / distance-checked / edge) — same logic,
 // same unions, so observation never changes the blocks.
-func unionBucketPairs(uf *cluster.UnionFind, fs *FeatureSet, ids []int, link int, distT float64, tally *blockedTally) {
+func unionBucketPairs(uf *cluster.UnionFind, fs *FeatureSet, ids []int, tally *blockedTally) {
 	for a := 0; a < len(ids); a++ {
 		for b := a + 1; b < len(ids); b++ {
 			i, j := ids[a], ids[b]
@@ -171,21 +173,19 @@ func unionBucketPairs(uf *cluster.UnionFind, fs *FeatureSet, ids []int, link int
 				continue
 			}
 			if tally == nil {
-				if blockedEdge(fs, i, j, link, distT) {
+				if blockedEdge(fs, i, j) {
 					uf.Union(i, j)
 				}
 				continue
 			}
 			tally.gateChecked++
-			if link >= 0 && !simhash.Near(fs.Hashes[i], fs.Hashes[j], link) {
+			if !simhash.Near(fs.Hashes[i], fs.Hashes[j], blockMaxHamming) {
 				tally.gateRejected++
 				continue
 			}
-			if distT >= 0 {
-				tally.distChecked++
-				if fs.Distance(i, j) > distT {
-					continue
-				}
+			tally.distChecked++
+			if fs.Distance(i, j) > blockDistance {
+				continue
 			}
 			tally.edges++
 			uf.Union(i, j)
@@ -197,14 +197,14 @@ func unionBucketPairs(uf *cluster.UnionFind, fs *FeatureSet, ids []int, link int
 // of the confirmed candidate graph. Output is canonical — blocks
 // ordered by smallest member, members ascending — regardless of bucket
 // iteration order.
-func blockedComponents(fs *FeatureSet, bands, link int, distT float64, tally *blockedTally) [][]int {
-	ix := simhash.NewBandIndex(bands)
+func blockedComponents(fs *FeatureSet, tally *blockedTally) [][]int {
+	ix := simhash.NewBandIndex(blockBands)
 	for i, h := range fs.Hashes {
 		ix.Add(i, h)
 	}
 	uf := cluster.NewUnionFind(len(fs.Hashes))
 	ix.ForEachGroup(func(ids []int) {
-		unionBucketPairs(uf, fs, ids, link, distT, tally)
+		unionBucketPairs(uf, fs, ids, tally)
 	})
 	return uf.Components()
 }
@@ -256,10 +256,9 @@ func cutBlocksAt(blocks []*blockDendrogram, h float64) (per [][]int, k int) {
 // terms (a(i), and b(i) against sibling clusters in the same block) use
 // the exact local distances; for items whose block holds a single
 // cluster, b(i) falls back to farD, the corpus-level cross-block far
-// estimate — the same role the substituted ApproxDistance entries play
-// in the pruned path's full-matrix silhouette. Singleton clusters score
-// 0, matching cluster.Silhouette. Accumulation order is fixed
-// (ascending local index), so the result is deterministic.
+// estimate (see blockedFar). Singleton clusters score 0, matching
+// cluster.Silhouette. Accumulation order is fixed (ascending local
+// index), so the result is deterministic.
 func blockSilhouetteSum(bd *blockDendrogram, lab []int, farD float64, multiBlock bool) float64 {
 	m := len(lab)
 	kb := 0
@@ -619,13 +618,13 @@ func realizeExactPerBlock(blocks []*blockDendrogram, members, labels []int) [][]
 // cut is the scalable path's tool; here the exact assignment is
 // authoritative.) Returns the possibly-coarsened blocks alongside the
 // per-block labelings.
-func sweepBlockedCutExact(fs *FeatureSet, blocks []*blockDendrogram, linkage cluster.Linkage, maxCandidates int, tol float64) (out []*blockDendrogram, per [][]int, height, sil float64) {
+func sweepBlockedCutExact(fs *FeatureSet, blocks []*blockDendrogram, linkage cluster.Linkage, tol float64) (out []*blockDendrogram, per [][]int, height, sil float64) {
 	members := blockedLiveMembers(blocks)
 	dm := cluster.Compute(len(members), func(i, j int) float64 {
 		return fs.Distance(members[i], members[j])
 	})
 	dend := cluster.AgglomerativeLinkage(dm, linkage)
-	best := cluster.BestCutConservative(dend, dm, maxCandidates, tol)
+	best := cluster.BestCutConservative(dend, dm, maxCutCandidates, tol)
 	if best.Clusters == len(members) {
 		// Degenerate sweep (no valid cut): leaves, like the exact path.
 		return blocks, leafPerBlocks(blocks), 0, 0
@@ -645,9 +644,8 @@ const sweepHeightDedupeTol = 1e-9
 
 // pooledCutCandidates pools every block's merge heights, dedupes them
 // (exact, then within sweepHeightDedupeTol), and samples down to
-// maxCandidates — the shared candidate source of the full and memoized
-// sweeps, which keeps the two modes scoring identical height sets.
-func pooledCutCandidates(blocks []*blockDendrogram, maxCandidates int) []float64 {
+// maxCutCandidates.
+func pooledCutCandidates(blocks []*blockDendrogram) []float64 {
 	var heights []float64
 	for _, bd := range blocks {
 		for _, mg := range bd.dend.Merges() {
@@ -664,10 +662,7 @@ func pooledCutCandidates(blocks []*blockDendrogram, maxCandidates int) []float64
 		}
 	}
 	dedup = cluster.DedupeCutHeights(dedup, sweepHeightDedupeTol)
-	if maxCandidates <= 0 {
-		maxCandidates = 64
-	}
-	return cluster.SampleCutHeights(dedup, maxCandidates)
+	return cluster.SampleCutHeights(dedup, maxCutCandidates)
 }
 
 // sweepEval is one candidate height's outcome in a pooled sweep.
@@ -677,8 +672,8 @@ type sweepEval struct {
 	k     int
 }
 
-// selectSweepCut applies the cut-selection policy shared by the full
-// and memoized sweeps (the same policy as cluster.bestCut): highest
+// selectSweepCut applies the pooled sweep's cut-selection policy (the
+// same policy as cluster.BestCutConservative): highest
 // valid silhouette wins; with tol > 0, the lowest height within tol of
 // it wins instead. Returns the chosen candidate index, or -1 when no
 // valid cut exists. evals must be in ascending height order.
@@ -716,16 +711,16 @@ func leafPerBlocks(blocks []*blockDendrogram) [][]int {
 
 // sweepMemoStats summarizes one memoized sweep's delta-vs-full
 // accounting. Outcome counts are per (candidate × block) cell of the
-// sweep grid: a full sweep re-cuts and re-scores every cell; the memo
-// computes only misses (cut + score) and refreshes (score only, the
-// cached labeling reused under a new far estimate) and serves every
-// other cell from cache.
+// sweep grid: an unmemoized sweep re-cuts and re-scores every cell;
+// the memo computes only misses (cut + score) and refreshes (score
+// only, the cached labeling reused under a new far estimate) and
+// serves every other cell from cache.
 type sweepMemoStats struct {
 	hits, refreshes, misses int64
 	// rescoredBlocks is Σ over candidates of blocks whose labeling
 	// changed at that height — the memo path's actual re-cut volume.
 	rescoredBlocks int64
-	// scoredPairs / savedPairs split the full sweep's per-height
+	// scoredPairs / savedPairs split an unmemoized sweep's per-height
 	// within-block pair re-reads into performed vs. skipped.
 	scoredPairs, savedPairs int64
 }
@@ -733,87 +728,17 @@ type sweepMemoStats struct {
 // sweepBlockedCut selects the global cut height. At validation scale it
 // defers to sweepBlockedCutExact (which may coarsen the blocks with
 // missed threshold edges — the returned slice supersedes the caller's);
-// beyond it, it sweeps the pooled per-block merge heights, memoized by
-// default (sweepBlockedCutMemo) or exhaustively under fullSweep
-// (sweepBlockedCutFull, the bit-identical reference). Returns the
-// blocks to stitch with and their chosen per-block labelings.
-func sweepBlockedCut(fs *FeatureSet, blocks []*blockDendrogram, linkage cluster.Linkage, nLive, maxCandidates int, tol float64, fullSweep bool, obs *blockedObs) (out []*blockDendrogram, per [][]int, height, sil float64, ms sweepMemoStats) {
+// beyond it, it runs the memoized sweep over the pooled per-block merge
+// heights (sweepBlockedCutMemo). Returns the blocks to stitch with and
+// their chosen per-block labelings.
+func sweepBlockedCut(fs *FeatureSet, blocks []*blockDendrogram, linkage cluster.Linkage, nLive int, tol float64, obs *blockedObs) (out []*blockDendrogram, per [][]int, height, sil float64, ms sweepMemoStats) {
 	if nLive <= blockedExactSweepMaxN {
 		// The validation-scale exact sweep has no per-height pooled
 		// scoring, so it emits no sweep attribution or height events.
-		out, per, height, sil = sweepBlockedCutExact(fs, blocks, linkage, maxCandidates, tol)
+		out, per, height, sil = sweepBlockedCutExact(fs, blocks, linkage, tol)
 		return out, per, height, sil, ms
 	}
-	cands := pooledCutCandidates(blocks, maxCandidates)
-	farD := blockedFar(fs, blocks)
-	if fullSweep {
-		out, per, height, sil = sweepBlockedCutFull(blocks, cands, farD, nLive, tol, obs)
-		return out, per, height, sil, ms
-	}
-	return sweepBlockedCutMemo(blocks, cands, farD, nLive, tol, obs)
-}
-
-// sweepBlockedCutFull is the unmemoized pooled sweep: every candidate
-// height re-cuts every block and re-scores the full blocked silhouette.
-// O(heights × blocks) — it survives as the reference the memoized sweep
-// is parity-tested against and as the bench baseline measuring what the
-// memo saves (ClusterOptions.FullSweep).
-func sweepBlockedCutFull(blocks []*blockDendrogram, cands []float64, farD float64, nLive int, tol float64, obs *blockedObs) (out []*blockDendrogram, per [][]int, height, sil float64) {
-	obs.setHeightsTotal(len(cands))
-	// Pairs one silhouette evaluation re-reads: every within-block pair,
-	// identical for each valid height.
-	var evalPairs int64
-	if obs != nil {
-		for _, bd := range blocks {
-			m := int64(len(bd.members))
-			evalPairs += m * (m - 1) / 2
-		}
-	}
-
-	// Candidate heights are scored in parallel (each evaluation is
-	// independent: cut every block, sum block silhouettes) and reduced
-	// serially in ascending height order, so the selection is identical
-	// to the serial loop. Per-height timings go straight to the atomic
-	// sweep family; ledger events are buffered in evals and flushed
-	// serially below in ascending height order.
-	evals := make([]sweepEval, len(cands))
-	if obs == nil {
-		fanOut(len(cands), 0, func(ci int) {
-			p, k := cutBlocksAt(blocks, cands[ci])
-			if k < 2 || k >= nLive {
-				evals[ci] = sweepEval{k: k}
-				return
-			}
-			evals[ci] = sweepEval{sil: blockedSilhouette(blocks, p, farD, nLive), valid: true, k: k}
-		})
-	} else {
-		fanOut(len(cands), 0, func(ci int) {
-			start := time.Now()
-			p, k := cutBlocksAt(blocks, cands[ci])
-			if k >= 2 && k < nLive {
-				evals[ci] = sweepEval{sil: blockedSilhouette(blocks, p, farD, nLive), valid: true, k: k}
-			} else {
-				evals[ci] = sweepEval{k: k}
-			}
-			obs.sweepEvaluated(cands[ci], time.Since(start).Nanoseconds())
-		})
-		for ci, e := range evals {
-			scored := int64(0)
-			if e.valid {
-				scored = evalPairs
-			}
-			// The full sweep re-cuts every block at every height.
-			obs.heightSwept(cands[ci], e.k, e.valid, e.sil, len(blocks), scored)
-		}
-	}
-	best := selectSweepCut(evals, tol)
-	if best < 0 {
-		// Degenerate: no valid cut (e.g. nLive == 2). Fall back to
-		// leaves, like the exact sweep.
-		return blocks, leafPerBlocks(blocks), 0, 0
-	}
-	per, _ = cutBlocksAt(blocks, cands[best])
-	return blocks, per, cands[best], evals[best].sil
+	return sweepBlockedCutMemo(blocks, pooledCutCandidates(blocks), blockedFar(fs, blocks), nLive, tol, obs)
 }
 
 // sweepBlockedCutMemo is the memoized pooled sweep. The invariant it
@@ -828,7 +753,9 @@ func sweepBlockedCutFull(blocks []*blockDendrogram, cands []float64, farD float6
 // order maintaining the cluster count and per-block contributions as
 // running state, summing the global silhouette in ascending block order
 // — the same accumulation order as blockedSilhouette — so labels, cut
-// height, and silhouette are bit-identical to sweepBlockedCutFull.
+// height, and silhouette are bit-identical to an unmemoized sweep that
+// re-cuts and re-scores every block at every height (the parity tests
+// keep one as the oracle).
 // Memo entries persist on the blockDendrogram, so an incremental
 // Recluster that reuses a clean block also reuses its swept
 // contributions (a changed far estimate downgrades them to refreshes:
@@ -854,12 +781,10 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 		m  *blockCutMemo
 		h  float64
 	}
-	// rescore fills one fresh/refreshed cell. kb comes from the
-	// labeling, not from m − seg: the two differ when a sorted merge
-	// list carries same-component no-op merges (an artifact of near-tie
-	// inversions in the NN-chain order), and the full sweep counts the
-	// labeling's clusters — so must the memo, or the reported k drifts
-	// between the modes.
+	// rescore fills one fresh/refreshed cell. kb is counted off the
+	// labeling, the same count cutBlocksAt reports. It equals m − seg
+	// because every sorted merge joins two distinct clusters
+	// (cluster.sortMerges keeps each operand's creator first).
 	rescore := func(t sweepTask) {
 		if t.m.lab == nil {
 			t.m.lab = t.bd.dend.CutByHeight(t.h)
@@ -968,21 +893,15 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 	return blocks, per, cands[best], evals[best].sil, ms
 }
 
-// recordBlockedPairs accounts exact-vs-pruned pair counts for the
-// blocked path: within-block pairs were computed exactly, everything
-// else was never touched.
-func recordBlockedPairs(reg *telemetry.Registry, nLive int, comps [][]int) {
-	if reg == nil {
-		return
-	}
-	pairs := reg.Family("cluster_pairs", "kind")
+// withinBlockPairs counts the pairs inside the blocks: the pairs whose
+// exact distance the blocked path computes.
+func withinBlockPairs(comps [][]int) int64 {
 	var exact int64
 	for _, c := range comps {
 		m := int64(len(c))
 		exact += m * (m - 1) / 2
 	}
-	pairs.With("exact").Add(exact)
-	pairs.With("pruned").Add(int64(nLive)*int64(nLive-1)/2 - exact)
+	return exact
 }
 
 // clusterWPNsBlocked is the batch entry point of the blocked path; see
@@ -991,22 +910,13 @@ func clusterWPNsBlocked(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 	st := newStageTimer(opts.Metrics, opts.Tracer, opts.parent, opts.Ledger, opts.prog)
 	obs := newBlockedObs(opts.Metrics, opts.Ledger, opts.prog)
 	n := len(fs.Records)
-	bands, link, distT := blockedParams(opts.Prune)
 
 	done := st.stage("blocks")
 	tally := obs.tally()
-	comps := blockedComponents(fs, bands, link, distT, tally)
+	comps := blockedComponents(fs, tally)
 	done()
 	obs.recordTally(tally)
-	recordBlockedPairs(opts.Metrics, n, comps)
-	if opts.prog != nil {
-		var exact int64
-		for _, c := range comps {
-			m := int64(len(c))
-			exact += m * (m - 1) / 2
-		}
-		opts.prog.addPairs(exact, int64(n)*int64(n-1)/2-exact)
-	}
+	recordPairs(opts, n, withinBlockPairs(comps))
 
 	done = st.stage("block_linkage")
 	blocks := buildBlockDendrograms(fs, comps, opts.Linkage, obs)
@@ -1023,7 +933,7 @@ func clusterWPNsBlocked(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 			sil = blockedSilhouette(blocks, per, blockedFar(fs, blocks), n)
 		}
 	} else {
-		blocks, per, height, sil, _ = sweepBlockedCut(fs, blocks, opts.Linkage, n, opts.MaxCutCandidates, opts.conservativeTol(), opts.FullSweep, obs)
+		blocks, per, height, sil, _ = sweepBlockedCut(fs, blocks, opts.Linkage, n, opts.conservativeTol(), obs)
 	}
 	labels := stitchBlockedLabels(n, blocks, per)
 	done()
@@ -1033,7 +943,7 @@ func clusterWPNsBlocked(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 	}
 	res := finishClusterResult(fs, labels, height, sil)
 	if opts.BuildMedoids {
-		res.Medoids = newMedoidIndex(fs, blockMedoids(blocks, per, labels), height, sil, bands)
+		res.Medoids = newMedoidIndex(fs, blockMedoids(blocks, per, labels), height, sil)
 	}
 	return res
 }

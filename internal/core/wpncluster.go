@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"pushadminer/internal/cluster"
-	"pushadminer/internal/simhash"
 	"pushadminer/internal/telemetry"
 	"pushadminer/internal/urlx"
 )
@@ -31,77 +30,13 @@ type WPNCluster struct {
 // Singleton reports whether the cluster holds a single message.
 func (c *WPNCluster) Singleton() bool { return len(c.Members) == 1 }
 
-// PruneOptions configure SimHash-banded candidate pruning of the
-// pairwise distance matrix: records whose fingerprints neither share a
-// bit-band nor sit within MaxHamming bits are assumed far apart and
-// skip the exact soft-cosine evaluation, taking the cheap
-// document-vector estimate (FeatureSet.ApproxDistance) instead. The
-// zero value disables pruning (exact everywhere — the parity fallback);
-// set Enabled for the pruned fast path.
-type PruneOptions struct {
-	// Enabled turns pruning on. Off by default so results are exact
-	// unless explicitly traded for speed.
-	Enabled bool
-	// Bands is the number of SimHash bit-bands. 0 means the default of
-	// 8 (i.e. 8-bit bands); a negative value disables the band test
-	// entirely, so pairs are admitted by MaxHamming alone. More bands
-	// admit more candidate pairs (safer, slower). The blocked path
-	// (ClusterOptions.Blocked) always needs banding, so there a
-	// negative value falls back to the default.
-	Bands int
-	// MaxHamming admits any pair within this Hamming distance
-	// regardless of banding. 0 means the default of 24; a negative
-	// value disables the Hamming admission, so only band-sharing pairs
-	// survive.
-	MaxHamming int
-	// BlockDistance is the exact-distance confirmation threshold for
-	// the blocked path's union edges: band collisions propose candidate
-	// pairs, Near(MaxHamming) gates them cheaply, and the soft-cosine
-	// distance confirms — two records block together only when they are
-	// near in the metric the clustering itself uses. Hamming admission
-	// alone cannot serve here: any threshold loose enough to keep true
-	// clusters intact (co-cluster pairs reach HD ≈ 20) admits enough
-	// random chain edges (~0.1% of pairs at HD ≤ 20) to percolate the
-	// candidate graph into one corpus-sized component at n in the
-	// thousands, degenerating blocked to exact-plus-overhead. Distance
-	// confirmation is what breaks the chains: spurious band/Hamming
-	// collisions are textually far (median candidate-pair distance
-	// ≈ 0.5) while agglomeration cut heights stay well under 0.3, and
-	// any cluster cut at height h is connected in the ≤h threshold
-	// graph, so blocks at T ≥ h coarsen the exact partition by
-	// construction. 0 means the default of 0.3; a negative value
-	// disables the confirmation (band + Hamming alone link — ablation
-	// only, percolates at scale).
-	BlockDistance float64
-	// PrunedDistance, if > 0, is stored verbatim for skipped pairs
-	// instead of the document-vector estimate. The constant is faster
-	// but distorts the silhouette sweep; leave zero unless the cut
-	// height is fixed anyway.
-	PrunedDistance float64
-}
-
-// withDefaults resolves the 0-means-default sentinels. Negative values
-// are preserved: they mean "disabled", which a caller could not express
-// before (passing 0 silently got 24/8). Disabling both tests keeps no
-// pair at all — every distance becomes the far estimate — which is
-// almost never what you want; disable at most one.
-func (p PruneOptions) withDefaults() PruneOptions {
-	if p.Bands == 0 {
-		p.Bands = 8
-	}
-	if p.MaxHamming == 0 {
-		p.MaxHamming = 24
-	}
-	if p.BlockDistance == 0 {
-		p.BlockDistance = 0.3
-	}
-	return p
-}
+// maxCutCandidates bounds the silhouette sweep: at most this many
+// candidate cut heights are scored, sampled evenly over the distinct
+// merge heights with the first and last always included.
+const maxCutCandidates = 64
 
 // ClusterOptions configure the first-stage clustering.
 type ClusterOptions struct {
-	// MaxCutCandidates bounds the silhouette sweep (default 64).
-	MaxCutCandidates int
 	// FixedCutHeight, if > 0, bypasses the silhouette selection and cuts
 	// the dendrogram at this height (ablation A1).
 	FixedCutHeight float64
@@ -112,61 +47,35 @@ type ClusterOptions struct {
 	// Linkage selects the agglomeration rule (default cluster.Average,
 	// the paper's UPGMA; Single/Complete support the linkage ablation).
 	Linkage cluster.Linkage
-	// Prune enables SimHash-banded candidate pruning of the distance
-	// matrix (see PruneOptions). Off by default.
-	Prune PruneOptions
 	// Blocked selects the sub-quadratic LSH-blocked path: candidate
 	// pairs are generated *from* the SimHash band index (instead of
-	// filtering an all-pairs scan), grouped into connected-component
-	// blocks by union-find, clustered exactly within each block in
-	// parallel, and stitched under one globally swept cut height. Cost
-	// tracks the candidate count, not n². Prune.Bands, Prune.MaxHamming
-	// and Prune.BlockDistance parameterize the blocking (Enabled is
-	// ignored); see DESIGN.md "Streaming mining". Naive takes
-	// precedence.
+	// an all-pairs scan), grouped into connected-component blocks by
+	// union-find, clustered exactly within each block in parallel, and
+	// stitched under one globally swept cut height. Cost tracks the
+	// candidate count, not n². The blocking is fixed by blockBands,
+	// blockMaxHamming and blockDistance; see DESIGN.md "Streaming
+	// mining".
 	Blocked bool
-	// FullSweep forces the unmemoized pooled cut sweep above the
-	// validation-scale crossover: every candidate height re-cuts and
-	// re-scores every block. The default memoized sweep is bit-identical
-	// (labels, cut height, silhouette — the parity matrix asserts it)
-	// and strictly cheaper; this exists as the reference for that parity
-	// and as the bench baseline measuring what the memo saves. Ignored
-	// below the crossover, where the exact sweep machinery runs.
-	FullSweep bool
 	// BuildMedoids attaches the persistable medoid classify index
 	// (campaign medoids + chosen cut; see MedoidIndex) to the blocked
-	// batch result, at the cost of one medoid pass over the blocks. The
-	// incremental path always attaches it — the pass is already paid
-	// for there. See PipelineOptions.MedoidIndexPath.
+	// batch result, at the cost of one medoid pass over the blocks.
+	// IncrementalClusterer.MedoidIndex exports the same index from a
+	// stream. See PipelineOptions.MedoidIndexPath.
 	BuildMedoids bool
-	// Incremental mines the records as a replayed stream: an
-	// IncrementalClusterer adds them in IncrementalBatch-sized batches,
-	// re-clustering only dirty blocks after each. The final result is
-	// identical to the Blocked batch path; the point is exercising (and
-	// timing) the resumable service loop. Implies Blocked.
-	Incremental bool
-	// IncrementalBatch is the replay batch size (default 256).
-	IncrementalBatch int
-	// Naive selects the pre-optimization reference path: per-pair
-	// distances that recompute both self quad-forms, no pruning, and
-	// the serial silhouette sweep. The parity tests assert it yields
-	// bit-identical labels, cut height, and silhouette to the cached
-	// path; the benchmarks measure the gap.
-	Naive bool
 
 	// Metrics, when non-nil, records clustering-stage wall-times
 	// (distance_matrix, linkage, cut, silhouette) in the
-	// mining_stage_ns family and, on the pruned path, the
-	// cluster_pairs family's exact-vs-pruned pair counts. Nil disables
-	// with no overhead on the distance hot loop.
+	// mining_stage_ns family and the cluster_pairs family's
+	// exact-vs-pruned pair counts. Nil disables with no overhead on the
+	// distance hot loop.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, emits one span per clustering stage. Nil
 	// disables. RunPipeline threads its own registry/tracer (and the
 	// pipeline root span) through these when they are unset.
 	Tracer *telemetry.Tracer
 	// Ledger, when non-nil, records a deterministic event stream of the
-	// run (stage brackets, blocks clustered, heights swept, incremental
-	// batches) — byte-stable across reruns at a fixed seed, unlike the
+	// run (stage brackets, blocks clustered, heights swept, recluster
+	// rounds) — byte-stable across reruns at a fixed seed, unlike the
 	// timing-carrying telemetry snapshot. Works with or without
 	// Metrics/Tracer. See DESIGN.md "Mining observability plane".
 	Ledger *MiningLedger
@@ -196,15 +105,17 @@ type ClusterResult struct {
 	Silhouette float64
 	Labels     []int
 	// Medoids is the persistable medoid classify index — populated by
-	// the incremental path, and by the blocked batch path when
-	// ClusterOptions.BuildMedoids is set. Nil otherwise.
+	// the blocked path when ClusterOptions.BuildMedoids is set. Nil
+	// otherwise.
 	Medoids *MedoidIndex
 }
 
 // ClusterWPNs runs the §5.1.1 pipeline stage: pairwise distances,
 // average-linkage agglomerative clustering, and a silhouette-chosen
 // dendrogram cut, then derives per-cluster source/landing domain sets
-// and the ad-campaign label.
+// and the ad-campaign label. It has two routes: the exact one (the
+// default: every pair's distance, one global dendrogram) and the
+// blocked one (ClusterOptions.Blocked).
 func ClusterWPNs(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 	// Stand up the live /miningz status for a standalone clustering run
 	// when any observation sink is attached (RunPipeline creates and
@@ -214,82 +125,16 @@ func ClusterWPNs(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 		opts.prog = newMiningProgress(clusterMode(opts), len(fs.Records))
 		defer opts.prog.finish()
 	}
-	if !opts.Naive {
-		if opts.Incremental {
-			return clusterWPNsIncremental(fs, opts)
-		}
-		if opts.Blocked {
-			return clusterWPNsBlocked(fs, opts)
-		}
+	if opts.Blocked {
+		return clusterWPNsBlocked(fs, opts)
 	}
 	st := newStageTimer(opts.Metrics, opts.Tracer, opts.parent, opts.Ledger, opts.prog)
 	n := len(fs.Records)
 
-	// Pair accounting: exact = pairs whose soft-cosine distance was
-	// computed, pruned = pairs skipped by the SimHash filter. On the
-	// unmasked paths every pair is exact. Resolved only when metrics
-	// are enabled so the disabled hot loop stays untouched.
-	var exactPairs, prunedPairs *telemetry.Counter
-	if opts.Metrics != nil {
-		pairs := opts.Metrics.Family("cluster_pairs", "kind")
-		exactPairs, prunedPairs = pairs.With("exact"), pairs.With("pruned")
-	}
-
-	// Deltas (not absolute Value()s) go to the live status: the registry
-	// may span several runs, the progress accumulator is per-run.
-	exactBefore, prunedBefore := exactPairs.Value(), prunedPairs.Value()
-
-	var dm *cluster.DistMatrix
 	done := st.stage("distance_matrix")
-	switch {
-	case opts.Naive:
-		dm = cluster.Compute(n, fs.NaiveDistance)
-		exactPairs.Add(int64(n) * int64(n-1) / 2)
-	case opts.Prune.Enabled:
-		p := opts.Prune.withDefaults()
-		// Negative sentinels disable a test (see PruneOptions); the
-		// closure is specialized so the hot loop never re-checks them.
-		var keep func(i, j int) bool
-		switch {
-		case p.Bands > 0 && p.MaxHamming > 0:
-			keep = func(i, j int) bool {
-				return simhash.SharesBand(fs.Hashes[i], fs.Hashes[j], p.Bands) ||
-					simhash.Near(fs.Hashes[i], fs.Hashes[j], p.MaxHamming)
-			}
-		case p.Bands > 0:
-			keep = func(i, j int) bool {
-				return simhash.SharesBand(fs.Hashes[i], fs.Hashes[j], p.Bands)
-			}
-		case p.MaxHamming > 0:
-			keep = func(i, j int) bool {
-				return simhash.Near(fs.Hashes[i], fs.Hashes[j], p.MaxHamming)
-			}
-		default:
-			keep = func(i, j int) bool { return false }
-		}
-		if exactPairs != nil {
-			inner := keep
-			keep = func(i, j int) bool {
-				if inner(i, j) {
-					exactPairs.Inc()
-					return true
-				}
-				prunedPairs.Inc()
-				return false
-			}
-		}
-		far := fs.ApproxDistance
-		if p.PrunedDistance > 0 {
-			c := p.PrunedDistance
-			far = func(i, j int) float64 { return c }
-		}
-		dm = cluster.ComputeMasked(n, fs.Distance, keep, far)
-	default:
-		dm = cluster.Compute(n, fs.Distance)
-		exactPairs.Add(int64(n) * int64(n-1) / 2)
-	}
+	dm := cluster.Compute(n, fs.Distance)
 	done()
-	opts.prog.addPairs(exactPairs.Value()-exactBefore, prunedPairs.Value()-prunedBefore)
+	recordPairs(opts, n, int64(n)*int64(n-1)/2)
 
 	done = st.stage("linkage")
 	dend := cluster.AgglomerativeLinkage(dm, opts.Linkage)
@@ -305,17 +150,12 @@ func ClusterWPNs(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 		done = st.stage("silhouette")
 		sil = cluster.Silhouette(dm, labels)
 		done()
-	} else if opts.Naive {
+	} else {
 		// The conservative sweep evaluates candidate cuts and their
 		// silhouettes in one pass, so cut and silhouette time fuse
 		// into the "cut" stage here.
 		done = st.stage("cut")
-		best := cluster.BestCutConservativeSerial(dend, dm, opts.MaxCutCandidates, opts.conservativeTol())
-		done()
-		labels, height, sil = best.Labels, best.Height, best.Silhouette
-	} else {
-		done = st.stage("cut")
-		best := cluster.BestCutConservative(dend, dm, opts.MaxCutCandidates, opts.conservativeTol())
+		best := cluster.BestCutConservative(dend, dm, maxCutCandidates, opts.conservativeTol())
 		done()
 		labels, height, sil = best.Labels, best.Height, best.Silhouette
 	}
@@ -326,11 +166,24 @@ func ClusterWPNs(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 	return finishClusterResult(fs, labels, height, sil)
 }
 
+// recordPairs accounts the run's pairs in the cluster_pairs family and
+// the live status: exact pairs had their soft-cosine distance
+// computed; the rest of the n(n−1)/2 (pruned) were never touched.
+func recordPairs(opts ClusterOptions, n int, exact int64) {
+	pruned := int64(n)*int64(n-1)/2 - exact
+	if opts.Metrics != nil {
+		pairs := opts.Metrics.Family("cluster_pairs", "kind")
+		pairs.With("exact").Add(exact)
+		pairs.With("pruned").Add(pruned)
+	}
+	opts.prog.addPairs(exact, pruned)
+}
+
 // finishClusterResult derives the per-cluster source/landing domain
-// sets and ad-campaign labels from a labeling — the tail every
-// clustering path (exact, pruned, blocked, incremental) shares.
-// Negative labels mark records not yet covered (an incremental
-// clusterer mid-stream) and produce no cluster.
+// sets and ad-campaign labels from a labeling — the tail the exact,
+// blocked and incremental clusterings share. Negative labels mark
+// records not yet covered (an incremental clusterer mid-stream) and
+// produce no cluster.
 func finishClusterResult(fs *FeatureSet, labels []int, height, sil float64) *ClusterResult {
 	members := cluster.Members(labels)
 	delete(members, -1)

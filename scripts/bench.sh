@@ -94,7 +94,7 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 			} else if (unit == "exact-pairs") {
 				# Blocked-path pair accounting: soft-cosine evaluations
 				# actually performed (Σ|B|² within blocks), vs n(n-1)/2
-				# for any exact mode.
+				# on the exact route.
 				extras = extras sprintf(", \"exact_pairs\": %.0f", $(i))
 			} else if (unit == "memo-hits") {
 				# Memoized-sweep accounting: (height, block) cells served
@@ -102,8 +102,7 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 				extras = extras sprintf(", \"sweep_memo_hits\": %.0f", $(i))
 			} else if (unit == "blocks-rescored") {
 				# Blocks actually crossed+summed per height, totalled over
-				# the sweep (= heights × blocks on the full sweep; far
-				# smaller memoized).
+				# the sweep (far fewer than heights × blocks).
 				extras = extras sprintf(", \"sweep_blocks_rescored\": %.0f", $(i))
 			}
 		}
@@ -117,20 +116,6 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 	}
 	END {
 		speed = ""
-		naive   = nsof["BenchmarkClusterWPNs/2000/naive"]
-		cached  = nsof["BenchmarkClusterWPNs/2000/cached"]
-		pruned  = nsof["BenchmarkClusterWPNs/2000/pruned"]
-		blocked = nsof["BenchmarkClusterWPNs/2000/blocked"]
-		if (naive != "" && cached != "")
-			speed = speed sprintf(",\n  \"speedup_n2000_naive_vs_cached\": %.2f", naive / cached)
-		if (naive != "" && pruned != "")
-			speed = speed sprintf(",\n  \"speedup_n2000_naive_vs_pruned\": %.2f", naive / pruned)
-		if (pruned != "" && blocked != "")
-			speed = speed sprintf(",\n  \"speedup_n2000_pruned_vs_blocked\": %.2f", pruned / blocked)
-		fullsw = nsof["BenchmarkClusterWPNsBlockedLarge/50000/fullsweep"]
-		memo   = nsof["BenchmarkClusterWPNsBlockedLarge/50000/blocked"]
-		if (fullsw != "" && memo != "")
-			speed = speed sprintf(",\n  \"speedup_n50000_fullsweep_vs_memo\": %.2f", fullsw / memo)
 		for (n = 50; n <= 200; n += 150) {
 			s = nsof["BenchmarkCrawlMonitor/" n "/serial"]
 			p = nsof["BenchmarkCrawlMonitor/" n "/parallel"]

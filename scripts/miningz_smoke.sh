@@ -93,8 +93,7 @@ grep -q '"active": true' "$TMPD/miningz.json" || {
 echo "==> miningz smoke: schema assertions"
 for key in '"stage"' '"mode": "blocked"' '"records"' '"blocks_total"' \
 	'"blocks_done"' '"heights_total"' '"pairs_exact"' '"pairs_pruned"' \
-	'"sweep_blocks_rescored"' '"sweep_memo_hits"' \
-	'"recluster_queue_depth"' '"done"'; do
+	'"sweep_blocks_rescored"' '"sweep_memo_hits"' '"done"'; do
 	grep -q "$key" "$TMPD/miningz.json" || {
 		echo "miningz smoke: /miningz JSON missing $key" >&2
 		cat "$TMPD/miningz.json" >&2
