@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet verify bench bench-crawl bench-check telemetry-smoke fleetz-smoke mining-smoke miningz-smoke profile-mining
+.PHONY: build test race vet verify bench bench-crawl bench-check telemetry-smoke mining-smoke profile-mining
 
 build:
 	$(GO) build ./...
@@ -36,16 +36,12 @@ bench-check:
 	sh scripts/bench_check.sh
 
 # telemetry-smoke runs the same seeded chaos crawl+mine as a one-shard
-# and a 4-shard fleet under worker kills, requires byte-identical
-# output, and validates the snapshot against the golden key-set.
+# and a 4-shard fleet under worker kills and requires byte-identical
+# output, then reruns a blocked mine for ledger byte-stability; it
+# scrapes the live /fleetz and /miningz views and checks the snapshots
+# against the golden key-sets.
 telemetry-smoke:
 	sh scripts/telemetry_smoke.sh
-
-# fleetz-smoke runs a 4-shard chaos crawl with the debug server up and
-# asserts the live /fleetz introspection view (JSON schema + wpnstat
-# dashboard) and the fleet event ledger.
-fleetz-smoke:
-	sh scripts/fleetz_smoke.sh
 
 # mining-smoke runs the blocked-vs-exact parity matrix (3 seeds × 3
 # linkages), the incremental-converges-to-batch checks and the linkage
@@ -54,13 +50,6 @@ mining-smoke:
 	$(GO) test -count=1 \
 		-run '^(TestClusterParityBlockedVsExact|TestBlockedComponentsPartition|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties)$$' \
 		./internal/core/ ./internal/cluster/
-
-# miningz-smoke runs a blocked mine with the debug server up and asserts
-# the live /miningz introspection view (JSON schema + wpnstat dashboard),
-# the deterministic mining ledger's byte-stability across reruns, and the
-# blocked-only telemetry keys.
-miningz-smoke:
-	sh scripts/miningz_smoke.sh
 
 # profile-mining captures CPU/heap pprof profiles of the n=50k blocked
 # clustering benchmark plus its sweep_ns cut-sweep attribution, under

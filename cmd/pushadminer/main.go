@@ -31,10 +31,10 @@
 //	-metrics-out P write the final telemetry snapshot (crawler counters,
 //	               mining stage wall-times, per-host request counts) to P
 //	-trace-out P   write attack-chain + mining-stage spans as JSONL to P
-//	-mining-ledger P write the deterministic mining event ledger
-//	               (stage brackets, blocks, heights, the chosen cut)
-//	               as JSONL to P; byte-stable across reruns at a
-//	               fixed seed
+//	-ledger P      write the run's event ledger as JSONL to P: each
+//	               crawl's control-plane events, then the mining
+//	               events (stage brackets, blocks, heights, the chosen
+//	               cut); byte-stable across reruns at a fixed seed
 //	-linger D      keep the process (and its debug server) alive for D
 //	               after the run, so /miningz and /metrics can be
 //	               scraped post-completion
@@ -68,7 +68,7 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "loopback addr serving /debug/pprof, /debug/vars, /metrics and /miningz (e.g. 127.0.0.1:6060)")
 		metricsOut = flag.String("metrics-out", "", "write final telemetry snapshot JSON to this path")
 		traceOut   = flag.String("trace-out", "", "write trace spans as JSONL to this path")
-		ledgerOut  = flag.String("mining-ledger", "", "write the deterministic mining event ledger as JSONL to this path")
+		ledgerOut  = flag.String("ledger", "", "write the run's deterministic event ledger (crawl control plane, then mining) as JSONL to this path")
 		linger     = flag.Duration("linger", 0, "keep the process (and debug server) alive this long after the run")
 	)
 	flag.Parse()
@@ -104,9 +104,9 @@ func main() {
 		defer srv.Close()
 		logf("debug server on http://%s (/debug/pprof, /debug/vars, /metrics, /miningz)", srv.Addr())
 	}
-	var ledger *core.MiningLedger
+	var ledger *telemetry.Ledger
 	if *ledgerOut != "" {
-		ledger = core.NewMiningLedger()
+		ledger = telemetry.NewLedger()
 	}
 
 	// Periodic mining-progress lines off the live /miningz status.
@@ -122,7 +122,7 @@ func main() {
 				case <-stopProgress:
 					return
 				case <-tick.C:
-					if ms := core.CurrentMiningStatus(); ms != nil && !ms.Done {
+					if ms, _ := telemetry.Status("mining").(*core.MiningStatus); ms != nil && !ms.Done {
 						log.Printf("mining: stage=%s blocks=%d/%d heights=%d/%d",
 							ms.Stage, ms.BlocksDone, ms.BlocksTotal, ms.HeightsDone, ms.HeightsTotal)
 					}
@@ -138,10 +138,10 @@ func main() {
 		CollectionWindow: time.Duration(*days) * 24 * time.Hour,
 		Metrics:          reg,
 		Tracer:           tracer,
+		Ledger:           ledger,
 	}
 	cfg.Pipeline.Cluster.Blocked = *blocked
 	cfg.Pipeline.MedoidIndexPath = *medoidOut
-	cfg.Pipeline.Ledger = ledger
 	study, err := pushadminer.RunStudy(cfg)
 	close(stopProgress)
 	if err != nil {
@@ -152,11 +152,10 @@ func main() {
 		time.Since(start).Round(time.Millisecond),
 		study.Analysis.Report.TotalCollected, study.Analysis.Report.ValidLanding)
 	if *ledgerOut != "" {
-		events := ledger.Events()
-		if err := core.WriteMiningLedger(*ledgerOut, events); err != nil {
+		if err := ledger.WriteFile(*ledgerOut); err != nil {
 			log.Fatal(err)
 		}
-		logf("%d mining ledger events → %s", len(events), *ledgerOut)
+		logf("%d ledger events → %s", len(ledger.Events()), *ledgerOut)
 	}
 	if *medoidOut != "" {
 		if m := study.Analysis.Clusters.Medoids; m != nil {

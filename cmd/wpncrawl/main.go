@@ -9,7 +9,7 @@
 //	wpncrawl -out wpns.json [-seed N] [-scale F] [-days N]
 //	         [-chaos-profile P] [-pump-workers N] [-batch-window D]
 //	         [-shards N] [-heartbeat D] [-max-restarts N] [-fleet-dir DIR]
-//	         [-fleet-ledger PATH] [-debug-addr HOST:PORT] [-linger D]
+//	         [-ledger PATH] [-debug-addr HOST:PORT] [-linger D]
 //	         [-metrics-out PATH] [-trace-out PATH]
 //
 // -chaos-profile wraps the virtual network with the deterministic fault
@@ -35,8 +35,11 @@
 // be scraped. -metrics-out writes the final telemetry snapshot (crawler
 // counters, breaker transitions, chaos fault totals, per-host request
 // counts) as JSON; -trace-out writes the per-notification attack-chain
-// spans as JSONL (replayable with internal/audit); -fleet-ledger writes
-// each crawl's control-plane event timeline as per-device JSONL.
+// spans as JSONL (replayable with internal/audit); -ledger writes the
+// run's event ledger as one JSONL file: the desktop and then the mobile
+// crawl's control-plane events (each with a "device" attr), then the
+// mining events of the study's analysis pass. The ledger is
+// byte-identical across reruns at a fixed seed and chaos plan.
 package main
 
 import (
@@ -63,7 +66,7 @@ func main() {
 		heartbeat  = flag.Duration("heartbeat", 0, "fleet liveness-check period in simulated time (0 = 6h default)")
 		maxRestart = flag.Int("max-restarts", 0, "restart budget per shard worker before its containers are stolen (0 = default 2, negative = never restart)")
 		fleetDir   = flag.String("fleet-dir", "", "directory for durable shard state files (default: private temp dir)")
-		ledger     = flag.String("fleet-ledger", "", "base path for per-device fleet event-timeline JSONL files")
+		ledgerOut  = flag.String("ledger", "", "write the run's deterministic event ledger (crawl control plane, then mining) as JSONL to this path")
 		debugAddr  = flag.String("debug-addr", "", "loopback addr serving /debug/pprof, /debug/vars, /metrics and /fleetz (e.g. 127.0.0.1:6060)")
 		linger     = flag.Duration("linger", 0, "keep the debug server up this long after the crawl finishes")
 		metricsOut = flag.String("metrics-out", "", "write final telemetry snapshot JSON to this path")
@@ -83,6 +86,10 @@ func main() {
 	var tracer *telemetry.Tracer
 	if *traceOut != "" {
 		tracer = telemetry.NewTracer(nil)
+	}
+	var ledger *telemetry.Ledger
+	if *ledgerOut != "" {
+		ledger = telemetry.NewLedger()
 	}
 	if *debugAddr != "" {
 		reg.PublishExpvar("pushadminer")
@@ -104,9 +111,9 @@ func main() {
 		ShardHeartbeat:   *heartbeat,
 		MaxShardRestarts: *maxRestart,
 		FleetDir:         *fleetDir,
-		FleetLedgerPath:  *ledger,
 		Metrics:          reg,
 		Tracer:           tracer,
+		Ledger:           ledger,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -128,8 +135,8 @@ func main() {
 			log.Printf("%s fleet: shards=%d heartbeats=%d kills=%d restarts=%d lost=%d stolen=%d saves=%d fallbacks=%d",
 				dev, rep.Shards, rep.Heartbeats, rep.Kills, rep.Restarts,
 				rep.WorkersLost, rep.ContainersStolen, rep.StateSaves, rep.StateFallbacks)
-			log.Printf("%s fleet plane: telemetry_pulls=%d stitched_spans=%d events=%d",
-				dev, rep.TelemetryPulls, rep.StitchedSpans, len(rep.Events))
+			log.Printf("%s fleet plane: telemetry_pulls=%d stitched_spans=%d",
+				dev, rep.TelemetryPulls, rep.StitchedSpans)
 		}
 	}
 	if *metricsOut != "" {
@@ -143,6 +150,12 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("%d trace spans → %s", tracer.Len(), *traceOut)
+	}
+	if *ledgerOut != "" {
+		if err := ledger.WriteFile(*ledgerOut); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("%d ledger events → %s", len(ledger.Events()), *ledgerOut)
 	}
 	if *linger > 0 && *debugAddr != "" {
 		log.Printf("lingering %s for debug scrapes", *linger)

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strconv"
 	"testing"
 
@@ -18,51 +16,57 @@ func ledgerFS(t *testing.T) *FeatureSet {
 	return parityFS(t, 1, 600)
 }
 
-func writeLedger(t *testing.T, dir, name string, events []MiningEvent) []byte {
+// ledgerBytes serializes a ledger's events as JSONL.
+func ledgerBytes(t *testing.T, led *telemetry.Ledger) []byte {
 	t.Helper()
-	path := filepath.Join(dir, name)
-	if err := WriteMiningLedger(path, events); err != nil {
+	var buf bytes.Buffer
+	if err := telemetry.WriteLedger(&buf, led.Events()); err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	return buf.Bytes()
+}
+
+// kindCounts tallies events by kind.
+func kindCounts(events []telemetry.Event) map[string]int {
+	counts := map[string]int{}
+	for _, ev := range events {
+		counts[ev.Kind]++
 	}
-	return b
+	return counts
 }
 
 // TestMiningLedgerDeterminism reruns the blocked path at a fixed seed
-// and byte-compares the serialized ledgers: events carry no wall-clock
-// time and are flushed from serial code in canonical order, so two runs
-// must serialize identically — with or without telemetry attached.
+// and byte-compares the serialized ledgers: events carry no time and
+// are flushed from serial code in canonical order, so two runs must
+// serialize identically — with or without telemetry attached.
 func TestMiningLedgerDeterminism(t *testing.T) {
 	fs := ledgerFS(t)
-	dir := t.TempDir()
 
-	run := func(withMetrics bool) []MiningEvent {
-		opts := ClusterOptions{Blocked: true, Ledger: NewMiningLedger()}
+	run := func(withMetrics bool) []byte {
+		opts := ClusterOptions{Blocked: true, Ledger: telemetry.NewLedger()}
 		if withMetrics {
 			opts.Metrics = telemetry.New()
 		}
 		ClusterWPNs(fs, opts)
-		return opts.Ledger.Events()
+		return ledgerBytes(t, opts.Ledger)
 	}
 
-	a := writeLedger(t, dir, "a.jsonl", run(false))
-	b := writeLedger(t, dir, "b.jsonl", run(false))
+	a, b := run(false), run(false)
 	if !bytes.Equal(a, b) {
 		t.Error("two plain runs serialized different ledgers")
 	}
-	c := writeLedger(t, dir, "c.jsonl", run(true))
-	if !bytes.Equal(a, c) {
+	if c := run(true); !bytes.Equal(a, c) {
 		t.Error("attaching telemetry changed the ledger bytes")
 	}
+	if bytes.Contains(a, []byte(`"time"`)) {
+		t.Error("mining events carry a time; they must stay untimed")
+	}
 
-	events, err := ReadMiningLedger(filepath.Join(dir, "a.jsonl"))
+	events, err := telemetry.ReadLedger(bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	counts := LedgerEventCounts(events)
+	counts := kindCounts(events)
 	if counts[EvHeightSwept] == 0 {
 		t.Error("no height_swept events: corpus did not cross the pooled-sweep crossover")
 	}
@@ -90,14 +94,14 @@ func atoi(t *testing.T, s string) int64 {
 func TestMiningLedgerReconciliation(t *testing.T) {
 	fs := ledgerFS(t)
 	reg := telemetry.New()
-	led := NewMiningLedger()
+	led := telemetry.NewLedger()
 	res := ClusterWPNs(fs, ClusterOptions{Blocked: true, Metrics: reg, Ledger: led})
 
 	snap := reg.Snapshot()
 	pairs := snap.Families["mining_pairs"]
 
 	var linkagePairs, sweepPairs int64
-	var cut *MiningEvent
+	var cut *telemetry.Event
 	for _, ev := range led.Events() {
 		ev := ev
 		switch ev.Kind {
@@ -156,59 +160,14 @@ func TestMiningLedgerReconciliation(t *testing.T) {
 	}
 }
 
-// TestMiningLedgerRoundTrip pins Write/Read symmetry and the seq-gap
-// validation.
-func TestMiningLedgerRoundTrip(t *testing.T) {
-	led := NewMiningLedger()
-	led.StageBegin("blocks")
-	led.BlockClustered(0, 3)
-	led.BlockClustered(1, 1)
-	led.StageEnd("blocks")
-	led.HeightSwept(0.25, 4, true, 0.5, 3, 12)
-	led.CutChosen(0.25, 4, 0.5)
-	events := led.Events()
-
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
-	if err := WriteMiningLedger(path, events); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadMiningLedger(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("round-trip read %d events, wrote %d", len(got), len(events))
-	}
-	for i := range got {
-		if got[i].Seq != events[i].Seq || got[i].Kind != events[i].Kind {
-			t.Errorf("event %d: got %+v, want %+v", i, got[i], events[i])
-		}
-		for k, v := range events[i].Attrs {
-			if got[i].Attrs[k] != v {
-				t.Errorf("event %d attr %s: got %q, want %q", i, k, got[i].Attrs[k], v)
-			}
-		}
-	}
-
-	// A seq gap (dropped line) must be rejected.
-	gap := append([]MiningEvent{}, events[:2]...)
-	gap = append(gap, events[3:]...)
-	if err := WriteMiningLedger(path, gap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMiningLedger(path); err == nil {
-		t.Error("seq gap not detected on read")
-	}
-}
-
 // TestMiningLedgerWithoutTelemetry pins the sinks-are-independent
 // contract: a run with only a ledger attached (no Metrics, no Tracer)
 // still records the full event stream.
 func TestMiningLedgerWithoutTelemetry(t *testing.T) {
 	fs := parityFS(t, 2, 150)
-	led := NewMiningLedger()
+	led := telemetry.NewLedger()
 	ClusterWPNs(fs, ClusterOptions{Blocked: true, Ledger: led})
-	counts := LedgerEventCounts(led.Events())
+	counts := kindCounts(led.Events())
 	if counts[EvStageBegin] == 0 || counts[EvBlockClustered] == 0 || counts[EvCutChosen] != 1 {
 		t.Errorf("ledger-only run events = %v", counts)
 	}
@@ -220,7 +179,7 @@ func TestMiningLedgerWithoutTelemetry(t *testing.T) {
 // block_clustered event per rebuilt block.
 func TestMiningLedgerIncremental(t *testing.T) {
 	fs := parityFS(t, 1, 150)
-	led := NewMiningLedger()
+	led := telemetry.NewLedger()
 	inc, _ := streamAll(fs, ClusterOptions{Ledger: led}, 40)
 
 	var reclusters, rebuilt, reused, blocks int64

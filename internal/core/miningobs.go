@@ -66,7 +66,7 @@ var sweepMemoOutcomes = []string{"hit", "refresh", "miss"}
 // observe directly, while ledger events are always flushed from serial
 // code in canonical order.
 type blockedObs struct {
-	led  *MiningLedger
+	led  *telemetry.Ledger
 	prog *miningProgress
 
 	sweepFam       *telemetry.Family
@@ -79,7 +79,7 @@ type blockedObs struct {
 
 // newBlockedObs builds the bundle, or returns nil when every sink is
 // off (the zero-alloc disabled path).
-func newBlockedObs(reg *telemetry.Registry, led *MiningLedger, prog *miningProgress) *blockedObs {
+func newBlockedObs(reg *telemetry.Registry, led *telemetry.Ledger, prog *miningProgress) *blockedObs {
 	if reg == nil && led == nil && prog == nil {
 		return nil
 	}
@@ -165,7 +165,7 @@ func (o *blockedObs) blocksLinked(comps [][]int) {
 	}
 	o.pairsFam.Add("block_linkage_exact", withinBlockPairs(comps))
 	for i, c := range comps {
-		o.led.BlockClustered(i, len(c))
+		ledgerBlockClustered(o.led, i, len(c))
 	}
 }
 
@@ -192,7 +192,7 @@ func (o *blockedObs) blocksRebuilt(rebuild []int, comps [][]int) {
 	}
 	o.pairsFam.Add("block_linkage_exact", exact)
 	for _, bi := range rebuild {
-		o.led.BlockClustered(bi, len(comps[bi]))
+		ledgerBlockClustered(o.led, bi, len(comps[bi]))
 	}
 }
 
@@ -201,7 +201,7 @@ func (o *blockedObs) reclustered(blocks, reused, rebuilt, clusters int) {
 	if o == nil {
 		return
 	}
-	o.led.Recluster(blocks, reused, rebuilt, clusters)
+	ledgerRecluster(o.led, blocks, reused, rebuilt, clusters)
 }
 
 // sweepRescored observes one fresh (block, segment) rescore inside the
@@ -232,7 +232,7 @@ func (o *blockedObs) heightSweptMemo(height float64, k int, valid bool, sil floa
 	o.sweepFam.Add(bucket, ns)
 	o.sweepBlocksFam.Add(bucket, int64(changedBlocks))
 	o.pairsFam.Add("sweep_scored", changedPairs)
-	o.led.HeightSwept(height, k, valid, sil, changedBlocks, changedPairs)
+	ledgerHeightSwept(o.led, height, k, valid, sil, changedBlocks, changedPairs)
 	o.prog.sweepWork(int64(changedBlocks), 0)
 	o.prog.heightDone()
 }
@@ -248,6 +248,6 @@ func (o *blockedObs) sweepMemo(ms sweepMemoStats) {
 	o.sweepMemoFam.Add("refresh", ms.refreshes)
 	o.sweepMemoFam.Add("miss", ms.misses)
 	o.pairsFam.Add("sweep_memo_saved", ms.savedPairs)
-	o.led.SweepMemo(ms.hits, ms.refreshes, ms.misses, ms.rescoredBlocks, ms.savedPairs)
+	ledgerSweepMemo(o.led, ms)
 	o.prog.sweepWork(0, ms.hits)
 }

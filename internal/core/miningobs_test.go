@@ -12,18 +12,19 @@ import (
 // no-op with zero allocations, so fully un-observed clustering pays
 // nothing for the instrumentation points threaded through it.
 func TestMiningObservabilityDisabled(t *testing.T) {
-	var led *MiningLedger
+	var led *telemetry.Ledger
 	var prog *miningProgress
 	var obs *blockedObs
 	var st *stageTimer
+	labels := []int{0, 1, 1}
 	if n := testing.AllocsPerRun(100, func() {
-		led.StageBegin("cut")
-		led.StageEnd("cut")
-		led.BlockClustered(3, 7)
-		led.HeightSwept(0.25, 4, true, 0.8, 3, 21)
-		led.SweepMemo(10, 2, 5, 7, 100)
-		led.CutChosen(0.25, 4, 0.8)
-		led.Recluster(5, 3, 2, 9)
+		ledgerStage(led, EvStageBegin, "cut")
+		ledgerStage(led, EvStageEnd, "cut")
+		ledgerBlockClustered(led, 3, 7)
+		ledgerHeightSwept(led, 0.25, 4, true, 0.8, 3, 21)
+		ledgerSweepMemo(led, sweepMemoStats{hits: 10, misses: 5})
+		ledgerCutChosen(led, 0.25, labels, 0.8)
+		ledgerRecluster(led, 5, 3, 2, 9)
 		prog.setStage("cut")
 		prog.setBlocks(5)
 		prog.blockDone()
@@ -84,7 +85,7 @@ func TestMiningObservabilityByteParity(t *testing.T) {
 		opts := ClusterOptions{
 			Metrics: telemetry.New(),
 			Tracer:  telemetry.NewTracer(nil),
-			Ledger:  NewMiningLedger(),
+			Ledger:  telemetry.NewLedger(),
 		}
 		observed := mode.run(fs, opts)
 
@@ -122,7 +123,7 @@ func TestBlockHistogramExtremes(t *testing.T) {
 	comps = append(comps, giant)
 
 	reg := telemetry.New()
-	led := NewMiningLedger()
+	led := telemetry.NewLedger()
 	obs := newBlockedObs(reg, led, nil)
 	blocks := buildBlockDendrograms(fs, comps, 0, obs)
 	if len(blocks) != len(comps) {
@@ -156,7 +157,7 @@ func TestBlockHistogramExtremes(t *testing.T) {
 	}
 
 	events := led.Events()
-	counts := LedgerEventCounts(events)
+	counts := kindCounts(events)
 	if counts[EvBlockClustered] != len(comps) {
 		t.Errorf("ledger has %d block_clustered events, want %d", counts[EvBlockClustered], len(comps))
 	}
@@ -201,8 +202,17 @@ func TestSweepHeightBucket(t *testing.T) {
 // snapshots are immutable, stage transitions and counters land in the
 // published value, and finish marks it done.
 func TestMiningProgressPublication(t *testing.T) {
+	// The latest registration serves /miningz, so the status lookup
+	// reads this accumulator's snapshots.
+	current := func() *MiningStatus {
+		ms, _ := telemetry.Status("mining").(*MiningStatus)
+		if ms == nil {
+			t.Fatal("no mining status published")
+		}
+		return ms
+	}
 	prog := newMiningProgress("blocked", 500)
-	first := prog.statusVal.Load().(*MiningStatus)
+	first := current()
 	if first.Stage != "start" || first.Mode != "blocked" || first.Records != 500 {
 		t.Errorf("initial status = %+v", first)
 	}
@@ -215,7 +225,7 @@ func TestMiningProgressPublication(t *testing.T) {
 	prog.setHeights(3)
 	prog.addPairs(100, 200) // accumulates only; published by the next event
 	prog.heightDone()
-	cur := prog.statusVal.Load().(*MiningStatus)
+	cur := current()
 	if cur == first {
 		t.Fatal("publish mutated the previous snapshot instead of replacing it")
 	}
@@ -228,18 +238,11 @@ func TestMiningProgressPublication(t *testing.T) {
 	}
 
 	prog.finish()
-	done := prog.statusVal.Load().(*MiningStatus)
+	done := current()
 	if !done.Done || done.Stage != "done" {
 		t.Errorf("final status = %+v", done)
 	}
-	if got := CurrentMiningStatus(); got == nil || !got.Done {
-		t.Errorf("CurrentMiningStatus = %+v, want the finished snapshot", got)
-	}
 	if done.String() == "" {
 		t.Error("empty dashboard rendering")
-	}
-	// The /miningz provider serves the published snapshot.
-	if got := prog.provider(); got != any(done) {
-		t.Errorf("provider() = %p, want the last published snapshot %p", got, done)
 	}
 }

@@ -12,8 +12,8 @@ import (
 // the mining pipeline's mirror of the fleet's FleetStatus. It is
 // rebuilt (as a fresh immutable value) at every stage boundary and at
 // throttled intervals inside the block-clustering and cut-sweep
-// fan-outs, published through an atomic.Value, and rendered as JSON or
-// (via String) a terminal dashboard by cmd/wpnstat.
+// fan-outs, published through a telemetry.Publisher, and rendered as
+// JSON or (via String) a terminal dashboard by cmd/wpnstat.
 type MiningStatus struct {
 	// Stage is the pipeline stage currently running ("featurize",
 	// "blocks", "cut", ...; "done" after the run finishes).
@@ -68,25 +68,9 @@ func (s MiningStatus) String() string {
 	return b.String()
 }
 
-// lastMiningStatus holds the most recently published status from any
-// run in the process, for CurrentMiningStatus (the poll surface
-// pushadminer's progress logger uses; /miningz reads the per-run
-// provider instead).
-var lastMiningStatus atomic.Value // *MiningStatus
-
-// CurrentMiningStatus returns the most recently published mining
-// status, or nil when no observed mining run has started.
-func CurrentMiningStatus() *MiningStatus {
-	v := lastMiningStatus.Load()
-	if v == nil {
-		return nil
-	}
-	return v.(*MiningStatus)
-}
-
 // miningProgress is one run's live-progress accumulator: lock-free
 // counters the (possibly parallel) mining hot paths bump, plus the
-// atomic.Value the immutable MiningStatus snapshots publish through.
+// publisher the immutable MiningStatus snapshots go out through.
 // A nil *miningProgress no-ops everywhere, so instrumented paths need
 // no guards; it is created only when observation is on.
 type miningProgress struct {
@@ -98,28 +82,16 @@ type miningProgress struct {
 	heightsTotal, heightsDone   atomic.Int64
 	pairsExact, pairsPruned     atomic.Int64
 	sweepRescored, sweepMemoHit atomic.Int64
-	statusVal                   atomic.Value // *MiningStatus
+	pub                         *telemetry.Publisher[MiningStatus]
 }
 
 // newMiningProgress builds a progress accumulator for one run and
-// registers it as the /miningz provider (latest run wins, like
-// SetFleetz re-registration).
+// registers its publisher for /miningz (the latest run wins).
 func newMiningProgress(mode string, records int) *miningProgress {
-	p := &miningProgress{mode: mode, records: records}
+	p := &miningProgress{mode: mode, records: records, pub: telemetry.NewPublisher[MiningStatus]("mining")}
 	p.stage.Store("start")
-	telemetry.SetMiningz(p.provider)
 	p.publish(false)
 	return p
-}
-
-// provider is the registered /miningz callback: it returns the last
-// published immutable snapshot (never the live accumulator).
-func (p *miningProgress) provider() any {
-	v := p.statusVal.Load()
-	if v == nil {
-		return nil
-	}
-	return v
 }
 
 // publish rebuilds and publishes an immutable status snapshot. Fresh
@@ -146,8 +118,7 @@ func (p *miningProgress) publish(done bool) {
 	if done {
 		st.Stage = "done"
 	}
-	p.statusVal.Store(st)
-	lastMiningStatus.Store(st)
+	p.pub.Publish(st)
 }
 
 // setStage records a stage transition and republishes.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"pushadminer/internal/telemetry"
 	"pushadminer/internal/textmine"
 	"pushadminer/internal/urlx"
 )
@@ -31,7 +32,7 @@ func naiveDistance(fs *FeatureSet, i, j int) float64 {
 // non-nil led gets one height_swept event per candidate, as the
 // memoized sweep emits, with changed and scored_pairs counting every
 // block and every within-block pair.
-func sweepBlockedCutFull(blocks []*blockDendrogram, cands []float64, farD float64, nLive int, tol float64, led *MiningLedger) (per [][]int, height, sil float64) {
+func sweepBlockedCutFull(blocks []*blockDendrogram, cands []float64, farD float64, nLive int, tol float64, led *telemetry.Ledger) (per [][]int, height, sil float64) {
 	var allPairs int64
 	for _, bd := range blocks {
 		m := int64(len(bd.members))
@@ -47,7 +48,7 @@ func sweepBlockedCutFull(blocks []*blockDendrogram, cands []float64, farD float6
 		} else {
 			evals[ci] = sweepEval{k: k}
 		}
-		led.HeightSwept(h, k, evals[ci].valid, evals[ci].sil, len(blocks), scored)
+		ledgerHeightSwept(led, h, k, evals[ci].valid, evals[ci].sil, len(blocks), scored)
 	}
 	best := selectSweepCut(evals, tol)
 	if best < 0 {

@@ -33,7 +33,7 @@ type PipelineOptions struct {
 	// Ledger, when non-nil, records the deterministic mining event
 	// stream (see ClusterOptions.Ledger); stage brackets cover the full
 	// pipeline, clustering events the dispatched path.
-	Ledger *MiningLedger
+	Ledger *telemetry.Ledger
 
 	// MedoidIndexPath, when set, persists the post-clustering medoid
 	// classify index (campaign medoids + chosen cut; see MedoidIndex) as

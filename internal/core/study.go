@@ -66,10 +66,6 @@ type StudyConfig struct {
 	// subdirectory per device); empty uses a private temp directory when
 	// worker kills are possible.
 	FleetDir string
-	// FleetLedgerPath, if set, writes each device crawl's fleet event
-	// timeline as JSONL to a per-device file derived from this base path
-	// (ledger.json → ledger.desktop.json).
-	FleetLedgerPath string
 
 	// Metrics, when non-nil, is threaded through every layer: the
 	// ecosystem's virtual network and chaos injector, both crawls, and
@@ -79,6 +75,11 @@ type StudyConfig struct {
 	// Tracer, when non-nil, records the WPN attack chains observed by
 	// every crawl browser plus the mining stage spans. Nil disables.
 	Tracer *telemetry.Tracer
+	// Ledger, when non-nil, receives the run's event record: the
+	// desktop fleet's control-plane events, then the mobile fleet's
+	// (told apart by their "device" attr), then the mining events. It
+	// is deterministic at a fixed seed and chaos plan. Nil disables.
+	Ledger *telemetry.Ledger
 }
 
 func (c StudyConfig) withDefaults() StudyConfig {
@@ -171,7 +172,7 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 			MaxRestarts:     cfg.MaxShardRestarts,
 			Dir:             fleetDirFor(cfg.FleetDir, device),
 			WorkerCrashPlan: eco.WorkerCrashPlan(),
-			LedgerPath:      ledgerPathFor(cfg.FleetLedgerPath, device),
+			Ledger:          cfg.Ledger,
 		}, seeds)
 		if rep != nil {
 			s.FleetReports[device.String()] = rep
@@ -205,6 +206,9 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	if opts.Tracer == nil {
 		opts.Tracer = cfg.Tracer
 	}
+	if opts.Ledger == nil {
+		opts.Ledger = cfg.Ledger
+	}
 	// The pipeline's fan-out stages follow the study's worker setting
 	// unless the ablation options pinned their own.
 	if opts.Features.Workers == 0 {
@@ -220,16 +224,6 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	s.Analysis.Report.TotalCollected = len(s.Records)
 	s.PerNetwork = s.perNetworkStats()
 	return s, nil
-}
-
-// ledgerPathFor derives the per-device fleet ledger file from the
-// study's base path: "ledger.json" → "ledger.desktop.json".
-func ledgerPathFor(base string, device browser.DeviceType) string {
-	if base == "" {
-		return ""
-	}
-	ext := filepath.Ext(base)
-	return strings.TrimSuffix(base, ext) + "." + device.String() + ext
 }
 
 // fleetDirFor derives the per-device shard-state directory, so the

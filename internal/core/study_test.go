@@ -1,9 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+	"time"
 
+	"pushadminer/internal/chaos"
+	"pushadminer/internal/fleet"
+	"pushadminer/internal/telemetry"
 	"pushadminer/internal/webeco"
 )
 
@@ -167,5 +172,77 @@ func TestDescribeCluster(t *testing.T) {
 	out := s.DescribeCluster(0)
 	if !strings.Contains(out, "cluster 0:") {
 		t.Errorf("DescribeCluster output: %q", out)
+	}
+}
+
+// TestStudyLedger runs the same chaos study twice, each with one
+// ledger, and pins the one-record-per-run contract: the two files are
+// byte-identical and hold the desktop fleet's events, then the mobile
+// fleet's, then the mining events, with each device's lifecycle counts
+// reconciling with its fleet report.
+func TestStudyLedger(t *testing.T) {
+	prof, err := chaos.ParseProfile("acceptance,workercrashes=0.05")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() (*Study, []byte) {
+		led := telemetry.NewLedger()
+		s, err := RunStudy(StudyConfig{
+			Eco:              webeco.Config{Seed: 11, Scale: 0.002, Chaos: prof},
+			CollectionWindow: 7 * 24 * time.Hour,
+			Shards:           4,
+			Ledger:           led,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		return s, ledgerBytes(t, led)
+	}
+	s, a := run()
+	if _, b := run(); !bytes.Equal(a, b) {
+		t.Error("two runs at a fixed seed wrote different ledgers")
+	}
+
+	events, err := telemetry.ReadLedger(bytes.NewReader(a))
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := map[string]int{"desktop": 0, "mobile": 1, "": 2} // "" = mining
+	counts := map[string]map[string]int{"desktop": {}, "mobile": {}, "": {}}
+	last := 0
+	for _, ev := range events {
+		dev := ev.Attrs["device"]
+		pos, ok := order[dev]
+		if !ok || pos < last {
+			t.Fatalf("event %d (%s, device %q) breaks the desktop, mobile, mining order", ev.Seq, ev.Kind, dev)
+		}
+		last = pos
+		if ev.Time.IsZero() != (dev == "") {
+			t.Errorf("event %d (%s): fleet events carry the sim time, mining events none", ev.Seq, ev.Kind)
+		}
+		counts[dev][ev.Kind]++
+	}
+	kills := 0
+	for _, dev := range []string{"desktop", "mobile"} {
+		rep, c := s.FleetReports[dev], counts[dev]
+		for kind, want := range map[string]int{
+			fleet.EvKillDetected: rep.Kills,
+			fleet.EvRestart:      rep.Restarts,
+			fleet.EvWorkerLost:   rep.WorkersLost,
+			fleet.EvAdopt:        rep.WorkersLost,
+		} {
+			if c[kind] != want {
+				t.Errorf("%s: %d %s events, report implies %d", dev, c[kind], kind, want)
+			}
+		}
+		kills += rep.Kills
+		t.Logf("%s: %v", dev, c)
+	}
+	if kills == 0 {
+		t.Error("chaos plan killed no worker; the reconciliation is vacuous")
+	}
+	if c := counts[""]; c[EvStageBegin] == 0 || c[EvCutChosen] != 1 {
+		t.Errorf("mining events = %v, want stage brackets and one cut_chosen", c)
 	}
 }

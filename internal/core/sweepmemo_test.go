@@ -168,8 +168,8 @@ func TestSweepMemoObservationParity(t *testing.T) {
 	farD := blockedFar(fs, plainBlocks)
 	_, plainPer, plainH, plainS, _ := sweepBlockedCutMemo(plainBlocks, cands, farD, nLive, tol, nil)
 
-	sweepOnce := func(blocks []*blockDendrogram) ([]MiningEvent, [][]int, float64, float64) {
-		led := NewMiningLedger()
+	sweepOnce := func(blocks []*blockDendrogram) ([]telemetry.Event, [][]int, float64, float64) {
+		led := telemetry.NewLedger()
 		obs := newBlockedObs(telemetry.New(), led, nil)
 		_, per, h, s, _ := sweepBlockedCutMemo(blocks, cands, farD, nLive, tol, obs)
 		return led.Events(), per, h, s
@@ -182,8 +182,8 @@ func TestSweepMemoObservationParity(t *testing.T) {
 	// never memo-state-dependent: the warm re-sweep ledgers the exact
 	// same height_swept stream even though it recomputes nothing.
 	warmEvents, _, _, _ := sweepOnce(obsBlocks) // same blocks: memo warm
-	onlyHeights := func(evs []MiningEvent) []MiningEvent {
-		var out []MiningEvent
+	onlyHeights := func(evs []telemetry.Event) []telemetry.Event {
+		var out []telemetry.Event
 		for _, ev := range evs {
 			if ev.Kind == EvHeightSwept {
 				out = append(out, ev)
@@ -194,7 +194,7 @@ func TestSweepMemoObservationParity(t *testing.T) {
 	if !reflect.DeepEqual(onlyHeights(coldEvents), onlyHeights(warmEvents)) {
 		t.Error("cold and warm memoized sweeps produced different height_swept ledger events")
 	}
-	counts := LedgerEventCounts(coldEvents)
+	counts := kindCounts(coldEvents)
 	if counts[EvHeightSwept] != len(cands) {
 		t.Errorf("ledger has %d height_swept events, want %d", counts[EvHeightSwept], len(cands))
 	}
@@ -493,7 +493,7 @@ func TestSweepMemoKParityInversionCorpus(t *testing.T) {
 		t.Log("corpus carries no no-op-merge block; k-parity test is disarmed (sortMerges keeps every creator first)")
 	}
 
-	fullLed, memoLed := NewMiningLedger(), NewMiningLedger()
+	fullLed, memoLed := telemetry.NewLedger(), telemetry.NewLedger()
 	fullPer, fullH, fullS := sweepBlockedCutFull(fullBlocks, cands, farD, nLive, tol, fullLed)
 	_, memoPer, memoH, memoS, _ := sweepBlockedCutMemo(memoBlocks, cands, farD, nLive, tol, newBlockedObs(telemetry.New(), memoLed, nil))
 	fullEvents, memoEvents := fullLed.Events(), memoLed.Events()
@@ -502,7 +502,7 @@ func TestSweepMemoKParityInversionCorpus(t *testing.T) {
 	// height_swept semantic attrs (height, k, valid, silhouette) must
 	// match exactly; changed/scored_pairs legitimately differ — they
 	// report actual per-mode work, not the cut.
-	semantic := func(evs []MiningEvent) []map[string]string {
+	semantic := func(evs []telemetry.Event) []map[string]string {
 		var out []map[string]string
 		for _, ev := range evs {
 			if ev.Kind != EvHeightSwept {

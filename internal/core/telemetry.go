@@ -21,7 +21,7 @@ var miningStages = []string{
 
 // stageTimer records mining-stage wall-times into a telemetry family
 // (mining_stage_ns, labeled by stage), emits one tracer span per stage
-// under a shared parent, brackets each stage in the mining ledger,
+// under a shared parent, brackets each stage in the run's ledger,
 // publishes stage transitions to the live progress status, and — when
 // a registry is attached — accounts memory at stage boundaries
 // (mining_stage_alloc_bytes per stage, mining_heap_alloc_bytes /
@@ -31,7 +31,7 @@ type stageTimer struct {
 	fam    *telemetry.Family
 	tr     *telemetry.Tracer
 	parent telemetry.SpanID
-	led    *MiningLedger
+	led    *telemetry.Ledger
 	prog   *miningProgress
 	memFam *telemetry.Family // cumulative allocation per stage
 	heapG  *telemetry.Gauge  // live heap bytes at last stage boundary
@@ -41,8 +41,8 @@ type stageTimer struct {
 // newStageTimer builds a timer whose stage spans hang off parent (0 for
 // root). Returns nil when every sink (metrics, tracer, ledger,
 // progress) is nil — the ledger and progress status work without
-// telemetry attached, mirroring the fleet ledger contract.
-func newStageTimer(reg *telemetry.Registry, tr *telemetry.Tracer, parent telemetry.SpanID, led *MiningLedger, prog *miningProgress) *stageTimer {
+// telemetry attached, as they do for the fleet.
+func newStageTimer(reg *telemetry.Registry, tr *telemetry.Tracer, parent telemetry.SpanID, led *telemetry.Ledger, prog *miningProgress) *stageTimer {
 	if reg == nil && tr == nil && led == nil && prog == nil {
 		return nil
 	}
@@ -62,7 +62,7 @@ func newStageTimer(reg *telemetry.Registry, tr *telemetry.Tracer, parent telemet
 
 // newPipelineTimer builds a stage timer with its own "pipeline" root
 // span; close() ends the root.
-func newPipelineTimer(reg *telemetry.Registry, tr *telemetry.Tracer, led *MiningLedger, prog *miningProgress) *stageTimer {
+func newPipelineTimer(reg *telemetry.Registry, tr *telemetry.Tracer, led *telemetry.Ledger, prog *miningProgress) *stageTimer {
 	st := newStageTimer(reg, tr, 0, led, prog)
 	if st != nil && st.tr != nil {
 		st.parent = st.tr.Start("", "pipeline", 0, nil)
@@ -90,7 +90,7 @@ func (st *stageTimer) stage(name string) func() {
 	if st == nil {
 		return func() {}
 	}
-	st.led.StageBegin(name)
+	ledgerStage(st.led, EvStageBegin, name)
 	st.prog.setStage(name)
 	var allocStart uint64
 	if st.memFam != nil {
@@ -117,7 +117,7 @@ func (st *stageTimer) stage(name string) func() {
 		if st.tr != nil {
 			st.tr.End(id)
 		}
-		st.led.StageEnd(name)
+		ledgerStage(st.led, EvStageEnd, name)
 	}
 }
 

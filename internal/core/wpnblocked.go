@@ -938,9 +938,7 @@ func clusterWPNsBlocked(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 	labels := stitchBlockedLabels(n, blocks, per)
 	done()
 
-	if opts.Ledger != nil {
-		opts.Ledger.CutChosen(height, numClusters(labels), sil)
-	}
+	ledgerCutChosen(opts.Ledger, height, labels, sil)
 	res := finishClusterResult(fs, labels, height, sil)
 	if opts.BuildMedoids {
 		res.Medoids = newMedoidIndex(fs, blockMedoids(blocks, per, labels), height, sil)

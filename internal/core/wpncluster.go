@@ -77,8 +77,8 @@ type ClusterOptions struct {
 	// run (stage brackets, blocks clustered, heights swept, recluster
 	// rounds) — byte-stable across reruns at a fixed seed, unlike the
 	// timing-carrying telemetry snapshot. Works with or without
-	// Metrics/Tracer. See DESIGN.md "Mining observability plane".
-	Ledger *MiningLedger
+	// Metrics/Tracer. See DESIGN.md "Event ledger".
+	Ledger *telemetry.Ledger
 	// parent is the span the stage spans hang off (set by RunPipeline;
 	// 0 makes them roots).
 	parent telemetry.SpanID
@@ -160,9 +160,7 @@ func ClusterWPNs(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 		labels, height, sil = best.Labels, best.Height, best.Silhouette
 	}
 
-	if opts.Ledger != nil {
-		opts.Ledger.CutChosen(height, numClusters(labels), sil)
-	}
+	ledgerCutChosen(opts.Ledger, height, labels, sil)
 	return finishClusterResult(fs, labels, height, sil)
 }
 

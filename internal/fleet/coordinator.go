@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pushadminer/internal/crawler"
@@ -29,7 +28,7 @@ import (
 // The coordinator also owns the fleet observability plane: it mints the
 // global trace segments the transport stamps onto per-shard spans,
 // pulls each shard's telemetry snapshot once per heartbeat cycle,
-// appends every control-plane lifecycle event to the fleet ledger, and
+// appends every control-plane lifecycle event to the run's ledger, and
 // publishes a live FleetStatus for /fleetz — all on its serial path, so
 // the ledger and the merged telemetry are deterministic under a fixed
 // chaos plan.
@@ -64,17 +63,16 @@ type coordinator struct {
 	// snaps/health/lastPull hold the coordinator's last pulled telemetry
 	// view per shard (lastPull -1 = never pulled; the view of a lost
 	// worker stays frozen at its last pull, which is what the merge-lag
-	// gauge measures); events is the fleet ledger; statusVal publishes
-	// the current *FleetStatus for the /fleetz handler (stored whole,
-	// never mutated after publish — readers are concurrent).
+	// gauge measures); events counts the lifecycle events emitted; pub
+	// publishes the /fleetz view.
 	telemetryOn bool
 	nextSeg     int64
 	lastSweep   int
 	lastPull    []int
 	snaps       []telemetry.Snapshot
 	health      []*crawler.ShardHealth
-	events      []Event
-	statusVal   atomic.Value
+	events      int
+	pub         *telemetry.Publisher[FleetStatus]
 }
 
 func newCoordinator(ctx context.Context, cfg Config, crawlCfg crawler.Config, tr Transport, met *fleetMetrics) *coordinator {
@@ -108,7 +106,7 @@ func newCoordinator(ctx context.Context, cfg Config, crawlCfg crawler.Config, tr
 		co.batchSize = reg.Histogram("crawler_pump_batch_size", telemetry.SizeBuckets)
 		co.records = reg.Counter("crawler_records_emitted")
 		co.pumpWorkers = reg.Gauge("crawler_pump_workers")
-		telemetry.SetFleetz(co.fleetStatus)
+		co.pub = telemetry.NewPublisher[FleetStatus]("fleet")
 	}
 	return co
 }
@@ -122,19 +120,25 @@ func (co *coordinator) seg() int64 {
 	return co.nextSeg
 }
 
-// event appends one line to the fleet ledger and mirrors it into the
-// fleet_events metric family. Called only on the coordinator's serial
-// path, so Seq is both emission and causal order and the ledger is
-// deterministic under a fixed chaos plan.
-func (co *coordinator) event(kind string, shard int, attrs map[string]string) {
-	co.events = append(co.events, Event{
-		Seq:   len(co.events) + 1,
-		Time:  co.crawl.Clock.Now(),
-		Kind:  kind,
-		Shard: shard,
-		Attrs: attrs,
-	})
+// event counts one lifecycle event, mirrors it into the fleet_events
+// metric family, and appends it to the ledger, if one is attached,
+// with attrs from the kv pairs plus the device and (shard >= 0) the
+// shard. Called only on the coordinator's serial path, so ledger order
+// is causal order and deterministic under a fixed chaos plan.
+func (co *coordinator) event(kind string, shard int, kv ...string) {
+	co.events++
 	co.met.events.Add(kind, 1)
+	if co.cfg.Ledger == nil {
+		return
+	}
+	attrs := map[string]string{"device": co.crawl.Device.String()}
+	if shard >= 0 {
+		attrs["shard"] = strconv.Itoa(shard)
+	}
+	for i := 0; i+1 < len(kv); i += 2 {
+		attrs[kv[i]] = kv[i+1]
+	}
+	co.cfg.Ledger.Append(telemetry.Event{Time: co.crawl.Clock.Now(), Kind: kind, Attrs: attrs})
 }
 
 // pullTelemetry refreshes the coordinator's view of shard k. A failed
@@ -155,16 +159,6 @@ func (co *coordinator) pullTelemetry(k, cycle int) {
 	co.report.TelemetryPulls++
 }
 
-// fleetStatus returns the last published *FleetStatus (nil before the
-// first publish). Registered as the /fleetz provider.
-func (co *coordinator) fleetStatus() any {
-	v := co.statusVal.Load()
-	if v == nil {
-		return nil
-	}
-	return v
-}
-
 // updateStatus rebuilds and publishes the /fleetz view. Fresh maps and
 // slices every time: the published pointer is read concurrently by the
 // debug server and must never be mutated afterwards.
@@ -181,7 +175,7 @@ func (co *coordinator) updateStatus(done bool) {
 		Lost:       co.report.WorkersLost,
 		Stolen:     co.report.ContainersStolen,
 		Records:    len(co.res.Records),
-		Events:     len(co.events),
+		Events:     co.events,
 		SimTime:    co.crawl.Clock.Now(),
 		WindowEnd:  co.end,
 		Done:       done,
@@ -216,7 +210,7 @@ func (co *coordinator) updateStatus(done bool) {
 		}
 		st.Workers = append(st.Workers, ws)
 	}
-	co.statusVal.Store(st)
+	co.pub.Publish(st)
 }
 
 // forAlive runs f(k) concurrently for every live shard and joins the
@@ -268,9 +262,7 @@ func (co *coordinator) run(seeds []string) error {
 		outcomes = append(outcomes, reps[k].Outcomes...)
 		co.status[k] = reps[k].Status
 		co.owned[k] = reps[k].Status.Queued
-		co.event(EvShardStarted, k, map[string]string{
-			"containers": strconv.Itoa(reps[k].Status.Queued),
-		})
+		co.event(EvShardStarted, k, "containers", strconv.Itoa(reps[k].Status.Queued))
 	}
 	// Global seed order, not shard order: NPRURLs must list seed URLs
 	// in one order at every shard count.
@@ -422,10 +414,7 @@ func (co *coordinator) pump(now time.Time, final bool) error {
 		co.res.AdditionalURLs = append(co.res.AdditionalURLs, it.AdditionalURLs...)
 	}
 	if minted > 0 {
-		co.event(EvMerge, -1, map[string]string{
-			"records": strconv.Itoa(minted),
-			"items":   strconv.Itoa(len(items)),
-		})
+		co.event(EvMerge, -1, "records", strconv.Itoa(minted), "items", strconv.Itoa(len(items)))
 	}
 	co.updateStatus(false)
 	return nil
@@ -453,7 +442,7 @@ func (co *coordinator) heartbeatSweep(now time.Time) error {
 			if !errors.Is(err, ErrWorkerDown) {
 				return err
 			}
-			co.event(EvHeartbeatMissed, k, map[string]string{"cycle": strconv.Itoa(c)})
+			co.event(EvHeartbeatMissed, k, "cycle", strconv.Itoa(c))
 			if herr := co.handleDown(k); herr != nil {
 				return herr
 			}
@@ -490,7 +479,7 @@ func (co *coordinator) heartbeatSweep(now time.Time) error {
 func (co *coordinator) handleDown(k int) error {
 	co.report.Kills++
 	co.met.kills.Inc()
-	co.event(EvKillDetected, k, nil)
+	co.event(EvKillDetected, k)
 
 	live := 0
 	for j := 0; j < co.n; j++ {
@@ -511,11 +500,11 @@ func (co *coordinator) handleDown(k int) error {
 		co.report.Restarts++
 		co.report.Workers[k].Restarts++
 		co.met.restarts.Inc()
-		var attrs map[string]string
 		if fellBack {
-			attrs = map[string]string{"fellback": "true"}
+			co.event(EvRestart, k, "fellback", "true")
+		} else {
+			co.event(EvRestart, k)
 		}
-		co.event(EvRestart, k, attrs)
 		// The restored worker's scheduling state equals the saved one,
 		// which is what co.status[k] already holds.
 		return nil
@@ -527,7 +516,7 @@ func (co *coordinator) handleDown(k int) error {
 	co.report.Workers[k].Lost = true
 	co.met.workersLost.Inc()
 	co.met.liveShards.Add(-1)
-	co.event(EvWorkerLost, k, nil)
+	co.event(EvWorkerLost, k)
 
 	st, fellBack, err := co.tr.Orphans(k)
 	if fellBack {
@@ -537,7 +526,7 @@ func (co *coordinator) handleDown(k int) error {
 	if err != nil {
 		return err
 	}
-	co.event(EvOrphanSteal, k, map[string]string{"containers": strconv.Itoa(len(st.Containers))})
+	co.event(EvOrphanSteal, k, "containers", strconv.Itoa(len(st.Containers)))
 	// Steal to the live worker owning the fewest containers (ties to
 	// the lowest shard id); there is one, since the last live worker is
 	// always restarted. The choice is pure load balancing: records merge
@@ -559,10 +548,7 @@ func (co *coordinator) handleDown(k int) error {
 	co.met.containersStolen.Add(int64(stolen))
 	co.owned[target] += stolen
 	co.owned[k] = 0
-	co.event(EvAdopt, target, map[string]string{
-		"from":       strconv.Itoa(k),
-		"containers": strconv.Itoa(stolen),
-	})
+	co.event(EvAdopt, target, "from", strconv.Itoa(k), "containers", strconv.Itoa(stolen))
 	// The dead shard's pending resumes now live in the adopter's heap;
 	// the adopter's status refreshes at this tick's poll.
 	co.status[k] = crawler.TickStatus{}
@@ -582,9 +568,8 @@ func (co *coordinator) totalQueued() int {
 // finish aggregates the shards' final accounting — per-shard
 // Degradations merge tally-wise into one report, the same at every
 // shard count — snapshots the ecosystem fault counters once, stitches
-// the shard trace streams into the main tracer, absorbs the shards'
-// final telemetry snapshots into the main registry, and writes the
-// event ledger.
+// the shard trace streams into the main tracer, and absorbs the shards'
+// final telemetry snapshots into the main registry.
 //
 // The order is load-bearing: the trace stitch increments a
 // coordinator-registry counter, so it must land before
@@ -610,12 +595,6 @@ func (co *coordinator) finish() error {
 	}
 	co.stitchTrace()
 	co.absorbTelemetry()
-	if co.cfg.LedgerPath != "" {
-		if err := WriteLedger(co.cfg.LedgerPath, co.events); err != nil {
-			return err
-		}
-	}
-	co.report.Events = co.events
 	co.updateStatus(true)
 	return nil
 }

@@ -24,9 +24,7 @@
 package fleet
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 	"strings"
@@ -62,14 +60,15 @@ type Config struct {
 	// webeco.Ecosystem.WorkerCrashPlan here to drive it from a chaos
 	// profile ("workercrashes=F").
 	WorkerCrashPlan func(workerID string, cycle int) bool
-	// LedgerPath, if set, writes the fleet event timeline — every
-	// control-plane lifecycle event, simclock-timestamped — as JSONL at
-	// the end of the run. The ledger is deterministic under a fixed
-	// chaos plan: two identical runs produce identical ledger bytes.
-	LedgerPath string
+	// Ledger, if non-nil, receives every control-plane lifecycle event,
+	// stamped with the simulated clock and attributed by "device" (and
+	// "shard", except for fleet-wide events). The events are
+	// deterministic under a fixed chaos plan: two identical runs append
+	// identical events.
+	Ledger *telemetry.Ledger
 }
 
-// Fleet event-ledger kinds, in the order a shard's life emits them.
+// Fleet event kinds, in the order a shard's life emits them.
 const (
 	EvShardStarted    = "shard_started"    // seeding done, container count settled
 	EvHeartbeatMissed = "heartbeat_missed" // liveness check got no answer
@@ -80,65 +79,6 @@ const (
 	EvAdopt           = "adopt"            // a live worker adopted the orphans
 	EvMerge           = "merge"            // a tick's records merged (records > 0)
 )
-
-// Event is one line of the fleet event timeline: a simclock-timestamped
-// control-plane lifecycle event. Seq is the emission order (the ledger
-// is written by the coordinator's serial path, so Seq is also causal
-// order); Shard is -1 for fleet-wide events.
-type Event struct {
-	Seq   int               `json:"seq"`
-	Time  time.Time         `json:"time"`
-	Kind  string            `json:"kind"`
-	Shard int               `json:"shard"`
-	Attrs map[string]string `json:"attrs,omitempty"`
-}
-
-// WriteLedger writes the event timeline as JSONL, one event per line.
-func WriteLedger(path string, events []Event) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("fleet: ledger: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	enc := json.NewEncoder(bw)
-	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			f.Close()
-			return fmt.Errorf("fleet: ledger: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("fleet: ledger: %w", err)
-	}
-	return f.Close()
-}
-
-// ReadLedger parses an event-ledger JSONL file.
-func ReadLedger(path string) ([]Event, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: ledger: %w", err)
-	}
-	defer f.Close()
-	var out []Event
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("fleet: ledger: %w", err)
-		}
-		out = append(out, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fleet: ledger: %w", err)
-	}
-	return out, nil
-}
 
 // WorkerStatus is one worker's line in the fleet report.
 type WorkerStatus struct {
@@ -175,10 +115,6 @@ type Report struct {
 	TelemetryPulls int `json:"telemetry_pulls,omitempty"`
 	StitchedSpans  int `json:"stitched_spans,omitempty"`
 
-	// Events is the fleet event timeline, in emission order (also
-	// written as JSONL when Config.LedgerPath is set). Excluded from
-	// the report's JSON form — the ledger file is the export format.
-	Events []Event `json:"-"`
 	// ShardSnapshots[k] is shard k's final telemetry snapshot as pulled
 	// for the end-of-run absorb; Coordinator is the coordinator's own
 	// registry snapshot captured immediately before the absorb. The

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -165,43 +163,48 @@ func TestFleetTraceParity(t *testing.T) {
 	})
 }
 
-// TestFleetLedger: the event timeline reconciles with the report and
-// the fleet_* metrics, and is deterministic — two identical chaos runs
-// write identical ledger bytes.
+// TestFleetLedger: the events a fleet appends to its ledger reconcile
+// with the report and the fleet_* metrics, survive the JSONL round
+// trip, and are deterministic — two identical chaos runs write
+// identical ledger bytes.
 func TestFleetLedger(t *testing.T) {
-	run := func(t *testing.T, dir string) (*Report, *telemetry.Registry, string) {
+	run := func(t *testing.T) (*Report, *telemetry.Registry, []byte) {
 		t.Helper()
 		reg := telemetry.New()
+		led := telemetry.NewLedger()
 		eco := newEco(t, 11, chaosProfile(0.05))
-		path := filepath.Join(dir, "ledger.jsonl")
 		_, rep, err := Run(context.Background(), Config{
 			Crawl:           crawlConfig(eco, func(c *crawler.Config) { c.Metrics = reg }),
 			Shards:          4,
 			WorkerCrashPlan: eco.WorkerCrashPlan(),
 			Dir:             t.TempDir(),
-			LedgerPath:      path,
+			Ledger:          led,
 		}, eco.SeedURLs())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep, reg, path
+		var buf bytes.Buffer
+		if err := telemetry.WriteLedger(&buf, led.Events()); err != nil {
+			t.Fatal(err)
+		}
+		return rep, reg, buf.Bytes()
 	}
 
-	rep, reg, path := run(t, t.TempDir())
-	events, err := ReadLedger(path)
+	rep, reg, a := run(t)
+	events, err := telemetry.ReadLedger(bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != len(rep.Events) {
-		t.Fatalf("ledger has %d events, report has %d", len(events), len(rep.Events))
-	}
 	counts := map[string]int{}
 	stolen := 0
-	for i, ev := range events {
-		if ev.Seq != i+1 {
-			t.Fatalf("event %d has Seq %d; ledger must be in emission order", i, ev.Seq)
-		}
+	for _, ev := range events {
 		counts[ev.Kind]++
+		if ev.Time.IsZero() || ev.Attrs["device"] != "desktop" {
+			t.Fatalf("fleet event lacks its sim time or device: %+v", ev)
+		}
+		if _, ok := ev.Attrs["shard"]; ok == (ev.Kind == EvMerge) {
+			t.Errorf("%s event shard attr = %q; only fleet-wide merges omit it", ev.Kind, ev.Attrs["shard"])
+		}
 		if ev.Kind == EvAdopt {
 			n, _ := strconv.Atoi(ev.Attrs["containers"])
 			stolen += n
@@ -230,6 +233,9 @@ func TestFleetLedger(t *testing.T) {
 	}
 	// The fleet_events metric family mirrors the ledger exactly.
 	fam := reg.Snapshot().Families["fleet_events"]
+	if len(fam) != len(counts) {
+		t.Errorf("fleet_events has %d kinds, ledger has %d", len(fam), len(counts))
+	}
 	for kind, n := range counts {
 		if fam[kind] != int64(n) {
 			t.Errorf("fleet_events[%s] = %d, ledger has %d", kind, fam[kind], n)
@@ -237,16 +243,7 @@ func TestFleetLedger(t *testing.T) {
 	}
 
 	// Determinism: same seeds, same chaos plan → identical ledger bytes.
-	_, _, path2 := run(t, t.TempDir())
-	a, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(path2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
+	if _, _, b := run(t); !bytes.Equal(a, b) {
 		t.Errorf("ledger is not deterministic:\n%s", firstDiff(a, b))
 	}
 }
@@ -305,6 +302,11 @@ func TestFleetzEndpoint(t *testing.T) {
 	if st.Kills != rep.Kills || st.Restarts != rep.Restarts || st.Lost != rep.WorkersLost {
 		t.Errorf("status control-plane totals diverge from report: %+v vs %+v", st, rep)
 	}
+	// Every shard emits shard_started and every kill kill_detected, so
+	// the event counter runs even with no ledger attached.
+	if st.Events < st.Shards+st.Kills {
+		t.Errorf("status counts %d events, want >= %d", st.Events, st.Shards+st.Kills)
+	}
 	live := 0
 	for _, w := range st.Workers {
 		if w.Alive {
@@ -328,15 +330,15 @@ func TestFleetzEndpoint(t *testing.T) {
 
 // TestFleetObservabilityDisabled: with no registry and no tracer the
 // fleet plane must stay dark — no pulls, no stitching, no snapshots —
-// while the ledger (a plain file) still works.
+// while an attached ledger still records every event.
 func TestFleetObservabilityDisabled(t *testing.T) {
 	eco := newEco(t, 11, nil)
-	path := filepath.Join(t.TempDir(), "ledger.jsonl")
+	led := telemetry.NewLedger()
 	_, rep, err := Run(context.Background(), Config{
-		Crawl:      crawlConfig(eco, nil),
-		Shards:     2,
-		Dir:        t.TempDir(),
-		LedgerPath: path,
+		Crawl:  crawlConfig(eco, nil),
+		Shards: 2,
+		Dir:    t.TempDir(),
+		Ledger: led,
 	}, eco.SeedURLs())
 	if err != nil {
 		t.Fatal(err)
@@ -344,11 +346,7 @@ func TestFleetObservabilityDisabled(t *testing.T) {
 	if rep.TelemetryPulls != 0 || rep.StitchedSpans != 0 || rep.ShardSnapshots != nil {
 		t.Errorf("observability plane active without instruments: %+v", rep)
 	}
-	events, err := ReadLedger(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
+	if len(led.Events()) == 0 {
 		t.Error("ledger empty; event timeline must not depend on telemetry")
 	}
 }

@@ -8,13 +8,14 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
-// Registered live-introspection providers, keyed by the JSON envelope
-// field their endpoint wraps the payload in ("fleet" for /fleetz,
-// "mining" for /miningz). The owning subsystem registers one when its
-// run starts; telemetry stays a leaf package and only knows it gets
+// Live-introspection status, keyed by name: "fleet" is served at
+// /fleetz, "mining" at /miningz, each wrapped in a JSON envelope under
+// its name. The owning subsystem registers a Publisher when its run
+// starts; telemetry stays a leaf package and only knows it gets
 // *something* JSON-marshalable back — or a fmt.Stringer for the text
 // rendering.
 var (
@@ -22,39 +23,55 @@ var (
 	statusFns = map[string]func() any{}
 )
 
-func setStatusProvider(key string, fn func() any) {
-	statusMu.Lock()
-	statusFns[key] = fn
-	statusMu.Unlock()
+// Publisher hands immutable snapshots of a run's live status to the
+// debug server. The run builds a fresh *T for every Publish and never
+// mutates it afterwards, because readers load it concurrently.
+type Publisher[T any] struct {
+	cur atomic.Pointer[T]
 }
 
-// SetFleetz registers the provider behind the /fleetz debug endpoint.
-// The provider is called per request on the debug server's goroutine,
-// so it must be safe for concurrent use and should return an immutable
-// snapshot. Registering nil (or never registering) makes /fleetz
-// report {"active": false}; re-registering replaces the provider
-// (desktop fleet, then mobile fleet — latest wins, like expvar
-// republication).
-func SetFleetz(fn func() any) { setStatusProvider("fleet", fn) }
+// NewPublisher returns a publisher registered under name. The latest
+// registration wins (desktop fleet, then mobile fleet; one mining run
+// after another), like expvar republication.
+func NewPublisher[T any](name string) *Publisher[T] {
+	p := &Publisher[T]{}
+	statusMu.Lock()
+	statusFns[name] = p.status
+	statusMu.Unlock()
+	return p
+}
 
-// SetMiningz registers the provider behind the /miningz debug
-// endpoint — the mining pipeline's mirror of SetFleetz, with the same
-// contract: immutable snapshots, safe for concurrent calls, latest
-// registration wins.
-func SetMiningz(fn func() any) { setStatusProvider("mining", fn) }
+// Publish makes s the current snapshot.
+func (p *Publisher[T]) Publish(s *T) { p.cur.Store(s) }
 
-// statusHandler serves one registered provider's live snapshot: JSON
-// by default (wrapped in an {"active": true, "<key>": ...} envelope),
-// the provider's fmt.Stringer rendering with ?format=text.
-func statusHandler(key string) http.HandlerFunc {
+// status returns the current snapshot as an untyped nil before the
+// first Publish, so the endpoint answers {"active": false} rather than
+// marshaling a typed nil pointer.
+func (p *Publisher[T]) status() any {
+	if s := p.cur.Load(); s != nil {
+		return s
+	}
+	return nil
+}
+
+// Status returns the latest snapshot published under name, or nil when
+// no publisher is registered or it has not published yet.
+func Status(name string) any {
+	statusMu.RLock()
+	fn := statusFns[name]
+	statusMu.RUnlock()
+	if fn == nil {
+		return nil
+	}
+	return fn()
+}
+
+// statusHandler serves the snapshot published under name: JSON by
+// default (wrapped in an {"active": true, "<name>": ...} envelope), the
+// snapshot's fmt.Stringer rendering with ?format=text.
+func statusHandler(name string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		statusMu.RLock()
-		fn := statusFns[key]
-		statusMu.RUnlock()
-		var payload any
-		if fn != nil {
-			payload = fn()
-		}
+		payload := Status(name)
 		if payload == nil {
 			w.Header().Set("Content-Type", "application/json")
 			fmt.Fprintln(w, `{"active": false}`)
@@ -70,7 +87,7 @@ func statusHandler(key string) http.HandlerFunc {
 		w.Header().Set("Content-Type", "application/json")
 		b, err := json.MarshalIndent(map[string]any{
 			"active": true,
-			key:      payload,
+			name:     payload,
 		}, "", "  ")
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)

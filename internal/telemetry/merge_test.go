@@ -211,11 +211,12 @@ func TestTracerAppendRebases(t *testing.T) {
 }
 
 // TestObservabilityPlaneNilSafety: every fleet-plane entry point must
-// be a free no-op when telemetry is disabled.
+// be a free no-op when telemetry is disabled, the ledger included.
 func TestObservabilityPlaneNilSafety(t *testing.T) {
 	var reg *Registry
 	var tr *Tracer
 	var rec *ChainRecorder
+	var led *Ledger
 	snap := shardRegistry(0).Snapshot()
 	if n := testing.AllocsPerRun(100, func() {
 		reg.Absorb("shard-0", snap)
@@ -223,6 +224,8 @@ func TestObservabilityPlaneNilSafety(t *testing.T) {
 		tr.Append(nil)
 		st := rec.Export()
 		rec.Restore(st)
+		led.Append(Event{Kind: "merge"})
+		_ = led.Events()
 	}); n != 0 {
 		t.Errorf("disabled fleet-plane path allocates %v per run, want 0", n)
 	}

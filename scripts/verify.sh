@@ -33,8 +33,4 @@ sh scripts/bench_check.sh
 
 sh scripts/telemetry_smoke.sh
 
-sh scripts/fleetz_smoke.sh
-
-sh scripts/miningz_smoke.sh
-
 echo "verify: OK"
