@@ -43,12 +43,14 @@ bench-check:
 telemetry-smoke:
 	sh scripts/telemetry_smoke.sh
 
-# mining-smoke runs the blocked-vs-exact parity matrix (3 seeds × 3
-# linkages), the incremental-converges-to-batch checks and the linkage
-# property test — the gates behind the sub-quadratic mining path.
+# mining-smoke runs the exact route's bit-parity gate against the serial
+# reference sweep (3 seeds × 3 linkages, plus a near-tied one-block
+# sweep), the blocked-vs-exact parity matrix, the
+# incremental-converges-to-batch checks and the linkage property test —
+# the gates behind both mining routes and their shared cut step.
 mining-smoke:
 	$(GO) test -count=1 \
-		-run '^(TestClusterParityBlockedVsExact|TestBlockedComponentsPartition|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties)$$' \
+		-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestBlockedComponentsPartition|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties)$$' \
 		./internal/core/ ./internal/cluster/
 
 # profile-mining captures CPU/heap pprof profiles of the n=50k blocked

@@ -58,8 +58,10 @@ func miningFeatures(b *testing.B, n int) *core.FeatureSet {
 // (distance matrix, agglomeration, silhouette-chosen cut) end to end.
 //
 // Each mode also reports a per-stage wall-time breakdown
-// ("<stage>-ns/op": distance_matrix, linkage, cut, silhouette) taken
-// from one telemetry-instrumented run outside the timed loop, so
+// ("<stage>-ns/op": distance_matrix and linkage on the exact route,
+// blocks and block_linkage on the blocked one, then cut, which holds
+// the silhouette sweep on both) taken from one
+// telemetry-instrumented run outside the timed loop, so
 // BENCH_mining.json records where the time goes without the counters
 // perturbing the headline ns/op.
 func BenchmarkClusterWPNs(b *testing.B) {
@@ -85,7 +87,7 @@ func BenchmarkClusterWPNs(b *testing.B) {
 					opts.Metrics = reg
 					benchSink = core.ClusterWPNs(fs, opts).Silhouette
 					stages := reg.Snapshot().Families["mining_stage_ns"]
-					for _, s := range []string{"distance_matrix", "linkage", "blocks", "block_linkage", "cut", "silhouette"} {
+					for _, s := range []string{"distance_matrix", "linkage", "blocks", "block_linkage", "cut"} {
 						if ns := stages[s]; ns > 0 {
 							b.ReportMetric(float64(ns), s+"-ns/op")
 						}
@@ -177,23 +179,6 @@ func BenchmarkSoftCosineMatrix(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchSink = cluster.Compute(n, fs.Distance)
-			}
-		})
-	}
-}
-
-// BenchmarkSilhouetteSweep isolates cut selection over a prebuilt
-// dendrogram: the parallel per-item accumulation sweep (bit-identical
-// to the serial reference, see the cluster package tests).
-func BenchmarkSilhouetteSweep(b *testing.B) {
-	for _, n := range miningSizes {
-		b.Run(fmt.Sprintf("n=%d/parallel", n), func(b *testing.B) {
-			fs := miningFeatures(b, n)
-			m := cluster.Compute(n, fs.Distance)
-			dend := cluster.Agglomerative(m)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchSink = cluster.BestCutConservative(dend, m, 0, 0.15)
 			}
 		})
 	}

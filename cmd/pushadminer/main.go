@@ -17,10 +17,10 @@
 //	               path (candidate pairs from the SimHash band index,
 //	               exact clustering within connected-component blocks)
 //	-medoid-index P write the persistable medoid classify index
-//	               (campaign medoids + chosen cut) of a -blocked mine
-//	               as deterministic JSON to P, so a restarted
-//	               incremental service can Add-classify arrivals
-//	               without re-mining
+//	               (campaign medoids + chosen cut) of the mine, on
+//	               either route, as deterministic JSON to P, so a
+//	               restarted incremental service can Add-classify
+//	               arrivals without re-mining
 //	-quiet         suppress progress logging, including the periodic
 //	               mining-progress lines; the live /miningz status is
 //	               still published and served — quiet only silences
@@ -62,7 +62,7 @@ func main() {
 		days       = flag.Int("days", 14, "collection window in simulated days")
 		tables     = flag.String("table", "all", "artifacts to print (1,2,3,4,5,6,f4,f5,f6,cost,eval,detector,scams,experiments,all)")
 		blocked    = flag.Bool("blocked", false, "use the sub-quadratic LSH-blocked clustering path")
-		medoidOut  = flag.String("medoid-index", "", "write the persistable medoid classify index (campaign medoids + chosen cut) as JSON to this path (blocked path)")
+		medoidOut  = flag.String("medoid-index", "", "write the persistable medoid classify index (campaign medoids + chosen cut) as JSON to this path")
 		quiet      = flag.Bool("quiet", false, "suppress progress logging")
 		format     = flag.String("format", "text", "output format: text or json")
 		debugAddr  = flag.String("debug-addr", "", "loopback addr serving /debug/pprof, /debug/vars, /metrics and /miningz (e.g. 127.0.0.1:6060)")
@@ -158,11 +158,8 @@ func main() {
 		logf("%d ledger events → %s", len(ledger.Events()), *ledgerOut)
 	}
 	if *medoidOut != "" {
-		if m := study.Analysis.Clusters.Medoids; m != nil {
-			logf("medoid index (%d campaigns, cut %.4f) → %s", len(m.Medoids), m.CutHeight, *medoidOut)
-		} else {
-			logf("warning: -medoid-index set but the selected path produced no medoid index (use -blocked)")
-		}
+		m := study.Analysis.Clusters.Medoids
+		logf("medoid index (%d campaigns, cut %.4f) → %s", len(m.Medoids), m.CutHeight, *medoidOut)
 	}
 	if *metricsOut != "" {
 		if err := reg.WriteSnapshotFile(*metricsOut); err != nil {

@@ -206,98 +206,6 @@ func TestAverageLinkageValue(t *testing.T) {
 	}
 }
 
-func TestSilhouettePerfectSplit(t *testing.T) {
-	m := twoBlobs(5, 5)
-	labels := make([]int, 10)
-	for i := 5; i < 10; i++ {
-		labels[i] = 1
-	}
-	s := Silhouette(m, labels)
-	// a = 0.1, b = 0.9 → s = (0.9-0.1)/0.9 ≈ 0.888
-	if math.Abs(s-8.0/9.0) > 1e-6 {
-		t.Errorf("silhouette = %v, want %v", s, 8.0/9.0)
-	}
-	// A bad labeling must score lower.
-	bad := []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1}
-	if sb := Silhouette(m, bad); sb >= s {
-		t.Errorf("bad labeling silhouette %v >= good %v", sb, s)
-	}
-}
-
-func TestSilhouetteDegenerate(t *testing.T) {
-	m := twoBlobs(3, 3)
-	if s := Silhouette(m, []int{0, 0, 0, 0, 0, 0}); s != 0 {
-		t.Errorf("single cluster silhouette = %v, want 0", s)
-	}
-	if s := Silhouette(m, []int{0, 1, 2, 3, 4, 5}); s != 0 {
-		t.Errorf("all-singleton silhouette = %v, want 0", s)
-	}
-	if s := Silhouette(NewDistMatrix(0), nil); s != 0 {
-		t.Errorf("empty silhouette = %v, want 0", s)
-	}
-}
-
-func TestBestCutFindsBlobs(t *testing.T) {
-	m := twoBlobs(6, 4)
-	d := Agglomerative(m)
-	res := BestCut(d, m, 0)
-	if res.Clusters != 2 {
-		t.Fatalf("BestCut clusters = %d, want 2 (labels %v)", res.Clusters, res.Labels)
-	}
-	if res.Silhouette <= 0.5 {
-		t.Errorf("BestCut silhouette = %v, want > 0.5", res.Silhouette)
-	}
-}
-
-func TestBestCutThreeBlobs(t *testing.T) {
-	// Three groups with clear separation.
-	sizes := []int{5, 4, 6}
-	group := func(i int) int {
-		switch {
-		case i < sizes[0]:
-			return 0
-		case i < sizes[0]+sizes[1]:
-			return 1
-		default:
-			return 2
-		}
-	}
-	n := 15
-	rng := rand.New(rand.NewSource(11))
-	m := Compute(n, func(i, j int) float64 {
-		if group(i) == group(j) {
-			return 0.05 + 0.05*rng.Float64()
-		}
-		return 0.8 + 0.1*rng.Float64()
-	})
-	d := Agglomerative(m)
-	res := BestCut(d, m, 0)
-	if res.Clusters != 3 {
-		t.Fatalf("BestCut clusters = %d, want 3", res.Clusters)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			same := res.Labels[i] == res.Labels[j]
-			if same != (group(i) == group(j)) {
-				t.Fatalf("items %d,%d labeling mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestBestCutTiny(t *testing.T) {
-	res := BestCut(Agglomerative(NewDistMatrix(1)), NewDistMatrix(1), 0)
-	if res.Clusters != 1 {
-		t.Errorf("n=1 BestCut clusters = %d", res.Clusters)
-	}
-	m := NewDistMatrix(2)
-	m.Set(0, 1, 0.4)
-	res = BestCut(Agglomerative(m), m, 0)
-	if res.Clusters != 2 {
-		t.Errorf("n=2 BestCut clusters = %d, want 2 (no valid 2<=k<n cut)", res.Clusters)
-	}
-}
-
 func TestMembers(t *testing.T) {
 	got := Members([]int{1, 0, 1, 2})
 	want := map[int][]int{0: {1}, 1: {0, 2}, 2: {3}}
@@ -466,33 +374,6 @@ func TestLinkageOrdering(t *testing.T) {
 	}
 	if sSum > cSum {
 		t.Errorf("single linkage total height %v > complete %v", sSum, cSum)
-	}
-}
-
-func TestDedupeCutHeights(t *testing.T) {
-	in := []float64{0.1, 0.1 + 1e-12, 0.1 + 2e-12, 0.2, 0.2 + 5e-10, 0.3}
-	got := DedupeCutHeights(in, 1e-9)
-	want := []float64{0.1, 0.2, 0.3}
-	if len(got) != len(want) {
-		t.Fatalf("DedupeCutHeights = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("DedupeCutHeights = %v, want %v", got, want)
-		}
-	}
-	// The anchor advances, so a chain of sub-tolerance steps that sums
-	// past the tolerance still keeps its distant end.
-	chain := []float64{0, 4e-10, 8e-10, 1.2e-9, 1.6e-9}
-	if out := DedupeCutHeights(chain, 1e-9); len(out) != 2 || out[1] != 1.2e-9 {
-		t.Errorf("chained dedupe = %v, want [0 1.2e-09]", out)
-	}
-	// tol <= 0 disables; empty passes through.
-	if out := DedupeCutHeights([]float64{0.1, 0.1}, 0); len(out) != 2 {
-		t.Errorf("tol=0 must disable dedupe, got %v", out)
-	}
-	if out := DedupeCutHeights(nil, 1e-9); out != nil {
-		t.Errorf("nil input: got %v", out)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package cluster implements the unsupervised-learning substrate of the
 // mining pipeline (§5.1.1): a condensed pairwise distance matrix,
 // agglomerative hierarchical clustering with average linkage (via the
-// nearest-neighbor-chain algorithm), dendrogram cutting, and the mean
-// silhouette score used to pick the cut, mirroring the paper's use of
-// scipy/scikit-learn.
+// nearest-neighbor-chain algorithm), dendrogram cutting, candidate
+// cut-height sampling, and the condensed-matrix kernels the mean
+// silhouette score is built on (the score and the cut sweep live in
+// internal/core), mirroring the paper's use of scipy/scikit-learn.
 package cluster
 
 import (

@@ -1,0 +1,331 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"pushadminer/internal/cluster"
+	"pushadminer/internal/crawler"
+)
+
+// oneBlock wraps a distance matrix as the single block holding every
+// item, the shape the exact route hands the cut step.
+func oneBlock(m *cluster.DistMatrix, linkage cluster.Linkage) *blockDendrogram {
+	bd := &blockDendrogram{members: make([]int, m.Len()), dm: m, dend: cluster.AgglomerativeLinkage(m, linkage)}
+	for i := range bd.members {
+		bd.members[i] = i
+	}
+	return bd
+}
+
+// oneBlockCut runs the cut step over one block of a synthetic matrix.
+// The records are blank: the step needs only their count.
+func oneBlockCut(m *cluster.DistMatrix, opts ClusterOptions) *ClusterResult {
+	fs := &FeatureSet{Records: make([]*crawler.WPNRecord, m.Len())}
+	for i := range fs.Records {
+		fs.Records[i] = &crawler.WPNRecord{}
+	}
+	res, _ := cutStep(fs, []*blockDendrogram{oneBlock(m, opts.Linkage)}, m.Len(), opts, nil, nil)
+	return res
+}
+
+// oneBlockSilhouette is the mean silhouette of labels (dense from 0,
+// as every cut produces) under the cut step's scorer.
+func oneBlockSilhouette(m *cluster.DistMatrix, labels []int, acc *[]float64) float64 {
+	bd := &blockDendrogram{dm: m}
+	return blockSilhouetteSum(bd, labels, 1, false, acc) / float64(m.Len())
+}
+
+// twoBlobs returns a distance matrix with two tight groups of the given
+// sizes: intra-group distance 0.1, inter-group 0.9.
+func twoBlobs(a, b int) *cluster.DistMatrix {
+	return cluster.Compute(a+b, func(i, j int) float64 {
+		if (i < a) == (j < a) {
+			return 0.1
+		}
+		return 0.9
+	})
+}
+
+// randomMatrix fills an n-item matrix with rng draws, drawn up front
+// because Compute calls its distance function from parallel workers.
+func randomMatrix(n int, rng *rand.Rand) *cluster.DistMatrix {
+	d := make([]float64, n*n)
+	for i := range d {
+		d[i] = rng.Float64()
+	}
+	return cluster.Compute(n, func(i, j int) float64 { return d[i*n+j] })
+}
+
+// denseLabels renumbers labels by first occurrence, so they run
+// contiguously from 0 like a dendrogram cut's.
+func denseLabels(labels []int) []int {
+	remap := map[int]int{}
+	out := make([]int, len(labels))
+	for i, l := range labels {
+		if _, ok := remap[l]; !ok {
+			remap[l] = len(remap)
+		}
+		out[i] = remap[l]
+	}
+	return out
+}
+
+// assertMatchesSerial checks a one-block cut against the serial
+// reference bit for bit: the conservative sweep's oracle, or under a
+// fixed height the dendrogram cut scored by silhouetteSerial.
+func assertMatchesSerial(t *testing.T, m *cluster.DistMatrix, opts ClusterOptions, res *ClusterResult) {
+	t.Helper()
+	want := cutResult{Height: opts.FixedCutHeight}
+	if opts.FixedCutHeight > 0 {
+		want.Labels = cluster.AgglomerativeLinkage(m, opts.Linkage).CutByHeight(opts.FixedCutHeight)
+		want.Silhouette = silhouetteSerial(m, want.Labels)
+	} else {
+		want = bestCutConservativeSerial(cluster.AgglomerativeLinkage(m, opts.Linkage), m, opts.conservativeTol())
+	}
+	if !sameLabels(res.Labels, want.Labels) || res.CutHeight != want.Height || res.Silhouette != want.Silhouette {
+		t.Errorf("cut step %v at %v (silhouette %v), serial %v at %v (silhouette %v)",
+			res.Labels, res.CutHeight, res.Silhouette, want.Labels, want.Height, want.Silhouette)
+	}
+}
+
+// TestCutStepOneBlock drives the cut step over one block of small
+// synthetic matrices, both the sweep and fixed cuts, and checks each
+// outcome against the serial reference bit for bit and against what the
+// matrix's shape dictates: blobs are recovered, degenerate labelings
+// score 0, inputs with no valid cut fall back to leaves, and the
+// sampled sweep still reaches the coarsest cut.
+func TestCutStepOneBlock(t *testing.T) {
+	best := ClusterOptions{ConservativeTol: -1} // highest silhouette wins
+	sizes := []int{5, 4, 6}
+	group := func(i int) int {
+		switch {
+		case i < sizes[0]:
+			return 0
+		case i < sizes[0]+sizes[1]:
+			return 1
+		default:
+			return 2
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	noise := make([]float64, 15*15)
+	for i := range noise {
+		noise[i] = rng.Float64()
+	}
+	threeBlobs := cluster.Compute(15, func(i, j int) float64 {
+		if group(i) == group(j) {
+			return 0.05 + 0.05*noise[i*15+j]
+		}
+		return 0.8 + 0.1*noise[i*15+j]
+	})
+	// Two tight blobs with all-distinct intra distances, far apart: more
+	// distinct merge heights than maxCutCandidates, and the winning
+	// 2-cluster cut sits at the highest intra height, so the sweep only
+	// finds it if sampling reaches the tail.
+	const half = 50
+	coarsest := cluster.Compute(2*half, func(i, j int) float64 {
+		if (i < half) == (j < half) {
+			return 0.05 + 0.003*float64(i*2*half+j%97)/float64(2*half)
+		}
+		return 0.95
+	})
+	// Three groups of three: intra distances all 0.2, inter all 0.8.
+	tieHeavy := cluster.Compute(9, func(i, j int) float64 {
+		if i/3 == j/3 {
+			return 0.2
+		}
+		return 0.8
+	})
+	pair := cluster.NewDistMatrix(2)
+	pair.Set(0, 1, 0.4)
+
+	for _, c := range []struct {
+		name  string
+		m     *cluster.DistMatrix
+		opts  ClusterOptions
+		k     int
+		check func(t *testing.T, res *ClusterResult)
+	}{
+		{name: "perfect-split", m: twoBlobs(5, 5), opts: ClusterOptions{FixedCutHeight: 0.5}, k: 2,
+			check: func(t *testing.T, res *ClusterResult) {
+				// a = 0.1, b = 0.9 → s = (0.9-0.1)/0.9 = 8/9.
+				if math.Abs(res.Silhouette-8.0/9.0) > 1e-6 {
+					t.Errorf("silhouette = %v, want %v", res.Silhouette, 8.0/9.0)
+				}
+				var acc []float64
+				bad := []int{0, 1, 0, 1, 0, 1, 0, 1, 0, 1}
+				if s := oneBlockSilhouette(twoBlobs(5, 5), bad, &acc); s >= res.Silhouette {
+					t.Errorf("interleaved labeling scores %v >= blob split %v", s, res.Silhouette)
+				}
+			}},
+		{name: "degenerate-one-cluster", m: twoBlobs(3, 3), opts: ClusterOptions{FixedCutHeight: 2}, k: 1},
+		{name: "degenerate-all-singletons", m: twoBlobs(3, 3), opts: ClusterOptions{FixedCutHeight: 0.01}, k: 6},
+		{name: "degenerate-empty", m: cluster.NewDistMatrix(0), opts: best, k: 0},
+		{name: "two-blobs", m: twoBlobs(6, 4), opts: best, k: 2,
+			check: func(t *testing.T, res *ClusterResult) {
+				if res.Silhouette <= 0.5 {
+					t.Errorf("silhouette = %v, want > 0.5", res.Silhouette)
+				}
+			}},
+		{name: "three-blobs", m: threeBlobs, opts: best, k: 3,
+			check: func(t *testing.T, res *ClusterResult) {
+				for i := range res.Labels {
+					for j := i + 1; j < len(res.Labels); j++ {
+						if (res.Labels[i] == res.Labels[j]) != (group(i) == group(j)) {
+							t.Fatalf("items %d,%d labeling mismatch: %v", i, j, res.Labels)
+						}
+					}
+				}
+			}},
+		{name: "tiny-n1", m: cluster.NewDistMatrix(1), opts: best, k: 1},
+		{name: "tiny-n2", m: pair, opts: best, k: 2}, // no valid 2 <= k < n cut
+		{name: "coarsest-cut", m: coarsest, opts: best, k: 2,
+			check: func(t *testing.T, res *ClusterResult) {
+				if n := len(pooledCutCandidates([]*blockDendrogram{oneBlock(coarsest, cluster.Average)})); n != maxCutCandidates {
+					t.Errorf("%d candidates, want the sweep sampled down to %d", n, maxCutCandidates)
+				}
+			}},
+		{name: "tie-heavy", m: tieHeavy, opts: best, k: 3,
+			check: func(t *testing.T, res *ClusterResult) {
+				if want := []int{0, 0, 0, 1, 1, 1, 2, 2, 2}; !sameLabels(res.Labels, want) {
+					t.Errorf("tie-cut labels = %v, want %v", res.Labels, want)
+				}
+			}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			res := oneBlockCut(c.m, c.opts)
+			if k := numClusters(res.Labels); k != c.k {
+				t.Fatalf("%d clusters, want %d (labels %v)", k, c.k, res.Labels)
+			}
+			if (c.k < 2 || c.k == c.m.Len()) && res.Silhouette != 0 {
+				t.Errorf("degenerate cut scores %v, want 0", res.Silhouette)
+			}
+			assertMatchesSerial(t, c.m, c.opts, res)
+			if c.check != nil {
+				c.check(t, res)
+			}
+		})
+	}
+}
+
+// TestSilhouetteMatchesSerialBitForBit pins the cut step's scorer and
+// sweep to the serial references, bit for bit, on random matrices under
+// random and cut labelings; random labelings exercise the streaming
+// kernel, sparse low cuts the per-member row walks.
+func TestSilhouetteMatchesSerialBitForBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	var acc []float64
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.Intn(120)
+		m := randomMatrix(n, rng)
+		k := 1 + rng.Intn(6)
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = rng.Intn(k)
+		}
+		labels = denseLabels(labels)
+		linkage := cluster.Linkage(trial % 3)
+		cut := cluster.AgglomerativeLinkage(m, linkage).CutByHeight(0.2)
+		for _, lab := range [][]int{labels, cut} {
+			if got, want := oneBlockSilhouette(m, lab, &acc), silhouetteSerial(m, lab); got != want {
+				t.Fatalf("trial %d (n=%d): silhouette %v != serial %v", trial, n, got, want)
+			}
+		}
+		assertMatchesSerial(t, m, ClusterOptions{Linkage: linkage}, oneBlockCut(m, ClusterOptions{Linkage: linkage}))
+	}
+}
+
+// TestOneBlockSweepKeepsNearTieHeights sweeps one block whose
+// dendrogram has more than maxCutCandidates distinct heights, forty of
+// them within 1e-9 of their neighbours (tight pairs whose distances are
+// consecutive float32 values), and asserts the cut step matches the
+// serial reference sweep bit for bit. Collapsing candidate heights under
+// a tolerance would drop the top of that run — the cut where every pair
+// has merged — and change the chosen cut, as would any other change to
+// the candidate set.
+func TestOneBlockSweepKeepsNearTieHeights(t *testing.T) {
+	const pairs = 40
+	n := 2 * pairs
+	base := float64(float32(0.001))
+	ulp := math.Nextafter32(float32(base), 1) - float32(base)
+	rng := rand.New(rand.NewSource(5))
+	far := make([]float64, n*n)
+	for i := range far {
+		far[i] = 0.3 + 0.6*rng.Float64()
+	}
+	m := cluster.Compute(n, func(i, j int) float64 {
+		if i/2 == j/2 {
+			return base + float64(i/2)*float64(ulp)
+		}
+		return far[i*n+j]
+	})
+	for _, linkage := range []cluster.Linkage{cluster.Average, cluster.Single, cluster.Complete} {
+		merges := cluster.AgglomerativeLinkage(m, linkage).Merges()
+		distinct, near := 1, 0
+		for i := 1; i < len(merges); i++ {
+			if d := merges[i].Distance - merges[i-1].Distance; d > 0 {
+				distinct++
+				if d < 1e-9 {
+					near++
+				}
+			}
+		}
+		if distinct <= maxCutCandidates || near < pairs-1 {
+			t.Fatalf("%s: %d distinct heights, %d within 1e-9 of the previous; the sweep would not be sampled or no heights are near-tied", linkage, distinct, near)
+		}
+		for _, tol := range []float64{0.15, -1} {
+			opts := ClusterOptions{Linkage: linkage, ConservativeTol: tol}
+			assertMatchesSerial(t, m, opts, oneBlockCut(m, opts))
+		}
+	}
+}
+
+// TestExactFixedCutSilhouetteMatchesSerial asserts the exact route's
+// fixed-cut silhouette equals silhouetteSerial bit for bit, at heights
+// from sparse (many singletons, the row-walk scorer) to coarse (the
+// streaming kernel).
+func TestExactFixedCutSilhouetteMatchesSerial(t *testing.T) {
+	fs := parityFS(t, 2, 150)
+	dm := cluster.Compute(len(fs.Records), fs.Distance)
+	dend := cluster.Agglomerative(dm)
+	for _, h := range []float64{0.05, 0.15, 0.3, 0.6} {
+		res := ClusterWPNs(fs, ClusterOptions{FixedCutHeight: h})
+		labels := dend.CutByHeight(h)
+		if !sameLabels(res.Labels, labels) {
+			t.Fatalf("h=%v: labels differ from the dendrogram cut", h)
+		}
+		if want := silhouetteSerial(dm, labels); res.Silhouette != want {
+			t.Errorf("h=%v: silhouette %v, serial %v", h, res.Silhouette, want)
+		}
+	}
+}
+
+// TestSilhouetteAccumulatorReuse asserts a reused accumulator left
+// dirty by a larger cell scores every later cell exactly as a fresh one
+// does, without regrowing.
+func TestSilhouetteAccumulatorReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var dirty []float64
+	for trial, n := range []int{150, 40, 90, 7, 120} {
+		m := randomMatrix(n, rng)
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = rng.Intn(1 + n/10)
+		}
+		labels = denseLabels(labels)
+		var fresh []float64
+		want := oneBlockSilhouette(m, labels, &fresh)
+		before := cap(dirty)
+		if got := oneBlockSilhouette(m, labels, &dirty); got != want {
+			t.Fatalf("trial %d (n=%d): reused accumulator scores %v, fresh %v", trial, n, got, want)
+		}
+		if trial == 0 && cap(dirty) == 0 {
+			t.Fatal("the streaming kernel never ran; the test is vacuous")
+		}
+		if trial > 0 && cap(dirty) != before {
+			t.Errorf("trial %d (n=%d): accumulator regrown from %d to %d though a larger cell filled it", trial, n, before, cap(dirty))
+		}
+	}
+}

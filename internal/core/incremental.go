@@ -26,11 +26,12 @@ type IncrementalStats struct {
 	BlocksReused  int
 	BlocksRebuilt int
 	// SweepMemoHits / SweepMemoRefreshes / SweepRescoredBlocks count the
-	// pooled cut sweep's per-block memoization across Recluster calls
-	// (see sweepMemoStats): sweep-grid cells served from cached block
+	// cut sweep's per-block memoization across Recluster calls (see
+	// sweepMemoStats): sweep-grid cells served from cached block
 	// contributions, cached labelings rescored under a new far estimate,
-	// and block re-cuts actually performed. All zero below the
-	// validation-scale crossover, where the exact sweep selects the cut.
+	// and block re-cuts actually performed. Below the validation-scale
+	// crossover the sweep runs over one freshly built exact block, so it
+	// only misses and rescores.
 	SweepMemoHits       int64
 	SweepMemoRefreshes  int64
 	SweepRescoredBlocks int64
@@ -67,8 +68,10 @@ type IncrementalClusterer struct {
 	// so an unchanged size means an unchanged member set.
 	cache map[int]*blockDendrogram
 
-	res     *ClusterResult
-	medoids map[int]int // cluster label -> medoid record index
+	// res is the last Recluster's result; its Medoids index holds one
+	// entry per cluster label, ascending, so Medoids.Medoids[l] is
+	// cluster l's medoid.
+	res *ClusterResult
 	// restored is a persisted MedoidIndex from a previous mine (see
 	// RestoreMedoidIndex): before the first Recluster of this run, Add
 	// classifies against it instead of returning -1 for everything.
@@ -78,8 +81,10 @@ type IncrementalClusterer struct {
 }
 
 // NewIncrementalClusterer prepares an empty clusterer over the feature
-// set. opts is interpreted as for the Blocked batch path.
+// set. opts is interpreted as for the Blocked batch path, except that
+// Recluster always builds the medoid index: Add classifies against it.
 func NewIncrementalClusterer(fs *FeatureSet, opts ClusterOptions) *IncrementalClusterer {
+	opts.BuildMedoids = true
 	return &IncrementalClusterer{
 		fs:    fs,
 		opts:  opts,
@@ -131,10 +136,7 @@ func (c *IncrementalClusterer) Add(i int) int {
 				continue
 			}
 			seen[l] = true
-			med, ok := c.medoids[l]
-			if !ok {
-				continue
-			}
+			med := c.res.Medoids.Medoids[l].Record
 			if d := c.fs.Distance(i, med); d <= bestD {
 				bestD, prov = d, l
 			}
@@ -213,44 +215,20 @@ func (c *IncrementalClusterer) Recluster() *ClusterResult {
 	}
 	c.cache = next
 
-	var per [][]int
-	var height, sil float64
-	if c.opts.FixedCutHeight > 0 {
-		var k int
-		per, k = cutBlocksAt(blocks, c.opts.FixedCutHeight)
-		height = c.opts.FixedCutHeight
-		if k >= 2 {
-			sil = blockedSilhouette(blocks, per, blockedFar(c.fs, blocks), c.nAdded)
-		}
-	} else {
-		// The sweep may coarsen the blocks with missed threshold edges
-		// (validation scale); stitching and medoids must use the
-		// returned slice. The coarsened blocks never enter the cache —
-		// it was rebuilt above from the union-find components, which
-		// stay authoritative for reuse. Reused blocks carry their cut
-		// memos (the memo lives on the blockDendrogram), so clean
-		// blocks' sweep contributions survive across Recluster calls.
-		var ms sweepMemoStats
-		blocks, per, height, sil, ms = sweepBlockedCut(c.fs, blocks, c.opts.Linkage, c.nAdded, c.opts.conservativeTol(), c.obs)
-		c.stats.SweepMemoHits += ms.hits
-		c.stats.SweepMemoRefreshes += ms.refreshes
-		c.stats.SweepRescoredBlocks += ms.rescoredBlocks
-	}
-	labels := stitchBlockedLabels(len(c.fs.Records), blocks, per)
-	c.res = finishClusterResult(c.fs, labels, height, sil)
-	c.updateMedoids(blocks, per, labels)
+	// Reused blocks carry their cut memos (the memo lives on the
+	// blockDendrogram), so clean blocks' sweep contributions survive
+	// across Recluster calls.
+	var ms sweepMemoStats
+	c.res, ms = cutStep(c.fs, blocks, c.nAdded, c.opts, nil, c.obs)
+	c.stats.SweepMemoHits += ms.hits
+	c.stats.SweepMemoRefreshes += ms.refreshes
+	c.stats.SweepRescoredBlocks += ms.rescoredBlocks
 	c.stats.Reclusters++
 	c.obs.reclustered(len(comps), len(comps)-len(rebuild), len(rebuild), len(c.res.Clusters))
 	return c.res
 }
 
-// updateMedoids recomputes each cluster's medoid from the blocks' exact
-// local matrices (see blockMedoids).
-func (c *IncrementalClusterer) updateMedoids(blocks []*blockDendrogram, per [][]int, labels []int) {
-	c.medoids = blockMedoids(blocks, per, labels)
-}
-
-// MedoidIndex snapshots the classify state of the last Recluster —
+// MedoidIndex returns the classify state of the last Recluster —
 // campaign medoids plus the cut that defined them — as a persistable
 // index (see MedoidIndex, SaveMedoidIndex). Nil before the first
 // Recluster.
@@ -258,7 +236,7 @@ func (c *IncrementalClusterer) MedoidIndex() *MedoidIndex {
 	if c.res == nil {
 		return nil
 	}
-	return newMedoidIndex(c.fs, c.medoids, c.res.CutHeight, c.res.Silhouette)
+	return c.res.Medoids
 }
 
 // RestoreMedoidIndex seeds the clusterer's provisional classifier from

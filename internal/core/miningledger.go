@@ -20,13 +20,13 @@ const (
 	// EvBlockClustered records one LSH block's exact dendrogram being
 	// built. Attrs: block (index in canonical order), size.
 	EvBlockClustered = "block_clustered"
-	// EvHeightSwept records one pooled-sweep candidate height being
-	// scored. Attrs: height, k (clusters at that cut), valid (whether a
-	// silhouette was computable), silhouette, changed (blocks whose
-	// labeling changed at this height: segment crossings), scored_pairs
-	// (within-block pairs the scoring re-read). All attrs are
-	// structural, independent of memo/cache state, so cold and warm
-	// sweeps ledger identically.
+	// EvHeightSwept records one cut-sweep candidate height being
+	// scored, on either route. Attrs: height, k (clusters at that cut),
+	// valid (whether a silhouette was computable), silhouette, changed
+	// (blocks whose labeling changed at this height: segment
+	// crossings), scored_pairs (within-block pairs the scoring
+	// re-read). All attrs are structural, independent of memo/cache
+	// state, so cold and warm sweeps ledger identically.
 	EvHeightSwept = "height_swept"
 	// EvSweepMemo summarizes one memoized sweep's delta-vs-full
 	// accounting. Attrs: hits, refreshes, misses (per candidate × block
@@ -34,8 +34,7 @@ const (
 	// across reruns: memo state depends only on the run's own history.
 	EvSweepMemo = "sweep_memo"
 	// EvCutChosen records the final cut decision. Attrs: height, k,
-	// silhouette (empty when the exact sweep below the crossover chose
-	// the cut and no pooled scoring ran).
+	// silhouette.
 	EvCutChosen = "cut_chosen"
 	// EvRecluster records one IncrementalClusterer.Recluster call.
 	// Attrs: blocks, reused, rebuilt, clusters.
@@ -92,9 +91,7 @@ func ledgerSweepMemo(led *telemetry.Ledger, ms sweepMemoStats) {
 	}})
 }
 
-// ledgerCutChosen records the final cut. silhouette may be NaN when the
-// exact-sweep path picked the cut without pooled scoring; it is
-// formatted as "NaN" then, which is fine — attrs are strings.
+// ledgerCutChosen records the final cut.
 func ledgerCutChosen(led *telemetry.Ledger, height float64, labels []int, silhouette float64) {
 	if led == nil {
 		return

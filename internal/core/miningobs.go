@@ -57,8 +57,9 @@ var miningPairPhases = []string{
 // new far estimate, miss = cut and scored from scratch.
 var sweepMemoOutcomes = []string{"hit", "refresh", "miss"}
 
-// blockedObs bundles the blocked/incremental path's observation sinks:
-// the sub-stage attribution instruments (mining_sweep_ns by height
+// blockedObs bundles the observation sinks of the blocked/incremental
+// path and of the cut step both routes share: the sub-stage
+// attribution instruments (mining_sweep_ns by height
 // bucket, mining_block_size/mining_block_ns histograms, mining_pairs by
 // phase), the deterministic ledger, and the live progress status. A nil
 // *blockedObs disables everything with no allocation; histograms and

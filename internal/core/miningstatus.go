@@ -20,16 +20,16 @@ type MiningStatus struct {
 	Stage string `json:"stage"`
 	// Mode names the clustering path: cached (exact) or blocked.
 	Mode string `json:"mode"`
-	// Records is the corpus size entering clustering.
+	// Records is the corpus size entering clustering: the records left
+	// after the valid-landing filter.
 	Records int `json:"records"`
 
 	// BlocksTotal/BlocksDone track per-block exact clustering on the
 	// blocked path (0/0 on the matrix paths).
 	BlocksTotal int `json:"blocks_total"`
 	BlocksDone  int `json:"blocks_done"`
-	// HeightsTotal/HeightsDone track the pooled cut sweep's candidate
-	// heights (0/0 below the validation-scale crossover, where the
-	// exact sweep machinery selects the cut).
+	// HeightsTotal/HeightsDone track the cut sweep's candidate heights
+	// on either route (0/0 under a fixed cut height).
 	HeightsTotal int `json:"heights_total"`
 	HeightsDone  int `json:"heights_done"`
 
@@ -38,11 +38,12 @@ type MiningStatus struct {
 	PairsExact  int64 `json:"pairs_exact"`
 	PairsPruned int64 `json:"pairs_pruned"`
 
-	// SweepBlocksRescored / SweepMemoHits describe the pooled cut
-	// sweep's memoization: block re-cuts actually performed vs.
-	// (candidate × block) sweep-grid cells served from the per-block
-	// cut memo. Both stay 0 below the validation-scale crossover, where
-	// the exact sweep runs.
+	// SweepBlocksRescored / SweepMemoHits describe the cut sweep's
+	// memoization: block re-cuts actually performed vs. (candidate ×
+	// block) sweep-grid cells served from the per-block cut memo. A
+	// sweep over one freshly built block (the exact route, or the
+	// blocked route below the validation-scale crossover) re-cuts at
+	// every height and never hits.
 	SweepBlocksRescored int64 `json:"sweep_blocks_rescored"`
 	SweepMemoHits       int64 `json:"sweep_memo_hits"`
 
@@ -75,7 +76,7 @@ func (s MiningStatus) String() string {
 // no guards; it is created only when observation is on.
 type miningProgress struct {
 	mode    string
-	records int
+	records atomic.Int64
 
 	stage                       atomic.Value // string
 	blocksTotal, blocksDone     atomic.Int64
@@ -88,7 +89,8 @@ type miningProgress struct {
 // newMiningProgress builds a progress accumulator for one run and
 // registers its publisher for /miningz (the latest run wins).
 func newMiningProgress(mode string, records int) *miningProgress {
-	p := &miningProgress{mode: mode, records: records, pub: telemetry.NewPublisher[MiningStatus]("mining")}
+	p := &miningProgress{mode: mode, pub: telemetry.NewPublisher[MiningStatus]("mining")}
+	p.records.Store(int64(records))
 	p.stage.Store("start")
 	p.publish(false)
 	return p
@@ -104,7 +106,7 @@ func (p *miningProgress) publish(done bool) {
 	st := &MiningStatus{
 		Stage:               p.stage.Load().(string),
 		Mode:                p.mode,
-		Records:             p.records,
+		Records:             int(p.records.Load()),
 		BlocksTotal:         int(p.blocksTotal.Load()),
 		BlocksDone:          int(p.blocksDone.Load()),
 		HeightsTotal:        int(p.heightsTotal.Load()),
@@ -127,6 +129,16 @@ func (p *miningProgress) setStage(name string) {
 		return
 	}
 	p.stage.Store(name)
+	p.publish(false)
+}
+
+// setRecords records the corpus size entering clustering, once the
+// pipeline has filtered it, and republishes.
+func (p *miningProgress) setRecords(n int) {
+	if p == nil {
+		return
+	}
+	p.records.Store(int64(n))
 	p.publish(false)
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"sort"
+
+	"pushadminer/internal/cluster"
 	"pushadminer/internal/telemetry"
 	"pushadminer/internal/textmine"
 	"pushadminer/internal/urlx"
@@ -56,4 +59,115 @@ func sweepBlockedCutFull(blocks []*blockDendrogram, cands []float64, farD float6
 	}
 	per, _ = cutBlocksAt(blocks, cands[best])
 	return per, cands[best], evals[best].sil
+}
+
+// silhouetteSerial is the single-threaded, map-walking reference for
+// the mean silhouette coefficient over the distance matrix m, following
+// scikit-learn's definition: for item i in cluster C, a(i) is its mean
+// distance to the other members of C, b(i) the minimum over other
+// clusters of its mean distance to that cluster, and s(i) =
+// (b−a)/max(a,b). Items in singleton clusters score 0; fewer than two
+// clusters score 0. The cut step's scorer (blockSilhouetteSum over one
+// block holding every record) must reproduce it bit for bit.
+func silhouetteSerial(m *cluster.DistMatrix, labels []int) float64 {
+	n := m.Len()
+	if n == 0 || len(labels) != n {
+		return 0
+	}
+	groups := cluster.Members(labels)
+	if len(groups) < 2 {
+		return 0
+	}
+	clusterIDs := make([]int, 0, len(groups))
+	for id := range groups {
+		clusterIDs = append(clusterIDs, id)
+	}
+	sort.Ints(clusterIDs)
+
+	var total float64
+	for i := 0; i < n; i++ {
+		own := labels[i]
+		if len(groups[own]) == 1 {
+			continue // s(i) = 0 for singletons
+		}
+		var a float64
+		bestB := -1.0
+		for _, cid := range clusterIDs {
+			members := groups[cid]
+			var sum float64
+			for _, j := range members {
+				if j != i {
+					sum += m.At(i, j)
+				}
+			}
+			if cid == own {
+				a = sum / float64(len(members)-1)
+			} else {
+				mean := sum / float64(len(members))
+				if bestB < 0 || mean < bestB {
+					bestB = mean
+				}
+			}
+		}
+		denom := a
+		if bestB > denom {
+			denom = bestB
+		}
+		if denom > 0 {
+			total += (bestB - a) / denom
+		}
+	}
+	return total / float64(n)
+}
+
+// cutResult is one conservative sweep's outcome: the chosen height, its
+// labeling and score, and the cluster count.
+type cutResult struct {
+	Height     float64
+	Labels     []int
+	Silhouette float64
+	Clusters   int
+}
+
+// bestCutConservativeSerial is the reference conservative sweep over
+// one dendrogram: candidate cuts at its distinct merge heights, sampled
+// down to maxCutCandidates with the first and last kept, each scored
+// with silhouetteSerial when it leaves 2 ≤ k < n clusters; the best
+// score wins, or with tol > 0 the lowest height within tol of it. With
+// no valid cut every item is its own cluster at height 0.
+func bestCutConservativeSerial(d *cluster.Dendrogram, m *cluster.DistMatrix, tol float64) cutResult {
+	var heights []float64
+	for _, mg := range d.Merges() {
+		if len(heights) == 0 || mg.Distance != heights[len(heights)-1] {
+			heights = append(heights, mg.Distance)
+		}
+	}
+	var evaluated []cutResult
+	best := -1
+	for _, h := range cluster.SampleCutHeights(heights, maxCutCandidates) {
+		labels := d.CutByHeight(h)
+		k := cluster.NumClusters(labels)
+		if k < 2 || k >= d.Len() {
+			continue
+		}
+		evaluated = append(evaluated, cutResult{Height: h, Labels: labels, Silhouette: silhouetteSerial(m, labels), Clusters: k})
+		if best < 0 || evaluated[len(evaluated)-1].Silhouette > evaluated[best].Silhouette {
+			best = len(evaluated) - 1
+		}
+	}
+	if best < 0 {
+		labels := make([]int, d.Len())
+		for i := range labels {
+			labels[i] = i
+		}
+		return cutResult{Labels: labels, Clusters: d.Len()}
+	}
+	if tol > 0 {
+		for _, c := range evaluated {
+			if c.Silhouette >= evaluated[best].Silhouette-tol {
+				return c
+			}
+		}
+	}
+	return evaluated[best]
 }

@@ -11,6 +11,14 @@ import (
 // independent of goroutine scheduling. workers <= 0 defaults to
 // GOMAXPROCS; workers == 1 (or n < 2) runs inline with no goroutines.
 func fanOut(n, workers int, f func(i int)) {
+	fanOutWorkers(n, workers, func(_, i int) { f(i) })
+}
+
+// fanOutWorkers is fanOut that also hands f the index w of the worker
+// running item i, in [0, workers) after the default is applied. A
+// worker runs its items one at a time, so per-worker buffers indexed by
+// w need no locking.
+func fanOutWorkers(n, workers int, f func(w, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -19,7 +27,7 @@ func fanOut(n, workers int, f func(i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			f(i)
+			f(0, i)
 		}
 		return
 	}
@@ -29,7 +37,7 @@ func fanOut(n, workers int, f func(i int)) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < n; i += workers {
-				f(i)
+				f(w, i)
 			}
 		}(w)
 	}

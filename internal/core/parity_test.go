@@ -46,17 +46,17 @@ func TestDistanceMatchesNaiveBitForBit(t *testing.T) {
 	}
 }
 
-// TestClusterParityNaiveVsCached asserts the exact route (cached
-// kernel, balanced block scheduling) yields byte-identical labels, cut
-// height, and silhouette to a clustering over naiveDistance across
-// seeds and linkages. The cluster package pins the parallel sweep to
-// its serial reference.
+// TestClusterParityNaiveVsCached is the exact route's bit-parity gate:
+// its cut step (cached kernel, balanced block scheduling, one block over
+// every record, the memoized sweep and its scorer) yields byte-identical
+// labels, cut height, and silhouette to the serial reference sweep over
+// naiveDistance across seeds and linkages.
 func TestClusterParityNaiveVsCached(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, linkage := range []cluster.Linkage{cluster.Average, cluster.Single, cluster.Complete} {
 			fs := parityFS(t, seed, 150)
 			dm := cluster.Compute(len(fs.Records), func(i, j int) float64 { return naiveDistance(fs, i, j) })
-			naive := cluster.BestCutConservative(cluster.AgglomerativeLinkage(dm, linkage), dm, maxCutCandidates, 0.15)
+			naive := bestCutConservativeSerial(cluster.AgglomerativeLinkage(dm, linkage), dm, 0.15)
 			fast := ClusterWPNs(fs, ClusterOptions{Linkage: linkage})
 			if !sameLabels(naive.Labels, fast.Labels) {
 				t.Fatalf("seed %d linkage %s: labels differ\nnaive: %v\nfast:  %v",

@@ -37,8 +37,8 @@ type PipelineOptions struct {
 
 	// MedoidIndexPath, when set, persists the post-clustering medoid
 	// classify index (campaign medoids + chosen cut; see MedoidIndex) as
-	// deterministic JSON, and implies ClusterOptions.BuildMedoids so the
-	// blocked batch path produces one. The incremental service loop
+	// deterministic JSON, and implies ClusterOptions.BuildMedoids. Either
+	// clustering route produces one. The incremental service loop
 	// restores it at startup to Add-classify arrivals between full
 	// re-mines without a sweep.
 	MedoidIndexPath string
@@ -120,6 +120,7 @@ func RunPipeline(records []*crawler.WPNRecord, opts PipelineOptions) (*Analysis,
 	done := st.stage("filter")
 	valid := FilterValidLanding(records)
 	done()
+	opts.Cluster.prog.setRecords(len(valid))
 	done = st.stage("featurize")
 	fs, err := ExtractFeatures(valid, opts.Features)
 	done()
@@ -141,7 +142,7 @@ func RunPipeline(records []*crawler.WPNRecord, opts PipelineOptions) (*Analysis,
 		opts.Cluster.BuildMedoids = true
 	}
 	cr := ClusterWPNs(fs, opts.Cluster)
-	if opts.MedoidIndexPath != "" && cr.Medoids != nil {
+	if opts.MedoidIndexPath != "" {
 		if err := SaveMedoidIndex(opts.MedoidIndexPath, cr.Medoids); err != nil {
 			return nil, err
 		}

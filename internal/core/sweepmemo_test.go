@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -117,7 +119,7 @@ func TestSweepMemoParityMatrix(t *testing.T) {
 				const tol = 0.15
 
 				fullPer, fullH, fullS := sweepBlockedCutFull(blocks, cands, farD, nLive, tol, nil)
-				_, memoPer, memoH, memoS, ms := sweepBlockedCutMemo(blocks, cands, farD, nLive, tol, nil)
+				memoPer, memoH, memoS, ms := sweepBlockedCutMemo(blocks, cands, farD, nLive, tol, nil)
 				sweepsAgree(t, name, fs, fullPer, memoPer, fullH, memoH, fullS, memoS, blocks)
 				if len(cands) > 0 && ms.misses == 0 {
 					t.Errorf("%s: cold sweep recorded no memo misses", name)
@@ -125,7 +127,7 @@ func TestSweepMemoParityMatrix(t *testing.T) {
 
 				// Warm re-sweep over the same blocks: every cell serves
 				// from the memo, output still bit-identical.
-				_, warmPer, warmH, warmS, warm := sweepBlockedCutMemo(blocks, cands, farD, nLive, tol, nil)
+				warmPer, warmH, warmS, warm := sweepBlockedCutMemo(blocks, cands, farD, nLive, tol, nil)
 				sweepsAgree(t, name+"/warm", fs, fullPer, warmPer, fullH, warmH, fullS, warmS, blocks)
 				if warm.misses != 0 || warm.refreshes != 0 {
 					t.Errorf("%s: warm sweep recomputed %d misses, %d refreshes; want 0",
@@ -141,7 +143,7 @@ func TestSweepMemoParityMatrix(t *testing.T) {
 				// sweep under the same farD.
 				farD2 := farD + 0.01
 				fullPer2, fullH2, fullS2 := sweepBlockedCutFull(blocks, cands, farD2, nLive, tol, nil)
-				_, memoPer2, memoH2, memoS2, rf := sweepBlockedCutMemo(blocks, cands, farD2, nLive, tol, nil)
+				memoPer2, memoH2, memoS2, rf := sweepBlockedCutMemo(blocks, cands, farD2, nLive, tol, nil)
 				sweepsAgree(t, name+"/refresh", fs, fullPer2, memoPer2, fullH2, memoH2, fullS2, memoS2, blocks)
 				if rf.misses != 0 {
 					t.Errorf("%s: farD change caused %d misses, want refreshes only", name, rf.misses)
@@ -166,12 +168,12 @@ func TestSweepMemoObservationParity(t *testing.T) {
 	plainBlocks := memoBlocksFor(fs, cluster.Average)
 	cands := pooledCutCandidates(plainBlocks)
 	farD := blockedFar(fs, plainBlocks)
-	_, plainPer, plainH, plainS, _ := sweepBlockedCutMemo(plainBlocks, cands, farD, nLive, tol, nil)
+	plainPer, plainH, plainS, _ := sweepBlockedCutMemo(plainBlocks, cands, farD, nLive, tol, nil)
 
 	sweepOnce := func(blocks []*blockDendrogram) ([]telemetry.Event, [][]int, float64, float64) {
 		led := telemetry.NewLedger()
 		obs := newBlockedObs(telemetry.New(), led, nil)
-		_, per, h, s, _ := sweepBlockedCutMemo(blocks, cands, farD, nLive, tol, obs)
+		per, h, s, _ := sweepBlockedCutMemo(blocks, cands, farD, nLive, tol, obs)
 		return led.Events(), per, h, s
 	}
 	obsBlocks := memoBlocksFor(fs, cluster.Average)
@@ -374,21 +376,31 @@ func TestBlockedBatchMedoidIndex(t *testing.T) {
 	}
 }
 
-// TestDedupeCutHeights (core-side) asserts the pooled candidate source
-// applies the tolerance dedupe: two merge heights closer than the
-// tolerance yield one candidate.
-func TestPooledCandidateDedupe(t *testing.T) {
-	in := []float64{0.1, 0.1 + 1e-12, 0.1 + 2e-12, 0.2, 0.2 + 5e-10, 0.3}
-	got := cluster.DedupeCutHeights(in, sweepHeightDedupeTol)
-	want := []float64{0.1, 0.2, 0.3}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("DedupeCutHeights = %v, want %v", got, want)
+// TestMedoidIndexRouteParity asserts BuildMedoids works on the exact
+// route too, and that at validation scale, where the blocked route cuts
+// the same one exact block, both routes save byte-identical index
+// files.
+func TestMedoidIndexRouteParity(t *testing.T) {
+	fs := parityFS(t, 1, 150)
+	dir := t.TempDir()
+	var files [2][]byte
+	for i, opts := range []ClusterOptions{{BuildMedoids: true}, {Blocked: true, BuildMedoids: true}} {
+		res := ClusterWPNs(fs, opts)
+		if res.Medoids == nil {
+			t.Fatalf("blocked=%v: BuildMedoids set but result has no medoid index", opts.Blocked)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("medoids-%d.json", i))
+		if err := SaveMedoidIndex(path, res.Medoids); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = data
 	}
-	if out := cluster.DedupeCutHeights([]float64{0.1, 0.2}, 0); len(out) != 2 {
-		t.Errorf("tol=0 must disable dedupe, got %v", out)
-	}
-	if out := cluster.DedupeCutHeights(nil, 1e-9); out != nil {
-		t.Errorf("empty input: got %v", out)
+	if !bytes.Equal(files[0], files[1]) {
+		t.Errorf("exact and blocked routes saved different medoid indexes:\nexact:   %s\nblocked: %s", files[0], files[1])
 	}
 }
 
@@ -495,7 +507,7 @@ func TestSweepMemoKParityInversionCorpus(t *testing.T) {
 
 	fullLed, memoLed := telemetry.NewLedger(), telemetry.NewLedger()
 	fullPer, fullH, fullS := sweepBlockedCutFull(fullBlocks, cands, farD, nLive, tol, fullLed)
-	_, memoPer, memoH, memoS, _ := sweepBlockedCutMemo(memoBlocks, cands, farD, nLive, tol, newBlockedObs(telemetry.New(), memoLed, nil))
+	memoPer, memoH, memoS, _ := sweepBlockedCutMemo(memoBlocks, cands, farD, nLive, tol, newBlockedObs(telemetry.New(), memoLed, nil))
 	fullEvents, memoEvents := fullLed.Events(), memoLed.Events()
 	sweepsAgree(t, "inversion corpus", fs, fullPer, memoPer, fullH, memoH, fullS, memoS, fullBlocks)
 

@@ -10,13 +10,12 @@ import (
 // miningStages are the pipeline stages whose wall-times are reported in
 // the mining_stage_ns family. They are preresolved at timer creation so
 // a snapshot always carries the full key set, even for stages that ran
-// in zero time or (like silhouette on the swept-cut path, where the
-// silhouette evaluation is fused into the cut sweep) did not run as a
-// separate step.
+// in zero time or (like blocks on the exact route) did not run. The
+// silhouette scoring is part of "cut" on both routes.
 var miningStages = []string{
 	"filter", "featurize", "distance_matrix", "linkage",
 	"blocks", "block_linkage",
-	"cut", "silhouette", "label", "propagate", "meta",
+	"cut", "label", "propagate", "meta",
 }
 
 // stageTimer records mining-stage wall-times into a telemetry family

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pushadminer/internal/telemetry"
+	"pushadminer/internal/textmine"
 )
 
 // TestPipelineStageTelemetry runs the full mining pipeline with metrics
@@ -89,10 +90,12 @@ func runTestPipelineInto(t *testing.T, out **Analysis, mod func(*PipelineOptions
 }
 
 // TestClusterPairAccounting: every unordered pair must be classified
-// exactly once as exact or pruned — on the blocked path ("pruned")
-// pairs outside the blocks are pruned, on the exact path all pairs are
-// exact. The counts must cover n(n-1)/2 with nothing dropped or
-// double-counted.
+// exactly once as exact or pruned — under a fixed cut the blocked route
+// ("pruned") computes only the pairs inside its blocks, on the exact
+// route all pairs are exact, and a blocked sweep at validation scale
+// ("crossover") fills one exact block over every record, so all pairs
+// are exact there too. The counts must cover n(n-1)/2 with nothing
+// dropped or double-counted.
 func TestClusterPairAccounting(t *testing.T) {
 	fs := parityFS(t, 1, 150)
 	n := int64(len(fs.Records))
@@ -100,8 +103,10 @@ func TestClusterPairAccounting(t *testing.T) {
 
 	t.Run("pruned", func(t *testing.T) {
 		reg := telemetry.New()
-		counted := ClusterWPNs(fs, ClusterOptions{Blocked: true, Metrics: reg})
-		plain := ClusterWPNs(fs, ClusterOptions{Blocked: true})
+		opts := ClusterOptions{Blocked: true, FixedCutHeight: 0.3}
+		plain := ClusterWPNs(fs, opts)
+		opts.Metrics = reg
+		counted := ClusterWPNs(fs, opts)
 		if !sameLabels(counted.Labels, plain.Labels) {
 			t.Error("pair counting changed clustering labels")
 		}
@@ -122,6 +127,45 @@ func TestClusterPairAccounting(t *testing.T) {
 		pairs := reg.Snapshot().Families["cluster_pairs"]
 		if pairs["exact"] != allPairs || pairs["pruned"] != 0 {
 			t.Errorf("exact path: exact=%d pruned=%d, want %d/0", pairs["exact"], pairs["pruned"], allPairs)
+		}
+	})
+
+	// The pipeline's /miningz status must report the same pairs and the
+	// clustered record count, not the collected one: crashed records
+	// never reach clustering.
+	t.Run("crossover", func(t *testing.T) {
+		recs := SynthWPNRecords(1, 150)
+		for i := 0; i < 20; i++ {
+			crashed := *recs[i]
+			crashed.Crashed = true
+			recs = append(recs, &crashed)
+		}
+		reg := telemetry.New()
+		a, err := RunPipeline(recs, PipelineOptions{
+			Features: FeatureOptions{Word2Vec: textmine.Word2VecConfig{Seed: 1}},
+			Cluster:  ClusterOptions{Blocked: true},
+			Metrics:  reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(a.FS.Records); int64(got) != n {
+			t.Fatalf("%d records clustered, want %d", got, n)
+		}
+		if blocks := len(blockedComponents(a.FS, nil)); blocks < 2 {
+			t.Fatalf("%d block(s): the crossover never swaps blocks; test is vacuous", blocks)
+		}
+		pairs := reg.Snapshot().Families["cluster_pairs"]
+		if pairs["exact"] != allPairs || pairs["pruned"] != 0 {
+			t.Errorf("crossover: exact=%d pruned=%d, want %d/0", pairs["exact"], pairs["pruned"], allPairs)
+		}
+		ms, _ := telemetry.Status("mining").(*MiningStatus)
+		if ms == nil {
+			t.Fatal("no mining status published")
+		}
+		if int64(ms.Records) != n || ms.PairsExact != allPairs || ms.PairsPruned != 0 {
+			t.Errorf("/miningz records=%d pairs exact=%d pruned=%d, want %d, %d/0",
+				ms.Records, ms.PairsExact, ms.PairsPruned, n, allPairs)
 		}
 	})
 }

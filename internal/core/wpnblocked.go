@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sort"
 	"time"
 
@@ -252,14 +253,18 @@ func cutBlocksAt(blocks []*blockDendrogram, h float64) (per [][]int, k int) {
 }
 
 // blockSilhouetteSum returns the sum of silhouette coefficients s(i)
-// over one block's members under the local labeling lab. Within-block
-// terms (a(i), and b(i) against sibling clusters in the same block) use
-// the exact local distances; for items whose block holds a single
-// cluster, b(i) falls back to farD, the corpus-level cross-block far
-// estimate (see blockedFar). Singleton clusters score 0, matching
-// cluster.Silhouette. Accumulation order is fixed (ascending local
-// index), so the result is deterministic.
-func blockSilhouetteSum(bd *blockDendrogram, lab []int, farD float64, multiBlock bool) float64 {
+// over one block's members under the local labeling lab, following
+// scikit-learn's definition: a(i) is i's mean distance to the other
+// members of its cluster, b(i) the least mean distance to another
+// cluster, s(i) = (b−a)/max(a,b), and singleton clusters score 0.
+// Within-block terms use the exact local distances; with multiBlock
+// set, b(i) is capped by farD, the corpus-level cross-block far
+// estimate (see blockedFar). Accumulation order is fixed (ascending
+// local index), so the result is deterministic; over one block holding
+// every record it is the full-matrix silhouette sum, bit for bit equal
+// to the serial map-walking definition the tests keep as an oracle.
+// acc is the caller's reusable accumulator (see growAcc).
+func blockSilhouetteSum(bd *blockDendrogram, lab []int, farD float64, multiBlock bool, acc *[]float64) float64 {
 	m := len(lab)
 	kb := 0
 	for _, l := range lab {
@@ -299,8 +304,8 @@ func blockSilhouetteSum(bd *blockDendrogram, lab []int, farD float64, multiBlock
 			km++
 		}
 	}
-	if bytes := m * km * 8; 4*nact >= 3*m && bytes <= 64<<20 {
-		return blockSilhouetteSumMulti(bd, lab, counts, kb, km, farD, multiBlock)
+	if 4*nact >= 3*m && m*km <= maxAccLen {
+		return blockSilhouetteSumMulti(bd, lab, counts, kb, km, farD, multiBlock, acc)
 	}
 	sums := make([]float64, kb)
 	var total float64
@@ -339,6 +344,24 @@ func blockSilhouetteSum(bd *blockDendrogram, lab []int, farD float64, multiBlock
 	return total
 }
 
+// maxAccLen bounds the streaming scorer's m×km accumulator at 64 MB;
+// larger cells take the per-member row walks instead.
+const maxAccLen = 64 << 20 / 8
+
+// growAcc returns the first n entries of *buf, zeroed. The buffer is
+// reused while it is large enough and otherwise regrown geometrically,
+// never past maxAccLen (n itself never exceeds it), so a sweep worker
+// scoring many cells allocates O(log) times instead of once per cell.
+func growAcc(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		c := max(n, min(2*cap(*buf), maxAccLen))
+		*buf = make([]float64, c)
+	}
+	acc := (*buf)[:n]
+	clear(acc)
+	return acc
+}
+
 // blockSilhouetteSumMulti is blockSilhouetteSum's streaming variant:
 // multi-member clusters are remapped to dense ids, all member×bucket
 // sums come from one AccumMultiByLabel triangle pass, and each
@@ -347,7 +370,7 @@ func blockSilhouetteSum(bd *blockDendrogram, lab []int, farD float64, multiBlock
 // means accumulate the identical additions in the identical order,
 // and a singleton mean is one exact float32→float64 value — so the
 // returned sum is bit-identical to the fallback path.
-func blockSilhouetteSumMulti(bd *blockDendrogram, lab, counts []int, kb, km int, farD float64, multiBlock bool) float64 {
+func blockSilhouetteSumMulti(bd *blockDendrogram, lab, counts []int, kb, km int, farD float64, multiBlock bool, accBuf *[]float64) float64 {
 	m := len(lab)
 	mlab := make([]int, kb)   // cluster -> dense multi id, -1 if singleton
 	mcount := make([]int, km) // dense multi id -> member count
@@ -365,7 +388,7 @@ func blockSilhouetteSumMulti(bd *blockDendrogram, lab, counts []int, kb, km int,
 	for i, l := range lab {
 		dlab[i] = mlab[l]
 	}
-	acc := make([]float64, m*km)
+	acc := growAcc(accBuf, m*km)
 	minS := make([]float64, m)
 	for i := range minS {
 		minS[i] = math.Inf(1)
@@ -417,8 +440,9 @@ func blockedSilhouette(blocks []*blockDendrogram, per [][]int, farD float64, nLi
 	}
 	multi := len(blocks) > 1
 	var total float64
+	var acc []float64
 	for bi, bd := range blocks {
-		total += blockSilhouetteSum(bd, per[bi], farD, multi)
+		total += blockSilhouetteSum(bd, per[bi], farD, multi, &acc)
 	}
 	return total / float64(nLive)
 }
@@ -498,19 +522,26 @@ func stitchBlockedLabels(nTotal int, blocks []*blockDendrogram, per [][]int) []i
 	return labels
 }
 
-// blockedExactSweepMaxN is the validation-scale crossover: at or below
-// this many live records the blocked path selects its cut with the
-// exact machinery (full distance matrix, global dendrogram, the same
-// BestCutConservative the exact path runs) and realizes the winning
-// assignment through the blocks — so small-n results are
-// partition-identical to the exact path by construction, which is what
-// the parity matrix pins. Above it, computing the full matrix would
-// defeat the sub-quadratic point, so the scalable sweep takes over:
-// pooled per-block merge heights scored by the blocked silhouette
-// (exact within blocks, a representative-sampled far estimate across
-// them). The approximation can pick a cut one or two merges away from
-// the exact choice; the clusters themselves stay exact per block.
+// blockedExactSweepMaxN is the validation-scale crossover: a sweep
+// over at most this many live records split across more than one block
+// cuts one exact block over all of them instead (see crossesOver), the
+// block the exact route cuts, so small-n results equal the exact
+// route's by construction. Cutting the blocks would not: the blocked
+// silhouette estimates cross-block terms, and average-linkage merge
+// heights depend on NN-chain tie-breaks, which shift when out-of-block
+// slots disappear. Above it, the full matrix would defeat the
+// sub-quadratic point: the sweep cuts the blocks, scored exactly within
+// blocks and by a representative-sampled far estimate across them, and
+// can pick a cut one or two merges away from the exact choice; the
+// clusters themselves stay exact per block.
 const blockedExactSweepMaxN = 512
+
+// crossesOver reports whether the cut step swaps nBlocks blocks over
+// nLive records for one exact block: a silhouette sweep (no fixed cut)
+// at validation scale over more than one block.
+func crossesOver(nBlocks, nLive int, opts ClusterOptions) bool {
+	return opts.FixedCutHeight <= 0 && nLive <= blockedExactSweepMaxN && nBlocks > 1
+}
 
 // blockedLiveMembers collects every block member in ascending global
 // order.
@@ -523,128 +554,10 @@ func blockedLiveMembers(blocks []*blockDendrogram) []int {
 	return members
 }
 
-// mergeBlocksByLabels coarsens the LSH blocks until the exact labeling
-// over the live members factors through them: any exact cluster whose
-// members the band/Hamming gates scattered across blocks (SimHash
-// recall is below 1 — two texts can be soft-cosine-near while their
-// fingerprints collide in no band) unions those blocks, and merged
-// groups are re-clustered. Coarsening is always safe — a block that is
-// a union of whole exact clusters reproduces the exact assignment when
-// the per-block groups are stitched — so this is what makes the
-// validation-scale result partition-identical by construction.
-// labels[p] labels members[p]; members is ascending.
-func mergeBlocksByLabels(fs *FeatureSet, blocks []*blockDendrogram, members, labels []int, linkage cluster.Linkage) []*blockDendrogram {
-	if len(blocks) < 2 {
-		return blocks
-	}
-	blockOf := make(map[int]int, len(members)) // global record -> block idx
-	for bi, bd := range blocks {
-		for _, g := range bd.members {
-			blockOf[g] = bi
-		}
-	}
-	uf := cluster.NewUnionFind(len(blocks))
-	first := make(map[int]int) // exact label -> block idx of first member
-	merged := false
-	for p, g := range members {
-		b := blockOf[g]
-		if fb, ok := first[labels[p]]; !ok {
-			first[labels[p]] = b
-		} else if fb != b && !uf.Same(fb, b) {
-			uf.Union(fb, b)
-			merged = true
-		}
-	}
-	if !merged {
-		return blocks
-	}
-	out := make([]*blockDendrogram, 0, len(blocks))
-	for _, group := range uf.Components() {
-		if len(group) == 1 {
-			out = append(out, blocks[group[0]])
-			continue
-		}
-		var mem []int
-		for _, bi := range group {
-			mem = append(mem, blocks[bi].members...)
-		}
-		sort.Ints(mem)
-		out = append(out, buildBlockDendrogram(fs, mem, linkage))
-	}
-	// Components are ordered by smallest block index and blocks were
-	// canonical, so out is already ordered by smallest member; the sort
-	// just pins the invariant.
-	sort.Slice(out, func(i, j int) bool { return out[i].members[0] < out[j].members[0] })
-	return out
-}
-
-// realizeExactPerBlock translates the exact labeling over the live
-// members into per-block local labelings (each block's labels
-// contiguous from 0 by first occurrence), for stitchBlockedLabels to
-// reassemble. When every exact cluster lies within one block — which
-// mergeBlocksByLabels guarantees — the stitched global labels are
-// identical to the exact ones, since both renumber by first occurrence
-// in ascending record order.
-func realizeExactPerBlock(blocks []*blockDendrogram, members, labels []int) [][]int {
-	per := make([][]int, len(blocks))
-	for bi, bd := range blocks {
-		lab := make([]int, len(bd.members))
-		remap := make(map[int]int)
-		for li, g := range bd.members {
-			gl := labels[sort.SearchInts(members, g)]
-			nl, ok := remap[gl]
-			if !ok {
-				nl = len(remap)
-				remap[gl] = nl
-			}
-			lab[li] = nl
-		}
-		per[bi] = lab
-	}
-	return per
-}
-
-// sweepBlockedCutExact is the validation-scale cut selection: it runs
-// the exact path's own sweep over the live records and realizes the
-// winning assignment *through* the blocks — coarsening any block
-// boundary the exact clusters cross (see mergeBlocksByLabels) and
-// expressing the exact labels as per-block groups. When the live set is
-// the whole feature set, the labels, height and silhouette are
-// bit-identical to ClusterWPNs' exact path by construction. (Re-cutting
-// the per-block dendrograms at the chosen height would NOT give that
-// guarantee: average-linkage merge heights depend on NN-chain
-// tie-breaking, which shifts when out-of-block slots disappear, so a
-// borderline merge can land on the other side of the cut. The per-block
-// cut is the scalable path's tool; here the exact assignment is
-// authoritative.) Returns the possibly-coarsened blocks alongside the
-// per-block labelings.
-func sweepBlockedCutExact(fs *FeatureSet, blocks []*blockDendrogram, linkage cluster.Linkage, tol float64) (out []*blockDendrogram, per [][]int, height, sil float64) {
-	members := blockedLiveMembers(blocks)
-	dm := cluster.Compute(len(members), func(i, j int) float64 {
-		return fs.Distance(members[i], members[j])
-	})
-	dend := cluster.AgglomerativeLinkage(dm, linkage)
-	best := cluster.BestCutConservative(dend, dm, maxCutCandidates, tol)
-	if best.Clusters == len(members) {
-		// Degenerate sweep (no valid cut): leaves, like the exact path.
-		return blocks, leafPerBlocks(blocks), 0, 0
-	}
-	blocks = mergeBlocksByLabels(fs, blocks, members, best.Labels, linkage)
-	per = realizeExactPerBlock(blocks, members, best.Labels)
-	return blocks, per, best.Height, best.Silhouette
-}
-
-// sweepHeightDedupeTol collapses pooled candidate heights closer than
-// this before sweeping: adjacent near-equal merge heights (common under
-// average linkage, where many small blocks produce all-but-identical
-// pair means) cut the same partition, so scoring both is pure waste.
-// The tolerance is far below any silhouette-visible height difference
-// and orders of magnitude below ConservativeTol's selection band.
-const sweepHeightDedupeTol = 1e-9
-
-// pooledCutCandidates pools every block's merge heights, dedupes them
-// (exact, then within sweepHeightDedupeTol), and samples down to
-// maxCutCandidates.
+// pooledCutCandidates pools every block's merge heights, dedupes equal
+// ones, and samples down to maxCutCandidates. Heights are never merged
+// under a tolerance: every candidate is some block's merge height, so
+// two candidates however close cut different partitions.
 func pooledCutCandidates(blocks []*blockDendrogram) []float64 {
 	var heights []float64
 	for _, bd := range blocks {
@@ -661,7 +574,6 @@ func pooledCutCandidates(blocks []*blockDendrogram) []float64 {
 			last = h
 		}
 	}
-	dedup = cluster.DedupeCutHeights(dedup, sweepHeightDedupeTol)
 	return cluster.SampleCutHeights(dedup, maxCutCandidates)
 }
 
@@ -672,8 +584,8 @@ type sweepEval struct {
 	k     int
 }
 
-// selectSweepCut applies the pooled sweep's cut-selection policy (the
-// same policy as cluster.BestCutConservative): highest
+// selectSweepCut applies the sweep's cut-selection policy, the paper's
+// "tune conservative, yield tight clusters" rule (§5.1): the highest
 // valid silhouette wins; with tol > 0, the lowest height within tol of
 // it wins instead. Returns the chosen candidate index, or -1 when no
 // valid cut exists. evals must be in ascending height order.
@@ -696,7 +608,7 @@ func selectSweepCut(evals []sweepEval, tol float64) int {
 }
 
 // leafPerBlocks is the degenerate no-valid-cut fallback: every member
-// its own singleton, like the exact path's leaf labeling.
+// its own singleton.
 func leafPerBlocks(blocks []*blockDendrogram) [][]int {
 	per := make([][]int, len(blocks))
 	for bi, bd := range blocks {
@@ -725,22 +637,6 @@ type sweepMemoStats struct {
 	scoredPairs, savedPairs int64
 }
 
-// sweepBlockedCut selects the global cut height. At validation scale it
-// defers to sweepBlockedCutExact (which may coarsen the blocks with
-// missed threshold edges — the returned slice supersedes the caller's);
-// beyond it, it runs the memoized sweep over the pooled per-block merge
-// heights (sweepBlockedCutMemo). Returns the blocks to stitch with and
-// their chosen per-block labelings.
-func sweepBlockedCut(fs *FeatureSet, blocks []*blockDendrogram, linkage cluster.Linkage, nLive int, tol float64, obs *blockedObs) (out []*blockDendrogram, per [][]int, height, sil float64, ms sweepMemoStats) {
-	if nLive <= blockedExactSweepMaxN {
-		// The validation-scale exact sweep has no per-height pooled
-		// scoring, so it emits no sweep attribution or height events.
-		out, per, height, sil = sweepBlockedCutExact(fs, blocks, linkage, tol)
-		return out, per, height, sil, ms
-	}
-	return sweepBlockedCutMemo(blocks, pooledCutCandidates(blocks), blockedFar(fs, blocks), nLive, tol, obs)
-}
-
 // sweepBlockedCutMemo is the memoized pooled sweep. The invariant it
 // exploits: a block's labeling — and therefore its blockSilhouetteSum
 // contribution — only changes at that block's own merge heights, so a
@@ -760,11 +656,14 @@ func sweepBlockedCut(fs *FeatureSet, blocks []*blockDendrogram, linkage cluster.
 // Recluster that reuses a clean block also reuses its swept
 // contributions (a changed far estimate downgrades them to refreshes:
 // the cached labeling is still reused, only the scoring reruns).
-func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float64, nLive int, tol float64, obs *blockedObs) (out []*blockDendrogram, per [][]int, height, sil float64, ms sweepMemoStats) {
+// Over one block holding every record this is the exact route's sweep:
+// the distinct merge heights of the global dendrogram, each scored by
+// the full-matrix silhouette.
+func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float64, nLive int, tol float64, obs *blockedObs) (per [][]int, height, sil float64, ms sweepMemoStats) {
 	obs.setHeightsTotal(len(cands))
 	if len(cands) == 0 {
 		// No merges anywhere (all-singleton blocks): leaves.
-		return blocks, leafPerBlocks(blocks), 0, 0, ms
+		return leafPerBlocks(blocks), 0, 0, ms
 	}
 	multi := len(blocks) > 1
 
@@ -781,11 +680,12 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 		m  *blockCutMemo
 		h  float64
 	}
-	// rescore fills one fresh/refreshed cell. kb is counted off the
-	// labeling, the same count cutBlocksAt reports. It equals m − seg
-	// because every sorted merge joins two distinct clusters
-	// (cluster.sortMerges keeps each operand's creator first).
-	rescore := func(t sweepTask) {
+	// rescore fills one fresh/refreshed cell, scoring it in the worker's
+	// accumulator acc. kb is counted off the labeling, the same count
+	// cutBlocksAt reports. It equals m − seg because every sorted merge
+	// joins two distinct clusters (cluster.sortMerges keeps each
+	// operand's creator first).
+	rescore := func(t sweepTask, acc *[]float64) {
 		if t.m.lab == nil {
 			t.m.lab = t.bd.dend.CutByHeight(t.h)
 		}
@@ -796,7 +696,7 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 			}
 		}
 		t.m.kb = kb
-		t.m.silSum = blockSilhouetteSum(t.bd, t.m.lab, t.m.farD, t.m.multi)
+		t.m.silSum = blockSilhouetteSum(t.bd, t.m.lab, t.m.farD, t.m.multi, acc)
 	}
 	var fresh []sweepTask
 	for bi, bd := range blocks {
@@ -825,17 +725,20 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 	}
 	ms.hits = int64(len(cands))*int64(len(blocks)) - ms.misses - ms.refreshes
 
-	// Rescore (parallel): fill the fresh cells. Each task is attributed
-	// to the height bucket of the candidate that first needed it.
+	// Rescore (parallel): fill the fresh cells, each worker reusing one
+	// accumulator across its cells. Each task is attributed to the
+	// height bucket of the candidate that first needed it.
+	workers := runtime.GOMAXPROCS(0)
+	accs := make([][]float64, workers)
 	if obs == nil {
-		fanOut(len(fresh), 0, func(ti int) {
-			rescore(fresh[ti])
+		fanOutWorkers(len(fresh), workers, func(w, ti int) {
+			rescore(fresh[ti], &accs[w])
 		})
 	} else {
-		fanOut(len(fresh), 0, func(ti int) {
+		fanOutWorkers(len(fresh), workers, func(w, ti int) {
 			t := fresh[ti]
 			start := time.Now()
-			rescore(t)
+			rescore(t, &accs[w])
 			obs.sweepRescored(t.h, time.Since(start).Nanoseconds())
 		})
 	}
@@ -887,14 +790,14 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 
 	best := selectSweepCut(evals, tol)
 	if best < 0 {
-		return blocks, leafPerBlocks(blocks), 0, 0, ms
+		return leafPerBlocks(blocks), 0, 0, ms
 	}
 	per, _ = cutBlocksAt(blocks, cands[best])
-	return blocks, per, cands[best], evals[best].sil, ms
+	return per, cands[best], evals[best].sil, ms
 }
 
 // withinBlockPairs counts the pairs inside the blocks: the pairs whose
-// exact distance the blocked path computes.
+// exact distance the blocked path computes above the crossover.
 func withinBlockPairs(comps [][]int) int64 {
 	var exact int64
 	for _, c := range comps {
@@ -916,32 +819,17 @@ func clusterWPNsBlocked(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 	comps := blockedComponents(fs, tally)
 	done()
 	obs.recordTally(tally)
-	recordPairs(opts, n, withinBlockPairs(comps))
+	exact := withinBlockPairs(comps)
+	if crossesOver(len(comps), n, opts) {
+		// The cut step fills one exact block over every record.
+		exact = int64(n) * int64(n-1) / 2
+	}
+	recordPairs(opts, n, exact)
 
 	done = st.stage("block_linkage")
 	blocks := buildBlockDendrograms(fs, comps, opts.Linkage, obs)
 	done()
 
-	done = st.stage("cut")
-	var per [][]int
-	var height, sil float64
-	if opts.FixedCutHeight > 0 {
-		var k int
-		per, k = cutBlocksAt(blocks, opts.FixedCutHeight)
-		height = opts.FixedCutHeight
-		if k >= 2 {
-			sil = blockedSilhouette(blocks, per, blockedFar(fs, blocks), n)
-		}
-	} else {
-		blocks, per, height, sil, _ = sweepBlockedCut(fs, blocks, opts.Linkage, n, opts.conservativeTol(), obs)
-	}
-	labels := stitchBlockedLabels(n, blocks, per)
-	done()
-
-	ledgerCutChosen(opts.Ledger, height, labels, sil)
-	res := finishClusterResult(fs, labels, height, sil)
-	if opts.BuildMedoids {
-		res.Medoids = newMedoidIndex(fs, blockMedoids(blocks, per, labels), height, sil)
-	}
+	res, _ := cutStep(fs, blocks, n, opts, st, obs)
 	return res
 }

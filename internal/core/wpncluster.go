@@ -57,17 +57,18 @@ type ClusterOptions struct {
 	// mining".
 	Blocked bool
 	// BuildMedoids attaches the persistable medoid classify index
-	// (campaign medoids + chosen cut; see MedoidIndex) to the blocked
-	// batch result, at the cost of one medoid pass over the blocks.
-	// IncrementalClusterer.MedoidIndex exports the same index from a
-	// stream. See PipelineOptions.MedoidIndexPath.
+	// (campaign medoids + chosen cut; see MedoidIndex) to the batch
+	// result on either route, at the cost of one medoid pass over the
+	// clusters. IncrementalClusterer.MedoidIndex exports the same index
+	// from a stream. See PipelineOptions.MedoidIndexPath.
 	BuildMedoids bool
 
 	// Metrics, when non-nil, records clustering-stage wall-times
-	// (distance_matrix, linkage, cut, silhouette) in the
-	// mining_stage_ns family and the cluster_pairs family's
-	// exact-vs-pruned pair counts. Nil disables with no overhead on the
-	// distance hot loop.
+	// (distance_matrix, linkage or blocks, block_linkage, then cut) in
+	// the mining_stage_ns family, the cluster_pairs family's
+	// exact-vs-pruned pair counts, and the cut sweep's attribution
+	// (mining_sweep_*, mining_pairs). Nil disables with no overhead on
+	// the distance hot loop.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, emits one span per clustering stage. Nil
 	// disables. RunPipeline threads its own registry/tracer (and the
@@ -104,9 +105,9 @@ type ClusterResult struct {
 	CutHeight  float64
 	Silhouette float64
 	Labels     []int
-	// Medoids is the persistable medoid classify index — populated by
-	// the blocked path when ClusterOptions.BuildMedoids is set. Nil
-	// otherwise.
+	// Medoids is the persistable medoid classify index, populated when
+	// ClusterOptions.BuildMedoids is set and by every
+	// IncrementalClusterer.Recluster. Nil otherwise.
 	Medoids *MedoidIndex
 }
 
@@ -115,7 +116,8 @@ type ClusterResult struct {
 // dendrogram cut, then derives per-cluster source/landing domain sets
 // and the ad-campaign label. It has two routes: the exact one (the
 // default: every pair's distance, one global dendrogram) and the
-// blocked one (ClusterOptions.Blocked).
+// blocked one (ClusterOptions.Blocked). Both end in the same cut step
+// (cutStep); the exact route hands it one block over all records.
 func ClusterWPNs(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 	// Stand up the live /miningz status for a standalone clustering run
 	// when any observation sink is attached (RunPipeline creates and
@@ -137,31 +139,60 @@ func ClusterWPNs(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 	recordPairs(opts, n, int64(n)*int64(n-1)/2)
 
 	done = st.stage("linkage")
-	dend := cluster.AgglomerativeLinkage(dm, opts.Linkage)
+	all := &blockDendrogram{members: make([]int, n), dm: dm, dend: cluster.AgglomerativeLinkage(dm, opts.Linkage)}
 	done()
-
-	var labels []int
-	var height, sil float64
-	if opts.FixedCutHeight > 0 {
-		done = st.stage("cut")
-		labels = dend.CutByHeight(opts.FixedCutHeight)
-		done()
-		height = opts.FixedCutHeight
-		done = st.stage("silhouette")
-		sil = cluster.Silhouette(dm, labels)
-		done()
-	} else {
-		// The conservative sweep evaluates candidate cuts and their
-		// silhouettes in one pass, so cut and silhouette time fuse
-		// into the "cut" stage here.
-		done = st.stage("cut")
-		best := cluster.BestCutConservative(dend, dm, maxCutCandidates, opts.conservativeTol())
-		done()
-		labels, height, sil = best.Labels, best.Height, best.Silhouette
+	for i := range all.members {
+		all.members[i] = i
 	}
 
+	res, _ := cutStep(fs, []*blockDendrogram{all}, n, opts, st, newBlockedObs(opts.Metrics, opts.Ledger, opts.prog))
+	return res
+}
+
+// cutStep is the one cut every clustering runs, over block dendrograms
+// holding nLive records: the exact route's single block over all
+// records, the blocked route's LSH blocks, or the blocks of the records
+// an IncrementalClusterer has added. It cuts every block at
+// opts.FixedCutHeight when that is set, and otherwise at the height the
+// memoized silhouette sweep picks; at validation scale the sweep runs
+// over one exact block of the live records instead of the blocks (see
+// blockedExactSweepMaxN). The per-block labelings are stitched into
+// global labels under the "cut" stage, then the cut_chosen event is
+// recorded and the clusters derived, with the medoid index when
+// opts.BuildMedoids is set.
+func cutStep(fs *FeatureSet, blocks []*blockDendrogram, nLive int, opts ClusterOptions, st *stageTimer, obs *blockedObs) (*ClusterResult, sweepMemoStats) {
+	done := st.stage("cut")
+	if crossesOver(len(blocks), nLive, opts) {
+		// One block over the live records, filled in parallel like the
+		// exact route's matrix.
+		members := blockedLiveMembers(blocks)
+		dm := cluster.Compute(len(members), func(i, j int) float64 {
+			return fs.Distance(members[i], members[j])
+		})
+		blocks = []*blockDendrogram{{members: members, dm: dm, dend: cluster.AgglomerativeLinkage(dm, opts.Linkage)}}
+	}
+	var per [][]int
+	var height, sil float64
+	var ms sweepMemoStats
+	if opts.FixedCutHeight > 0 {
+		var k int
+		per, k = cutBlocksAt(blocks, opts.FixedCutHeight)
+		height = opts.FixedCutHeight
+		if k >= 2 {
+			sil = blockedSilhouette(blocks, per, blockedFar(fs, blocks), nLive)
+		}
+	} else {
+		per, height, sil, ms = sweepBlockedCutMemo(blocks, pooledCutCandidates(blocks), blockedFar(fs, blocks), nLive, opts.conservativeTol(), obs)
+	}
+	labels := stitchBlockedLabels(len(fs.Records), blocks, per)
+	done()
+
 	ledgerCutChosen(opts.Ledger, height, labels, sil)
-	return finishClusterResult(fs, labels, height, sil)
+	res := finishClusterResult(fs, labels, height, sil)
+	if opts.BuildMedoids {
+		res.Medoids = newMedoidIndex(fs, blockMedoids(blocks, per, labels), height, sil)
+	}
+	return res, ms
 }
 
 // recordPairs accounts the run's pairs in the cluster_pairs family and

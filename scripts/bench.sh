@@ -23,7 +23,7 @@ BENCHTIME="${BENCHTIME:-2x}"
 case "$SUITE" in
 mining)
 	PKGS="."
-	PAT='^(BenchmarkClusterWPNs|BenchmarkClusterWPNsBlockedLarge|BenchmarkSoftCosineMatrix|BenchmarkSilhouetteSweep)$'
+	PAT='^(BenchmarkClusterWPNs|BenchmarkClusterWPNsBlockedLarge|BenchmarkSoftCosineMatrix)$'
 	DEFOUT="BENCH_mining.json"
 	;;
 crawl)

@@ -18,9 +18,9 @@ go test ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> blocked-vs-exact mining parity smoke"
+echo "==> mining parity smoke (exact vs serial reference, blocked vs exact)"
 go test -count=1 \
-	-run '^(TestClusterParityBlockedVsExact|TestIncrementalConvergesToBatch)$' \
+	-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestIncrementalConvergesToBatch)$' \
 	./internal/core/
 
 echo "==> parallel-pump parity smoke (serial vs parallel, small n)"
