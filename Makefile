@@ -47,11 +47,12 @@ telemetry-smoke:
 # reference sweep (3 seeds × 3 linkages, plus a near-tied one-block
 # sweep), the blocked-vs-exact parity matrix, the
 # incremental-converges-to-batch checks and the linkage property test —
-# the gates behind both mining routes and their shared cut step.
+# the gates behind both mining routes and their shared cut step — plus
+# the word2vec kernel's bit-parity gate against its per-target reference.
 mining-smoke:
 	$(GO) test -count=1 \
-		-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestBlockedComponentsPartition|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties)$$' \
-		./internal/core/ ./internal/cluster/
+		-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestBlockedComponentsPartition|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$$' \
+		./internal/core/ ./internal/cluster/ ./internal/textmine/
 
 # profile-mining captures CPU/heap pprof profiles of the n=50k blocked
 # clustering benchmark plus its sweep_ns cut-sweep attribution, under

@@ -66,18 +66,7 @@ func TestVocab(t *testing.T) {
 // topics and returns them with the vocab.
 func trainTiny(t *testing.T) *Embeddings {
 	t.Helper()
-	var docs [][]string
-	// Topic A: prizes/winning. Topic B: weather alerts. Repetition gives
-	// the tiny trainer enough signal.
-	for i := 0; i < 60; i++ {
-		docs = append(docs,
-			Tokenize("congratulations you won a prize claim your reward now"),
-			Tokenize("you are a winner claim the prize reward today"),
-			Tokenize("weather alert heavy rain storm warning tonight"),
-			Tokenize("storm warning severe weather rain alert issued"),
-		)
-	}
-	emb, err := TrainWord2Vec(docs, Word2VecConfig{Seed: 42})
+	emb, err := TrainWord2Vec(tinyDocs(), Word2VecConfig{Seed: 42})
 	if err != nil {
 		t.Fatalf("TrainWord2Vec: %v", err)
 	}

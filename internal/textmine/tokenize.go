@@ -44,11 +44,16 @@ func Tokenize(text string) []string {
 	return out
 }
 
-// ContentTokens tokenizes text and removes stopwords. Used for
-// bag-of-words features; the word2vec trainer keeps stopwords because
-// they provide context windows.
+// ContentTokens tokenizes text and removes stopwords.
 func ContentTokens(text string) []string {
-	toks := Tokenize(text)
+	return DropStopwords(Tokenize(text))
+}
+
+// DropStopwords removes the stopwords from toks in place, keeping order,
+// and returns the shortened slice. Bag-of-words features use it on a
+// text's training tokens once training is done; the word2vec trainer
+// keeps stopwords because they provide context windows.
+func DropStopwords(toks []string) []string {
 	out := toks[:0]
 	for _, t := range toks {
 		if !stopwords[t] {

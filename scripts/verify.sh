@@ -18,10 +18,10 @@ go test ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> mining parity smoke (exact vs serial reference, blocked vs exact)"
+echo "==> mining parity smoke (exact vs serial reference, blocked vs exact, word2vec kernel vs reference)"
 go test -count=1 \
-	-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestIncrementalConvergesToBatch)$' \
-	./internal/core/
+	-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestIncrementalConvergesToBatch|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$' \
+	./internal/core/ ./internal/textmine/
 
 echo "==> parallel-pump parity smoke (serial vs parallel, small n)"
 go test -run '^TestSerialParallelParity$/^seed11$' -count=1 ./internal/crawler/
