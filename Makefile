@@ -45,13 +45,16 @@ telemetry-smoke:
 
 # mining-smoke runs the exact route's bit-parity gate against the serial
 # reference sweep (3 seeds × 3 linkages, plus a near-tied one-block
-# sweep), the blocked-vs-exact parity matrix, the
-# incremental-converges-to-batch checks and the linkage property test —
-# the gates behind both mining routes and their shared cut step — plus
-# the word2vec kernel's bit-parity gate against its per-target reference.
+# sweep), the blocked-vs-exact parity matrix, the distances and their
+# path bound against the from-scratch reference, the blocks against a
+# serial reference union-find at 1–3 union workers, the union phase's
+# run-to-run count determinism, the incremental-converges-to-batch
+# checks and the linkage property test — the gates behind both mining
+# routes and their shared cut step — plus the word2vec kernel's
+# bit-parity gate against its per-target reference.
 mining-smoke:
 	$(GO) test -count=1 \
-		-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestBlockedComponentsPartition|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$$' \
+		-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestDistanceMatchesNaiveBitForBit|TestBlockedComponentsPartition|TestBlockedUnionCountsDeterministic|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$$' \
 		./internal/core/ ./internal/cluster/ ./internal/textmine/
 
 # profile-mining captures CPU/heap pprof profiles of the n=50k blocked

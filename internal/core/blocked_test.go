@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"pushadminer/internal/cluster"
@@ -32,61 +33,36 @@ func TestClusterParityBlockedVsExact(t *testing.T) {
 	}
 }
 
-// TestBlockedComponentsPartition asserts the LSH blocking yields a true
-// partition in canonical order: every record in exactly one block,
-// members ascending, blocks ordered by smallest member, and more than
-// one block (the corpus is not one giant component — the exact-distance
-// confirmation is what prevents that percolation).
+// TestBlockedComponentsPartition asserts the LSH blocking is exactly
+// the connected components of the confirmed candidate graph, at one,
+// two and three union workers: the reference joins, in one serial
+// union-find, every pair that shares a band, sits within the Hamming
+// gate, and is near under the from-scratch distance. Equality rules out
+// both a split block and a forest merge that over-merges; the
+// reference's Components are canonical (blocks ordered by smallest
+// member, members ascending). More than one block is required too: the
+// exact-distance confirmation is what keeps the candidate graph from
+// percolating into one component.
 func TestBlockedComponentsPartition(t *testing.T) {
 	fs := parityFS(t, 1, 150)
-	comps := blockedComponents(fs, nil)
-	if len(comps) < 2 {
-		t.Fatalf("only %d block(s): candidate graph percolated", len(comps))
-	}
-	seen := make(map[int]bool)
-	prevMin := -1
-	for _, comp := range comps {
-		if len(comp) == 0 {
-			t.Fatal("empty block")
-		}
-		if comp[0] <= prevMin {
-			t.Fatalf("blocks not ordered by smallest member: %d after %d", comp[0], prevMin)
-		}
-		prevMin = comp[0]
-		for i, id := range comp {
-			if i > 0 && comp[i-1] >= id {
-				t.Fatalf("block members not ascending: %v", comp)
+	n := len(fs.Hashes)
+	ref := cluster.NewUnionFind(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if simhash.SharesBand(fs.Hashes[i], fs.Hashes[j], blockBands) &&
+				simhash.Near(fs.Hashes[i], fs.Hashes[j], blockMaxHamming) &&
+				naiveDistance(fs, i, j) <= blockDistance {
+				ref.Union(i, j)
 			}
-			if seen[id] {
-				t.Fatalf("record %d in two blocks", id)
-			}
-			seen[id] = true
 		}
 	}
-	if len(seen) != len(fs.Records) {
-		t.Fatalf("blocks cover %d of %d records", len(seen), len(fs.Records))
+	want := ref.Components()
+	if len(want) < 2 {
+		t.Fatalf("only %d block(s): candidate graph percolated", len(want))
 	}
-	// Blocking must respect the confirmed candidate graph: any two
-	// records that share a band, sit within the Hamming gate, and are
-	// confirmed near by exact distance belong to one block.
-	for i := range fs.Hashes {
-		for j := i + 1; j < len(fs.Hashes); j++ {
-			if simhash.SharesBand(fs.Hashes[i], fs.Hashes[j], blockBands) && blockedEdge(fs, i, j) {
-				bi, bj := -1, -1
-				for b, comp := range comps {
-					for _, id := range comp {
-						if id == i {
-							bi = b
-						}
-						if id == j {
-							bj = b
-						}
-					}
-				}
-				if bi != bj {
-					t.Fatalf("linked pair (%d,%d) split across blocks %d/%d", i, j, bi, bj)
-				}
-			}
+	for _, workers := range []int{1, 2, 3} {
+		if got := blockedComponents(fs, workers, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d workers: blocks %v, want %v", workers, got, want)
 		}
 	}
 }

@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pushadminer/internal/crawler"
 	"pushadminer/internal/simhash"
@@ -19,7 +20,9 @@ import (
 
 // Features are the per-WPN clustering features of §5.1.1: the message
 // text (title + body) as a bag of words, and the landing URL path
-// tokens. Domain names are deliberately excluded from both.
+// tokens. Domain names are deliberately excluded from both. Distances
+// merge over the FeatureSet's interned path ids; PathTokens stays for
+// readers and the reference distances of the tests.
 type Features struct {
 	Text       textmine.BOW
 	PathTokens []string
@@ -47,6 +50,11 @@ type FeatureSet struct {
 	SoftOpts textmine.SoftCosineOptions
 	// UseText and UsePath toggle feature groups (ablation A2).
 	UseText, UsePath bool
+
+	// pathIDs are the records' PathTokens interned to int32 ids, each
+	// record's ids ascending (see internPaths). The Jaccard merge runs
+	// over them instead of comparing strings.
+	pathIDs [][]int32
 }
 
 // FeatureOptions configure extraction.
@@ -138,29 +146,99 @@ func ExtractFeatures(records []*crawler.WPNRecord, opts FeatureOptions) (*Featur
 		content[i] = nil
 	})
 	fs.Kernel = textmine.NewDocKernel(bows, sim, emb)
+	fs.pathIDs = internPaths(fs.Features)
 	return fs, nil
+}
+
+// internPaths maps every record's path tokens to int32 ids. One
+// dictionary is filled in record order, so the ids are deterministic,
+// and each record's ids are sorted ascending for the Jaccard merge.
+// PathTokens are deduplicated, so the merge counts the same
+// intersection and union as over the strings, and every distance keeps
+// its bits. All records' ids share one backing array.
+func internPaths(feats []Features) [][]int32 {
+	total := 0
+	for i := range feats {
+		total += len(feats[i].PathTokens)
+	}
+	dict := make(map[string]int32)
+	flat := make([]int32, 0, total)
+	out := make([][]int32, len(feats))
+	for i := range feats {
+		start := len(flat)
+		for _, tok := range feats[i].PathTokens {
+			id, ok := dict[tok]
+			if !ok {
+				id = int32(len(dict))
+				dict[tok] = id
+			}
+			flat = append(flat, id)
+		}
+		ids := flat[start:len(flat):len(flat)]
+		slices.Sort(ids)
+		out[i] = ids
+	}
+	return out
+}
+
+// pathDistance is the Jaccard distance between records i's and j's
+// landing-path token sets.
+func (fs *FeatureSet) pathDistance(i, j int) float64 {
+	return urlx.JaccardSorted(fs.pathIDs[i], fs.pathIDs[j])
 }
 
 // Distance is the pairwise WPN distance of §5.1.1: the average of the
 // soft-cosine text distance and the Jaccard URL-path distance (or just
 // one of them under ablation). It runs on the cached kernel — one cross
 // quad-form per call, self norms precomputed — and a merge-based Jaccard
-// over the already-sorted path tokens; the values are bit-identical to
-// recomputing every quad-form from scratch.
+// over the interned path ids; the values are bit-identical to
+// recomputing every quad-form from scratch over the token strings.
 func (fs *FeatureSet) Distance(i, j int) float64 {
-	fi, fj := &fs.Features[i], &fs.Features[j]
 	switch {
 	case fs.UseText && fs.UsePath:
 		text := 1 - fs.Kernel.SoftCosine(i, j)
-		path := urlx.JaccardSorted(fi.PathTokens, fj.PathTokens)
+		path := fs.pathDistance(i, j)
 		return (text + path) / 2
 	case fs.UseText:
 		return 1 - fs.Kernel.SoftCosine(i, j)
 	case fs.UsePath:
-		return urlx.JaccardSorted(fi.PathTokens, fj.PathTokens)
+		return fs.pathDistance(i, j)
 	default:
 		return 0
 	}
+}
+
+// DistanceWithin reports whether Distance(i, j) <= t and, when it is,
+// returns that distance bit for bit. It is the threshold test of the
+// blocked union phase, the stream's nearest-medoid scan and
+// MedoidIndex.Classify. With both feature groups on it computes the
+// path Jaccard first and rejects the pair without the soft-cosine quad
+// form when path/2 > t. The reject is exact in floating point: the text
+// distance 1 − SoftCosine lies in [0, 1] (SoftCosineNormed clamps the
+// cosine to [0, 1]), IEEE rounding is monotone so fl(text+path) ≥ path,
+// and halving is exact, so Distance ≥ path/2 > t. A NaN distance fails
+// d <= t, as it does without the bound. On false the returned value is
+// only a lower bound on the distance.
+func (fs *FeatureSet) DistanceWithin(i, j int, t float64) (float64, bool) {
+	d, ok, _ := fs.distanceWithin(i, j, t)
+	return d, ok
+}
+
+// distanceWithin is DistanceWithin that also reports whether the path
+// bound rejected the pair before the full distance was computed. Under
+// either ablation there is no bound: the full distance decides.
+func (fs *FeatureSet) distanceWithin(i, j int, t float64) (d float64, ok, pathRejected bool) {
+	if !fs.UseText || !fs.UsePath {
+		d = fs.Distance(i, j)
+		return d, d <= t, false
+	}
+	path := fs.pathDistance(i, j)
+	if lb := path / 2; lb > t {
+		return lb, false, true
+	}
+	text := 1 - fs.Kernel.SoftCosine(i, j)
+	d = (text + path) / 2
+	return d, d <= t, false
 }
 
 // ApproxDistance is the cheap far-pair estimate the blocked path uses
@@ -169,16 +247,15 @@ func (fs *FeatureSet) Distance(i, j int) float64 {
 // a sparse quad-form), the path component is the same merge Jaccard as
 // Distance (already cheap).
 func (fs *FeatureSet) ApproxDistance(i, j int) float64 {
-	fi, fj := &fs.Features[i], &fs.Features[j]
 	switch {
 	case fs.UseText && fs.UsePath:
 		text := fs.Kernel.ApproxDistance(i, j)
-		path := urlx.JaccardSorted(fi.PathTokens, fj.PathTokens)
+		path := fs.pathDistance(i, j)
 		return (text + path) / 2
 	case fs.UseText:
 		return fs.Kernel.ApproxDistance(i, j)
 	case fs.UsePath:
-		return urlx.JaccardSorted(fi.PathTokens, fj.PathTokens)
+		return fs.pathDistance(i, j)
 	default:
 		return 0
 	}

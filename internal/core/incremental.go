@@ -62,6 +62,11 @@ type IncrementalClusterer struct {
 	added   []bool
 	nAdded  int
 	candBuf []int
+	// seen marks the cluster labels an Add call already scanned: label
+	// l was seen by the call whose stamp equals seen[l]. Reused across
+	// calls (stamp grows each call), so the scan allocates nothing.
+	seen  []uint64
+	stamp uint64
 
 	// cache maps a block's smallest member to its dendrogram. Valid
 	// reuse check is size equality: components only ever gain members,
@@ -129,15 +134,18 @@ func (c *IncrementalClusterer) Add(i int) int {
 		prov, _ = c.restored.Classify(c.fs, i)
 	} else if c.res != nil && c.res.CutHeight > 0 {
 		bestD := c.res.CutHeight
-		seen := make(map[int]bool)
+		medoids := c.res.Medoids.Medoids
+		if len(c.seen) < len(medoids) {
+			c.seen = make([]uint64, len(medoids))
+		}
+		c.stamp++
 		for _, j := range c.candBuf {
 			l := c.res.Labels[j]
-			if l < 0 || seen[l] {
+			if l < 0 || c.seen[l] == c.stamp {
 				continue
 			}
-			seen[l] = true
-			med := c.res.Medoids.Medoids[l].Record
-			if d := c.fs.Distance(i, med); d <= bestD {
+			c.seen[l] = c.stamp
+			if d, ok := c.fs.DistanceWithin(i, medoids[l].Record, bestD); ok {
 				bestD, prov = d, l
 			}
 		}

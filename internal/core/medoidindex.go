@@ -89,7 +89,7 @@ func (x *MedoidIndex) Classify(fs *FeatureSet, i int) (label int, dist float64) 
 	label, dist = -1, x.CutHeight
 	for _, p := range x.candBuf {
 		me := x.Medoids[p]
-		if d := fs.Distance(i, me.Record); d <= dist {
+		if d, ok := fs.DistanceWithin(i, me.Record, dist); ok {
 			label, dist = me.Label, d
 		}
 	}

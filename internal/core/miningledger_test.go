@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"maps"
 	"strconv"
 	"testing"
 
@@ -78,6 +79,36 @@ func TestMiningLedgerDeterminism(t *testing.T) {
 	}
 }
 
+// TestBlockedUnionCountsDeterministic reruns the blocked path over one
+// feature set and requires identical mining_pairs. The union phase's
+// already-connected short-circuit makes its counts depend on the order
+// the band groups are visited, so that order must be fixed (band by
+// band, band values ascending) and so must the dealing of groups to
+// union workers, at each worker count. Below a few thousand records
+// the band groups rarely overlap enough for the order to show.
+func TestBlockedUnionCountsDeterministic(t *testing.T) {
+	fs := parityFS(t, 1, 3000)
+	pairsOf := func() map[string]int64 {
+		reg := telemetry.New()
+		ClusterWPNs(fs, ClusterOptions{Blocked: true, Metrics: reg})
+		return reg.Snapshot().Families["mining_pairs"]
+	}
+	first := pairsOf()
+	for run := 2; run <= 3; run++ {
+		if got := pairsOf(); !maps.Equal(got, first) {
+			t.Fatalf("run %d: mining_pairs = %v, run 1 had %v", run, got, first)
+		}
+	}
+	for _, workers := range []int{1, 2, 3} {
+		var a, b blockedTally
+		blockedComponents(fs, workers, &a)
+		blockedComponents(fs, workers, &b)
+		if a != b {
+			t.Errorf("%d workers: union tallies %+v then %+v", workers, a, b)
+		}
+	}
+}
+
 func atoi(t *testing.T, s string) int64 {
 	t.Helper()
 	v, err := strconv.ParseInt(s, 10, 64)
@@ -125,8 +156,11 @@ func TestMiningLedgerReconciliation(t *testing.T) {
 	if got := pairs["sweep_scored"]; got != sweepPairs {
 		t.Errorf("mining_pairs[sweep_scored] = %d, ledger says %d", got, sweepPairs)
 	}
-	if pairs["blocks_gate_checked"] == 0 || pairs["blocks_edges"] == 0 {
+	if pairs["blocks_gate_checked"] == 0 || pairs["blocks_path_rejected"] == 0 || pairs["blocks_edges"] == 0 {
 		t.Errorf("union-phase accounting empty: %v", pairs)
+	}
+	if got, want := pairs["blocks_gate_checked"], pairs["blocks_gate_rejected"]+pairs["blocks_path_rejected"]+pairs["blocks_dist_checked"]; got != want {
+		t.Errorf("union phase: %d pairs gate-checked, but rejected + path-rejected + dist-checked = %d", got, want)
 	}
 	if cut == nil {
 		t.Fatal("no cut_chosen event")

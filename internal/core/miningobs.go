@@ -38,7 +38,9 @@ func sweepHeightBucket(h float64) string {
 
 // mining_pairs phase labels: where each candidate pair of the blocked
 // path was decided. blocks_* cover the union phase (gate = Hamming,
-// dist = exact-distance confirmation), block_linkage_exact counts the
+// path_rejected = rejected by DistanceWithin's path bound before the
+// quad form, dist = full exact-distance confirmation; see
+// blockedTally), block_linkage_exact counts the
 // within-block exact distance evaluations of the dendrogram builds,
 // sweep_scored counts the within-block distance lookups the pooled
 // sweep's silhouette scoring re-reads (only pairs in blocks whose
@@ -46,7 +48,7 @@ func sweepHeightBucket(h float64) string {
 // complement — the per-height re-reads the memo skipped, so scored +
 // saved equals what an unmemoized sweep would have re-read.
 var miningPairPhases = []string{
-	"blocks_gate_checked", "blocks_gate_rejected",
+	"blocks_gate_checked", "blocks_gate_rejected", "blocks_path_rejected",
 	"blocks_dist_checked", "blocks_edges",
 	"block_linkage_exact", "sweep_scored", "sweep_memo_saved",
 }
@@ -107,14 +109,35 @@ func newBlockedObs(reg *telemetry.Registry, led *telemetry.Ledger, prog *miningP
 }
 
 // blockedTally accumulates the union phase's pair decisions with plain
-// int64s — it is only ever written from the serial bucket-pair loop, so
-// no atomics — and is folded into mining_pairs afterwards. A nil tally
-// keeps the hot loop on its uninstrumented branch.
+// int64s. Each union worker counts into its own tally (see
+// blockedComponents), and the per-worker tallies are summed in worker
+// order before being folded into mining_pairs. A pair is counted by the
+// worker whose forest tested it, so with several forests a pair
+// another forest already connected may be counted again: gateChecked =
+// gateRejected + pathRejected + distChecked, and edges is the number of
+// unions across all forests — Σ over workers of (n − that forest's
+// components) — which is at least the spanning edge count of the merged
+// blocks. The groups are dealt to workers in a fixed order, so every
+// count is deterministic at a given worker count. A nil *blockedTally
+// discards what is added to it.
 type blockedTally struct {
 	gateChecked  int64 // pairs reaching the edge test (not already unioned)
 	gateRejected int64 // rejected by the Hamming gate
+	pathRejected int64 // rejected by the path bound, no quad form
 	distChecked  int64 // exact distances evaluated for confirmation
 	edges        int64 // confirmed union edges
+}
+
+// add accumulates u into t; a nil t discards it.
+func (t *blockedTally) add(u blockedTally) {
+	if t == nil {
+		return
+	}
+	t.gateChecked += u.gateChecked
+	t.gateRejected += u.gateRejected
+	t.pathRejected += u.pathRejected
+	t.distChecked += u.distChecked
+	t.edges += u.edges
 }
 
 // tally returns the union-phase accumulator, or nil when observation is
@@ -133,6 +156,7 @@ func (o *blockedObs) recordTally(t *blockedTally) {
 	}
 	o.pairsFam.Add("blocks_gate_checked", t.gateChecked)
 	o.pairsFam.Add("blocks_gate_rejected", t.gateRejected)
+	o.pairsFam.Add("blocks_path_rejected", t.pathRejected)
 	o.pairsFam.Add("blocks_dist_checked", t.distChecked)
 	o.pairsFam.Add("blocks_edges", t.edges)
 }

@@ -1,18 +1,25 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"pushadminer/internal/cluster"
-	"pushadminer/internal/textmine"
+	"pushadminer/internal/crawler"
 )
 
 // parityFS extracts features over a synthetic corpus.
 func parityFS(t testing.TB, seed int64, n int) *FeatureSet {
 	t.Helper()
-	fs, err := ExtractFeatures(SynthWPNRecords(seed, n), FeatureOptions{
-		Word2Vec: textmine.Word2VecConfig{Seed: seed},
-	})
+	return parityFSWith(t, seed, SynthWPNRecords(seed, n), FeatureOptions{})
+}
+
+// parityFSWith extracts features over records under the given feature
+// options (ablations), with the word2vec seed set to seed.
+func parityFSWith(t testing.TB, seed int64, records []*crawler.WPNRecord, opts FeatureOptions) *FeatureSet {
+	t.Helper()
+	opts.Word2Vec.Seed = seed
+	fs, err := ExtractFeatures(records, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,15 +39,49 @@ func sameLabels(a, b []int) bool {
 }
 
 // TestDistanceMatchesNaiveBitForBit asserts the cached-kernel distance
-// reproduces the from-scratch reference exactly, entry by entry.
+// over interned path ids reproduces the from-scratch reference exactly,
+// entry by entry, under both feature groups and each ablation. In the
+// same loop DistanceWithin must answer naiveDistance <= t — at the
+// blocking threshold, at the pair's own distance and one ulp below it,
+// where a wrong bound would show — and return the reference bit for
+// bit whenever it answers true. The corpus gets exact copies of some
+// records and copies with a disjoint landing path: pairs whose text
+// distance is 0, where the distance equals the path bound.
 func TestDistanceMatchesNaiveBitForBit(t *testing.T) {
-	fs := parityFS(t, 1, 120)
-	n := len(fs.Records)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if got, want := fs.Distance(i, j), naiveDistance(fs, i, j); got != want {
-				t.Fatalf("Distance(%d,%d) = %v, naive %v (records %q / %q)",
-					i, j, got, want, fs.Records[i].Body, fs.Records[j].Body)
+	records := SynthWPNRecords(1, 120)
+	for k := 0; k < 8; k++ {
+		same, moved := *records[k], *records[k]
+		moved.LandingURL = "https://copy.example/elsewhere/other-page"
+		records = append(records, &same, &moved)
+	}
+	settings := []struct {
+		name string
+		opts FeatureOptions
+	}{
+		{"both", FeatureOptions{}},
+		{"text-only", FeatureOptions{DisablePath: true}},
+		{"path-only", FeatureOptions{DisableText: true}},
+	}
+	for _, set := range settings {
+		fs := parityFSWith(t, 1, records, set.opts)
+		n := len(fs.Records)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				want := naiveDistance(fs, i, j)
+				if got := fs.Distance(i, j); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: Distance(%d,%d) = %v, naive %v (records %q / %q)",
+						set.name, i, j, got, want, fs.Records[i].Body, fs.Records[j].Body)
+				}
+				for _, th := range []float64{blockDistance, want, math.Nextafter(want, 0)} {
+					d, ok := fs.DistanceWithin(i, j, th)
+					if ok != (want <= th) {
+						t.Fatalf("%s: DistanceWithin(%d,%d,%v) = %v, but naive distance is %v",
+							set.name, i, j, th, ok, want)
+					}
+					if ok && math.Float64bits(d) != math.Float64bits(want) {
+						t.Fatalf("%s: DistanceWithin(%d,%d,%v) = %v, naive %v", set.name, i, j, th, d, want)
+					}
+				}
 			}
 		}
 	}

@@ -19,7 +19,7 @@ import (
 // memoBlocksFor builds the blocked substrate (components + per-block
 // dendrograms) for a feature set, the way clusterWPNsBlocked does.
 func memoBlocksFor(fs *FeatureSet, linkage cluster.Linkage) []*blockDendrogram {
-	comps := blockedComponents(fs, nil)
+	comps := blockedComponents(fs, 0, nil)
 	return buildBlockDendrograms(fs, comps, linkage, nil)
 }
 

@@ -152,7 +152,7 @@ func TestClusterPairAccounting(t *testing.T) {
 		if got := len(a.FS.Records); int64(got) != n {
 			t.Fatalf("%d records clustered, want %d", got, n)
 		}
-		if blocks := len(blockedComponents(a.FS, nil)); blocks < 2 {
+		if blocks := len(blockedComponents(a.FS, 0, nil)); blocks < 2 {
 			t.Fatalf("%d block(s): the crossover never swaps blocks; test is vacuous", blocks)
 		}
 		pairs := reg.Snapshot().Families["cluster_pairs"]

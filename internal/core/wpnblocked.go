@@ -13,11 +13,16 @@ import (
 // This file implements the LSH-blocked clustering path (§5.1 at crawl-
 // fleet scale): instead of filtering an all-pairs scan through the
 // SimHash band index, candidate pairs are generated *from* the index's
-// buckets, confirmed by Hamming distance, and grouped into connected-
-// component blocks by union-find. Each block is clustered exactly with
-// the cached agglomerative path (in parallel across blocks), and the
-// block-local dendrograms are stitched under one globally swept cut
-// height, so total cost tracks the candidate count — Σ|B|² — not n².
+// buckets, gated by Hamming distance, confirmed by exact distance
+// (FeatureSet.DistanceWithin, whose path bound rejects most far pairs
+// without the soft-cosine quad form), and grouped into connected-
+// component blocks by union-find. The union phase deals the bucket
+// groups to per-worker union forests and merges the forests serially;
+// the blocks are the connected components of the confirmed-edge graph
+// either way. Each block is clustered exactly with the cached
+// agglomerative path (in parallel across blocks), and the block-local
+// dendrograms are stitched under one globally swept cut height, so
+// total cost tracks the candidate count — Σ|B|² — not n².
 
 // blockDendrogram is one block's clustering substrate: its member
 // records (ascending global indices), their exact local distance
@@ -155,58 +160,94 @@ const (
 // bucket) are confirmed as a block edge: within the Hamming gate, then
 // near under the exact distance.
 func blockedEdge(fs *FeatureSet, i, j int) bool {
-	return simhash.Near(fs.Hashes[i], fs.Hashes[j], blockMaxHamming) &&
-		fs.Distance(i, j) <= blockDistance
+	if !simhash.Near(fs.Hashes[i], fs.Hashes[j], blockMaxHamming) {
+		return false
+	}
+	_, ok := fs.DistanceWithin(i, j, blockDistance)
+	return ok
 }
 
-// unionBucketPairs unions every confirmed pair within one bucket
-// group, skipping pairs already connected (the Same short-circuit is
+// unionBucketPairs unions every confirmed pair within one bucket group
+// into uf, skipping pairs uf already connects (the Same short-circuit is
 // what keeps dense campaign buckets cheap: after the first spanning
-// edges, remaining pairs cost one find each, not a distance call).
-// With a non-nil tally the edge test is inlined so each decision can be
-// attributed (gate-rejected / distance-checked / edge) — same logic,
-// same unions, so observation never changes the blocks.
+// edges, remaining pairs cost one find each, not a distance call). It
+// applies blockedEdge's test, split so that each decision is counted:
+// gate-rejected, path-rejected, distance-checked, edge. The counts go
+// to tally once per group.
 func unionBucketPairs(uf *cluster.UnionFind, fs *FeatureSet, ids []int, tally *blockedTally) {
+	var t blockedTally
 	for a := 0; a < len(ids); a++ {
 		for b := a + 1; b < len(ids); b++ {
 			i, j := ids[a], ids[b]
 			if uf.Same(i, j) {
 				continue
 			}
-			if tally == nil {
-				if blockedEdge(fs, i, j) {
-					uf.Union(i, j)
-				}
-				continue
-			}
-			tally.gateChecked++
+			t.gateChecked++
 			if !simhash.Near(fs.Hashes[i], fs.Hashes[j], blockMaxHamming) {
-				tally.gateRejected++
+				t.gateRejected++
 				continue
 			}
-			tally.distChecked++
-			if fs.Distance(i, j) > blockDistance {
+			_, ok, pathRejected := fs.distanceWithin(i, j, blockDistance)
+			if pathRejected {
+				t.pathRejected++
 				continue
 			}
-			tally.edges++
-			uf.Union(i, j)
+			t.distChecked++
+			if ok {
+				t.edges++
+				uf.Union(i, j)
+			}
 		}
 	}
+	tally.add(t)
 }
 
 // blockedComponents groups all records into connected-component blocks
-// of the confirmed candidate graph. Output is canonical — blocks
-// ordered by smallest member, members ascending — regardless of bucket
-// iteration order.
-func blockedComponents(fs *FeatureSet, tally *blockedTally) [][]int {
+// of the confirmed candidate graph. The band groups are sorted by size
+// descending, then smallest id, and dealt to workers (<= 0: GOMAXPROCS)
+// through fanOutWorkers; each worker unions its groups' confirmed pairs
+// into its own forest, and a serial pass merges the forests. A pair a
+// worker skips as already connected is connected by confirmed edges in
+// that forest, so the merged partition is the components of the whole
+// confirmed-edge graph at any worker count. Output is canonical —
+// blocks ordered by smallest member, members ascending. A non-nil tally
+// receives the per-worker counts, summed in worker order; the dealing
+// is fixed, so the counts are deterministic at a given worker count.
+func blockedComponents(fs *FeatureSet, workers int, tally *blockedTally) [][]int {
+	n := len(fs.Hashes)
 	ix := simhash.NewBandIndex(blockBands)
 	for i, h := range fs.Hashes {
 		ix.Add(i, h)
 	}
-	uf := cluster.NewUnionFind(len(fs.Hashes))
-	ix.ForEachGroup(func(ids []int) {
-		unionBucketPairs(uf, fs, ids, tally)
+	var groups [][]int
+	ix.ForEachGroup(func(ids []int) { groups = append(groups, ids) })
+	sort.SliceStable(groups, func(a, b int) bool {
+		if la, lb := len(groups[a]), len(groups[b]); la != lb {
+			return la > lb
+		}
+		return groups[a][0] < groups[b][0]
 	})
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, len(groups)))
+	forests := make([]*cluster.UnionFind, workers)
+	for w := range forests {
+		forests[w] = cluster.NewUnionFind(n)
+	}
+	tallies := make([]blockedTally, workers)
+	fanOutWorkers(len(groups), workers, func(w, g int) {
+		unionBucketPairs(forests[w], fs, groups[g], &tallies[w])
+	})
+	uf := forests[0]
+	for _, f := range forests[1:] {
+		for i := 0; i < n; i++ {
+			uf.Union(i, f.Find(i))
+		}
+	}
+	for _, t := range tallies {
+		tally.add(t)
+	}
 	return uf.Components()
 }
 
@@ -816,7 +857,7 @@ func clusterWPNsBlocked(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 
 	done := st.stage("blocks")
 	tally := obs.tally()
-	comps := blockedComponents(fs, tally)
+	comps := blockedComponents(fs, 0, tally)
 	done()
 	obs.recordTally(tally)
 	exact := withinBlockPairs(comps)

@@ -3,6 +3,7 @@ package simhash
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -55,10 +56,9 @@ func referenceCandidates(added map[int]Hash, h Hash, nBands int) []int {
 	return out
 }
 
-// TestAppendCandidatesMatchesReference cross-checks the scratch-set
-// fast path against the brute-force definition on random fingerprints,
-// including repeated queries (the reused scratch set must not leak
-// state between calls) and buffer reuse.
+// TestAppendCandidatesMatchesReference cross-checks the sort-and-compact
+// lookup against the brute-force definition on random fingerprints,
+// including repeated queries and buffer reuse.
 func TestAppendCandidatesMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, nBands := range []int{1, 4, 8, 13} {
@@ -111,9 +111,9 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
-// TestForEachGroup asserts the group enumeration recovers exactly the
-// banded candidate graph: two ids appear together in some group iff
-// they share a band.
+// TestForEachGroup asserts the group enumeration comes in its fixed
+// order and recovers exactly the banded candidate graph: two ids appear
+// together in some group iff they share a band.
 func TestForEachGroup(t *testing.T) {
 	const nBands = 8
 	rng := rand.New(rand.NewSource(3))
@@ -128,6 +128,31 @@ func TestForEachGroup(t *testing.T) {
 		}
 		hashes[id] = h
 		ix.Add(id, h)
+	}
+	// Order: band by band, band values ascending, each group in
+	// insertion order — rebuilt here from the hashes.
+	var want [][]int
+	for b := 0; b < nBands; b++ {
+		byKey := map[uint64][]int{}
+		var keys []uint64
+		for id, h := range hashes {
+			key := Band(h, b, nBands)
+			if byKey[key] == nil {
+				keys = append(keys, key)
+			}
+			byKey[key] = append(byKey[key], id)
+		}
+		sort.Slice(keys, func(x, y int) bool { return keys[x] < keys[y] })
+		for _, key := range keys {
+			if len(byKey[key]) >= 2 {
+				want = append(want, byKey[key])
+			}
+		}
+	}
+	var got [][]int
+	ix.ForEachGroup(func(ids []int) { got = append(got, ids) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("groups in order %v, want %v", got, want)
 	}
 	together := make(map[[2]int]bool)
 	ix.ForEachGroup(func(ids []int) {
@@ -157,11 +182,11 @@ func TestForEachGroup(t *testing.T) {
 }
 
 // BenchmarkCandidatesLargeBucket is the regression benchmark for the
-// Candidates hot-path fix: thousands of ids landing in shared buckets
-// previously paid a fresh map allocation per call plus an O(k²)
-// insertion sort of the result. The fixed path reuses a scratch set and
-// sort.Ints; allocations per query should stay flat in bucket size
-// (modulo the returned slice itself).
+// Candidates hot path: thousands of ids landing in shared buckets once
+// paid a fresh map allocation per call plus an O(k²) insertion sort of
+// the result. The lookup now sorts and compacts in the caller's buffer,
+// so a query into a reused buffer allocates nothing once the buffer has
+// grown.
 func BenchmarkCandidatesLargeBucket(b *testing.B) {
 	for _, size := range []int{100, 1000, 5000} {
 		b.Run(fmt.Sprintf("bucket=%d", size), func(b *testing.B) {

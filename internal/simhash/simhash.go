@@ -10,7 +10,7 @@ package simhash
 import (
 	"hash/fnv"
 	"math/bits"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -144,12 +144,11 @@ func SharesBand(a, b Hash, nBands int) bool {
 // BandIndex buckets fingerprints by band value so candidate sets can be
 // enumerated without the O(n²) all-pairs scan: items sharing any band
 // land in a common bucket. IDs are caller-assigned (typically record
-// indices). A BandIndex is not safe for concurrent use: Add mutates the
-// buckets and Candidates reuses an internal scratch set.
+// indices). A BandIndex is not safe for concurrent use while Add
+// mutates the buckets; lookups only read them.
 type BandIndex struct {
 	nBands  int
 	buckets []map[uint64][]int
-	scratch map[int]bool // reused across Candidates calls
 }
 
 // NewBandIndex returns an empty index over nBands bit-bands.
@@ -160,7 +159,6 @@ func NewBandIndex(nBands int) *BandIndex {
 	ix := &BandIndex{
 		nBands:  nBands,
 		buckets: make([]map[uint64][]int, nBands),
-		scratch: make(map[int]bool),
 	}
 	for i := range ix.buckets {
 		ix.buckets[i] = make(map[uint64][]int)
@@ -185,39 +183,41 @@ func (ix *BandIndex) Candidates(h Hash) []int {
 
 // AppendCandidates appends the deduplicated ids sharing at least one
 // band with h to dst (in ascending id order) and returns the extended
-// slice, so hot loops can reuse one buffer across calls. Deduplication
-// runs on a scratch set owned by the index and the sort is
-// sort.Ints — large buckets no longer pay a per-call map allocation or
-// the old O(k²) insertion sort.
+// slice, so hot loops can reuse one buffer across calls. It appends
+// every matching bucket, sorts the appended ids and drops adjacent
+// duplicates, so a lookup allocates nothing once dst has grown.
 func (ix *BandIndex) AppendCandidates(dst []int, h Hash) []int {
-	clear(ix.scratch)
 	start := len(dst)
 	for b := 0; b < ix.nBands; b++ {
-		for _, id := range ix.buckets[b][Band(h, b, ix.nBands)] {
-			if !ix.scratch[id] {
-				ix.scratch[id] = true
-				dst = append(dst, id)
-			}
-		}
+		dst = append(dst, ix.buckets[b][Band(h, b, ix.nBands)]...)
 	}
-	sort.Ints(dst[start:])
-	return dst
+	cands := dst[start:]
+	slices.Sort(cands)
+	return dst[:start+len(slices.Compact(cands))]
 }
 
 // ForEachGroup calls fn once per bucket holding at least two ids, with
 // the bucket's id list in insertion order. Every pair of fingerprints
 // that share a band appears together in at least one group, so a caller
 // union-finding over groups recovers exactly the banded-LSH candidate
-// graph's connected components. The slice is the index's own storage:
-// fn must not retain or mutate it. Iteration order is unspecified (map
-// order); callers needing determinism must canonicalize, as union-find
-// components do.
+// graph's connected components. Groups come band by band, and within a
+// band by ascending band value, so the order depends only on what was
+// added: a caller whose work depends on group order (the blocked union
+// phase's already-connected short-circuit) gets the same work on every
+// run. The slice is the index's own storage: fn must not mutate it, but
+// may keep it, since a later Add leaves it unchanged.
 func (ix *BandIndex) ForEachGroup(fn func(ids []int)) {
+	var keys []uint64
 	for _, bkt := range ix.buckets {
-		for _, ids := range bkt {
+		keys = keys[:0]
+		for key, ids := range bkt {
 			if len(ids) >= 2 {
-				fn(ids)
+				keys = append(keys, key)
 			}
+		}
+		slices.Sort(keys)
+		for _, key := range keys {
+			fn(bkt[key])
 		}
 	}
 }

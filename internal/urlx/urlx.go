@@ -6,6 +6,7 @@
 package urlx
 
 import (
+	"cmp"
 	"net/url"
 	"sort"
 	"strings"
@@ -182,11 +183,13 @@ func Jaccard(a, b []string) float64 {
 	return 1 - float64(inter)/float64(union)
 }
 
-// JaccardSorted is Jaccard over two sorted, deduplicated token slices
-// (PathTokens output), computed by a linear merge with no allocations.
-// It returns exactly the same value as Jaccard on such inputs; the
-// clustering hot path calls it n²/2 times.
-func JaccardSorted(a, b []string) float64 {
+// JaccardSorted is Jaccard over two ascending, deduplicated slices
+// (PathTokens output, or token ids interned from it), computed by a
+// linear merge with no allocations. It returns exactly the same value as
+// Jaccard on such inputs: the merge counts the intersection and union
+// sizes, which do not depend on what the elements are. The clustering
+// hot path calls it once per candidate pair, on int32 ids.
+func JaccardSorted[T cmp.Ordered](a, b []T) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
 	}

@@ -3,6 +3,7 @@ package urlx
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -243,11 +244,32 @@ func TestJaccardSortedMatchesJaccard(t *testing.T) {
 		"https://c.example/",
 		"https://d.example/promo/win-big/now?claim=1",
 	}
+	// Interned ids: any id assignment, each side sorted ascending, gives
+	// the same value as the strings. Ids are handed out in reverse
+	// first-seen order here, so id order disagrees with string order.
+	dict := map[string]int32{}
+	intern := func(toks []string) []int32 {
+		ids := make([]int32, len(toks))
+		for k, tok := range toks {
+			id, ok := dict[tok]
+			if !ok {
+				id = int32(-len(dict))
+				dict[tok] = id
+			}
+			ids[k] = id
+		}
+		sort.Slice(ids, func(x, y int) bool { return ids[x] < ids[y] })
+		return ids
+	}
 	for _, u := range urls {
 		for _, v := range urls {
 			a, b := PathTokens(u), PathTokens(v)
-			if got, want := JaccardSorted(a, b), Jaccard(a, b); got != want {
+			want := Jaccard(a, b)
+			if got := JaccardSorted(a, b); got != want {
 				t.Errorf("PathTokens mismatch for %q vs %q: %v != %v", u, v, got, want)
+			}
+			if got := JaccardSorted(intern(a), intern(b)); got != want {
+				t.Errorf("interned ids mismatch for %q vs %q: %v != %v", u, v, got, want)
 			}
 		}
 	}

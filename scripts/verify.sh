@@ -18,9 +18,9 @@ go test ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
-echo "==> mining parity smoke (exact vs serial reference, blocked vs exact, word2vec kernel vs reference)"
+echo "==> mining parity smoke (exact vs serial reference, blocked vs exact, distances and blocks vs reference, word2vec kernel vs reference)"
 go test -count=1 \
-	-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestIncrementalConvergesToBatch|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$' \
+	-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestDistanceMatchesNaiveBitForBit|TestBlockedComponentsPartition|TestBlockedUnionCountsDeterministic|TestIncrementalConvergesToBatch|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$' \
 	./internal/core/ ./internal/textmine/
 
 echo "==> parallel-pump parity smoke (serial vs parallel, small n)"
