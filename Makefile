@@ -43,19 +43,13 @@ bench-check:
 telemetry-smoke:
 	sh scripts/telemetry_smoke.sh
 
-# mining-smoke runs the exact route's bit-parity gate against the serial
-# reference sweep (3 seeds × 3 linkages, plus a near-tied one-block
-# sweep), the blocked-vs-exact parity matrix, the distances and their
-# path bound against the from-scratch reference, the blocks against a
-# serial reference union-find at 1–3 union workers, the union phase's
-# run-to-run count determinism, the incremental-converges-to-batch
-# checks and the linkage property test — the gates behind both mining
-# routes and their shared cut step — plus the word2vec kernel's
-# bit-parity gate against its per-target reference.
+# mining-smoke runs the mining parity gates (scripts/mining_smoke.sh
+# holds the one list, which scripts/verify.sh runs too): exact vs the
+# serial reference sweep, blocked vs exact, distances and blocks vs
+# their references, incremental convergence, the linkage property test
+# and the word2vec kernel's bit-parity gate.
 mining-smoke:
-	$(GO) test -count=1 \
-		-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestDistanceMatchesNaiveBitForBit|TestBlockedComponentsPartition|TestBlockedUnionCountsDeterministic|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$$' \
-		./internal/core/ ./internal/cluster/ ./internal/textmine/
+	GO=$(GO) sh scripts/mining_smoke.sh
 
 # profile-mining captures CPU/heap pprof profiles of the n=50k blocked
 # clustering benchmark plus its sweep_ns cut-sweep attribution, under

@@ -114,6 +114,17 @@ func (p Profile) Enabled() bool {
 		len(p.Blackholes) > 0 || len(p.PushOutages) > 0
 }
 
+// KillsConnections reports whether the profile can end a connection
+// mid-exchange: resets close it before any response bytes, truncation
+// after a short body. Only these faults interact with connection reuse
+// — Go's transport silently retries a request whose reused connection
+// dies before the first response byte — so only these profiles need a
+// fresh connection per request. Latency, 503s, outages, blackholes and
+// crashes all leave the connection intact.
+func (p Profile) KillsConnections() bool {
+	return p.ResetFraction > 0 || p.TruncateFraction > 0
+}
+
 func (p Profile) withDefaults() Profile {
 	if p.LatencyMin <= 0 {
 		p.LatencyMin = 2 * time.Millisecond

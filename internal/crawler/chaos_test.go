@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 
 	"pushadminer/internal/chaos"
@@ -174,4 +175,57 @@ func TestContainerCrashRecovery(t *testing.T) {
 		t.Errorf("crash counter missing from faults: %v", deg.Faults)
 	}
 	t.Logf("records=%d lost=%d recovered=%d", len(res.Records), deg.ContainersLost, deg.ContainersRecovered)
+}
+
+// TestConnectionReuseInvisible: profiles whose faults cannot kill a
+// connection keep the shared transport's connection pool, and reuse
+// must change nothing a crawl observes. For one fault class at a time,
+// a crawl over pooled connections (the ecosystem as webeco.New builds
+// it) and one that dials a fresh connection per request give
+// byte-identical records and Degradation, equal injected-fault counts
+// and equal per-host request counts.
+func TestConnectionReuseInvisible(t *testing.T) {
+	for _, tc := range []struct {
+		name, spec, fault string
+	}{
+		{"latency", "latency=1,latmin=1ms,latmax=1ms", "latency"}, // the benchmark's study profile
+		{"errors", "errors=0.10,retryafter=1s", "http_503"},
+		// Short: the push sender backs off in real time through an outage.
+		{"outage", "outage=48h:20m", "outage_503"},
+		{"blackhole", "blackhole=ads.propellerads.net:24h:6h", "blackhole"},
+		{"crashes", "crashes=0.05", "container_crash"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prof, err := chaos.ParseProfile(tc.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prof.KillsConnections() {
+				t.Fatalf("%q kills connections, so its crawl never pools", tc.spec)
+			}
+			run := func(fresh bool) (out []byte, faults, requests map[string]int) {
+				eco := newChaosEco(t, 0.002, prof)
+				if fresh {
+					eco.Net.DisableKeepAlives()
+				}
+				res := crawl(t, eco, nil)
+				return marshal(t, res), eco.Chaos().Stats(), eco.Net.RequestCounts()
+			}
+			pooled, pooledFaults, pooledReqs := run(false)
+			fresh, freshFaults, freshReqs := run(true)
+			if pooledFaults[tc.fault] == 0 {
+				t.Fatalf("%q injected no %s faults (%v); the case is vacuous", tc.spec, tc.fault, pooledFaults)
+			}
+			if !bytes.Equal(pooled, fresh) {
+				t.Errorf("pooled and fresh-connection crawls diverge at %s", firstDiff(pooled, fresh))
+			}
+			if !maps.Equal(pooledFaults, freshFaults) {
+				t.Errorf("injected faults differ: pooled %v, fresh %v", pooledFaults, freshFaults)
+			}
+			if !maps.Equal(pooledReqs, freshReqs) {
+				t.Errorf("per-host request counts differ: pooled %v, fresh %v", pooledReqs, freshReqs)
+			}
+			t.Logf("faults=%v", pooledFaults)
+		})
+	}
 }

@@ -52,11 +52,11 @@ func TestTelemetryReconcilesWithChaos(t *testing.T) {
 
 	// Ledger 1 vs ledger 2: every server-side reset and client-side
 	// blackhole must surface as exactly one classified client transport
-	// error (keep-alives are disabled under chaos, so there is no
-	// connection reuse to blur the mapping). Truncations fail at body
-	// read, not at the transport, so they are excluded by construction;
-	// "bad_url" errors are ecosystem artifacts (scheme-less navigation
-	// targets), not faults.
+	// error (keep-alives are off whenever the profile injects resets or
+	// truncation, so no silent retry on a reused connection blurs the
+	// mapping). Truncations fail at body read, not at the transport, so
+	// they are excluded by construction; "bad_url" errors are ecosystem
+	// artifacts (scheme-less navigation targets), not faults.
 	errKinds := snap.Families["vnet_client_errors"]
 	if got, want := errKinds["conn"], chaosFam["reset"]; got != want {
 		t.Errorf("vnet_client_errors[conn] = %d, chaos injected %d resets", got, want)

@@ -107,6 +107,12 @@ func (n *Network) Close() error {
 	case <-done:
 	case <-ctx.Done():
 	}
+	// The pool can hold a connection that was dialed for a request which
+	// then took a connection freed meanwhile. The server has seen no
+	// request on it, and Shutdown waits up to 5 s for a new connection's
+	// first request, which would stall Close until ctx expires. Closing
+	// the pool first ends such connections from the client side.
+	n.base.CloseIdleConnections()
 	return n.server.Shutdown(ctx)
 }
 
@@ -155,10 +161,13 @@ func (n *Network) SetTransportWrapper(wrap func(http.RoundTripper) http.RoundTri
 }
 
 // DisableKeepAlives turns connection reuse off for the shared transport.
-// Fault profiles that reset connections need this: Go's transport
-// silently retries idempotent requests that die on a *reused*
-// connection, which would make injected resets unobservable and their
-// effects scheduling-dependent.
+// webeco.New calls it, before any traffic, for fault profiles that can
+// kill a connection (chaos.Profile.KillsConnections: resets or
+// truncation): Go's transport silently retries idempotent requests that
+// die on a *reused* connection before the first response byte, which
+// would make injected resets unobservable and their effects
+// scheduling-dependent. Every other profile keeps the pool. Call it
+// before traffic starts.
 func (n *Network) DisableKeepAlives() {
 	n.base.DisableKeepAlives = true
 }

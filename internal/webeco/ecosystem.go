@@ -87,7 +87,11 @@ func New(cfg Config) (*Ecosystem, error) {
 		// Reused connections would let Go's transport auto-retry
 		// requests killed by injected resets, hiding faults behind
 		// scheduling races; fresh connections keep injection exact.
-		net.DisableKeepAlives()
+		// Profiles that never kill a connection keep the pool, as
+		// fault-free runs do.
+		if prof.KillsConnections() {
+			net.DisableKeepAlives()
+		}
 		net.SetMiddleware(e.chaos.Middleware)
 		net.SetTransportWrapper(e.chaos.WrapTransport)
 	}

@@ -19,12 +19,11 @@ echo "==> go test -race ./..."
 go test -race ./...
 
 echo "==> mining parity smoke (exact vs serial reference, blocked vs exact, distances and blocks vs reference, word2vec kernel vs reference)"
-go test -count=1 \
-	-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestDistanceMatchesNaiveBitForBit|TestBlockedComponentsPartition|TestBlockedUnionCountsDeterministic|TestIncrementalConvergesToBatch|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$' \
-	./internal/core/ ./internal/textmine/
+sh scripts/mining_smoke.sh
 
-echo "==> parallel-pump parity smoke (serial vs parallel, small n)"
+echo "==> crawl parity smoke (serial vs parallel pump, small n; pooled vs fresh connections under faults that kill none)"
 go test -run '^TestSerialParallelParity$/^seed11$' -count=1 ./internal/crawler/
+go test -run '^TestConnectionReuseInvisible$' -count=1 ./internal/crawler/
 
 # bench_check subsumes the old bench smokes: it runs the same cheap
 # slices (mining n=200, crawl n=50, 1x) and additionally gates them
