@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"pushadminer/internal/httpx"
+	"pushadminer/internal/simclock"
 )
 
 // Config controls a simulated blocklist service's detection behaviour.
@@ -213,6 +214,8 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // Client queries a blocklist service over HTTP, retrying transient
 // failures (rate limits and hiccups are routine with VT/GSB-style APIs).
+// The service is simulated, so its retries back off without waiting
+// (simclock.NoWait).
 type Client struct {
 	HTTP *http.Client
 	Base string // e.g. "https://vt.simpush.test"
@@ -224,7 +227,7 @@ type Client struct {
 // Lookup calls POST /lookup for the given URLs at the given instant.
 func (c *Client) Lookup(urls []string, now time.Time) ([]Verdict, error) {
 	c.retryOnce.Do(func() {
-		c.retry = httpx.New(c.HTTP, nil, httpx.RetryPolicy{
+		c.retry = httpx.New(c.HTTP, simclock.NoWait{Clock: simclock.Real{}}, httpx.RetryPolicy{
 			MaxAttempts: 3,
 			BaseDelay:   5 * time.Millisecond,
 			MaxDelay:    50 * time.Millisecond,

@@ -564,10 +564,11 @@ func (b *Browser) registerServiceWorker(origin string, doc *page.Doc) (*servicew
 		// The announce is load-bearing — a subscription the network
 		// never learns about receives no pushes — so it retries
 		// transient failures and treats a non-2xx answer as an error
-		// the caller can recover from (the crawler re-visits).
+		// the caller can recover from (the crawler re-visits). The
+		// server is simulated, so the backoff waits no real time.
 		payload := fmt.Sprintf(`{"token":%q,"endpoint":%q,"origin":%q,"device":%q,"hw":%q,"client":%q}`,
 			sub.Token, sub.Endpoint, origin, b.cfg.Device.String(), b.hardware(), b.cfg.ClientID)
-		announce := httpx.New(b.cfg.Client, nil, httpx.RetryPolicy{
+		announce := httpx.New(b.cfg.Client, simclock.NoWait{Clock: simclock.Real{}}, httpx.RetryPolicy{
 			MaxAttempts: 3,
 			BaseDelay:   5 * time.Millisecond,
 			MaxDelay:    50 * time.Millisecond,

@@ -190,8 +190,7 @@ func TestConnectionReuseInvisible(t *testing.T) {
 	}{
 		{"latency", "latency=1,latmin=1ms,latmax=1ms", "latency"}, // the benchmark's study profile
 		{"errors", "errors=0.10,retryafter=1s", "http_503"},
-		// Short: the push sender backs off in real time through an outage.
-		{"outage", "outage=48h:20m", "outage_503"},
+		{"outage", "outage=48h:24h", "outage_503"}, // as long as the acceptance preset's outage
 		{"blackhole", "blackhole=ads.propellerads.net:24h:6h", "blackhole"},
 		{"crashes", "crashes=0.05", "container_crash"},
 	} {

@@ -22,6 +22,7 @@ import (
 
 	"pushadminer/internal/chaos"
 	"pushadminer/internal/httpx"
+	"pushadminer/internal/simclock"
 	"pushadminer/internal/webpush"
 )
 
@@ -222,7 +223,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "bad payload", http.StatusBadRequest)
 			return
 		}
-		msg := webpush.Message{Token: token, Data: data, SentAt: time.Now()}
+		msg := webpush.Message{Token: token, Data: data}
 		if err := s.Send(msg); err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
@@ -250,28 +251,25 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 
 // Client is a small HTTP client for the push service API, used by
 // components that talk to FCM over the virtual network. Requests retry
-// transient failures with short real-time backoff (see internal/httpx);
-// a crawl must not die because one poll hit a hiccup.
+// transient failures with capped backoff (see internal/httpx); a crawl
+// must not die because one poll hit a hiccup. The service is simulated,
+// so the backoff waits no real time (simclock.NoWait).
 type Client struct {
 	retry *httpx.Client
 	Base  string // e.g. "https://fcm.simpush.test"
 }
 
-// NewClient returns a Client for the service mounted at host using the
-// given HTTP client.
-func NewClient(httpClient *http.Client, host string) *Client {
-	return NewClientWith(httpClient, host, nil)
-}
-
-// NewClientWith is NewClient with an optional shared circuit breaker:
-// while the push host's circuit is open, calls fail fast with an error
-// wrapping httpx.ErrCircuitOpen instead of burning retries — one probe
-// per cooldown discovers recovery.
+// NewClientWith returns a Client for the service mounted at host
+// (DefaultHost if empty) using the given HTTP client. breaker, if
+// non-nil, is a shared circuit breaker: while the push host's circuit
+// is open, calls fail fast with an error wrapping httpx.ErrCircuitOpen
+// instead of burning retries — one probe per cooldown discovers
+// recovery.
 func NewClientWith(httpClient *http.Client, host string, breaker *httpx.Breaker) *Client {
 	if host == "" {
 		host = DefaultHost
 	}
-	retry := httpx.New(httpClient, nil, httpx.RetryPolicy{
+	retry := httpx.New(httpClient, simclock.NoWait{Clock: simclock.Real{}}, httpx.RetryPolicy{
 		MaxAttempts: 3,
 		BaseDelay:   5 * time.Millisecond,
 		MaxDelay:    50 * time.Millisecond,

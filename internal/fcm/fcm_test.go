@@ -101,7 +101,7 @@ func TestHTTPAPI(t *testing.T) {
 	defer n.Close()
 	s := New("")
 	n.Handle(DefaultHost, s)
-	client := NewClient(n.Client(), "")
+	client := NewClientWith(n.Client(), "", nil)
 
 	sub, err := client.Register("https://pub.test", "https://pub.test/sw.js")
 	if err != nil {
@@ -142,7 +142,7 @@ func TestHTTPSendUnknownToken404(t *testing.T) {
 	defer n.Close()
 	s := New("")
 	n.Handle(DefaultHost, s)
-	client := NewClient(n.Client(), "")
+	client := NewClientWith(n.Client(), "", nil)
 	err = client.Send("https://"+DefaultHost+"/send/bogus", json.RawMessage(`{}`))
 	if err == nil {
 		t.Error("send to bogus token succeeded over HTTP")

@@ -47,8 +47,7 @@ type RetryPolicy struct {
 	// Default: 5xx and 429.
 	RetryOn func(status int) bool
 	// RetryAfterCap bounds how long an honored Retry-After header can
-	// stretch one backoff sleep. Default: MaxDelay. Simulated-time
-	// callers keep this small so real-time sleeps stay cheap.
+	// stretch one backoff sleep. Default: MaxDelay.
 	RetryAfterCap time.Duration
 }
 

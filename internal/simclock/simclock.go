@@ -40,6 +40,35 @@ func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 
+// NoWait is a Clock whose waits return at once: Now reads the wrapped
+// Clock, Sleep returns immediately, and After's channel already holds
+// the wrapped Clock's Now. It drives the backoff of clients that retry
+// against simulated services.
+//
+// It is exact because the simulation's driver (internal/fleet's
+// coordinator) advances the simulated clock only between pump phases,
+// never while a phase's requests are in flight. A retry that slept
+// would therefore wake at the same simulated instant as one that did
+// not, and every fault draw is keyed by attempt number or by simulated
+// time, so the sleep could change no outcome; it would only spend
+// wall time.
+type NoWait struct {
+	Clock Clock
+}
+
+// Now implements Clock.
+func (c NoWait) Now() time.Time { return c.Clock.Now() }
+
+// After implements Clock.
+func (c NoWait) After(time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	ch <- c.Clock.Now()
+	return ch
+}
+
+// Sleep implements Clock.
+func (NoWait) Sleep(time.Duration) {}
+
 // Simulated is a virtual Clock. Time never advances on its own; call
 // Advance (or Run) to move it forward. Timers created with After fire, in
 // timestamp order, as the clock passes their deadlines. The zero value is

@@ -150,6 +150,29 @@ func TestRealClock(t *testing.T) {
 	}
 }
 
+// TestNoWaitNeverBlocks: NoWait reads the wrapped clock's time, and
+// its waits neither block nor leave timers on the wrapped clock.
+func TestNoWaitNeverBlocks(t *testing.T) {
+	sim := NewSimulated(epoch)
+	var c Clock = NoWait{Clock: sim}
+	c.Sleep(time.Hour)
+	select {
+	case at := <-c.After(time.Hour):
+		if !at.Equal(epoch) {
+			t.Errorf("After delivered %v, want the wrapped clock's %v", at, epoch)
+		}
+	default:
+		t.Fatal("NoWait.After did not fire at once")
+	}
+	if n := len(sim.PendingTimers()); n != 0 {
+		t.Errorf("NoWait left %d timers on the wrapped clock", n)
+	}
+	sim.Advance(time.Minute)
+	if got, want := c.Now(), epoch.Add(time.Minute); !got.Equal(want) {
+		t.Errorf("Now() = %v, want the wrapped clock's %v", got, want)
+	}
+}
+
 func TestConcurrentAfter(t *testing.T) {
 	c := NewSimulated(epoch)
 	const n = 100

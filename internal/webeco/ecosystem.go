@@ -104,7 +104,7 @@ func New(cfg Config) (*Ecosystem, error) {
 	}
 	// The ecosystem's own push client carries a fixed identity so fault
 	// draws against scheduler traffic are stable.
-	e.fcmClient = fcm.NewClient(chaos.TagClient(net.Client(), "ecosystem"), "")
+	e.fcmClient = fcm.NewClientWith(chaos.TagClient(net.Client(), "ecosystem"), "", nil)
 	net.Handle(fcm.DefaultHost, e.Push)
 	net.Handle(VTHost, e.VT)
 	net.Handle(GSBHost, e.GSB)

@@ -212,6 +212,38 @@ func TestSchedulerOrderAndFlush(t *testing.T) {
 	}
 }
 
+// TestOutageFlushCostsNoWallTime: a flush inside a push outage still
+// makes all three attempts of every send and requeues each send for
+// later, but its backoff between attempts waits no real time. A flush
+// works at one simulated instant, so a wall-clock wait there could
+// change nothing; with up to 50 ms per backoff, ten sends would sleep
+// about a second.
+func TestOutageFlushCostsNoWallTime(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Chaos = &chaos.Profile{Seed: 1, PushOutages: []chaos.Window{{Start: 0, Dur: time.Hour}}}
+	e := newEco(t, cfg)
+	sub := e.Push.Register("https://pub.test", "https://pub.test/sw.js")
+	const sends = 10
+	for i := 0; i < sends; i++ {
+		e.adEco.Sched.Schedule(e.Clock.Now(), sub.Endpoint, []byte(`{}`))
+	}
+	start := time.Now()
+	if n := e.Tick(); n != 0 {
+		t.Fatalf("Tick delivered %d sends inside the outage", n)
+	}
+	elapsed := time.Since(start)
+	if got := e.Chaos().Stats()["outage_503"]; got != 3*sends {
+		t.Errorf("outage_503 = %d, want %d (3 attempts per send)", got, 3*sends)
+	}
+	if got := e.adEco.Sched.Retried(); got != sends {
+		t.Errorf("scheduler requeued %d sends, want %d", got, sends)
+	}
+	if elapsed >= 250*time.Millisecond {
+		t.Errorf("flush took %v of wall time, want under 250ms (a few ms without backoff waits; about 1s when every backoff sleeps)", elapsed)
+	}
+	t.Logf("flush took %v", elapsed)
+}
+
 func TestCategoriesWellFormed(t *testing.T) {
 	for _, c := range Categories {
 		if len(c.Titles) == 0 || len(c.Bodies) == 0 {

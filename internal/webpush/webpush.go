@@ -46,7 +46,6 @@ func (n Notification) Validate() error {
 type Message struct {
 	Token   string          `json:"token"`
 	Data    json.RawMessage `json:"data"`
-	SentAt  time.Time       `json:"sent_at"`
 	TTL     time.Duration   `json:"ttl,omitempty"`
 	Expired bool            `json:"-"`
 }

@@ -21,9 +21,10 @@ go test -race ./...
 echo "==> mining parity smoke (exact vs serial reference, blocked vs exact, distances and blocks vs reference, word2vec kernel vs reference)"
 sh scripts/mining_smoke.sh
 
-echo "==> crawl parity smoke (serial vs parallel pump, small n; pooled vs fresh connections under faults that kill none)"
+echo "==> crawl parity smoke (serial vs parallel pump, small n; pooled vs fresh connections under faults that kill none; push outage retries wait no real time)"
 go test -run '^TestSerialParallelParity$/^seed11$' -count=1 ./internal/crawler/
 go test -run '^TestConnectionReuseInvisible$' -count=1 ./internal/crawler/
+go test -run '^TestOutageFlushCostsNoWallTime$' -count=1 ./internal/webeco/
 
 # bench_check subsumes the old bench smokes: it runs the same cheap
 # slices (mining n=200, crawl n=50, 1x) and additionally gates them
