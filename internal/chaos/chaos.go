@@ -459,6 +459,8 @@ type taggingTransport struct {
 	base http.RoundTripper
 }
 
+// RoundTrip sends a deep clone of req: the caller's header map must not
+// see the stamp.
 func (t *taggingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	clone := req.Clone(req.Context())
 	clone.Header.Set(ClientHeader, t.id)

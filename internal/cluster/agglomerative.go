@@ -221,14 +221,15 @@ func sortMerges(dend *Dendrogram) {
 
 // CutByHeight assigns cluster labels by applying every merge with
 // Distance <= h. Labels are 0-based and contiguous, ordered by the lowest
-// leaf index in each cluster.
+// leaf index in each cluster. It allocates the union forest and the
+// labels, whatever n: once every leaf's root is known the forest is
+// reused as the root → label table, indexed by node id.
 func (d *Dendrogram) CutByHeight(h float64) []int {
 	parent := make([]int, d.n+len(d.merges))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -244,17 +245,18 @@ func (d *Dendrogram) CutByHeight(h float64) []int {
 		parent[find(m.B)] = node
 	}
 	labels := make([]int, d.n)
+	for i := range labels {
+		labels[i] = find(i)
+	}
+	// label+1 of each root, 0 until the root's first leaf is seen.
+	clear(parent)
 	next := 0
-	seen := make(map[int]int)
-	for i := 0; i < d.n; i++ {
-		root := find(i)
-		lbl, ok := seen[root]
-		if !ok {
-			lbl = next
+	for i, root := range labels {
+		if parent[root] == 0 {
 			next++
-			seen[root] = lbl
+			parent[root] = next
 		}
-		labels[i] = lbl
+		labels[i] = parent[root] - 1
 	}
 	return labels
 }

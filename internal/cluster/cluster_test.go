@@ -53,6 +53,41 @@ func TestDistMatrixIndexCoversAllPairs(t *testing.T) {
 	}
 }
 
+// TestCopyPairs checks that CopyPairs lands every source pair at its
+// mapped position with the same float32 bits and leaves every other
+// pair alone.
+func TestCopyPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	src := randomMatrix(9, rng)
+	pos := []int{0, 2, 3, 7, 8, 11, 15, 16, 19}
+	m := NewDistMatrix(20)
+	const untouched = 2.5
+	for i := 0; i < m.Len(); i++ {
+		for j := i + 1; j < m.Len(); j++ {
+			m.Set(i, j, untouched)
+		}
+	}
+	m.CopyPairs(src, pos)
+	at := make(map[[2]int][2]int)
+	for a := range pos {
+		for b := a + 1; b < len(pos); b++ {
+			at[[2]int{pos[a], pos[b]}] = [2]int{a, b}
+		}
+	}
+	for i := 0; i < m.Len(); i++ {
+		for j := i + 1; j < m.Len(); j++ {
+			got := m.At(i, j)
+			if ab, ok := at[[2]int{i, j}]; ok {
+				if want := src.At(ab[0], ab[1]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("(%d,%d) = %v, want source (%d,%d) = %v", i, j, got, ab[0], ab[1], want)
+				}
+			} else if got != untouched {
+				t.Fatalf("(%d,%d) = %v, outside the copy, want it untouched", i, j, got)
+			}
+		}
+	}
+}
+
 func TestCompute(t *testing.T) {
 	m := Compute(5, func(i, j int) float64 { return float64(i + j) })
 	for i := 0; i < 5; i++ {

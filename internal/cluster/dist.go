@@ -60,6 +60,26 @@ func (m *DistMatrix) Set(i, j int, d float64) {
 	m.data[m.index(i, j)] = float32(d)
 }
 
+// CopyPairs copies every pair of src into m at the positions pos: for
+// all a < b, m.At(pos[a], pos[b]) takes src.At(a, b), the same float32
+// bits. pos must be strictly increasing and below m.Len(), with one
+// entry per src item. It lets a matrix over a superset of src's items
+// keep the distances src already holds.
+func (m *DistMatrix) CopyPairs(src *DistMatrix, pos []int) {
+	if len(pos) != src.n {
+		panic("cluster: CopyPairs needs one position per source item")
+	}
+	idx := 0
+	for a, pa := range pos {
+		// index(pa, pb) = base + pb for every pb > pa.
+		base := rowOffset(m.n, pa) - pa - 1
+		for _, pb := range pos[a+1:] {
+			m.data[base+pb] = src.data[idx]
+			idx++
+		}
+	}
+}
+
 // rowOffset returns the condensed-storage offset of row i for an n-item
 // matrix: the number of pairs (i', j') with i' < i.
 func rowOffset(n, i int) int { return i * (2*n - i - 1) / 2 }

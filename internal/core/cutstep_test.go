@@ -20,9 +20,9 @@ func oneBlock(m *cluster.DistMatrix, linkage cluster.Linkage) *blockDendrogram {
 }
 
 // oneBlockCut runs the cut step over one block of a synthetic matrix.
-// The records are blank: the step needs only their count.
+// The records and features are blank: the step needs only their count.
 func oneBlockCut(m *cluster.DistMatrix, opts ClusterOptions) *ClusterResult {
-	fs := &FeatureSet{Records: make([]*crawler.WPNRecord, m.Len())}
+	fs := &FeatureSet{Records: make([]*crawler.WPNRecord, m.Len()), Features: make([]Features, m.Len())}
 	for i := range fs.Records {
 		fs.Records[i] = &crawler.WPNRecord{}
 	}

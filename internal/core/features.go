@@ -26,6 +26,11 @@ import (
 type Features struct {
 	Text       textmine.BOW
 	PathTokens []string
+	// LandingESLD is the landing URL's eSLD ("" if unparseable). It is
+	// not a distance feature: every clustering's result lists its
+	// clusters' landing domains from it, so the URL is parsed for it
+	// once here rather than on every Recluster.
+	LandingESLD string
 }
 
 // FeatureSet holds the features for a record set, the trained word2vec
@@ -128,7 +133,7 @@ func ExtractFeatures(records []*crawler.WPNRecord, opts FeatureOptions) (*Featur
 		}
 		paths := urlx.PathTokens(r.LandingURL)
 		bows[i] = bow
-		fs.Features[i] = Features{Text: bow, PathTokens: paths}
+		fs.Features[i] = Features{Text: bow, PathTokens: paths, LandingESLD: urlx.ESLDOf(r.LandingURL)}
 		// Fingerprint over both distance components so banded pruning
 		// respects whichever feature groups are active.
 		fp := make([]string, 0, len(content[i])+len(paths))

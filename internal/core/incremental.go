@@ -183,9 +183,11 @@ func (c *IncrementalClusterer) provisionalLabel(i int) int {
 // Recluster re-derives campaigns over everything added so far and
 // returns the result (also available via Result). Blocks whose
 // membership is unchanged since the previous call reuse their cached
-// dendrograms; only dirty blocks are re-clustered (in parallel). The
-// cut sweep and stitching always re-run — they are cheap relative to
-// linkage and depend on the global pool of block heights.
+// dendrograms; only dirty blocks are re-clustered (in parallel), and
+// each copies the distances of the cached blocks it absorbed, so only
+// pairs new to one block are computed. The cut sweep and stitching
+// always re-run — they are cheap relative to linkage and depend on the
+// global pool of block heights.
 func (c *IncrementalClusterer) Recluster() *ClusterResult {
 	comps := c.uf.ComponentsOf(func(i int) bool { return c.added[i] })
 
@@ -199,21 +201,32 @@ func (c *IncrementalClusterer) Recluster() *ClusterResult {
 			rebuild = append(rebuild, bi)
 		}
 	}
+	// A dirty component absorbed the cached blocks keyed by its own
+	// members: components only gain members, so every cached block lies
+	// wholly inside one live component. Its pairs keep their distances.
+	prior := make([][]*blockDendrogram, len(rebuild))
+	for k, bi := range rebuild {
+		for _, g := range comps[bi] {
+			if bd := c.cache[g]; bd != nil && len(bd.members) > 1 {
+				prior[k] = append(prior[k], bd)
+			}
+		}
+	}
 	c.obs.setBlocksTotal(len(rebuild))
 	if c.obs == nil {
 		fanOut(len(rebuild), 0, func(k int) {
 			bi := rebuild[k]
-			blocks[bi] = buildBlockDendrogram(c.fs, comps[bi], c.opts.Linkage)
+			blocks[bi] = buildBlockDendrogram(c.fs, comps[bi], prior[k], c.opts.Linkage)
 		})
 	} else {
 		fanOut(len(rebuild), 0, func(k int) {
 			bi := rebuild[k]
 			start := time.Now()
-			blocks[bi] = buildBlockDendrogram(c.fs, comps[bi], c.opts.Linkage)
+			blocks[bi] = buildBlockDendrogram(c.fs, comps[bi], prior[k], c.opts.Linkage)
 			c.obs.blockBuilt(len(comps[bi]), time.Since(start).Nanoseconds())
 		})
 	}
-	c.obs.blocksRebuilt(rebuild, comps)
+	c.obs.blocksRebuilt(rebuild, comps, prior)
 	c.stats.BlocksRebuilt += len(rebuild)
 	// Drop stale cache entries (blocks that merged into bigger ones) so
 	// the cache tracks the live component set.

@@ -1,9 +1,12 @@
 package core
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"pushadminer/internal/cluster"
+	"pushadminer/internal/telemetry"
 )
 
 // addOrder is a deterministic non-trivial arrival permutation (stride
@@ -74,6 +77,67 @@ func TestIncrementalConvergesToBatch(t *testing.T) {
 		}
 		if stats.BlocksReused == 0 {
 			t.Errorf("seed %d: no block dendrograms reused across re-clusters", seed)
+		}
+	}
+}
+
+// TestReclusterReusesAbsorbedDistances is the parity gate for the
+// distances a Recluster copies from the cached blocks a dirty component
+// absorbed. At 150 records every cut runs over one freshly filled exact
+// block (crossesOver), so a wrongly copied distance could never reach
+// TestIncrementalConvergesToBatch's output; this test streams 700
+// records, past the 512-record crossover, in scattered order, once
+// reclustering every 37 arrivals and once every 200. After every
+// Recluster each cached block's matrix must equal a fresh fill of its
+// members bit for bit and its merges the fresh dendrogram's, and the
+// final result must equal batch Blocked's labels, cut height and
+// silhouette.
+func TestReclusterReusesAbsorbedDistances(t *testing.T) {
+	for _, seed := range []int64{1, 2} {
+		fs := parityFS(t, seed, 700)
+		n := len(fs.Records)
+		batch := ClusterWPNs(fs, ClusterOptions{Blocked: true})
+		for _, every := range []int{37, 200} {
+			reg := telemetry.New()
+			inc := NewIncrementalClusterer(fs, ClusterOptions{Blocked: true, Metrics: reg})
+			checkCache := func(added int) {
+				t.Helper()
+				for _, bd := range inc.cache {
+					fresh := buildBlockDendrogram(fs, bd.members, nil, inc.opts.Linkage)
+					m := len(bd.members)
+					for i := 0; i < m; i++ {
+						for j := i + 1; j < m; j++ {
+							if got, want := bd.dm.At(i, j), fresh.dm.At(i, j); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("seed %d every %d after %d arrivals: block at %d, records %d and %d: distance %v, fresh fill %v",
+									seed, every, added, bd.members[0], bd.members[i], bd.members[j], got, want)
+							}
+						}
+					}
+					if !reflect.DeepEqual(bd.dend.Merges(), fresh.dend.Merges()) {
+						t.Fatalf("seed %d every %d after %d arrivals: block at %d: merges differ from a fresh fill's", seed, every, added, bd.members[0])
+					}
+				}
+			}
+			for k, i := range addOrder(n) {
+				inc.Add(i)
+				if (k+1)%every == 0 {
+					inc.Recluster()
+					checkCache(k + 1)
+				}
+			}
+			res := inc.Recluster()
+			checkCache(n)
+
+			if !sameLabels(batch.Labels, res.Labels) {
+				t.Errorf("seed %d every %d: labels differ from batch", seed, every)
+			}
+			if batch.CutHeight != res.CutHeight || batch.Silhouette != res.Silhouette {
+				t.Errorf("seed %d every %d: cut %v silhouette %v, batch %v %v",
+					seed, every, res.CutHeight, res.Silhouette, batch.CutHeight, batch.Silhouette)
+			}
+			if reg.Snapshot().Families["mining_pairs"]["block_linkage_reused"] == 0 {
+				t.Errorf("seed %d every %d: no distance was copied, so nothing was checked", seed, every)
+			}
 		}
 	}
 }

@@ -208,15 +208,18 @@ func TestMiningLedgerWithoutTelemetry(t *testing.T) {
 }
 
 // TestMiningLedgerIncremental checks the streaming clusterer's events
-// reconcile with its own stats: one recluster event per Recluster call,
-// their rebuilt/reused attrs summing to the block counters, and one
-// block_clustered event per rebuilt block.
+// reconcile with its own stats and its pair counts: one recluster event
+// per Recluster call, their rebuilt/reused attrs summing to the block
+// counters, and one block_clustered event per rebuilt block, whose
+// pairs are each either computed (block_linkage_exact) or copied from
+// an absorbed block (block_linkage_reused).
 func TestMiningLedgerIncremental(t *testing.T) {
 	fs := parityFS(t, 1, 150)
 	led := telemetry.NewLedger()
-	inc, _ := streamAll(fs, ClusterOptions{Ledger: led}, 40)
+	reg := telemetry.New()
+	inc, _ := streamAll(fs, ClusterOptions{Ledger: led, Metrics: reg}, 40)
 
-	var reclusters, rebuilt, reused, blocks int64
+	var reclusters, rebuilt, reused, blocks, blockPairs int64
 	for _, ev := range led.Events() {
 		switch ev.Kind {
 		case EvRecluster:
@@ -225,7 +228,18 @@ func TestMiningLedgerIncremental(t *testing.T) {
 			reused += atoi(t, ev.Attrs["reused"])
 		case EvBlockClustered:
 			blocks++
+			m := atoi(t, ev.Attrs["size"])
+			blockPairs += m * (m - 1) / 2
 		}
+	}
+	pairs := reg.Snapshot().Families["mining_pairs"]
+	exact, copied := pairs["block_linkage_exact"], pairs["block_linkage_reused"]
+	if exact+copied != blockPairs {
+		t.Errorf("block_linkage_exact %d + block_linkage_reused %d = %d, block_clustered events hold %d pairs",
+			exact, copied, exact+copied, blockPairs)
+	}
+	if copied == 0 {
+		t.Error("no Recluster copied a distance from an absorbed block")
 	}
 	st := inc.Stats()
 	if reclusters != int64(st.Reclusters) {

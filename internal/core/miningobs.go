@@ -40,17 +40,20 @@ func sweepHeightBucket(h float64) string {
 // path was decided. blocks_* cover the union phase (gate = Hamming,
 // path_rejected = rejected by DistanceWithin's path bound before the
 // quad form, dist = full exact-distance confirmation; see
-// blockedTally), block_linkage_exact counts the
-// within-block exact distance evaluations of the dendrogram builds,
-// sweep_scored counts the within-block distance lookups the pooled
-// sweep's silhouette scoring re-reads (only pairs in blocks whose
-// labeling changed at that height), and sweep_memo_saved is the
-// complement — the per-height re-reads the memo skipped, so scored +
-// saved equals what an unmemoized sweep would have re-read.
+// blockedTally). The dendrogram builds split their within-block pairs:
+// block_linkage_exact counts the exact distances computed, and
+// block_linkage_reused the pairs a Recluster copied from a cached block
+// the rebuilt one absorbed (always 0 on the batch route), so the two
+// sum to Σ m(m−1)/2 over the built blocks. sweep_scored counts the
+// within-block distance lookups the pooled sweep's silhouette scoring
+// re-reads (only pairs in blocks whose labeling changed at that
+// height), and sweep_memo_saved is the complement — the per-height
+// re-reads the memo skipped, so scored + saved equals what an
+// unmemoized sweep would have re-read.
 var miningPairPhases = []string{
 	"blocks_gate_checked", "blocks_gate_rejected", "blocks_path_rejected",
 	"blocks_dist_checked", "blocks_edges",
-	"block_linkage_exact", "sweep_scored", "sweep_memo_saved",
+	"block_linkage_exact", "block_linkage_reused", "sweep_scored", "sweep_memo_saved",
 }
 
 // mining_sweep_memo outcome labels — see sweepMemoStats: per
@@ -203,19 +206,25 @@ func (o *blockedObs) setHeightsTotal(n int) {
 }
 
 // blocksRebuilt records an incremental Recluster round's dendrogram
-// rebuilds: exact pair volume into mining_pairs plus one ledger event
-// per rebuilt block, in ascending block order (rebuild is built in
-// canonical component order, so the flush is deterministic).
-func (o *blockedObs) blocksRebuilt(rebuild []int, comps [][]int) {
+// rebuilds: the pairs computed and the pairs copied from absorbed
+// blocks (prior[k] for rebuild[k]) into mining_pairs, plus one ledger
+// event per rebuilt block, in ascending block order (rebuild is built
+// in canonical component order, so the flush is deterministic).
+func (o *blockedObs) blocksRebuilt(rebuild []int, comps [][]int, prior [][]*blockDendrogram) {
 	if o == nil {
 		return
 	}
-	var exact int64
-	for _, bi := range rebuild {
+	var pairs, reused int64
+	for k, bi := range rebuild {
 		m := int64(len(comps[bi]))
-		exact += m * (m - 1) / 2
+		pairs += m * (m - 1) / 2
+		for _, bd := range prior[k] {
+			p := int64(len(bd.members))
+			reused += p * (p - 1) / 2
+		}
 	}
-	o.pairsFam.Add("block_linkage_exact", exact)
+	o.pairsFam.Add("block_linkage_exact", pairs-reused)
+	o.pairsFam.Add("block_linkage_reused", reused)
 	for _, bi := range rebuild {
 		ledgerBlockClustered(o.led, bi, len(comps[bi]))
 	}

@@ -36,7 +36,7 @@ func TestMiningObservabilityDisabled(t *testing.T) {
 		obs.setBlocksTotal(5)
 		obs.blockBuilt(7, 1000)
 		obs.blocksLinked(nil)
-		obs.blocksRebuilt(nil, nil)
+		obs.blocksRebuilt(nil, nil, nil)
 		obs.setHeightsTotal(64)
 		obs.sweepRescored(0.25, 1000)
 		obs.heightSweptMemo(0.25, 4, true, 0.8, 3, 21, 1000)
@@ -151,9 +151,13 @@ func TestBlockHistogramExtremes(t *testing.T) {
 		t.Errorf("mining_block_ns sum = %v, want > 0", cost.Sum)
 	}
 	// Exact pair volume: 0 for each singleton, m(m-1)/2 for the giant.
+	// A batch build has no earlier blocks to copy from.
 	m := int64(len(giant))
 	if got, want := snap.Families["mining_pairs"]["block_linkage_exact"], m*(m-1)/2; got != want {
 		t.Errorf("block_linkage_exact = %d, want %d", got, want)
+	}
+	if got, ok := snap.Families["mining_pairs"]["block_linkage_reused"]; !ok || got != 0 {
+		t.Errorf("block_linkage_reused = %d (present %v), want a preresolved 0", got, ok)
 	}
 
 	events := led.Events()

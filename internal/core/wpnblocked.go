@@ -118,13 +118,39 @@ func (bd *blockDendrogram) cutMemoAt(seg int, farD float64, multi bool) (*blockC
 }
 
 // buildBlockDendrogram clusters one block with the cached exact
-// distance. Blocks are small; the fill is serial so the caller can fan
-// out across blocks without nested pools.
-func buildBlockDendrogram(fs *FeatureSet, members []int, linkage cluster.Linkage) *blockDendrogram {
+// distance. prior holds blocks an earlier clustering built whose
+// members all lie in members (disjoint, as components are): a pair
+// inside one of them is copied from its matrix, the float32 bits
+// Distance produced for that pair, and only the remaining pairs are
+// computed. The batch route passes nil and computes every pair. Blocks
+// are small; the fill is serial so the caller can fan out across blocks
+// without nested pools.
+func buildBlockDendrogram(fs *FeatureSet, members []int, prior []*blockDendrogram, linkage cluster.Linkage) *blockDendrogram {
 	m := len(members)
 	dm := cluster.NewDistMatrix(m)
+	// owner[i] is 1 + the index of the prior block holding local item
+	// i, or 0 when none does.
+	owner := make([]int32, m)
+	var pos []int
+	for p, bd := range prior {
+		// Both member lists ascend, so each search starts past the last
+		// position found.
+		pos = pos[:0]
+		lo := 0
+		for _, g := range bd.members {
+			li := lo + sort.SearchInts(members[lo:], g)
+			pos = append(pos, li)
+			owner[li] = int32(p + 1)
+			lo = li + 1
+		}
+		dm.CopyPairs(bd.dm, pos)
+	}
 	for i := 0; i < m; i++ {
+		oi := owner[i]
 		for j := i + 1; j < m; j++ {
+			if oi != 0 && owner[j] == oi {
+				continue // copied above
+			}
 			dm.Set(i, j, fs.Distance(members[i], members[j]))
 		}
 	}
@@ -260,12 +286,12 @@ func buildBlockDendrograms(fs *FeatureSet, comps [][]int, linkage cluster.Linkag
 	obs.setBlocksTotal(len(comps))
 	if obs == nil {
 		fanOut(len(comps), 0, func(i int) {
-			blocks[i] = buildBlockDendrogram(fs, comps[i], linkage)
+			blocks[i] = buildBlockDendrogram(fs, comps[i], nil, linkage)
 		})
 	} else {
 		fanOut(len(comps), 0, func(i int) {
 			start := time.Now()
-			blocks[i] = buildBlockDendrogram(fs, comps[i], linkage)
+			blocks[i] = buildBlockDendrogram(fs, comps[i], nil, linkage)
 			obs.blockBuilt(len(comps[i]), time.Since(start).Nanoseconds())
 		})
 	}

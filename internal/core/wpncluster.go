@@ -5,7 +5,6 @@ import (
 
 	"pushadminer/internal/cluster"
 	"pushadminer/internal/telemetry"
-	"pushadminer/internal/urlx"
 )
 
 // WPNCluster is one group of similar WPN messages (§5.1): the output of
@@ -227,11 +226,10 @@ func finishClusterResult(fs *FeatureSet, labels []int, height, sil float64) *Clu
 		c := &WPNCluster{ID: id, Members: members[id]}
 		srcSet, landSet := map[string]bool{}, map[string]bool{}
 		for _, m := range c.Members {
-			r := fs.Records[m]
-			if d := r.SourceDomain; d != "" {
+			if d := fs.Records[m].SourceDomain; d != "" {
 				srcSet[d] = true
 			}
-			if d := urlx.ESLDOf(r.LandingURL); d != "" {
+			if d := fs.Features[m].LandingESLD; d != "" {
 				landSet[d] = true
 			}
 		}

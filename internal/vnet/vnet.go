@@ -257,17 +257,22 @@ type transport struct {
 	base    *http.Transport
 }
 
-// RoundTrip implements http.RoundTripper.
+// RoundTrip implements http.RoundTripper. The rewrite touches only the
+// URL's scheme and host and the request's Host, so the request it sends
+// is a shallow copy with its own URL; headers, body and context are
+// shared with the caller's request, which is left unchanged.
 func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	clone := req.Clone(req.Context())
-	if clone.URL.Scheme == "https" {
-		clone.URL.Scheme = "http"
+	out := *req
+	u := *req.URL
+	out.URL = &u
+	if u.Scheme == "https" {
+		u.Scheme = "http"
 	}
-	if clone.Host == "" {
-		clone.Host = req.URL.Host
+	if out.Host == "" {
+		out.Host = req.URL.Host
 	}
-	clone.URL.Host = t.network.addr
-	resp, err := t.base.RoundTrip(clone)
+	u.Host = t.network.addr
+	resp, err := t.base.RoundTrip(&out)
 	if resp != nil {
 		// Restore the virtual URL so callers (and the redirect
 		// resolver) see the request they actually made, not the

@@ -174,3 +174,49 @@ func TestHostCaseAndPortInsensitive(t *testing.T) {
 		t.Errorf("case-insensitive dispatch failed: %q", body)
 	}
 }
+
+// TestRoundTripLeavesRequestAlone checks that the transport rewrites a
+// copy of the request, not the caller's: after a round trip through a
+// Client's transport the caller's URL, Host and Header are as built,
+// resp.Request is the caller's request, and the handler still saw the
+// virtual host and the header. It calls the transport directly because
+// http.Client itself hands the transport a shallow copy of a request
+// when the client has a timeout, as Client's does.
+func TestRoundTripLeavesRequestAlone(t *testing.T) {
+	n := newNet(t)
+	var sawHost, sawProbe string
+	n.HandleFunc("a.test", func(w http.ResponseWriter, r *http.Request) {
+		sawHost, sawProbe = r.Host, r.Header.Get("X-Probe")
+		fmt.Fprint(w, "ok")
+	})
+	rt := n.Client().Transport
+	for _, host := range []string{"a.test", ""} {
+		req, err := http.NewRequest(http.MethodGet, "https://a.test/p/q?x=1", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Host = host
+		req.Header.Set("X-Probe", "v")
+		wantURL, wantHeader := *req.URL, req.Header.Clone()
+		resp, err := rt.RoundTrip(req)
+		if err != nil {
+			t.Fatalf("Host %q: %v", host, err)
+		}
+		resp.Body.Close()
+		if *req.URL != wantURL {
+			t.Errorf("Host %q: caller's URL became %v, want %v", host, req.URL, &wantURL)
+		}
+		if req.Host != host {
+			t.Errorf("caller's Host became %q, want %q", req.Host, host)
+		}
+		if !reflect.DeepEqual(req.Header, wantHeader) {
+			t.Errorf("Host %q: caller's Header became %v, want %v", host, req.Header, wantHeader)
+		}
+		if resp.Request != req {
+			t.Errorf("Host %q: resp.Request is not the caller's request", host)
+		}
+		if sawHost != "a.test" || sawProbe != "v" {
+			t.Errorf("Host %q: handler saw Host %q, X-Probe %q", host, sawHost, sawProbe)
+		}
+	}
+}

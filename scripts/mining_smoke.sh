@@ -8,9 +8,10 @@
 #  - the distances and their path bound against the from-scratch
 #    reference, the blocks against a serial reference union-find at 1–3
 #    union workers, and the union phase's run-to-run count determinism;
-#  - the incremental-converges-to-batch checks and the linkage property
-#    test — the gates behind both mining routes and their shared cut
-#    step;
+#  - the incremental-converges-to-batch checks, the Recluster's copied
+#    distances against fresh fills above the crossover, the dendrogram
+#    cut against its map-based reference and the linkage property test
+#    — the gates behind both mining routes and their shared cut step;
 #  - the word2vec kernel's bit-parity gate against its per-target
 #    reference.
 # Dependency-free: POSIX sh + the Go toolchain.
@@ -23,5 +24,5 @@ cd "$(dirname "$0")/.."
 GO="${GO:-go}"
 
 "$GO" test -count=1 \
-	-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestDistanceMatchesNaiveBitForBit|TestBlockedComponentsPartition|TestBlockedUnionCountsDeterministic|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$' \
+	-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestDistanceMatchesNaiveBitForBit|TestBlockedComponentsPartition|TestBlockedUnionCountsDeterministic|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestReclusterReusesAbsorbedDistances|TestCutByHeightMatchesMapReference|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$' \
 	./internal/core/ ./internal/cluster/ ./internal/textmine/
