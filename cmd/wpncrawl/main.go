@@ -35,11 +35,12 @@
 // be scraped. -metrics-out writes the final telemetry snapshot (crawler
 // counters, breaker transitions, chaos fault totals, per-host request
 // counts) as JSON; -trace-out writes the per-notification attack-chain
-// spans as JSONL (replayable with internal/audit); -ledger writes the
-// run's event ledger as one JSONL file: the desktop and then the mobile
-// crawl's control-plane events (each with a "device" attr), then the
-// mining events of the study's analysis pass. The ledger is
-// byte-identical across reruns at a fixed seed and chaos plan.
+// spans as JSONL, from which telemetry.Chains rebuilds the chains;
+// -ledger writes the run's event ledger as one JSONL file: the desktop
+// and then the mobile crawl's control-plane events (each with a
+// "device" attr), then the mining events of the study's analysis pass.
+// The ledger is byte-identical across reruns at a fixed seed and chaos
+// plan.
 package main
 
 import (

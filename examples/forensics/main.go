@@ -1,9 +1,9 @@
-// Forensics demonstrates the JSgraph-lineage audit pipeline (§4.1): the
-// instrumented browser's fine-grained event log is exported as an
-// append-only JSONL audit log, and complete WPN attack chains —
-// subscription → push → notification → auto-click → redirect chain →
-// landing page — are reconstructed from the log alone, as an incident
-// responder would do after the fact.
+// Forensics demonstrates the JSgraph-lineage forensic pipeline (§4.1):
+// the instrumented browser traces every fine-grained event as a span,
+// the trace is exported as append-only JSONL, and complete WPN attack
+// chains — subscription → push → notification → auto-click → redirect
+// chain → landing page — are reconstructed from that file alone, as an
+// incident responder would do after the fact.
 package main
 
 import (
@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"pushadminer"
-	"pushadminer/internal/audit"
 	"pushadminer/internal/browser"
+	"pushadminer/internal/telemetry"
 )
 
 func main() {
@@ -33,7 +33,8 @@ func main() {
 			break
 		}
 	}
-	br := browser.New(browser.Config{Clock: eco.Clock, Client: eco.Net.ClientNoRedirect()})
+	tracer := telemetry.NewTracer(nil)
+	br := browser.New(browser.Config{Clock: eco.Clock, Client: eco.Net.ClientNoRedirect(), Tracer: tracer})
 	if _, err := br.Visit(seed); err != nil {
 		log.Fatal(err)
 	}
@@ -52,16 +53,12 @@ func main() {
 		}
 	}
 
-	// Export the raw instrumentation stream as an audit log.
+	// Export the raw instrumentation stream as a JSONL trace.
 	var logBuf bytes.Buffer
-	w := audit.NewWriter(&logBuf)
-	if err := w.LogAll("container-001", br.Events()); err != nil {
+	if err := tracer.WriteJSONL(&logBuf); err != nil {
 		log.Fatal(err)
 	}
-	if err := w.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("== Audit log: %d bytes of JSONL, %d events\n", logBuf.Len(), len(br.Events()))
+	fmt.Printf("== Trace: %d bytes of JSONL, %d spans\n", logBuf.Len(), tracer.Len())
 	fmt.Println("   first lines:")
 	preview := logBuf.Bytes()
 	for i, line := 0, 0; i < len(preview) && line < 3; i++ {
@@ -73,12 +70,12 @@ func main() {
 		}
 	}
 
-	// Reconstruct attack chains from the log alone.
-	entries, err := audit.Read(&logBuf)
+	// Reconstruct attack chains from the trace alone.
+	spans, err := telemetry.ReadSpans(&logBuf)
 	if err != nil {
 		log.Fatal(err)
 	}
-	chains := audit.Reconstruct(entries)
+	chains := telemetry.Chains(spans)
 	fmt.Printf("\n== Reconstructed %d WPN chains from the log:\n\n", len(chains))
 	for i, c := range chains {
 		fmt.Printf("chain %d: %q (shown %s)\n", i+1, c.Title, c.ShownAt.Format("15:04:05"))

@@ -23,6 +23,7 @@ import (
 	"pushadminer/internal/page"
 	"pushadminer/internal/serviceworker"
 	"pushadminer/internal/simclock"
+	"pushadminer/internal/telemetry"
 	"pushadminer/internal/vnet"
 	"pushadminer/internal/webpush"
 )
@@ -90,10 +91,12 @@ func main() {
 	})
 
 	// The instrumented browser: auto-grant permissions, auto-click
-	// notifications after 3 seconds, log everything.
+	// notifications after 3 seconds, trace every event.
+	tracer := telemetry.NewTracer(nil)
 	br := browser.New(browser.Config{
 		Clock:  clock,
 		Client: net.ClientNoRedirect(),
+		Tracer: tracer,
 	})
 
 	fmt.Println("== Step 1: visit the page; permission auto-granted; SW registered")
@@ -132,8 +135,8 @@ func main() {
 	fmt.Printf("   landing page: %q (%s)\n\n", nav.Title, nav.FinalURL)
 
 	fmt.Println("== Instrumentation log (the data PushAdMiner mines):")
-	for _, e := range br.Events() {
-		fmt.Printf("   %s %-22s %v\n", e.Time.Format("15:04:05"), e.Kind, e.Fields)
+	for _, sp := range tracer.Spans() {
+		fmt.Printf("   %s %-22s %v\n", sp.Start.Format("15:04:05"), sp.Name, sp.Attrs)
 	}
 }
 

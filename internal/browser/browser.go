@@ -103,7 +103,8 @@ type Config struct {
 	// Tracer, if set, records every instrumentation event as a
 	// parent-linked span, reconstructing the WPN attack chain live
 	// (seed visit → permission → SW install → push → notification →
-	// click → redirect hops → landing).
+	// click → redirect hops → landing). It is the browser's only event
+	// log: nil records no events.
 	Tracer *telemetry.Tracer
 }
 
@@ -120,7 +121,7 @@ type browserMetrics struct {
 
 // Browser is one instrumented browser instance (one crawler container).
 // It is safe for use from a single goroutine, matching one container per
-// URL; the event log is internally locked so observers may read
+// URL; its state is internally locked so observers may read
 // concurrently.
 type Browser struct {
 	cfg     Config
@@ -129,7 +130,6 @@ type Browser struct {
 	rec     *telemetry.ChainRecorder
 
 	mu     sync.Mutex
-	events []Event
 	regs   []*serviceworker.Registration
 	notifs []*DisplayedNotification
 	// droppedNotifs counts notifications the browser refused to display
@@ -210,35 +210,9 @@ func New(cfg Config) *Browser {
 // Device returns the browser's device type.
 func (b *Browser) Device() DeviceType { return b.cfg.Device }
 
+// log records one instrumentation event on the tracer, if any.
 func (b *Browser) log(kind EventKind, fields map[string]string) {
-	now := b.cfg.Clock.Now()
-	b.mu.Lock()
-	b.events = append(b.events, Event{Time: now, Kind: kind, Fields: fields})
-	b.mu.Unlock()
-	// Mirror the event into the trace (nil-safe no-op when disabled):
-	// same kind, fields, and timestamp, so traces replay through
-	// internal/audit exactly like the event log itself.
-	b.rec.Event(now, string(kind), fields)
-}
-
-// Events returns a snapshot of the instrumentation log.
-func (b *Browser) Events() []Event {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]Event, len(b.events))
-	copy(out, b.events)
-	return out
-}
-
-// EventsOfKind filters the log.
-func (b *Browser) EventsOfKind(kind EventKind) []Event {
-	var out []Event
-	for _, e := range b.Events() {
-		if e.Kind == kind {
-			out = append(out, e)
-		}
-	}
-	return out
+	b.rec.Event(b.cfg.Clock.Now(), string(kind), fields)
 }
 
 // DroppedNotifications reports how many notifications were refused

@@ -1,8 +1,10 @@
 package browser
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +13,7 @@ import (
 	"pushadminer/internal/page"
 	"pushadminer/internal/serviceworker"
 	"pushadminer/internal/simclock"
+	"pushadminer/internal/telemetry"
 	"pushadminer/internal/vnet"
 	"pushadminer/internal/webpush"
 )
@@ -120,10 +123,26 @@ func newFixture(t *testing.T) *fixture {
 	return f
 }
 
+// browser builds a browser on the fixture, tracing its events so tests
+// can read them back with spansOf.
 func (f *fixture) browser(cfg Config) *Browser {
 	cfg.Clock = f.clock
 	cfg.Client = f.net.ClientNoRedirect()
+	if cfg.Tracer == nil {
+		cfg.Tracer = telemetry.NewTracer(nil)
+	}
 	return New(cfg)
+}
+
+// spansOf returns the spans the browser traced for events of kind.
+func spansOf(b *Browser, kind EventKind) []telemetry.Span {
+	var out []telemetry.Span
+	for _, sp := range b.cfg.Tracer.Spans() {
+		if sp.Name == string(kind) {
+			out = append(out, sp)
+		}
+	}
+	return out
 }
 
 func TestVisitGrantsAndRegisters(t *testing.T) {
@@ -152,8 +171,8 @@ func TestVisitGrantsAndRegisters(t *testing.T) {
 	}
 	// Event sequence includes the key steps in order.
 	kinds := []EventKind{}
-	for _, e := range b.Events() {
-		kinds = append(kinds, e.Kind)
+	for _, sp := range b.cfg.Tracer.Spans() {
+		kinds = append(kinds, EventKind(sp.Name))
 	}
 	wantOrder := []EventKind{EvVisit, EvPermissionRequested, EvPermissionGranted, EvSWRegistered}
 	pos := 0
@@ -177,7 +196,7 @@ func TestVisitDenyPolicy(t *testing.T) {
 	if !res.RequestedPermission || res.Granted || res.Registration != nil {
 		t.Fatalf("res = %+v", res)
 	}
-	if len(b.EventsOfKind(EvPermissionDenied)) != 1 {
+	if len(spansOf(b, EvPermissionDenied)) != 1 {
 		t.Error("no denial logged")
 	}
 }
@@ -192,7 +211,7 @@ func TestQuietUIPolicy(t *testing.T) {
 	if res.Granted {
 		t.Error("quieted origin still granted")
 	}
-	if len(quieted.EventsOfKind(EvPermissionQuieted)) != 1 {
+	if len(spansOf(quieted, EvPermissionQuieted)) != 1 {
 		t.Error("no quieted event")
 	}
 	// Not on the list → still prompts and grants (§6.4's finding).
@@ -285,6 +304,68 @@ func TestPushDisplayClickLanding(t *testing.T) {
 	}
 }
 
+// TestChainsMatchLiveBrowser drives a real browser session through a
+// full chain, reads its trace back from JSONL, and requires the chain
+// telemetry.Chains rebuilds to be what the browser actually did: the
+// JSgraph guarantee for a single browser.
+func TestChainsMatchLiveBrowser(t *testing.T) {
+	f := newFixture(t)
+	tr := telemetry.NewTracer(nil)
+	b := f.browser(Config{ClientID: "container-1", Tracer: tr})
+	if _, err := b.Visit("https://pub.test/"); err != nil {
+		t.Fatal(err)
+	}
+	pushAd(t, f, b, "ad1")
+	f.clock.Advance(5 * time.Second)
+	outcomes := b.ProcessClicks()
+	if len(outcomes) != 1 || outcomes[0].Navigation == nil {
+		t.Fatalf("outcomes = %+v", outcomes)
+	}
+	oc := outcomes[0]
+	dn, nav, reg := oc.Notification, oc.Navigation, oc.Notification.Registration
+	if reg.Origin == "" || reg.Sub.Token == "" || len(oc.SWRequests) == 0 {
+		t.Fatalf("live session lacks the subscription or click context: %+v", oc)
+	}
+
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := telemetry.ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chains := telemetry.Chains(spans)
+	if len(chains) != 1 {
+		t.Fatalf("chains = %+v", chains)
+	}
+	c := chains[0]
+	var swRequests []string
+	for _, r := range oc.SWRequests {
+		swRequests = append(swRequests, r.URL)
+	}
+	want := telemetry.Chain{
+		Container:     "container-1",
+		Origin:        reg.Origin,
+		SWURL:         "https://cdn.adnet.test/sw.js",
+		Token:         reg.Sub.Token,
+		RegisteredAt:  t0,
+		Title:         dn.Notification.Title,
+		Body:          dn.Notification.Body,
+		Target:        dn.Notification.TargetURL,
+		ShownAt:       dn.ShownAt,
+		ClickedAt:     t0.Add(5 * time.Second),
+		Clicked:       true,
+		SWRequests:    swRequests,
+		RedirectChain: nav.RedirectChain,
+		LandingURL:    nav.FinalURL,
+		LandingTitle:  nav.Title,
+	}
+	if !reflect.DeepEqual(c, want) {
+		t.Errorf("rebuilt chain:\n %+v\nlive browser:\n %+v", c, want)
+	}
+}
+
 func TestCrashedLandingPage(t *testing.T) {
 	f := newFixture(t)
 	b := f.browser(Config{})
@@ -295,10 +376,10 @@ func TestCrashedLandingPage(t *testing.T) {
 	if !nav.Crashed {
 		t.Error("crash page did not crash the tab")
 	}
-	if len(b.EventsOfKind(EvTabCrashed)) != 1 {
+	if len(spansOf(b, EvTabCrashed)) != 1 {
 		t.Error("no tab_crashed event")
 	}
-	if len(b.EventsOfKind(EvLandingPage)) != 0 {
+	if len(spansOf(b, EvLandingPage)) != 0 {
 		t.Error("crashed tab still produced a landing_page event")
 	}
 }
@@ -352,7 +433,7 @@ func TestDoublePermissionLogged(t *testing.T) {
 	if !res.DoublePermission || !res.Granted {
 		t.Fatalf("res = %+v", res)
 	}
-	if len(b.EventsOfKind(EvJSPermissionPrompt)) != 1 {
+	if len(spansOf(b, EvJSPermissionPrompt)) != 1 {
 		t.Error("JS prompt not logged")
 	}
 }
@@ -412,8 +493,8 @@ func TestClickAction(t *testing.T) {
 		t.Error("notification not marked clicked")
 	}
 	// The action id is logged.
-	clicked := b.EventsOfKind(EvNotificationClicked)
-	if len(clicked) != 1 || clicked[0].Fields["action"] != "open" {
+	clicked := spansOf(b, EvNotificationClicked)
+	if len(clicked) != 1 || clicked[0].Attrs["action"] != "open" {
 		t.Errorf("click event = %+v", clicked)
 	}
 	// Auto-click machinery must not re-click it.

@@ -10,12 +10,8 @@
 // page.
 package browser
 
-import (
-	"fmt"
-	"time"
-)
-
-// EventKind labels instrumentation log entries.
+// EventKind labels instrumentation events: the name of the span each
+// event becomes on the browser's tracer.
 type EventKind string
 
 // Instrumentation events, in the order they typically occur for one WPN
@@ -38,15 +34,3 @@ const (
 	EvLandingPage         EventKind = "landing_page"
 	EvTabCrashed          EventKind = "tab_crashed"
 )
-
-// Event is one instrumentation log entry.
-type Event struct {
-	Time   time.Time
-	Kind   EventKind
-	Fields map[string]string
-}
-
-// String renders the event compactly for debugging.
-func (e Event) String() string {
-	return fmt.Sprintf("%s %s %v", e.Time.Format(time.RFC3339), e.Kind, e.Fields)
-}

@@ -2,8 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"maps"
 	"strconv"
+	"strings"
 	"testing"
 
 	"pushadminer/internal/telemetry"
@@ -25,6 +28,47 @@ func ledgerBytes(t *testing.T, led *telemetry.Ledger) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// ledgerDiff names where two serialized ledgers diverge: the first seq
+// whose events differ, with both events, the way the fleet parity tests
+// print firstDiff.
+func ledgerDiff(a, b []byte) string {
+	ea, err := telemetry.ReadLedger(bytes.NewReader(a))
+	if err != nil {
+		return fmt.Sprintf("first ledger does not read back: %v", err)
+	}
+	eb, err := telemetry.ReadLedger(bytes.NewReader(b))
+	if err != nil {
+		return fmt.Sprintf("second ledger does not read back: %v", err)
+	}
+	for i := 0; i < len(ea) && i < len(eb); i++ {
+		ja, _ := json.Marshal(ea[i])
+		jb, _ := json.Marshal(eb[i])
+		if !bytes.Equal(ja, jb) {
+			return fmt.Sprintf("first divergent event at seq %d\n<<< %s\n>>> %s", i, ja, jb)
+		}
+	}
+	return fmt.Sprintf("one ledger is a prefix of the other (%d vs %d events)", len(ea), len(eb))
+}
+
+// TestLedgerDiffNamesSeq: ledgerDiff points at the first divergent
+// event and shows both sides.
+func TestLedgerDiffNamesSeq(t *testing.T) {
+	write := func(kinds ...string) []byte {
+		led := telemetry.NewLedger()
+		for _, k := range kinds {
+			led.Append(telemetry.Event{Kind: k})
+		}
+		return ledgerBytes(t, led)
+	}
+	got := ledgerDiff(write("a", "b", "c", "d"), write("a", "b", "x", "d"))
+	if !strings.Contains(got, "seq 2") || !strings.Contains(got, `"kind":"c"`) || !strings.Contains(got, `"kind":"x"`) {
+		t.Errorf("diff of ledgers diverging at seq 2 = %q", got)
+	}
+	if got := ledgerDiff(write("a"), write("a", "b")); !strings.Contains(got, "prefix") {
+		t.Errorf("diff of a ledger and its extension = %q", got)
+	}
 }
 
 // kindCounts tallies events by kind.
@@ -54,10 +98,10 @@ func TestMiningLedgerDeterminism(t *testing.T) {
 
 	a, b := run(false), run(false)
 	if !bytes.Equal(a, b) {
-		t.Error("two plain runs serialized different ledgers")
+		t.Errorf("two plain runs serialized different ledgers: %s", ledgerDiff(a, b))
 	}
 	if c := run(true); !bytes.Equal(a, c) {
-		t.Error("attaching telemetry changed the ledger bytes")
+		t.Errorf("attaching telemetry changed the ledger bytes: %s", ledgerDiff(a, c))
 	}
 	if bytes.Contains(a, []byte(`"time"`)) {
 		t.Error("mining events carry a time; they must stay untimed")

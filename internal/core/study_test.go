@@ -201,7 +201,7 @@ func TestStudyLedger(t *testing.T) {
 	}
 	s, a := run()
 	if _, b := run(); !bytes.Equal(a, b) {
-		t.Error("two runs at a fixed seed wrote different ledgers")
+		t.Errorf("two runs at a fixed seed wrote different ledgers: %s", ledgerDiff(a, b))
 	}
 
 	events, err := telemetry.ReadLedger(bytes.NewReader(a))

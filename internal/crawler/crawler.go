@@ -136,8 +136,8 @@ type Config struct {
 	// no overhead on the pump hot path beyond one nil check.
 	Metrics *telemetry.Registry
 	// Tracer, if set, records every browser event as a parent-linked
-	// span reconstructing WPN attack chains (exported as JSONL
-	// compatible with internal/audit replay).
+	// span reconstructing WPN attack chains (exported as JSONL, from
+	// which telemetry.Chains rebuilds them).
 	Tracer *telemetry.Tracer
 }
 

@@ -16,7 +16,7 @@ import (
 
 // ShardStateVersion is bumped when the shard-state format changes
 // incompatibly; LoadShardState rejects other versions.
-const ShardStateVersion = 1
+const ShardStateVersion = 2
 
 // ContainerCursor is the persisted scheduling position of one
 // container: its identity, monitoring-window and resume times, and the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -217,8 +218,9 @@ func FuzzLoadShardState(f *testing.F) {
 		f.Fatal(err)
 	}
 	for _, seed := range [][]byte{
-		real, nullReg, []byte(`null`), []byte(`{}`), []byte(`{"version":1,"device":"desktop"}`),
-		[]byte(`{"version":1,"device":"desktop","seeds":[{"index":0}],"containers":[{"cursor":{"id":1}}]}`),
+		real, nullReg, []byte(`null`), []byte(`{}`),
+		fmt.Appendf(nil, `{"version":%d,"device":"desktop"}`, crawler.ShardStateVersion),
+		fmt.Appendf(nil, `{"version":%d,"device":"desktop","seeds":[{"index":0}],"containers":[{"cursor":{"id":1}}]}`, crawler.ShardStateVersion),
 	} {
 		f.Add(seed)
 	}

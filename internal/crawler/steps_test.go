@@ -6,12 +6,13 @@ import (
 	"time"
 
 	"pushadminer/internal/browser"
+	"pushadminer/internal/telemetry"
 	"pushadminer/internal/webeco"
 )
 
 // TestWPNServingSteps verifies the Figure 2/3 pipeline end to end: the
 // eight steps of serving an ad via WPNs all appear, in order, in one
-// container's instrumentation log.
+// container's trace.
 //
 //  1. visit + permission request        (EvVisit, EvPermissionRequested)
 //  2. SW registration                   (EvSWRegistered)
@@ -41,9 +42,11 @@ func TestWPNServingSteps(t *testing.T) {
 		t.Skip("no Ad-Maven NPR site at this scale")
 	}
 
+	tracer := telemetry.NewTracer(nil)
 	br := browser.New(browser.Config{
 		Clock:  eco.Clock,
 		Client: eco.Net.ClientNoRedirect(),
+		Tracer: tracer,
 	})
 	vr, err := br.Visit(seed)
 	if err != nil {
@@ -80,17 +83,17 @@ func TestWPNServingSteps(t *testing.T) {
 		browser.EvNotificationClicked,
 		browser.EvNavigation,
 	}
-	events := br.Events()
+	spans := tracer.Spans()
 	pos := 0
-	for _, e := range events {
-		if pos < len(wantOrder) && e.Kind == wantOrder[pos] {
+	for _, sp := range spans {
+		if pos < len(wantOrder) && sp.Name == string(wantOrder[pos]) {
 			pos++
 		}
 	}
 	if pos != len(wantOrder) {
-		kinds := make([]browser.EventKind, len(events))
-		for i, e := range events {
-			kinds[i] = e.Kind
+		kinds := make([]string, len(spans))
+		for i, sp := range spans {
+			kinds[i] = sp.Name
 		}
 		t.Fatalf("step %d (%s) missing from event sequence: %v", pos+1, wantOrder[pos], kinds)
 	}
@@ -99,11 +102,11 @@ func TestWPNServingSteps(t *testing.T) {
 	sawSubscribe := false
 	// Step 5: the SW contacted the ad server to resolve the ad.
 	sawAdFetch := false
-	for _, e := range events {
-		if e.Kind == browser.EvPageRequest && contains(e.Fields["url"], "/subscribe") {
+	for _, sp := range spans {
+		if sp.Name == string(browser.EvPageRequest) && contains(sp.Attrs["url"], "/subscribe") {
 			sawSubscribe = true
 		}
-		if e.Kind == browser.EvSWRequest && contains(e.Fields["url"], "/ad?id=") {
+		if sp.Name == string(browser.EvSWRequest) && contains(sp.Attrs["url"], "/ad?id=") {
 			sawAdFetch = true
 		}
 	}

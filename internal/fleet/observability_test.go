@@ -7,13 +7,16 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
 
+	"pushadminer/internal/browser"
 	"pushadminer/internal/chaos"
 	"pushadminer/internal/crawler"
 	"pushadminer/internal/telemetry"
+	"pushadminer/internal/webeco"
 )
 
 // assertExactMerge pins the fleet telemetry contract: the final main
@@ -160,6 +163,182 @@ func TestFleetTraceParity(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Errorf("stitched trace under kills diverges from the reference trace:\n%s", firstDiff(want, got))
 		}
+	})
+}
+
+// chainKey is what a WPN record and a rebuilt attack chain must agree
+// on: the device, the notification, its click and landing, and the
+// subscription that received it.
+type chainKey struct {
+	device, title, target, landing, sw, origin string
+	shown, clicked, registered                 int64
+	crashed                                    bool
+}
+
+func recordKey(t *testing.T, r *crawler.WPNRecord) chainKey {
+	t.Helper()
+	u, err := url.Parse(r.SourceURL)
+	if err != nil {
+		t.Fatalf("record %d: source URL: %v", r.ID, err)
+	}
+	return chainKey{
+		device: r.Device, title: r.Title, target: r.TargetURL, landing: r.LandingURL,
+		sw: r.SWURL, origin: u.Scheme + "://" + u.Hostname(),
+		shown: r.ShownAt.UnixNano(), clicked: r.ClickedAt.UnixNano(), registered: r.RegisteredAt.UnixNano(),
+		crashed: r.Crashed,
+	}
+}
+
+func chainKeyOf(c telemetry.Chain, device string) chainKey {
+	return chainKey{
+		device: device, title: c.Title, target: c.Target, landing: c.LandingURL,
+		sw: c.SWURL, origin: c.Origin,
+		shown: c.ShownAt.UnixNano(), clicked: c.ClickedAt.UnixNano(), registered: c.RegisteredAt.UnixNano(),
+		crashed: c.Crashed,
+	}
+}
+
+// TestChainsMatchRecords is the forensic guarantee at crawl scale: the
+// attack chains telemetry.Chains rebuilds from a crawl's trace, read
+// back from JSONL, are the crawl's WPN records one to one. The crawl
+// covers desktop and mobile, whose repeated titles and subscriptions
+// sharing one SW script exercise the linkage keys. On one shard the
+// trace's parent links must be exact as well; the match must also hold
+// under harsh faults, and on a 4-shard fleet whose killed workers never
+// restart, where containers are stolen with their chain state dropped
+// and the replay must still find every chain.
+func TestChainsMatchRecords(t *testing.T) {
+	crawl := func(t *testing.T, shards, maxRestarts int, prof *chaos.Profile) ([]*crawler.WPNRecord, []telemetry.Span, int) {
+		t.Helper()
+		eco, err := webeco.New(webeco.Config{Seed: 11, Scale: 0.004, Chaos: prof})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { eco.Close() })
+		tr := telemetry.NewTracer(nil)
+		var records []*crawler.WPNRecord
+		stolen := 0
+		for _, dev := range []struct {
+			device browser.DeviceType
+			real   bool
+		}{{browser.Desktop, false}, {browser.Mobile, true}} {
+			res, rep, err := Run(context.Background(), Config{
+				Crawl: crawlConfig(eco, func(c *crawler.Config) {
+					c.Device, c.RealDevice, c.Tracer = dev.device, dev.real, tr
+				}),
+				Shards:          shards,
+				MaxRestarts:     maxRestarts,
+				WorkerCrashPlan: eco.WorkerCrashPlan(),
+				Dir:             t.TempDir(),
+			}, eco.SeedURLs())
+			if err != nil {
+				t.Fatalf("%s crawl: %v", dev.device, err)
+			}
+			records = append(records, res.Records...)
+			stolen += rep.ContainersStolen
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		spans, err := telemetry.ReadSpans(&buf)
+		if err != nil {
+			t.Fatalf("trace does not read back: %v", err)
+		}
+		return records, spans, stolen
+	}
+
+	matchRecords := func(t *testing.T, records []*crawler.WPNRecord, spans []telemetry.Span) {
+		t.Helper()
+		devices := make(map[string]string)
+		for _, sp := range spans {
+			if sp.Name == string(browser.EvVisit) {
+				devices[sp.Container] = sp.Attrs["device"]
+			}
+		}
+		chains := make(map[chainKey]int)
+		clicked := 0
+		for _, c := range telemetry.Chains(spans) {
+			if c.Clicked {
+				chains[chainKeyOf(c, devices[c.Container])]++
+				clicked++
+			}
+		}
+		unmatched := 0
+		for _, r := range records {
+			k := recordKey(t, r)
+			if chains[k] == 0 {
+				if unmatched++; unmatched <= 3 {
+					t.Errorf("record %d has no matching chain: %+v", r.ID, k)
+				}
+				continue
+			}
+			chains[k]--
+		}
+		if unmatched > 0 || clicked != len(records) {
+			t.Fatalf("%d of %d records unmatched; %d clicked chains for %d records", unmatched, len(records), clicked, len(records))
+		}
+	}
+
+	t.Run("one-shard", func(t *testing.T) {
+		records, spans, _ := crawl(t, 1, 0, nil)
+		if len(records) == 0 {
+			t.Fatal("crawl collected no records; the match is vacuous")
+		}
+		matchRecords(t, records, spans)
+
+		// The live links: every click under a notification with its
+		// title, every push under the registration with its token.
+		var clicks, rootClicks, pushes, misplaced int
+		for _, sp := range spans {
+			var parent telemetry.Span
+			if sp.Parent > 0 {
+				parent = spans[sp.Parent-1]
+			}
+			switch sp.Name {
+			case string(browser.EvNotificationClicked):
+				clicks++
+				if sp.Parent == 0 {
+					rootClicks++
+				} else if parent.Name != string(browser.EvNotificationShown) || parent.Attrs["title"] != sp.Attrs["title"] {
+					t.Errorf("click span %d sits under %s %q", sp.ID, parent.Name, parent.Attrs["title"])
+				}
+			case string(browser.EvPushReceived):
+				pushes++
+				if parent.Name != string(browser.EvSWRegistered) || parent.Container != sp.Container || parent.Attrs["token"] != sp.Attrs["token"] {
+					misplaced++
+				}
+			}
+		}
+		if rootClicks > 0 || misplaced > 0 {
+			t.Errorf("%d of %d notification_clicked spans are roots; %d of %d push_received spans are not under their token's registration",
+				rootClicks, clicks, misplaced, pushes)
+		}
+		t.Logf("%d records, %d clicks, %d pushes", len(records), clicks, pushes)
+	})
+
+	// Under harsh faults some clicks' navigations fail, and crashed
+	// containers re-visit their seed: no chain may take a later landing.
+	t.Run("one-shard-harsh", func(t *testing.T) {
+		prof, err := chaos.ParseProfile("harsh")
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, spans, _ := crawl(t, 1, 0, prof)
+		matchRecords(t, records, spans)
+	})
+
+	t.Run("four-shards-stealing", func(t *testing.T) {
+		prof, err := chaos.ParseProfile("workercrashes=0.05")
+		if err != nil {
+			t.Fatal(err)
+		}
+		records, spans, stolen := crawl(t, 4, -1, prof)
+		if stolen == 0 {
+			t.Fatal("no container was stolen; the adopted-chain case is untested")
+		}
+		matchRecords(t, records, spans)
+		t.Logf("%d records, %d containers stolen", len(records), stolen)
 	})
 }
 

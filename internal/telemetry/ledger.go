@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -103,6 +104,35 @@ func WriteLedger(w io.Writer, events []Event) error {
 // instead of yielding a plausible prefix.
 func ReadLedger(r io.Reader) ([]Event, error) {
 	var out []Event
+	err := readJSONL(r, "ledger", func(line []byte) error {
+		var ev *Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return err
+		}
+		switch {
+		case ev == nil:
+			return errors.New("null event")
+		case ev.Kind == "":
+			return errors.New("empty kind")
+		case ev.Seq != len(out):
+			return fmt.Errorf("seq %d, want %d", ev.Seq, len(out))
+		}
+		if len(ev.Attrs) == 0 {
+			ev.Attrs = nil // "attrs":{} and no attrs are the same event
+		}
+		out = append(out, *ev)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// readJSONL hands each non-blank line of r to decode, in order. An
+// error from decode or from reading ends the read, prefixed with what
+// is read and the line number.
+func readJSONL(r io.Reader, what string, decode func(line []byte) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	line := 0
@@ -111,25 +141,12 @@ func ReadLedger(r io.Reader) ([]Event, error) {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var ev *Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("telemetry: ledger line %d: %w", line, err)
+		if err := decode(sc.Bytes()); err != nil {
+			return fmt.Errorf("telemetry: %s line %d: %w", what, line, err)
 		}
-		switch {
-		case ev == nil:
-			return nil, fmt.Errorf("telemetry: ledger line %d: null event", line)
-		case ev.Kind == "":
-			return nil, fmt.Errorf("telemetry: ledger line %d: empty kind", line)
-		case ev.Seq != len(out):
-			return nil, fmt.Errorf("telemetry: ledger line %d: seq %d, want %d", line, ev.Seq, len(out))
-		}
-		if len(ev.Attrs) == 0 {
-			ev.Attrs = nil // "attrs":{} and no attrs are the same event
-		}
-		out = append(out, *ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: read ledger: %w", err)
+		return fmt.Errorf("telemetry: read %s: %w", what, err)
 	}
-	return out, nil
+	return nil
 }

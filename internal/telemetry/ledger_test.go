@@ -133,3 +133,36 @@ func TestStatusUnpublished(t *testing.T) {
 		t.Errorf("/fleetz after re-registration = %q, want the new run's inactive state", got)
 	}
 }
+
+// TestReadJSONLSkipsBlankLines: ledger and trace files share one line
+// loop. Both readers read input of blank lines as no records, skip
+// blank lines between records without breaking the numbering, and
+// count them in the line number an error names.
+func TestReadJSONLSkipsBlankLines(t *testing.T) {
+	events, err := ReadLedger(strings.NewReader("\n\n"))
+	if err != nil || len(events) != 0 {
+		t.Errorf("blank ledger read as %d events, %v", len(events), err)
+	}
+	spans, err := ReadSpans(strings.NewReader("\n\n"))
+	if err != nil || len(spans) != 0 {
+		t.Errorf("blank trace read as %d spans, %v", len(spans), err)
+	}
+
+	ledger := "\n" + `{"seq":0,"kind":"a"}` + "\n\n\n" + `{"seq":1,"kind":"b"}` + "\n\n"
+	if events, err := ReadLedger(strings.NewReader(ledger)); err != nil || len(events) != 2 || events[1].Kind != "b" {
+		t.Errorf("ledger with blank lines read as %+v, %v", events, err)
+	}
+	trace := "\n" + `{"id":1,"name":"a"}` + "\n\n\n" + `{"id":2,"parent":1,"name":"b"}` + "\n\n"
+	if spans, err := ReadSpans(strings.NewReader(trace)); err != nil || len(spans) != 2 || spans[1].Parent != 1 {
+		t.Errorf("trace with blank lines read as %+v, %v", spans, err)
+	}
+
+	_, err = ReadLedger(strings.NewReader(ledger + "x\n"))
+	if err == nil || !strings.Contains(err.Error(), "ledger line 7") {
+		t.Errorf("ledger error %v, want it to name ledger line 7", err)
+	}
+	_, err = ReadSpans(strings.NewReader(trace + "x\n"))
+	if err == nil || !strings.Contains(err.Error(), "trace line 7") {
+		t.Errorf("trace error %v, want it to name trace line 7", err)
+	}
+}

@@ -8,8 +8,8 @@
 // lengths, cluster counts, fraction malicious — are computed by the
 // crawler and the mining pipeline; this package makes them *watchable*
 // while they are computed, and auditable afterwards: snapshots are
-// deterministic JSON, and traces are JSONL replayable through
-// internal/audit's chain reconstruction.
+// deterministic JSON, and traces are JSONL from which Chains rebuilds
+// every WPN attack chain.
 //
 // Everything is nil-safe: a nil *Registry hands out nil instruments, and
 // every method on a nil instrument is a no-op. Instrumented code can

@@ -2,10 +2,11 @@ package telemetry
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -18,8 +19,8 @@ type SpanID int64
 // Span is one traced operation: a named interval with a parent link and
 // string attributes. Point events (a notification shown, a redirect
 // hop) are spans with Start == End. The JSONL form is the trace export
-// format; spans carrying browser-event names round-trip through
-// internal/audit's chain reconstruction.
+// format; spans carrying browser-event names are the crawl's one record
+// of browser events, from which Chains rebuilds the attack chains.
 type Span struct {
 	ID        SpanID            `json:"id"`
 	Parent    SpanID            `json:"parent,omitempty"`
@@ -183,17 +184,14 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return bw.Flush()
 }
 
-// WriteTraceFile writes the trace JSONL to a file.
+// WriteTraceFile writes the trace JSONL atomically: readers see the old
+// file or the complete new one, never a partial trace.
 func (t *Tracer) WriteTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	if err := t.WriteJSONL(f); err != nil {
-		f.Close()
+	var buf bytes.Buffer
+	if err := t.WriteJSONL(&buf); err != nil {
 		return err
 	}
-	return f.Close()
+	return writeFileAtomic(path, buf.Bytes())
 }
 
 // StitchSpans reassembles per-shard span streams into one
@@ -284,25 +282,37 @@ func (t *Tracer) Append(spans []Span) {
 	}
 }
 
-// ReadSpans parses trace JSONL.
+// ReadSpans parses trace JSONL, skipping blank lines, as strictly as
+// ReadLedger: it rejects any line that is not a JSON span object with a
+// non-empty name, any id that does not continue the contiguous 1, 2,
+// 3, ... sequence, and any parent that is not an earlier id. Every
+// writer satisfies this: Tracer IDs are emission order, StitchSpans
+// renumbers parents before their children, and Append rebases both.
 func ReadSpans(r io.Reader) ([]Span, error) {
 	var out []Span
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
+	err := readJSONL(r, "trace", func(line []byte) error {
+		var sp *Span
+		if err := json.Unmarshal(line, &sp); err != nil {
+			return err
 		}
-		var sp Span
-		if err := json.Unmarshal(sc.Bytes(), &sp); err != nil {
-			return nil, fmt.Errorf("telemetry: trace line %d: %w", line, err)
+		switch {
+		case sp == nil:
+			return errors.New("null span")
+		case sp.Name == "":
+			return errors.New("empty name")
+		case sp.ID != SpanID(len(out)+1):
+			return fmt.Errorf("id %d, want %d", sp.ID, len(out)+1)
+		case sp.Parent < 0 || sp.Parent >= sp.ID:
+			return fmt.Errorf("parent %d is not an earlier id", sp.Parent)
 		}
-		out = append(out, sp)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: read trace: %w", err)
+		if len(sp.Attrs) == 0 {
+			sp.Attrs = nil // "attrs":{} and no attrs are the same span
+		}
+		out = append(out, *sp)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

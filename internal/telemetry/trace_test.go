@@ -2,7 +2,11 @@ package telemetry
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -87,6 +91,81 @@ func TestReadSpansSkipsBlankAndRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadSpansRejects: ReadSpans holds trace files to the ledger's
+// contract, so every corruption fails the read instead of yielding
+// plausible spans.
+func TestReadSpansRejects(t *testing.T) {
+	span := func(id, parent int, name string) string {
+		return fmt.Sprintf(`{"id":%d,"parent":%d,"name":%q,"start":"2020-04-01T00:00:00Z","end":"2020-04-01T00:00:00Z"}`+"\n", id, parent, name)
+	}
+	good := span(1, 0, "a") + span(2, 1, "b") + span(3, 1, "c")
+	got, err := ReadSpans(strings.NewReader(good + "\n"))
+	if err != nil || len(got) != 3 || got[2].Parent != 1 {
+		t.Fatalf("valid trace with a blank line: %+v, %v", got, err)
+	}
+	empty, err := ReadSpans(strings.NewReader(`{"id":1,"name":"a","attrs":{}}` + "\n"))
+	if err != nil || empty[0].Attrs != nil {
+		t.Errorf(`"attrs":{} read as %#v, %v; want nil attrs`, empty, err)
+	}
+	for _, tc := range []struct{ name, in string }{
+		{"gap", span(1, 0, "a") + span(3, 0, "b")},
+		{"duplicate", span(1, 0, "a") + span(1, 0, "b")},
+		{"reorder", span(2, 0, "a") + span(1, 0, "b")},
+		{"not from one", span(0, 0, "a")},
+		{"self parent", span(1, 0, "a") + span(2, 2, "b")},
+		{"later parent", span(1, 2, "a") + span(2, 0, "b")},
+		{"negative parent", span(1, -1, "a")},
+		{"null", "null\n" + good},
+		{"empty name", span(1, 0, "")},
+		{"missing name", `{"id":1}` + "\n"},
+		{"truncated final line", good + `{"id":4,"name":"d","attrs":{"k`},
+		{"array line", good + "[4]\n"},
+		{"number line", "1\n"},
+		{"trailing garbage", `{"id":1,"name":"a"} x` + "\n"},
+		{"bad time", `{"id":1,"name":"a","start":"yesterday"}` + "\n"},
+	} {
+		if got, err := ReadSpans(strings.NewReader(tc.in)); err == nil {
+			t.Errorf("%s: accepted, read %+v", tc.name, got)
+		}
+	}
+}
+
+// TestWriteTraceFileAtomic: the trace file is written through a temp
+// file and a rename, leaves no temp file, and reads back as the
+// tracer's spans.
+func TestWriteTraceFileAtomic(t *testing.T) {
+	tr := NewTracer(nil)
+	v := tr.StartAt("c1", "visit", 0, map[string]string{"url": "http://a/"}, t0)
+	tr.Point("c1", "navigation", v, nil, t0)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "trace.jsonl")
+	if err := tr.WriteTraceFile(path); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "trace.jsonl" {
+		t.Fatalf("directory after write holds %d entries, want exactly trace.jsonl", len(entries))
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := ReadSpans(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := tr.Spans(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("trace file reads back as %+v, want %+v", got, want)
+	}
+	if err := tr.WriteTraceFile(filepath.Join(dir, "missing", "trace.jsonl")); err == nil {
+		t.Error("write into a missing directory succeeded; want error")
+	}
+}
+
 // TestChainRecorderLinksFullChain drives the recorder through a full
 // WPN attack chain and checks the parent links reconstruct it.
 func TestChainRecorderLinksFullChain(t *testing.T) {
@@ -100,8 +179,8 @@ func TestChainRecorderLinksFullChain(t *testing.T) {
 
 	step("visit", map[string]string{"url": "http://pub.example/"})
 	step("permission_granted", map[string]string{"origin": "http://pub.example"})
-	step("sw_registered", map[string]string{"sw": "http://pub.example/sw.js"})
-	step("push_received", map[string]string{"sw": "http://pub.example/sw.js"})
+	step("sw_registered", map[string]string{"sw": "http://pub.example/sw.js", "token": "tok-1"})
+	step("push_received", map[string]string{"sw": "http://pub.example/sw.js", "token": "tok-1"})
 	step("notification_shown", map[string]string{"title": "You won"})
 	step("notification_clicked", map[string]string{"title": "You won"})
 	step("sw_request", map[string]string{"url": "http://track.example/c"})

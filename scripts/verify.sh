@@ -26,6 +26,11 @@ go test -run '^TestSerialParallelParity$/^seed11$' -count=1 ./internal/crawler/
 go test -run '^TestConnectionReuseInvisible$' -count=1 ./internal/crawler/
 go test -run '^TestOutageFlushCostsNoWallTime$' -count=1 ./internal/webeco/
 
+# The benchmark is its own module, so the root `go test ./...` never
+# descends into it.
+echo "==> benchmark module (bench/: vet + tests)"
+(cd bench && go vet ./... && go test ./...)
+
 # bench_check subsumes the old bench smokes: it runs the same cheap
 # slices (mining n=200, crawl n=50, 1x) and additionally gates them
 # against the committed BENCH_*.json baselines.
