@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet verify bench bench-crawl bench-check telemetry-smoke mining-smoke profile-mining
+.PHONY: build test race vet verify telemetry-smoke mining-smoke profile-mining
 
 build:
 	$(GO) build ./...
@@ -20,20 +20,6 @@ vet:
 # verify runs the whole gate: build, vet, tests, race tests.
 verify:
 	sh scripts/verify.sh
-
-# bench runs the mining benchmark suite and writes BENCH_mining.json.
-bench:
-	sh scripts/bench.sh
-
-# bench-crawl runs the crawl benchmark suite (serial vs parallel
-# monitor phase + end-to-end study) and writes BENCH_crawl.json.
-bench-crawl:
-	SUITE=crawl sh scripts/bench.sh
-
-# bench-check re-runs a cheap slice of both benchmark suites and gates
-# ns/op against the committed BENCH_*.json baselines (BENCH_TOL=4.0x).
-bench-check:
-	sh scripts/bench_check.sh
 
 # telemetry-smoke runs the same seeded chaos crawl+mine as a one-shard
 # and a 4-shard fleet under worker kills and requires byte-identical
@@ -52,7 +38,7 @@ mining-smoke:
 	GO=$(GO) sh scripts/mining_smoke.sh
 
 # profile-mining captures CPU/heap pprof profiles of the n=50k blocked
-# clustering benchmark plus its sweep_ns cut-sweep attribution, under
-# PROFILE_DIR (never clobbers the committed BENCH_mining.json).
+# clustering benchmark and prints its cut-sweep attribution, under
+# PROFILE_DIR.
 profile-mining:
 	sh scripts/profile_mining.sh

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -210,10 +211,24 @@ func New(cfg Config) *Browser {
 // Device returns the browser's device type.
 func (b *Browser) Device() DeviceType { return b.cfg.Device }
 
-// log records one instrumentation event on the tracer, if any.
-func (b *Browser) log(kind EventKind, fields map[string]string) {
+// log records one instrumentation event on the tracer, if any. kv
+// alternates field names and values; an untraced browser builds no
+// fields.
+func (b *Browser) log(kind EventKind, kv ...string) {
+	if !b.traced() {
+		return
+	}
+	fields := make(map[string]string, len(kv)/2)
+	for i := 0; i+1 < len(kv); i += 2 {
+		fields[kv[i]] = kv[i+1]
+	}
 	b.rec.Event(b.cfg.Clock.Now(), string(kind), fields)
 }
+
+// traced reports whether events are recorded. Call sites that format a
+// field (a status code, an error) check it first, so an untraced
+// browser formats nothing.
+func (b *Browser) traced() bool { return b.rec != nil }
 
 // DroppedNotifications reports how many notifications were refused
 // display (failed validation), so record loss is never silent.
@@ -283,9 +298,9 @@ func (b *Browser) RestoreCookies(recs []httpx.CookieRecord) {
 }
 
 func (b *Browser) onSWRequest(rec serviceworker.RequestRecord) {
-	b.log(EvSWRequest, map[string]string{
-		"url": rec.URL, "sw": rec.SWURL, "status": fmt.Sprint(rec.Status), "error": rec.Error,
-	})
+	if b.traced() {
+		b.log(EvSWRequest, "url", rec.URL, "sw", rec.SWURL, "status", strconv.Itoa(rec.Status), "error", rec.Error)
+	}
 	b.mu.Lock()
 	if b.currentSWRequests != nil {
 		*b.currentSWRequests = append(*b.currentSWRequests, rec)
@@ -309,7 +324,9 @@ func (b *Browser) get(rawURL string, kind EventKind) (*http.Response, []byte, er
 	}
 	resp, err := b.cfg.Client.Do(req)
 	if err != nil {
-		b.log(kind, map[string]string{"url": rawURL, "error": err.Error()})
+		if b.traced() {
+			b.log(kind, "url", rawURL, "error", err.Error())
+		}
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
@@ -317,7 +334,9 @@ func (b *Browser) get(rawURL string, kind EventKind) (*http.Response, []byte, er
 	if err != nil {
 		return nil, nil, err
 	}
-	b.log(kind, map[string]string{"url": rawURL, "status": fmt.Sprint(resp.StatusCode)})
+	if b.traced() {
+		b.log(kind, "url", rawURL, "status", strconv.Itoa(resp.StatusCode))
+	}
 	return resp, body, nil
 }
 
@@ -375,7 +394,7 @@ func (b *Browser) Navigate(rawURL string) (*Navigation, error) {
 			if err != nil {
 				return nav, fmt.Errorf("browser: bad redirect %q: %w", loc, err)
 			}
-			b.log(EvRedirect, map[string]string{"from": cur, "to": next})
+			b.log(EvRedirect, "from", cur, "to", next)
 			cur = next
 			continue
 		}
@@ -400,16 +419,14 @@ func (b *Browser) render(nav *Navigation, resp *http.Response, body []byte) {
 			nav.Content = doc.Content
 			if doc.Crash {
 				nav.Crashed = true
-				b.log(EvTabCrashed, map[string]string{"url": nav.FinalURL})
+				b.log(EvTabCrashed, "url", nav.FinalURL)
 				return
 			}
 		}
 	} else {
 		nav.Content = string(body)
 	}
-	b.log(EvLandingPage, map[string]string{
-		"url": nav.FinalURL, "title": nav.Title, "screenshot": nav.ScreenshotHash,
-	})
+	b.log(EvLandingPage, "url", nav.FinalURL, "title", nav.Title, "screenshot", nav.ScreenshotHash)
 }
 
 // transientHop reports whether a navigation hop failed in a way worth
@@ -454,7 +471,7 @@ type VisitResult struct {
 // and creates the push subscription (steps 1–4 of Figure 3).
 func (b *Browser) Visit(rawURL string) (*VisitResult, error) {
 	res := &VisitResult{URL: rawURL}
-	b.log(EvVisit, map[string]string{"url": rawURL, "device": b.cfg.Device.String()})
+	b.log(EvVisit, "url", rawURL, "device", b.cfg.Device.String())
 	nav, err := b.Navigate(rawURL)
 	res.Navigation = nav
 	if err != nil {
@@ -470,23 +487,23 @@ func (b *Browser) Visit(rawURL string) (*VisitResult, error) {
 		res.DoublePermission = true
 		// The JS-built prompt: the instrumented browser "accepts" it,
 		// which triggers the real permission request.
-		b.log(EvJSPermissionPrompt, map[string]string{"origin": origin})
+		b.log(EvJSPermissionPrompt, "origin", origin)
 	}
 	res.RequestedPermission = true
-	b.log(EvPermissionRequested, map[string]string{"origin": origin})
+	b.log(EvPermissionRequested, "origin", origin)
 
 	switch b.cfg.Policy {
 	case Deny:
-		b.log(EvPermissionDenied, map[string]string{"origin": origin})
+		b.log(EvPermissionDenied, "origin", origin)
 		return res, nil
 	case QuietUI:
 		if b.cfg.QuietedOrigins[origin] {
-			b.log(EvPermissionQuieted, map[string]string{"origin": origin})
+			b.log(EvPermissionQuieted, "origin", origin)
 			return res, nil
 		}
 	}
 	res.Granted = true
-	b.log(EvPermissionGranted, map[string]string{"origin": origin})
+	b.log(EvPermissionGranted, "origin", origin)
 
 	reg, err := b.registerServiceWorker(origin, doc)
 	if err != nil {
@@ -529,9 +546,7 @@ func (b *Browser) registerServiceWorker(origin string, doc *page.Doc) (*servicew
 	b.mu.Lock()
 	b.regs = append(b.regs, reg)
 	b.mu.Unlock()
-	b.log(EvSWRegistered, map[string]string{
-		"origin": origin, "sw": doc.SWURL, "token": sub.Token,
-	})
+	b.log(EvSWRegistered, "origin", origin, "sw", doc.SWURL, "token", sub.Token)
 
 	if doc.SubscribeURL != "" {
 		// Announce token+endpoint to the ad network server (step 4).
@@ -552,7 +567,9 @@ func (b *Browser) registerServiceWorker(origin string, doc *page.Doc) (*servicew
 			return reg, fmt.Errorf("browser: announce subscription: %w", err)
 		}
 		resp.Body.Close()
-		b.log(EvPageRequest, map[string]string{"url": doc.SubscribeURL, "status": fmt.Sprint(resp.StatusCode)})
+		if b.traced() {
+			b.log(EvPageRequest, "url", doc.SubscribeURL, "status", strconv.Itoa(resp.StatusCode))
+		}
 		if resp.StatusCode/100 != 2 {
 			return reg, fmt.Errorf("browser: announce subscription: status %d", resp.StatusCode)
 		}

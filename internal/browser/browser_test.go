@@ -366,6 +366,21 @@ func TestChainsMatchLiveBrowser(t *testing.T) {
 	}
 }
 
+// TestUntracedLogAllocatesNothing: a browser without a tracer drops
+// each event before building its fields, so untraced crawls pay nothing
+// for instrumentation.
+func TestUntracedLogAllocatesNothing(t *testing.T) {
+	b := New(Config{Client: &http.Client{}})
+	url, origin := "https://pub.test/", "https://pub.test"
+	allocs := testing.AllocsPerRun(100, func() {
+		b.log(EvVisit, "url", url, "device", b.cfg.Device.String())
+		b.log(EvPermissionGranted, "origin", origin)
+	})
+	if allocs != 0 {
+		t.Errorf("untraced log: %v allocations per run, want 0", allocs)
+	}
+}
+
 func TestCrashedLandingPage(t *testing.T) {
 	f := newFixture(t)
 	b := f.browser(Config{})

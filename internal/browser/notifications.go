@@ -65,7 +65,7 @@ func (b *Browser) DispatchPushes(msgs []webpush.Message) int {
 		if reg == nil {
 			continue
 		}
-		b.log(EvPushReceived, map[string]string{"token": msg.Token, "sw": reg.Script.URL})
+		b.log(EvPushReceived, "token", msg.Token, "sw", reg.Script.URL)
 		b.dispatchPush(reg, msg)
 		n++
 	}
@@ -105,10 +105,8 @@ func (b *Browser) dispatchPush(reg *serviceworker.Registration, msg webpush.Mess
 		b.notifs = append(b.notifs, dn)
 		b.mu.Unlock()
 		b.met.shown.Inc()
-		b.log(EvNotificationShown, map[string]string{
-			"title": n.Title, "body": n.Body, "target": n.TargetURL,
-			"sw": reg.Script.URL, "surface": b.surface(),
-		})
+		b.log(EvNotificationShown, "title", n.Title, "body", n.Body, "target", n.TargetURL,
+			"sw", reg.Script.URL, "surface", b.surface())
 	}
 	err := b.runtime.DispatchPush(reg, msg)
 	b.runtime.OnShowNotification = nil
@@ -120,8 +118,8 @@ func (b *Browser) dispatchPush(reg *serviceworker.Registration, msg webpush.Mess
 		dn.SWRequests = reqs
 	}
 	b.mu.Unlock()
-	if err != nil {
-		b.log(EvSWRequest, map[string]string{"error": "push dispatch: " + err.Error()})
+	if err != nil && b.traced() {
+		b.log(EvSWRequest, "error", "push dispatch: "+err.Error())
 	}
 }
 
@@ -196,10 +194,8 @@ func (b *Browser) click(dn *DisplayedNotification) ClickOutcome {
 func (b *Browser) clickWith(dn *DisplayedNotification, action string) ClickOutcome {
 	out := ClickOutcome{Notification: dn}
 	b.met.clicked.Inc()
-	b.log(EvNotificationClicked, map[string]string{
-		"title": dn.Notification.Title, "sw": dn.Registration.Script.URL,
-		"action": action,
-	})
+	b.log(EvNotificationClicked, "title", dn.Notification.Title, "sw", dn.Registration.Script.URL,
+		"action", action)
 
 	var reqs []serviceworker.RequestRecord
 	b.mu.Lock()

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -120,8 +121,7 @@ func TestFleetParityMatrix(t *testing.T) {
 			for _, shards := range tc.shards {
 				got, rep := fleetRun(t, tc.seed, tc.prof(), shards)
 				if !bytes.Equal(want, got) {
-					t.Errorf("shards=%d diverges from the reference loop (%d vs %d bytes):\n%s",
-						shards, len(want), len(got), firstDiff(want, got))
+					t.Errorf("shards=%d diverges from the reference loop:\n%s", shards, resultDiff(want, got))
 				}
 				t.Logf("shards=%d kills=%d restarts=%d lost=%d stolen=%d saves=%d",
 					shards, rep.Kills, rep.Restarts, rep.WorkersLost, rep.ContainersStolen, rep.StateSaves)
@@ -188,7 +188,7 @@ func TestFleetWorkStealing(t *testing.T) {
 		t.Errorf("adopted %d != stolen %d", adopted, rep.ContainersStolen)
 	}
 	if got := marshal(t, res); !bytes.Equal(want, got) {
-		t.Errorf("result with work stealing diverges from baseline:\n%s", firstDiff(want, got))
+		t.Errorf("result with work stealing diverges from baseline:\n%s", resultDiff(want, got))
 	}
 }
 
@@ -233,7 +233,7 @@ func TestOneShardKillEveryHeartbeat(t *testing.T) {
 					rep.Kills, rep.Restarts, rep.WorkersLost)
 			}
 			if !bytes.Equal(want, got) {
-				t.Errorf("result under kills diverges from the kill-free run:\n%s", firstDiff(want, got))
+				t.Errorf("result under kills diverges from the kill-free run:\n%s", resultDiff(want, got))
 			}
 			for k := range mergeKeys(wantC, gotC) {
 				if !strings.HasPrefix(k, "fleet_") && wantC[k] != gotC[k] {
@@ -295,6 +295,62 @@ func TestFleetTelemetry(t *testing.T) {
 	}
 	if reg.Counter("crawler_records_emitted").Value() == 0 {
 		t.Error("coordinator minted records but crawler_records_emitted is 0")
+	}
+}
+
+// resultDiff names where two marshalled crawler.Results diverge: the
+// first record that differs, by index and ID, with both records, or,
+// when every record matches, the first top-level field that differs.
+func resultDiff(a, b []byte) string {
+	var ra, rb crawler.Result
+	if err := json.Unmarshal(a, &ra); err != nil {
+		return fmt.Sprintf("first result does not decode: %v", err)
+	}
+	if err := json.Unmarshal(b, &rb); err != nil {
+		return fmt.Sprintf("second result does not decode: %v", err)
+	}
+	for i := 0; i < len(ra.Records) && i < len(rb.Records); i++ {
+		ja, _ := json.Marshal(ra.Records[i])
+		jb, _ := json.Marshal(rb.Records[i])
+		if !bytes.Equal(ja, jb) {
+			return fmt.Sprintf("first divergent record at index %d (id %d vs %d)\n<<< %s\n>>> %s",
+				i, ra.Records[i].ID, rb.Records[i].ID, ja, jb)
+		}
+	}
+	if len(ra.Records) != len(rb.Records) {
+		return fmt.Sprintf("one record list is a prefix of the other (%d vs %d records)", len(ra.Records), len(rb.Records))
+	}
+	va, vb := reflect.ValueOf(ra), reflect.ValueOf(rb)
+	for i := 0; i < va.NumField(); i++ {
+		ja, _ := json.Marshal(va.Field(i).Interface())
+		jb, _ := json.Marshal(vb.Field(i).Interface())
+		if !bytes.Equal(ja, jb) {
+			return fmt.Sprintf("records match; first divergent field %s\n<<< %s\n>>> %s", va.Type().Field(i).Name, ja, jb)
+		}
+	}
+	return "results are identical"
+}
+
+// TestResultDiffNamesRecord: resultDiff points at the first divergent
+// record and shows both sides, or at the first divergent field when the
+// records match.
+func TestResultDiffNamesRecord(t *testing.T) {
+	result := func(containers int, titles ...string) []byte {
+		res := &crawler.Result{Containers: containers}
+		for i, title := range titles {
+			res.Records = append(res.Records, &crawler.WPNRecord{ID: i, Title: title})
+		}
+		return marshal(t, res)
+	}
+	got := resultDiff(result(1, "a", "b", "c", "d"), result(1, "a", "b", "x", "d"))
+	if !strings.Contains(got, "index 2 (id 2 vs 2)") || !strings.Contains(got, `"title":"c"`) || !strings.Contains(got, `"title":"x"`) {
+		t.Errorf("diff of results diverging at record 2 = %q", got)
+	}
+	if got := resultDiff(result(1, "a"), result(1, "a", "b")); !strings.Contains(got, "prefix") {
+		t.Errorf("diff of a result and its extension = %q", got)
+	}
+	if got := resultDiff(result(1, "a"), result(2, "a")); !strings.Contains(got, "field Containers") {
+		t.Errorf("diff of results differing in Containers = %q", got)
 	}
 }
 

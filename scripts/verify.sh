@@ -31,10 +31,8 @@ go test -run '^TestOutageFlushCostsNoWallTime$' -count=1 ./internal/webeco/
 echo "==> benchmark module (bench/: vet + tests)"
 (cd bench && go vet ./... && go test ./...)
 
-# bench_check subsumes the old bench smokes: it runs the same cheap
-# slices (mining n=200, crawl n=50, 1x) and additionally gates them
-# against the committed BENCH_*.json baselines.
-sh scripts/bench_check.sh
+echo "==> work-count gate (blocked batch, incremental stream, desktop study: exact work counts vs the table in workcounts_test.go)"
+go test -run '^TestWorkCounts$' -count=1 .
 
 sh scripts/telemetry_smoke.sh
 
