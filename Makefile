@@ -17,7 +17,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-# verify runs the whole gate: build, vet, tests, race tests.
+# verify runs the whole gate: build, gofmt, vet, tests, race tests.
 verify:
 	sh scripts/verify.sh
 

@@ -21,8 +21,8 @@ import (
 //
 // Beside ns/op it reports, from one instrumented run outside the timed
 // loop: the stage wall times ("<stage>-ns/op"), the exact pairs
-// computed, the cut sweep's wall time per candidate-height bucket
-// ("sweep_<bucket>-ns/op"), the (height, block) cells the sweep served
+// computed, the cut sweep's summed worker time per candidate-height
+// bucket ("sweep_<bucket>-ns/op"), the (height, block) cells the sweep served
 // from its memo ("memo-hits") and the blocks it re-scored
 // ("blocks-rescored").
 func BenchmarkClusterWPNsBlockedLarge(b *testing.B) {

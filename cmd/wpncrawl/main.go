@@ -35,10 +35,16 @@
 // be scraped. -metrics-out writes the final telemetry snapshot (crawler
 // counters, breaker transitions, chaos fault totals, per-host request
 // counts) as JSON; -trace-out writes the per-notification attack-chain
-// spans as JSONL, from which telemetry.Chains rebuilds the chains;
-// -ledger writes the run's event ledger as one JSONL file: the desktop
-// and then the mobile crawl's control-plane events (each with a
-// "device" attr), then the mining events of the study's analysis pass.
+// spans as JSONL, from which telemetry.Chains rebuilds the chains. The
+// trace is not byte-stable: span ids follow the order in which
+// concurrently running containers emit, so only a crawl that runs one
+// container at a time writes the same bytes twice; what repeats at the
+// default pool and at any -shards is each browser container's span
+// sequence and the chains rebuilt from it (the mining spans carry
+// wall-clock times). -ledger writes the run's event ledger
+// as one JSONL file: the desktop and then the mobile crawl's
+// control-plane events (each with a "device" attr), then the mining
+// events of the study's analysis pass.
 // The ledger is byte-identical across reruns at a fixed seed and chaos
 // plan.
 package main
@@ -136,8 +142,6 @@ func main() {
 			log.Printf("%s fleet: shards=%d heartbeats=%d kills=%d restarts=%d lost=%d stolen=%d saves=%d fallbacks=%d",
 				dev, rep.Shards, rep.Heartbeats, rep.Kills, rep.Restarts,
 				rep.WorkersLost, rep.ContainersStolen, rep.StateSaves, rep.StateFallbacks)
-			log.Printf("%s fleet plane: telemetry_pulls=%d stitched_spans=%d",
-				dev, rep.TelemetryPulls, rep.StitchedSpans)
 		}
 	}
 	if *metricsOut != "" {

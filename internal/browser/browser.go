@@ -377,6 +377,15 @@ func (b *Browser) Navigate(rawURL string) (*Navigation, error) {
 			return nav, fmt.Errorf("browser: too many redirects from %s", rawURL)
 		}
 		nav.RedirectChain = append(nav.RedirectChain, cur)
+		// A hop that is not an http(s) URL (an empty OpenWindow target)
+		// cannot load: it fails here, as its request would, without
+		// being sent or retried.
+		if err := loadable(cur); err != nil {
+			if b.traced() {
+				b.log(EvNavigation, "url", cur, "error", err.Error())
+			}
+			return nav, err
+		}
 		resp, body, err := b.get(cur, EvNavigation)
 		// Hop-level retries: a transiently failed hop (reset, 5xx,
 		// 429) would otherwise abort the chain or render an error page
@@ -427,6 +436,19 @@ func (b *Browser) render(nav *Navigation, resp *http.Response, body []byte) {
 		nav.Content = string(body)
 	}
 	b.log(EvLandingPage, "url", nav.FinalURL, "title", nav.Title, "screenshot", nav.ScreenshotHash)
+}
+
+// loadable rejects a URL no navigation can load: one that does not
+// parse, or whose scheme is not http or https.
+func loadable(rawURL string) error {
+	u, err := url.Parse(rawURL)
+	if err != nil {
+		return fmt.Errorf("browser: %w", err)
+	}
+	if u.Scheme != "http" && u.Scheme != "https" {
+		return fmt.Errorf("browser: cannot load %q: unsupported protocol scheme %q", rawURL, u.Scheme)
+	}
+	return nil
 }
 
 // transientHop reports whether a navigation hop failed in a way worth

@@ -579,3 +579,46 @@ func TestNavigateUnknownHost(t *testing.T) {
 		t.Errorf("status = %d", nav.Status)
 	}
 }
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestNavigateUnloadableSendsNothing: a hop that is not an http(s) URL —
+// the empty target of a notification that opens no page, a javascript:
+// URL — fails without a request or a retry, and its one navigation span
+// carries the error.
+func TestNavigateUnloadableSendsNothing(t *testing.T) {
+	f := newFixture(t)
+	for _, target := range []string{"", "javascript:void(0)"} {
+		client := f.net.ClientNoRedirect()
+		inner := client.Transport
+		if inner == nil {
+			inner = http.DefaultTransport
+		}
+		sent := 0
+		client.Transport = roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			sent++
+			return inner.RoundTrip(r)
+		})
+		reg := telemetry.New()
+		b := New(Config{Clock: f.clock, Client: client, Tracer: telemetry.NewTracer(nil), Metrics: reg})
+		nav, err := b.Navigate(target)
+		if err == nil {
+			t.Errorf("Navigate(%q) succeeded", target)
+		}
+		if sent != 0 {
+			t.Errorf("Navigate(%q) sent %d requests, want 0", target, sent)
+		}
+		if n := reg.Counter("browser_nav_retries").Value(); n != 0 {
+			t.Errorf("Navigate(%q) retried %d times", target, n)
+		}
+		if nav == nil || len(nav.RedirectChain) != 1 || nav.RedirectChain[0] != target {
+			t.Errorf("Navigate(%q) navigation = %+v, want a one-hop chain", target, nav)
+		}
+		spans := spansOf(b, EvNavigation)
+		if len(spans) != 1 || spans[0].Attrs["url"] != target || spans[0].Attrs["error"] == "" {
+			t.Errorf("Navigate(%q) traced %+v, want one navigation span with the error", target, spans)
+		}
+	}
+}

@@ -242,7 +242,9 @@ func (o *blockedObs) reclustered(blocks, reused, rebuilt, clusters int) {
 // memoized sweep's parallel pass, attributed to the height bucket of
 // the candidate that first crossed into that segment — so sweep_ns
 // reflects where re-cut work actually happened, proportional to blocks
-// rescored rather than total blocks.
+// rescored rather than total blocks. Every worker adds its own rescore
+// times, so mining_sweep_ns is summed worker time: with several workers
+// its buckets can add up to more than the cut stage's wall time.
 func (o *blockedObs) sweepRescored(height float64, ns int64) {
 	if o == nil {
 		return

@@ -63,8 +63,6 @@ type Config struct {
 	Driver PushDriver
 	// Pending, if non-nil, suppresses no-op polls.
 	Pending PendingChecker
-	// PushHost selects the push service host ("" = default).
-	PushHost string
 
 	// Device and RealDevice select the crawl environment.
 	Device     browser.DeviceType
@@ -108,15 +106,6 @@ type Config struct {
 
 	// --- robustness / recovery ---
 
-	// VisitAttempts bounds how many times one URL is (re)visited when
-	// the navigation fails or answers 5xx. Default 3.
-	VisitAttempts int
-	// CrashThreshold is how many consecutive failed polls mark a
-	// container as crashed. Default 3.
-	CrashThreshold int
-	// MaxRecoveries bounds how many times a crashed container is
-	// re-seeded (fresh browser, re-visit, re-subscribe). Default 2.
-	MaxRecoveries int
 	// CrashPlan, if non-nil, injects container crashes: it is asked on
 	// every resume cycle whether this container's process dies now.
 	// Wire webeco.Ecosystem.CrashPlan here to drive it from a chaos
@@ -205,20 +194,24 @@ func (c Config) WithDefaults() Config {
 	if c.PumpWorkers <= 0 {
 		c.PumpWorkers = c.MaxContainers
 	}
-	if c.VisitAttempts <= 0 {
-		// A failed seed visit forfeits a container's entire WPN stream,
-		// so visits get a generous retry budget: at 4 attempts even a
-		// 15% per-request fault rate loses less than one visit in 10⁵.
-		c.VisitAttempts = 4
-	}
-	if c.CrashThreshold <= 0 {
-		c.CrashThreshold = 3
-	}
-	if c.MaxRecoveries <= 0 {
-		c.MaxRecoveries = 2
-	}
 	return c
 }
+
+// Recovery budgets, the same for every crawl.
+const (
+	// visitAttempts bounds how many times one URL is (re)visited when
+	// the navigation fails or answers 5xx/429. A failed seed visit
+	// forfeits a container's entire WPN stream, so visits get a generous
+	// budget: at 4 attempts even a 15% per-request fault rate loses less
+	// than one visit in 10⁵.
+	visitAttempts = 4
+	// crashThreshold is how many consecutive failed polls mark a
+	// container as crashed.
+	crashThreshold = 3
+	// maxRecoveries bounds how many times a crashed container is
+	// re-seeded (fresh browser, re-visit, re-subscribe).
+	maxRecoveries = 2
+)
 
 // WPNRecord is one collected web push notification with all metadata the
 // instrumented browser observed — the unit of analysis for the mining
@@ -386,7 +379,7 @@ func (h *containerHeap) Pop() interface{} {
 // touching breaker decisions. All containers report transitions into
 // the same ledger family.
 func (w *ShardWorker) newBreaker() *httpx.Breaker {
-	// Threshold deliberately below CrashThreshold: a sick push
+	// Threshold deliberately below crashThreshold: a sick push
 	// service must trip the circuit (fast-fails, not counted
 	// against containers) before any single container accumulates
 	// enough poll failures to be misdiagnosed as crashed.
@@ -417,7 +410,7 @@ func (w *ShardWorker) visitRetry(ct *container, u string) (*browser.VisitResult,
 		vr  *browser.VisitResult
 		err error
 	)
-	for attempt := 1; attempt <= w.cfg.VisitAttempts; attempt++ {
+	for attempt := 1; attempt <= visitAttempts; attempt++ {
 		if cerr := w.ctx.Err(); cerr != nil {
 			w.bump(func(d *Degradation) { d.VisitsAborted++ })
 			w.tel.visitsAborted.Inc()
@@ -437,7 +430,7 @@ func (w *ShardWorker) visitRetry(ct *container, u string) (*browser.VisitResult,
 	w.tel.visitFailures.Inc()
 	if err == nil {
 		err = fmt.Errorf("crawler: visit %s: status %d after %d attempts",
-			u, vr.Navigation.Status, w.cfg.VisitAttempts)
+			u, vr.Navigation.Status, visitAttempts)
 	}
 	return vr, err
 }
@@ -715,7 +708,7 @@ func (w *ShardWorker) pollHTTP(ct *container) (polled bool, msgs []webpush.Messa
 	if w.cfg.Pending != nil && !w.hasPending(ct) {
 		return false, nil, nil
 	}
-	msgs, err = ct.br.PollPush(w.cfg.PushHost)
+	msgs, err = ct.br.PollPush(fcm.DefaultHost)
 	return true, msgs, err
 }
 
@@ -743,9 +736,9 @@ func (w *ShardWorker) classifyPoll(ct *container, polled bool, err error) {
 	// container's view of the push host's circuit, the service is sick
 	// — that says nothing about the container, so it must not feed
 	// crash detection.
-	if ct.brk.State(w.pushHostName()) == "closed" {
+	if ct.brk.State(fcm.DefaultHost) == "closed" {
 		ct.pollFails++
-		if ct.pollFails >= w.cfg.CrashThreshold {
+		if ct.pollFails >= crashThreshold {
 			ct.pollFails = 0
 			w.crashContainer(ct)
 		}
@@ -764,7 +757,7 @@ func (w *ShardWorker) crashContainer(ct *container) {
 	for tok := range ct.sourceByToken {
 		w.lostTokens = append(w.lostTokens, tok)
 	}
-	if ct.recoveries >= w.cfg.MaxRecoveries {
+	if ct.recoveries >= maxRecoveries {
 		ct.dead = true
 		return
 	}
@@ -787,14 +780,6 @@ func (w *ShardWorker) crashContainer(ct *container) {
 	ct.activeUntil = now.Add(w.cfg.MonitorWindow)
 	deg.ContainersRecovered++
 	w.tel.containersRecovered.Inc()
-}
-
-// pushHostName resolves the push service host for breaker lookups.
-func (w *ShardWorker) pushHostName() string {
-	if w.cfg.PushHost != "" {
-		return w.cfg.PushHost
-	}
-	return fcm.DefaultHost
 }
 
 func (w *ShardWorker) hasPending(ct *container) bool {

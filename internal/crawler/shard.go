@@ -108,7 +108,7 @@ type ShardWorker struct {
 	lostTokens []string
 
 	// dirty marks shard state changed since the last TakeDirty, so the
-	// transport persists exactly the ticks that mutated something.
+	// fleet persists exactly the ticks that mutated something.
 	dirty bool
 }
 
@@ -323,8 +323,10 @@ func (w *ShardWorker) Finish() (*ShardFinish, error) {
 // Adopt transfers another (dead) shard's persisted containers into this
 // worker — the work-stealing rebalance. The orphans join the live set
 // and the suspension heap exactly as their last saved state left them,
-// and the dead shard's Degradation tallies and lost tokens fold in so
-// the fleet's final aggregate misses nothing.
+// chain-recorder state included (every shard traces into the crawl's
+// one tracer, so the saved span IDs name spans of this worker's tracer
+// too), and the dead shard's Degradation tallies and lost tokens fold
+// in so the fleet's final aggregate misses nothing.
 func (w *ShardWorker) Adopt(st *ShardState) error {
 	held := make(map[int]bool, len(w.seeds))
 	for _, s := range w.seeds {
@@ -334,11 +336,6 @@ func (w *ShardWorker) Adopt(st *ShardState) error {
 		return err
 	}
 	for i := range st.Containers {
-		// Chain-recorder state never crosses shards: its span IDs
-		// reference the dead shard's tracer, and restoring them against
-		// this worker's tracer would parent new events under unrelated
-		// spans. Adopted chains restart as roots instead.
-		st.Containers[i].Chain = nil
 		ct := w.containerFromState(&st.Containers[i])
 		w.live = append(w.live, ct)
 		if st.Containers[i].InHeap {

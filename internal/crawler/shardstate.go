@@ -76,16 +76,15 @@ type ShardContainerState struct {
 	Cookies              []httpx.CookieRecord          `json:"cookies,omitempty"`
 	// Chain is the browser's trace chain-recorder linkage state (span
 	// IDs future events parent under). Present only when tracing is on;
-	// its IDs reference the shard's tracer, which the fleet transport
-	// owns across restarts — so a restored worker keeps extending the
-	// chains the lost one left open and the stitched fleet trace stays
-	// byte-identical to a kill-free trace. Adopt drops it: the IDs are
-	// meaningless against another shard's tracer.
+	// its IDs reference the crawl's one tracer, which every shard worker
+	// shares — so a restored or adopting worker keeps extending the
+	// chains the lost one left open, and a one-shard trace under kills
+	// stays byte-identical to a kill-free trace.
 	Chain *telemetry.ChainState `json:"chain,omitempty"`
 }
 
 // ShardState is one shard worker's durable snapshot, written by the
-// fleet transport at the end of every tick that changed something.
+// fleet's shard set at the end of every tick that changed something.
 // Restart-with-resume deserializes it back into a ShardWorker with no
 // HTTP and no replay: because the fleet kills workers only at tick
 // boundaries (after the save), the restored worker continues exactly

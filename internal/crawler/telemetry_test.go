@@ -55,9 +55,12 @@ func TestTelemetryReconcilesWithChaos(t *testing.T) {
 	// error (keep-alives are off whenever the profile injects resets or
 	// truncation, so no silent retry on a reused connection blurs the
 	// mapping). Truncations fail at body read, not at the transport, so
-	// they are excluded by construction; "bad_url" errors are ecosystem
-	// artifacts (scheme-less navigation targets), not faults.
+	// they are excluded by construction. The browser sends no request
+	// for a URL it cannot load, so no error is a "bad_url".
 	errKinds := snap.Families["vnet_client_errors"]
+	if n := errKinds["bad_url"]; n != 0 {
+		t.Errorf("vnet_client_errors[bad_url] = %d, want 0: the crawl requested URLs it cannot load", n)
+	}
 	if got, want := errKinds["conn"], chaosFam["reset"]; got != want {
 		t.Errorf("vnet_client_errors[conn] = %d, chaos injected %d resets", got, want)
 	}

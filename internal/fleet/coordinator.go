@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"strconv"
 	"sync"
@@ -25,19 +24,17 @@ import (
 // that orders the output is serial — which is what extends the
 // PumpWorkers byte-parity discipline across shard boundaries.
 //
-// The coordinator also owns the fleet observability plane: it mints the
-// global trace segments the transport stamps onto per-shard spans,
-// pulls each shard's telemetry snapshot once per heartbeat cycle,
-// appends every control-plane lifecycle event to the run's ledger, and
-// publishes a live FleetStatus for /fleetz — all on its serial path, so
-// the ledger and the merged telemetry are deterministic under a fixed
-// chaos plan.
+// The coordinator also appends every control-plane lifecycle event to
+// the run's ledger and publishes a live FleetStatus for /fleetz, both on
+// its serial path, so the ledger is deterministic under a fixed chaos
+// plan. The workers count and trace into the crawl's registry and
+// tracer themselves.
 type coordinator struct {
-	ctx   context.Context
-	cfg   Config
-	crawl crawler.Config
-	tr    Transport
-	met   *fleetMetrics
+	ctx    context.Context
+	cfg    Config
+	crawl  crawler.Config
+	shards *shardSet
+	met    *fleetMetrics
 
 	// Coordinator-owned crawl instruments: the global batch-size
 	// histogram, record counter, and pump-worker gauge.
@@ -59,47 +56,35 @@ type coordinator struct {
 	epoch  time.Time
 	end    time.Time
 
-	// Observability plane. nextSeg is the global trace-segment mint;
-	// snaps/health/lastPull hold the coordinator's last pulled telemetry
-	// view per shard (lastPull -1 = never pulled; the view of a lost
-	// worker stays frozen at its last pull, which is what the merge-lag
-	// gauge measures); events counts the lifecycle events emitted; pub
-	// publishes the /fleetz view.
-	telemetryOn bool
-	nextSeg     int64
-	lastSweep   int
-	lastPull    []int
-	snaps       []telemetry.Snapshot
-	health      []*crawler.ShardHealth
-	events      int
-	pub         *telemetry.Publisher[FleetStatus]
+	// events counts the lifecycle events emitted; pub publishes the
+	// /fleetz view (nil without a registry), with health[k] the live
+	// worker k's health as read at its last heartbeat cycle.
+	events int
+	pub    *telemetry.Publisher[FleetStatus]
+	health []*crawler.ShardHealth
 }
 
-func newCoordinator(ctx context.Context, cfg Config, crawlCfg crawler.Config, tr Transport, met *fleetMetrics) *coordinator {
+func newCoordinator(ctx context.Context, cfg Config, crawlCfg crawler.Config, shards *shardSet, met *fleetMetrics) *coordinator {
 	n := cfg.Shards
 	co := &coordinator{
-		ctx:         ctx,
-		cfg:         cfg,
-		crawl:       crawlCfg,
-		tr:          tr,
-		met:         met,
-		res:         &crawler.Result{},
-		report:      &Report{Shards: n, Workers: make([]WorkerStatus, n)},
-		n:           n,
-		alive:       make([]bool, n),
-		status:      make([]crawler.TickStatus, n),
-		lastCycle:   make([]int, n),
-		restarts:    make([]int, n),
-		owned:       make([]int, n),
-		telemetryOn: crawlCfg.Metrics != nil,
-		lastPull:    make([]int, n),
-		snaps:       make([]telemetry.Snapshot, n),
-		health:      make([]*crawler.ShardHealth, n),
+		ctx:       ctx,
+		cfg:       cfg,
+		crawl:     crawlCfg,
+		shards:    shards,
+		met:       met,
+		res:       &crawler.Result{},
+		report:    &Report{Shards: n, Workers: make([]WorkerStatus, n)},
+		n:         n,
+		alive:     make([]bool, n),
+		status:    make([]crawler.TickStatus, n),
+		lastCycle: make([]int, n),
+		restarts:  make([]int, n),
+		owned:     make([]int, n),
+		health:    make([]*crawler.ShardHealth, n),
 	}
 	for k := 0; k < n; k++ {
 		co.alive[k] = true
 		co.lastCycle[k] = -1
-		co.lastPull[k] = -1
 		co.report.Workers[k].Shard = k
 	}
 	if reg := crawlCfg.Metrics; reg != nil {
@@ -109,15 +94,6 @@ func newCoordinator(ctx context.Context, cfg Config, crawlCfg crawler.Config, tr
 		co.pub = telemetry.NewPublisher[FleetStatus]("fleet")
 	}
 	return co
-}
-
-// seg mints the next global trace segment. Every transport phase call
-// carries one; the per-shard tracers stamp it onto the spans the phase
-// emits, which is what lets StitchSpans restore the coordinator's
-// global phase order across concurrent shard streams.
-func (co *coordinator) seg() int64 {
-	co.nextSeg++
-	return co.nextSeg
 }
 
 // event counts one lifecycle event, mirrors it into the fleet_events
@@ -141,29 +117,11 @@ func (co *coordinator) event(kind string, shard int, kv ...string) {
 	co.cfg.Ledger.Append(telemetry.Event{Time: co.crawl.Clock.Now(), Kind: kind, Attrs: attrs})
 }
 
-// pullTelemetry refreshes the coordinator's view of shard k. A failed
-// pull (worker just died) keeps the last view — that staleness is the
-// merge lag.
-func (co *coordinator) pullTelemetry(k, cycle int) {
-	if !co.telemetryOn {
-		return
-	}
-	tel, err := co.tr.Telemetry(k)
-	if err != nil {
-		return
-	}
-	co.snaps[k] = tel.Snapshot
-	co.health[k] = tel.Health
-	co.lastPull[k] = cycle
-	co.met.telemetryPulls.Inc()
-	co.report.TelemetryPulls++
-}
-
 // updateStatus rebuilds and publishes the /fleetz view. Fresh maps and
 // slices every time: the published pointer is read concurrently by the
 // debug server and must never be mutated afterwards.
 func (co *coordinator) updateStatus(done bool) {
-	if !co.telemetryOn {
+	if co.pub == nil {
 		return
 	}
 	st := &FleetStatus{
@@ -194,7 +152,7 @@ func (co *coordinator) updateStatus(done bool) {
 		if co.alive[k] {
 			st.LiveShards++
 		}
-		if h := co.health[k]; h != nil {
+		if h := co.health[k]; h != nil && co.alive[k] {
 			ws.Containers = h.Containers
 			ws.Collected = h.Collected
 			ws.Dead = h.Dead
@@ -204,9 +162,6 @@ func (co *coordinator) updateStatus(done bool) {
 					ws.Breakers[s] = n
 				}
 			}
-		}
-		if co.lastPull[k] >= 0 && co.lastSweep > co.lastPull[k] {
-			ws.MergeLagCycles = co.lastSweep - co.lastPull[k]
 		}
 		st.Workers = append(st.Workers, ws)
 	}
@@ -247,9 +202,8 @@ func (co *coordinator) run(seeds []string) error {
 	// the simulated clock, so the fan-out cannot reorder time. Seeding
 	// is kill-free: heartbeat cycle 0 is consulted at the first tick.
 	reps := make([]*crawler.ShardSeedReport, co.n)
-	segSeed := co.seg()
 	if err := co.forAlive(func(k int) error {
-		rep, err := co.tr.Seed(k, segSeed)
+		rep, err := co.shards.Seed(k)
 		reps[k] = rep
 		return err
 	}); err != nil {
@@ -351,9 +305,8 @@ func (co *coordinator) run(seeds []string) error {
 // drain batches.
 func (co *coordinator) pump(now time.Time, final bool) error {
 	polls := make([]*crawler.TickPoll, co.n)
-	segPoll := co.seg()
 	if err := co.forAlive(func(k int) error {
-		p, err := co.tr.Poll(k, segPoll, now, final)
+		p, err := co.shards.Poll(k, now, final)
 		polls[k] = p
 		return err
 	}); err != nil {
@@ -372,8 +325,7 @@ func (co *coordinator) pump(now time.Time, final bool) error {
 		co.batchSize.Observe(float64(total))
 	}
 	if any {
-		segDispatch := co.seg()
-		if err := co.forAlive(func(k int) error { return co.tr.Dispatch(k, segDispatch) }); err != nil {
+		if err := co.forAlive(co.shards.Dispatch); err != nil {
 			return err
 		}
 		// One ClickDelay advance for the whole fleet-wide batch (pump
@@ -382,9 +334,8 @@ func (co *coordinator) pump(now time.Time, final bool) error {
 	}
 
 	results := make([]*crawler.TickResult, co.n)
-	segClick := co.seg()
 	if err := co.forAlive(func(k int) error {
-		res, err := co.tr.Click(k, segClick)
+		res, err := co.shards.Click(k)
 		results[k] = res
 		return err
 	}); err != nil {
@@ -424,9 +375,9 @@ func (co *coordinator) pump(now time.Time, final bool) error {
 // elapsed since its last check. Worker deaths are detected here — and
 // only here, at tick boundaries, after the previous tick's state save —
 // and handled immediately: bounded restart-with-resume, then work
-// stealing once the budget is spent. Each shard's telemetry snapshot is
-// pulled once per new cycle on the way out, so the coordinator's merged
-// view lags a live shard by at most one heartbeat cycle.
+// stealing once the budget is spent. With a registry attached, each
+// live worker's health is read once per new cycle for /fleetz, on the
+// serial path while no worker runs.
 func (co *coordinator) heartbeatSweep(now time.Time) error {
 	cycle := int(now.Sub(co.epoch) / co.cfg.Heartbeat)
 	for k := 0; k < co.n; k++ {
@@ -435,7 +386,7 @@ func (co *coordinator) heartbeatSweep(now time.Time) error {
 		}
 		for c := co.lastCycle[k] + 1; c <= cycle; c++ {
 			co.report.Heartbeats++
-			err := co.tr.Heartbeat(k, c)
+			err := co.shards.Heartbeat(k, c)
 			if err == nil {
 				continue
 			}
@@ -450,20 +401,10 @@ func (co *coordinator) heartbeatSweep(now time.Time) error {
 				break // lost for good; containers already adopted
 			}
 		}
+		if co.pub != nil && co.alive[k] && cycle > co.lastCycle[k] {
+			co.health[k] = co.shards.Health(k)
+		}
 		co.lastCycle[k] = cycle
-		if co.alive[k] && cycle > co.lastPull[k] {
-			co.pullTelemetry(k, cycle)
-		}
-	}
-	co.lastSweep = cycle
-	if co.telemetryOn {
-		lag := 0
-		for k := 0; k < co.n; k++ {
-			if co.lastPull[k] >= 0 && cycle-co.lastPull[k] > lag {
-				lag = cycle - co.lastPull[k]
-			}
-		}
-		co.met.mergeLag.Set(int64(lag))
 	}
 	co.updateStatus(false)
 	return nil
@@ -489,7 +430,7 @@ func (co *coordinator) handleDown(k int) error {
 	}
 	if co.restarts[k] < co.cfg.MaxRestarts || live == 1 {
 		co.restarts[k]++
-		fellBack, err := co.tr.Restart(k)
+		fellBack, err := co.shards.Restart(k)
 		if fellBack {
 			co.report.StateFallbacks++
 			co.met.stateFallbacks.Inc()
@@ -518,7 +459,7 @@ func (co *coordinator) handleDown(k int) error {
 	co.met.liveShards.Add(-1)
 	co.event(EvWorkerLost, k)
 
-	st, fellBack, err := co.tr.Orphans(k)
+	st, fellBack, err := co.shards.Orphans(k)
 	if fellBack {
 		co.report.StateFallbacks++
 		co.met.stateFallbacks.Inc()
@@ -539,7 +480,7 @@ func (co *coordinator) handleDown(k int) error {
 			target = j
 		}
 	}
-	if err := co.tr.Adopt(target, st); err != nil {
+	if err := co.shards.Adopt(target, st); err != nil {
 		return err
 	}
 	stolen := len(st.Containers)
@@ -567,22 +508,17 @@ func (co *coordinator) totalQueued() int {
 
 // finish aggregates the shards' final accounting — per-shard
 // Degradations merge tally-wise into one report, the same at every
-// shard count — snapshots the ecosystem fault counters once, stitches
-// the shard trace streams into the main tracer, and absorbs the shards'
-// final telemetry snapshots into the main registry.
-//
-// The order is load-bearing: the trace stitch increments a
-// coordinator-registry counter, so it must land before
-// Report.Coordinator is captured and the shard snapshots are absorbed —
-// otherwise the exact-merge contract (final registry state equals
-// Coordinator merged with every ShardSnapshot) breaks.
+// shard count — snapshots the ecosystem fault counters once, and
+// publishes the final /fleetz view with fresh health lines.
 func (co *coordinator) finish() error {
-	segFin := co.seg()
 	for k := 0; k < co.n; k++ {
 		if !co.alive[k] {
 			continue
 		}
-		fin, err := co.tr.Finish(k, segFin)
+		if co.pub != nil {
+			co.health[k] = co.shards.Health(k)
+		}
+		fin, err := co.shards.Finish(k)
 		if err != nil {
 			return err
 		}
@@ -593,56 +529,6 @@ func (co *coordinator) finish() error {
 			co.res.Degradation.Faults = fc
 		}
 	}
-	co.stitchTrace()
-	co.absorbTelemetry()
 	co.updateStatus(true)
 	return nil
-}
-
-// stitchTrace reassembles the per-shard span streams into the main
-// tracer as one coordinator-rooted trace. Streams are pulled whole —
-// chain spans are retroactively mutated while open, so nothing can be
-// shipped incrementally — and include lost workers' spans (the
-// transport owns each shard's buffer across kills). At Shards=1 the
-// stitch is the identity: the main tracer's JSONL output is
-// byte-identical to a lone ShardWorker traced straight into it.
-func (co *coordinator) stitchTrace() {
-	if co.crawl.Tracer == nil {
-		return
-	}
-	streams := make([][]telemetry.Span, co.n)
-	for k := 0; k < co.n; k++ {
-		spans, err := co.tr.Spans(k)
-		if err != nil {
-			continue
-		}
-		streams[k] = spans
-	}
-	stitched := telemetry.StitchSpans(streams)
-	co.crawl.Tracer.Append(stitched)
-	co.met.traceSpans.Add(int64(len(stitched)))
-	co.report.StitchedSpans = len(stitched)
-}
-
-// absorbTelemetry takes one final pull from every live shard, captures
-// the coordinator's own registry snapshot, then folds every shard
-// snapshot into the main registry under a "shard-<k>" label. Lost
-// workers contribute their last pulled view (their post-pull deltas
-// moved to the adopter's registry with their containers). Capture
-// before absorb is the exact-merge contract the parity matrix pins.
-func (co *coordinator) absorbTelemetry() {
-	if !co.telemetryOn {
-		return
-	}
-	for k := 0; k < co.n; k++ {
-		if co.alive[k] {
-			co.pullTelemetry(k, co.lastSweep)
-		}
-	}
-	co.report.Coordinator = co.crawl.Metrics.Snapshot()
-	co.report.ShardSnapshots = make([]telemetry.Snapshot, co.n)
-	for k := 0; k < co.n; k++ {
-		co.crawl.Metrics.Absorb(fmt.Sprintf("shard-%d", k), co.snaps[k])
-		co.report.ShardSnapshots[k] = co.snaps[k]
-	}
 }

@@ -18,9 +18,9 @@
 // parity matrix test pins exactly that, against a reference loop that
 // drives a single ShardWorker directly.
 //
-// Workers run in-process behind the Transport interface ("virtual
-// shards"); a subprocess/loopback transport can replace localTransport
-// without touching the coordinator.
+// Workers run in-process ("virtual shards", shards.go) and count and
+// trace into the crawl's one registry and tracer, so a sharded crawl
+// records exactly what a one-shard crawl records.
 package fleet
 
 import (
@@ -109,20 +109,6 @@ type Report struct {
 	// was unreadable.
 	StateSaves     int `json:"state_saves,omitempty"`
 	StateFallbacks int `json:"state_fallbacks,omitempty"`
-	// TelemetryPulls counts per-shard snapshot pulls over the transport
-	// (one per shard per heartbeat cycle, plus the final absorb pull);
-	// StitchedSpans counts trace spans reassembled from shard tracers.
-	TelemetryPulls int `json:"telemetry_pulls,omitempty"`
-	StitchedSpans  int `json:"stitched_spans,omitempty"`
-
-	// ShardSnapshots[k] is shard k's final telemetry snapshot as pulled
-	// for the end-of-run absorb; Coordinator is the coordinator's own
-	// registry snapshot captured immediately before the absorb. The
-	// exact-merge contract — final registry state equals Coordinator
-	// merged with every ShardSnapshot — is pinned by the fleet parity
-	// matrix. Test/introspection surface, not serialized.
-	ShardSnapshots []telemetry.Snapshot `json:"-"`
-	Coordinator    telemetry.Snapshot   `json:"-"`
 }
 
 // fleetMetrics holds the control plane's preresolved instruments.
@@ -138,9 +124,6 @@ type fleetMetrics struct {
 	stateSaves       *telemetry.Counter
 	stateFallbacks   *telemetry.Counter
 	heartbeatSeconds *telemetry.Histogram
-	telemetryPulls   *telemetry.Counter
-	mergeLag         *telemetry.Gauge
-	traceSpans       *telemetry.Counter
 	events           *telemetry.Family
 }
 
@@ -159,9 +142,6 @@ func newFleetMetrics(reg *telemetry.Registry) *fleetMetrics {
 		stateSaves:       reg.Counter("fleet_shard_state_saves"),
 		stateFallbacks:   reg.Counter("fleet_shard_state_fallbacks"),
 		heartbeatSeconds: reg.Histogram("fleet_heartbeat_seconds", telemetry.LatencyBuckets),
-		telemetryPulls:   reg.Counter("fleet_telemetry_pulls"),
-		mergeLag:         reg.Gauge("fleet_telemetry_merge_lag_cycles"),
-		traceSpans:       reg.Counter("fleet_trace_spans"),
 		events:           reg.Family("fleet_events", "kind"),
 	}
 }
@@ -183,9 +163,6 @@ type ShardStatus struct {
 	// Breakers counts the shard's per-container host circuits by state
 	// ("open" spiking fleet-wide is the first symptom of an outage).
 	Breakers map[string]int `json:"breakers,omitempty"`
-	// MergeLagCycles is how many heartbeat cycles behind the
-	// coordinator's telemetry view of this shard is (0 = current).
-	MergeLagCycles int `json:"merge_lag_cycles"`
 }
 
 // FleetStatus is the live introspection snapshot served at /fleetz:
@@ -221,8 +198,8 @@ func (s FleetStatus) String() string {
 		s.SimTime.Format("2006-01-02 15:04"), s.WindowEnd.Format("2006-01-02 15:04"))
 	fmt.Fprintf(&b, "heartbeats %-6d kills %-4d restarts %-4d lost %-3d stolen %-4d records %-6d events %d\n",
 		s.Heartbeats, s.Kills, s.Restarts, s.Lost, s.Stolen, s.Records, s.Events)
-	fmt.Fprintf(&b, "%-6s %-6s %-5s %-6s %-5s %-9s %-8s %-4s %s\n",
-		"shard", "state", "ctrs", "queued", "coll", "restarts", "adopted", "lag", "breakers")
+	fmt.Fprintf(&b, "%-6s %-6s %-5s %-6s %-5s %-9s %-8s %s\n",
+		"shard", "state", "ctrs", "queued", "coll", "restarts", "adopted", "breakers")
 	for _, w := range s.Workers {
 		state := "live"
 		if w.Lost {
@@ -239,9 +216,9 @@ func (s FleetStatus) String() string {
 				brk += fmt.Sprintf("%s:%d", st, n)
 			}
 		}
-		fmt.Fprintf(&b, "%-6d %-6s %-5d %-6d %-5d %d/%-7d %-8d %-4d %s\n",
+		fmt.Fprintf(&b, "%-6d %-6s %-5d %-6d %-5d %d/%-7d %-8d %s\n",
 			w.Shard, state, w.Containers, w.Queued, w.Collected,
-			w.Restarts, w.Restarts+w.RestartBudget, w.Adopted, w.MergeLagCycles, brk)
+			w.Restarts, w.Restarts+w.RestartBudget, w.Adopted, brk)
 	}
 	return b.String()
 }
@@ -307,15 +284,15 @@ func Run(ctx context.Context, cfg Config, seeds []string) (*crawler.Result, *Rep
 	}
 
 	met := newFleetMetrics(crawlCfg.Metrics)
-	tr, err := newLocalTransport(ctx, crawlCfg, names, seedsByShard, dir, durable, cfg.WorkerCrashPlan, met)
+	shardSet, err := newShardSet(ctx, crawlCfg, names, seedsByShard, dir, durable, cfg.WorkerCrashPlan, met)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	co := newCoordinator(ctx, cfg, crawlCfg, tr, met)
+	co := newCoordinator(ctx, cfg, crawlCfg, shardSet, met)
 	runErr := co.run(seeds)
 
-	co.report.StateSaves = tr.StateSaves()
+	co.report.StateSaves = shardSet.StateSaves()
 	for k := range co.report.Workers {
 		co.report.Workers[k].Containers = co.owned[k]
 	}

@@ -354,23 +354,81 @@ func TestResultDiffNamesRecord(t *testing.T) {
 	}
 }
 
-// firstDiff renders the context around the first diverging byte.
-func firstDiff(a, b []byte) string {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			lo, hi := i-120, i+120
-			if lo < 0 {
-				lo = 0
-			}
-			if hi > n {
-				hi = n
-			}
-			return fmt.Sprintf("first diff at byte %d\n<<< %s\n>>> %s", i, a[lo:hi], b[lo:hi])
+// lineDiff names where two JSONL outputs, traces or ledgers, diverge:
+// the first differing line, by the span id or ledger seq it carries,
+// with both lines.
+func lineDiff(a, b []byte) string {
+	la, lb := jsonlLines(a), jsonlLines(b)
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if !bytes.Equal(la[i], lb[i]) {
+			return fmt.Sprintf("first divergent line %d (%s)\n<<< %s\n>>> %s", i+1, lineName(la[i]), la[i], lb[i])
 		}
 	}
-	return "one output is a prefix of the other"
+	if len(la) == len(lb) {
+		return "outputs are identical"
+	}
+	return fmt.Sprintf("one output is a prefix of the other (%d vs %d lines)", len(la), len(lb))
+}
+
+func jsonlLines(b []byte) [][]byte {
+	if len(b) == 0 {
+		return nil
+	}
+	return bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n"))
+}
+
+// lineName names a JSONL line by its span id or its ledger seq.
+func lineName(line []byte) string {
+	var v struct {
+		ID  *int64 `json:"id"`
+		Seq *int64 `json:"seq"`
+	}
+	switch {
+	case json.Unmarshal(line, &v) != nil:
+		return "not JSON"
+	case v.ID != nil:
+		return fmt.Sprintf("span id %d", *v.ID)
+	case v.Seq != nil:
+		return fmt.Sprintf("ledger seq %d", *v.Seq)
+	}
+	return "no id or seq"
+}
+
+// TestLineDiffNamesSpanAndSeq: lineDiff points at the first divergent
+// span of a trace or event of a ledger and shows both lines.
+func TestLineDiffNamesSpanAndSeq(t *testing.T) {
+	trace := func(names ...string) []byte {
+		tr := telemetry.NewTracer(func() time.Time { return time.Unix(0, 0).UTC() })
+		for _, name := range names {
+			tr.Start("c1", name, 0, nil)
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteJSONL(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	got := lineDiff(trace("visit", "push_received", "notification_shown"), trace("visit", "push_received", "tab_crashed"))
+	if !strings.Contains(got, "span id 3") || !strings.Contains(got, `"name":"notification_shown"`) || !strings.Contains(got, `"name":"tab_crashed"`) {
+		t.Errorf("diff of traces diverging at span 3 = %q", got)
+	}
+
+	ledger := func(kinds ...string) []byte {
+		led := telemetry.NewLedger()
+		for _, k := range kinds {
+			led.Append(telemetry.Event{Kind: k})
+		}
+		var buf bytes.Buffer
+		if err := telemetry.WriteLedger(&buf, led.Events()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	got = lineDiff(ledger(EvShardStarted, EvMerge, EvMerge), ledger(EvShardStarted, EvKillDetected, EvMerge))
+	if !strings.Contains(got, "ledger seq 1") || !strings.Contains(got, `"kind":"merge"`) || !strings.Contains(got, `"kind":"kill_detected"`) {
+		t.Errorf("diff of ledgers diverging at seq 1 = %q", got)
+	}
+	if got := lineDiff(ledger(EvMerge), ledger(EvMerge, EvMerge)); !strings.Contains(got, "prefix") || !strings.Contains(got, "1 vs 2 lines") {
+		t.Errorf("diff of a ledger and its extension = %q", got)
+	}
 }

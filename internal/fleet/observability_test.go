@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,77 +20,114 @@ import (
 	"pushadminer/internal/webeco"
 )
 
-// assertExactMerge pins the fleet telemetry contract: the final main
-// registry equals the coordinator's pre-absorb snapshot merged with
-// every shard snapshot — no count lost, none double-counted.
-func assertExactMerge(t *testing.T, reg *telemetry.Registry, rep *Report) {
-	t.Helper()
-	if len(rep.ShardSnapshots) != rep.Shards {
-		t.Fatalf("report carries %d shard snapshots, want %d", len(rep.ShardSnapshots), rep.Shards)
+// snapshotCounts flattens a snapshot to one count per key — counters,
+// gauges, family members ("name{label}") and histogram observation counts
+// ("name.count") — leaving out the fleet's own control-plane
+// instruments (fleet_*), which count heartbeats, kills and restarts.
+func snapshotCounts(s telemetry.Snapshot) map[string]int64 {
+	out := make(map[string]int64)
+	for k, v := range s.Counters {
+		out[k] = v
 	}
-	want := rep.Coordinator.Clone()
-	for k, s := range rep.ShardSnapshots {
-		want.Merge(fmt.Sprintf("shard-%d", k), s)
+	for k, v := range s.Gauges {
+		out[k] = v
 	}
-	gotJSON, err := json.MarshalIndent(reg.Snapshot(), "", " ")
-	if err != nil {
-		t.Fatal(err)
+	for k, fam := range s.Families {
+		for lv, v := range fam {
+			out[k+"{"+lv+"}"] = v
+		}
 	}
-	wantJSON, err := json.MarshalIndent(want, "", " ")
-	if err != nil {
-		t.Fatal(err)
+	for k, h := range s.Histograms {
+		out[k+".count"] = h.Count
 	}
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("final registry is not the exact merge of coordinator + shard snapshots:\n%s",
-			firstDiff(wantJSON, gotJSON))
+	for k := range out {
+		if strings.HasPrefix(k, "fleet_") {
+			delete(out, k)
+		}
 	}
+	return out
 }
 
-// TestFleetTelemetryExactMerge runs the parity-matrix scenarios with
-// telemetry on and asserts the exact-merge contract for each: shard
-// counts survive kills, restarts, and work stealing without loss or
-// double counting.
+// TestFleetTelemetryExactMerge: every shard worker counts into the
+// crawl's one registry, so the fleet's telemetry is the exact merge of
+// what its workers did, at any shard count, under kills, restarts, work
+// stealing, and workers lost for good whose containers finish on their
+// adopters. Every count outside fleet_* must equal the one-shard
+// kill-free run's at the same seed and faults; the ecosystem shares the
+// registry, so requests, responses and injected faults count too.
 func TestFleetTelemetryExactMerge(t *testing.T) {
+	run := func(t *testing.T, seed int64, prof *chaos.Profile, shards, maxRestarts int, kills bool) (map[string]int64, *Report) {
+		t.Helper()
+		reg := telemetry.New()
+		eco, err := webeco.New(webeco.Config{Seed: seed, Scale: 0.002, Chaos: prof, Telemetry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eco.Close()
+		var plan func(string, int) bool
+		if kills {
+			plan = eco.WorkerCrashPlan()
+		}
+		_, rep, err := Run(context.Background(), Config{
+			Crawl:           crawlConfig(eco, func(c *crawler.Config) { c.Metrics = reg }),
+			Shards:          shards,
+			MaxRestarts:     maxRestarts,
+			WorkerCrashPlan: plan,
+			Dir:             t.TempDir(),
+		}, eco.SeedURLs())
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		return snapshotCounts(reg.Snapshot()), rep
+	}
+
 	for _, tc := range []struct {
-		name   string
-		seed   int64
-		chaos  bool
-		shards []int
+		name        string
+		seed        int64
+		chaos       bool
+		shards      []int
+		maxRestarts int
 	}{
-		{"seed11", 11, false, []int{1, 2, 4}},
-		{"seed11/chaos", 11, true, []int{2, 4}},
-		{"seed23/chaos", 23, true, []int{3}},
+		{"seed11", 11, false, []int{1, 2, 4}, 0},
+		{"seed11/chaos", 11, true, []int{2, 4}, 0},
+		{"seed23/chaos", 23, true, []int{3}, 0},
+		// Never restart: every kill loses a worker, and its containers
+		// finish on the adopting shard.
+		{"seed11/lost-workers", 11, true, []int{4}, -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			var prof *chaos.Profile
+			if tc.chaos {
+				prof = chaosProfile(0.05)
+			}
+			want, _ := run(t, tc.seed, prof, 1, 0, false)
+			if want["crawler_records_emitted"] == 0 {
+				t.Fatal("kill-free run emitted no records; the comparison is vacuous")
+			}
 			for _, shards := range tc.shards {
-				var p *chaos.Profile
-				if tc.chaos {
-					p = chaosProfile(0.05)
+				got, rep := run(t, tc.seed, prof, shards, tc.maxRestarts, true)
+				if tc.maxRestarts < 0 && rep.WorkersLost == 0 {
+					t.Fatalf("shards=%d: no worker lost; the lost-worker case is untested", shards)
 				}
-				reg := telemetry.New()
-				eco := newEco(t, tc.seed, p)
-				_, rep, err := Run(context.Background(), Config{
-					Crawl:           crawlConfig(eco, func(c *crawler.Config) { c.Metrics = reg }),
-					Shards:          shards,
-					WorkerCrashPlan: eco.WorkerCrashPlan(),
-					Dir:             t.TempDir(),
-				}, eco.SeedURLs())
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
+				var diffs []string
+				for k := range mergeKeys(want, got) {
+					if got[k] != want[k] {
+						diffs = append(diffs, fmt.Sprintf("%s = %d, kill-free one-shard %d", k, got[k], want[k]))
+					}
 				}
-				if rep.TelemetryPulls == 0 {
-					t.Errorf("shards=%d: no telemetry pulls recorded", shards)
+				sort.Strings(diffs)
+				if len(diffs) > 0 {
+					t.Errorf("shards=%d (kills=%d lost=%d): %d of %d counts differ:\n%s",
+						shards, rep.Kills, rep.WorkersLost, len(diffs), len(want), strings.Join(diffs, "\n"))
 				}
-				if got := reg.Counter("fleet_telemetry_pulls").Value(); got != int64(rep.TelemetryPulls) {
-					t.Errorf("shards=%d: fleet_telemetry_pulls = %d, report says %d", shards, got, rep.TelemetryPulls)
-				}
-				assertExactMerge(t, reg, rep)
+				t.Logf("shards=%d kills=%d restarts=%d lost=%d stolen=%d: %d counts compared",
+					shards, rep.Kills, rep.Restarts, rep.WorkersLost, rep.ContainersStolen, len(want))
 			}
 		})
 	}
 }
 
-// TestFleetTraceParity: a traced fleet run's stitched spans must be
+// TestFleetTraceParity: a traced one-shard fleet run's trace must be
 // byte-identical (as JSONL) to the reference loop's trace. Pinned at
 // MaxContainers=1 and PumpWorkers=1 — the only setting where span
 // emission order is deterministic even within the seed fan-out — and
@@ -123,7 +161,7 @@ func TestFleetTraceParity(t *testing.T) {
 		return traceJSONL(t, tr)
 	}
 
-	fleetTrace := func(t *testing.T, plan func(string, int) bool) ([]byte, *Report) {
+	fleetTrace := func(t *testing.T, plan func(string, int) bool) ([]byte, int, *Report) {
 		tr := telemetry.NewTracer(nil)
 		eco := newEco(t, 11, nil)
 		_, rep, err := Run(context.Background(), Config{
@@ -138,30 +176,30 @@ func TestFleetTraceParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return traceJSONL(t, tr), rep
+		return traceJSONL(t, tr), tr.Len(), rep
 	}
 
 	want := baseline(t)
 
 	t.Run("kill-free", func(t *testing.T) {
-		got, rep := fleetTrace(t, nil)
-		if rep.StitchedSpans == 0 {
-			t.Error("fleet stitched no spans")
+		got, spans, _ := fleetTrace(t, nil)
+		if spans == 0 {
+			t.Error("fleet trace is empty")
 		}
 		if !bytes.Equal(want, got) {
-			t.Errorf("stitched trace diverges from the reference trace:\n%s", firstDiff(want, got))
+			t.Errorf("fleet trace diverges from the reference trace:\n%s", lineDiff(want, got))
 		}
 	})
 
 	t.Run("kill-restart", func(t *testing.T) {
-		got, rep := fleetTrace(t, func(workerID string, cycle int) bool {
+		got, _, rep := fleetTrace(t, func(workerID string, cycle int) bool {
 			return cycle == 2 || cycle == 9
 		})
 		if rep.Kills != 2 || rep.Restarts != 2 {
 			t.Fatalf("kills=%d restarts=%d, want 2/2", rep.Kills, rep.Restarts)
 		}
 		if !bytes.Equal(want, got) {
-			t.Errorf("stitched trace under kills diverges from the reference trace:\n%s", firstDiff(want, got))
+			t.Errorf("fleet trace under kills diverges from the reference trace:\n%s", lineDiff(want, got))
 		}
 	})
 }
@@ -202,11 +240,11 @@ func chainKeyOf(c telemetry.Chain, device string) chainKey {
 // attack chains telemetry.Chains rebuilds from a crawl's trace, read
 // back from JSONL, are the crawl's WPN records one to one. The crawl
 // covers desktop and mobile, whose repeated titles and subscriptions
-// sharing one SW script exercise the linkage keys. On one shard the
-// trace's parent links must be exact as well; the match must also hold
-// under harsh faults, and on a 4-shard fleet whose killed workers never
-// restart, where containers are stolen with their chain state dropped
-// and the replay must still find every chain.
+// sharing one SW script exercise the linkage keys. The match must also
+// hold under harsh faults. The trace's parent links must be exact as
+// well, on one shard and on a 4-shard fleet whose killed workers never
+// restart, where stolen containers keep their chain state because every
+// shard traces into the crawl's one tracer.
 func TestChainsMatchRecords(t *testing.T) {
 	crawl := func(t *testing.T, shards, maxRestarts int, prof *chaos.Profile) ([]*crawler.WPNRecord, []telemetry.Span, int) {
 		t.Helper()
@@ -280,15 +318,10 @@ func TestChainsMatchRecords(t *testing.T) {
 		}
 	}
 
-	t.Run("one-shard", func(t *testing.T) {
-		records, spans, _ := crawl(t, 1, 0, nil)
-		if len(records) == 0 {
-			t.Fatal("crawl collected no records; the match is vacuous")
-		}
-		matchRecords(t, records, spans)
-
-		// The live links: every click under a notification with its
-		// title, every push under the registration with its token.
+	// The live links: every click under a notification with its title,
+	// every push under the registration with its token.
+	liveLinks := func(t *testing.T, spans []telemetry.Span) {
+		t.Helper()
 		var clicks, rootClicks, pushes, misplaced int
 		for _, sp := range spans {
 			var parent telemetry.Span
@@ -314,7 +347,16 @@ func TestChainsMatchRecords(t *testing.T) {
 			t.Errorf("%d of %d notification_clicked spans are roots; %d of %d push_received spans are not under their token's registration",
 				rootClicks, clicks, misplaced, pushes)
 		}
-		t.Logf("%d records, %d clicks, %d pushes", len(records), clicks, pushes)
+		t.Logf("%d clicks, %d pushes", clicks, pushes)
+	}
+
+	t.Run("one-shard", func(t *testing.T) {
+		records, spans, _ := crawl(t, 1, 0, nil)
+		if len(records) == 0 {
+			t.Fatal("crawl collected no records; the match is vacuous")
+		}
+		matchRecords(t, records, spans)
+		liveLinks(t, spans)
 	})
 
 	// Under harsh faults some clicks' navigations fail, and crashed
@@ -338,6 +380,7 @@ func TestChainsMatchRecords(t *testing.T) {
 			t.Fatal("no container was stolen; the adopted-chain case is untested")
 		}
 		matchRecords(t, records, spans)
+		liveLinks(t, spans)
 		t.Logf("%d records, %d containers stolen", len(records), stolen)
 	})
 }
@@ -423,7 +466,7 @@ func TestFleetLedger(t *testing.T) {
 
 	// Determinism: same seeds, same chaos plan → identical ledger bytes.
 	if _, _, b := run(t); !bytes.Equal(a, b) {
-		t.Errorf("ledger is not deterministic:\n%s", firstDiff(a, b))
+		t.Errorf("ledger is not deterministic:\n%s", lineDiff(a, b))
 	}
 }
 
@@ -507,13 +550,12 @@ func TestFleetzEndpoint(t *testing.T) {
 	}
 }
 
-// TestFleetObservabilityDisabled: with no registry and no tracer the
-// fleet plane must stay dark — no pulls, no stitching, no snapshots —
-// while an attached ledger still records every event.
+// TestFleetObservabilityDisabled: with no registry and no tracer, an
+// attached ledger still records every event.
 func TestFleetObservabilityDisabled(t *testing.T) {
 	eco := newEco(t, 11, nil)
 	led := telemetry.NewLedger()
-	_, rep, err := Run(context.Background(), Config{
+	_, _, err := Run(context.Background(), Config{
 		Crawl:  crawlConfig(eco, nil),
 		Shards: 2,
 		Dir:    t.TempDir(),
@@ -521,9 +563,6 @@ func TestFleetObservabilityDisabled(t *testing.T) {
 	}, eco.SeedURLs())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if rep.TelemetryPulls != 0 || rep.StitchedSpans != 0 || rep.ShardSnapshots != nil {
-		t.Errorf("observability plane active without instruments: %+v", rep)
 	}
 	if len(led.Events()) == 0 {
 		t.Error("ledger empty; event timeline must not depend on telemetry")

@@ -10,8 +10,8 @@ import (
 
 // referenceCrawl is the fleet's independent oracle: one ShardWorker
 // driven directly through Seed, a Poll / Dispatch / Click loop and
-// Finish, with no coordinator, transport, heartbeats, durable state or
-// telemetry pulls — the same loop bench/study.go's tracedCrawl runs.
+// Finish, with no coordinator, shard set, heartbeats or durable state —
+// the same loop bench/study.go's tracedCrawl runs.
 // Every fleet parity test compares fleet.Run against it.
 func referenceCrawl(t *testing.T, cfg crawler.Config, seeds []string) *crawler.Result {
 	t.Helper()

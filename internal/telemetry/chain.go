@@ -69,14 +69,12 @@ func NewChainRecorder(tr *Tracer, container string) *ChainRecorder {
 
 // ChainState is a ChainRecorder's linkage state in serializable form:
 // the span IDs future events will parent under. It is persisted with
-// shard-worker state so a restarted worker's recorders keep linking
-// events into the chains the killed worker left open — without it,
-// every post-restart event would start a fresh root and the stitched
-// trace could never match the uninterrupted kill-free one. The
-// IDs are only meaningful against the same tracer the state was
-// captured from (the fleet transport owns per-shard tracers across
-// restarts); chains adopted onto a different shard's tracer must be
-// dropped instead of restored.
+// shard-worker state so a restarted worker's recorders, and an adopting
+// worker's, keep linking events into the chains the killed worker left
+// open — without it, every later event would start a fresh root and the
+// trace could never match the uninterrupted kill-free one. The IDs are
+// only meaningful against the tracer the state was captured from, which
+// is why every shard of a fleet traces into the crawl's one tracer.
 type ChainState struct {
 	Visit SpanID              `json:"visit,omitempty"`
 	Regs  map[string]SpanID   `json:"regs,omitempty"`
@@ -234,11 +232,9 @@ type Chain struct {
 // by container name; within a container, the clicked ones in click
 // order, then the never-clicked ones in display order.
 //
-// It replays rather than following parent links because parent links
-// are only as complete as the recorder's state: a container adopted by
-// another shard of a fleet starts its recorder afresh, so its later
-// pushes are roots, while the replay still finds the registration
-// earlier in the container's stream.
+// It replays rather than following parent links, so a chain rests on
+// each container's event order alone, not on the recorder's linkage
+// state having survived every worker restart and adoption.
 func Chains(spans []Span) []Chain {
 	ordered := append([]Span(nil), spans...)
 	sort.SliceStable(ordered, func(i, j int) bool {

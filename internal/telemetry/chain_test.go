@@ -2,7 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
@@ -310,4 +313,98 @@ func TestChainRecorderRoundTrip(t *testing.T) {
 		t.Fatalf("chains from the read trace = %+v", chains)
 	}
 	assertChains(t, chains, Chains(tr.Spans()))
+}
+
+// TestChainStateRoundTrip: Export/Restore preserves linkage so a
+// restored recorder keeps extending the same chains.
+func TestChainStateRoundTrip(t *testing.T) {
+	tr := NewTracer(nil)
+	rec := NewChainRecorder(tr, "c1")
+	at := time.Unix(1600000000, 0).UTC()
+	rec.Event(at, "visit", map[string]string{"url": "https://seed"})
+	rec.Event(at, "sw_registered", map[string]string{"sw": "https://seed/sw.js"})
+	rec.Event(at, "push_received", map[string]string{"sw": "https://seed/sw.js"})
+	rec.Event(at, "notification_shown", map[string]string{"title": "You won"})
+
+	st := rec.Export()
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back ChainState
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := NewChainRecorder(tr, "c1")
+	fresh.Restore(&back)
+	fresh.Event(at.Add(time.Minute), "notification_clicked", map[string]string{"title": "You won"})
+
+	spans := tr.Spans()
+	click := spans[len(spans)-1]
+	if click.Name != "notification_clicked" || click.Parent == 0 {
+		t.Fatalf("restored recorder lost chain linkage: %+v", click)
+	}
+	if parent := spans[click.Parent-1]; parent.Name != "notification_shown" {
+		t.Errorf("click parented under %q, want notification_shown", parent.Name)
+	}
+}
+
+// TestConcurrentChainRecorders: many containers' recorders share one
+// tracer, as in a real crawl's parallel pump. The test must be
+// race-clean under -race, and after sorting by ID each container's
+// span subsequence must equal its serial event order with intact
+// parent links.
+func TestConcurrentChainRecorders(t *testing.T) {
+	tr := NewTracer(nil)
+	const containers = 8
+	const rounds = 20
+	base := time.Unix(1600000000, 0).UTC()
+
+	var wg sync.WaitGroup
+	for c := 0; c < containers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rec := NewChainRecorder(tr, fmt.Sprintf("c%d", c))
+			at := base
+			rec.Event(at, "visit", map[string]string{"url": fmt.Sprintf("https://seed%d", c)})
+			rec.Event(at, "sw_registered", map[string]string{"sw": "https://s/sw.js"})
+			for i := 0; i < rounds; i++ {
+				at = at.Add(time.Minute)
+				title := fmt.Sprintf("n%d", i)
+				rec.Event(at, "push_received", map[string]string{"sw": "https://s/sw.js"})
+				rec.Event(at, "notification_shown", map[string]string{"title": title})
+				rec.Event(at, "notification_clicked", map[string]string{"title": title})
+				rec.Event(at, "landing_page", map[string]string{"url": "https://land"})
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	spans := tr.Spans()
+	if want := containers * (2 + 4*rounds); len(spans) != want {
+		t.Fatalf("got %d spans, want %d", len(spans), want)
+	}
+	// Spans() returns ID order already; verify per-container sequences.
+	byContainer := make(map[string][]Span)
+	for _, s := range spans {
+		byContainer[s.Container] = append(byContainer[s.Container], s)
+	}
+	for c, seq := range byContainer {
+		if seq[0].Name != "visit" || seq[1].Name != "sw_registered" {
+			t.Fatalf("%s: sequence starts %q,%q", c, seq[0].Name, seq[1].Name)
+		}
+		for i := 2; i < len(seq); i += 4 {
+			names := []string{seq[i].Name, seq[i+1].Name, seq[i+2].Name, seq[i+3].Name}
+			if !reflect.DeepEqual(names, []string{"push_received", "notification_shown", "notification_clicked", "landing_page"}) {
+				t.Fatalf("%s: round at %d is %v", c, i, names)
+			}
+			// shown → push, clicked → shown, landing → clicked: parents
+			// stay within the container even under interleaving.
+			if seq[i+1].Parent != seq[i].ID || seq[i+2].Parent != seq[i+1].ID || seq[i+3].Parent != seq[i+2].ID {
+				t.Fatalf("%s: chain links broken at %d: %+v", c, i, seq[i:i+4])
+			}
+		}
+	}
 }

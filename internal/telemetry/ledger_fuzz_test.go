@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 	"time"
@@ -135,11 +136,12 @@ func FuzzReadSpans(f *testing.F) {
 			return
 		}
 		telemetry.Chains(spans)
-		tr := telemetry.NewTracer(nil)
-		tr.Append(spans)
 		var buf bytes.Buffer
-		if err := tr.WriteJSONL(&buf); err != nil {
-			t.Fatalf("accepted spans do not write back: %v", err)
+		enc := json.NewEncoder(&buf)
+		for i := range spans {
+			if err := enc.Encode(&spans[i]); err != nil {
+				t.Fatalf("accepted spans do not write back: %v", err)
+			}
 		}
 		again, err := telemetry.ReadSpans(&buf)
 		if err != nil {

@@ -3,9 +3,11 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -276,5 +278,80 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 	if got, want := h.Sum(), 80.0; got < want-1e-6 || got > want+1e-6 {
 		t.Fatalf("histogram sum = %v, want ~%v", got, want)
+	}
+}
+
+// sampleRegistry builds a populated registry whose snapshot exercises
+// every instrument kind.
+func sampleRegistry(k int) *Registry {
+	reg := New()
+	reg.Counter("crawler_polls").Add(int64(10 * (k + 1)))
+	reg.Counter(fmt.Sprintf("only_shard_%d", k)).Inc()
+	reg.Gauge("crawler_pump_workers").Set(int64(k + 2))
+	h := reg.Histogram("poll_seconds", LatencyBuckets)
+	for i := 0; i <= k; i++ {
+		h.Observe(0.01 * float64(i+1))
+	}
+	reg.Family("http_requests", "host").Add("ads.example", int64(k+1))
+	reg.Family("http_requests", "host").Add(fmt.Sprintf("shard%d.example", k), 1)
+	return reg
+}
+
+// TestObservabilityPlaneNilSafety: the entry points a fleet's shard
+// workers call beyond the instruments — chain-state export and restore,
+// and the ledger — must be free no-ops when tracing and the ledger are
+// off.
+func TestObservabilityPlaneNilSafety(t *testing.T) {
+	var rec *ChainRecorder
+	var led *Ledger
+	if n := testing.AllocsPerRun(100, func() {
+		st := rec.Export()
+		rec.Restore(st)
+		led.Append(Event{Kind: "merge"})
+		_ = led.Events()
+	}); n != 0 {
+		t.Errorf("disabled chain-state and ledger path allocates %v per run, want 0", n)
+	}
+	if got := rec.Export(); got != nil {
+		t.Errorf("nil recorder Export = %+v, want nil", got)
+	}
+}
+
+// TestWriteSnapshotFileAtomic: the snapshot write must go through a
+// temp file + rename — no partially written snapshot is ever visible
+// and no temp file is left behind.
+func TestWriteSnapshotFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	reg := sampleRegistry(0)
+	path := filepath.Join(dir, "metrics.json")
+	if err := reg.WriteSnapshotFile(path); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "metrics.json" {
+		names := make([]string, len(entries))
+		for i, e := range entries {
+			names[i] = e.Name()
+		}
+		t.Fatalf("directory after write = %v, want exactly [metrics.json]", names)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("snapshot file is not valid JSON: %v", err)
+	}
+	if snap.Counters["crawler_polls"] != 10 {
+		t.Errorf("snapshot content wrong: %+v", snap.Counters)
+	}
+	// Write to a path whose temp file cannot be created: the error must
+	// surface instead of silently truncating an existing file.
+	if err := reg.WriteSnapshotFile(filepath.Join(dir, "missing", "metrics.json")); err == nil {
+		t.Error("write into a missing directory succeeded; want error")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -29,14 +28,6 @@ type Span struct {
 	Start     time.Time         `json:"start"`
 	End       time.Time         `json:"end"`
 	Attrs     map[string]string `json:"attrs,omitempty"`
-
-	// Seg is the coordinator-minted global phase sequence number the
-	// span was emitted under (fleet crawls only; 0 otherwise). It
-	// exists so spans from per-shard tracers can be stitched back into
-	// one coordinator-ordered trace (StitchSpans), and is deliberately
-	// excluded from the JSONL export: a stitched fleet trace must be
-	// byte-identical at shards=1 to the lone worker's own trace.
-	Seg int64 `json:"-"`
 }
 
 // Duration is the span's elapsed time.
@@ -47,15 +38,15 @@ func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
 // returns SpanID 0 from every start call and ignores everything else.
 //
 // Span IDs are assigned in emission order, so sorting spans by ID
-// recovers the exact event order regardless of goroutine interleaving
-// within one container (cross-container order follows the lock order,
-// which the deterministic crawl makes reproducible).
+// recovers the exact event order within one container, whatever the
+// goroutine interleaving. Across containers the order is the lock order
+// of concurrent emitters: it repeats run to run only when one container
+// emits at a time.
 type Tracer struct {
 	now func() time.Time
 
 	mu    sync.Mutex
 	spans []Span
-	seg   int64 // current segment stamped onto new spans (fleet crawls)
 }
 
 // NewTracer creates a Tracer. now supplies span timestamps for the
@@ -88,24 +79,9 @@ func (t *Tracer) StartAt(container, name string, parent SpanID, attrs map[string
 	id := SpanID(len(t.spans) + 1)
 	t.spans = append(t.spans, Span{
 		ID: id, Parent: parent, Container: container, Name: name,
-		Start: at, End: at, Attrs: attrs, Seg: t.seg,
+		Start: at, End: at, Attrs: attrs,
 	})
 	return id
-}
-
-// SetSegment sets the segment number stamped onto spans emitted from
-// now on. The fleet coordinator mints one global segment per transport
-// phase (seed, poll, dispatch, click, finish) and sets it on each
-// shard's tracer before invoking the phase, so per-shard span streams
-// carry enough ordering information to be stitched back into the
-// single coordinator-rooted trace. Nil-safe no-op.
-func (t *Tracer) SetSegment(seg int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.seg = seg
-	t.mu.Unlock()
 }
 
 // End closes a span at the tracer's current time. Unknown or zero IDs
@@ -194,100 +170,12 @@ func (t *Tracer) WriteTraceFile(path string) error {
 	return writeFileAtomic(path, buf.Bytes())
 }
 
-// StitchSpans reassembles per-shard span streams into one
-// coordinator-ordered trace. Streams are per-tracer span slices in
-// shard order (each internally consistent: IDs ascending, parents
-// referencing earlier spans of the same stream). Spans are interleaved
-// by (segment, shard, local ID) — the order the coordinator drove the
-// phases in — then renumbered from 1 with parents remapped per stream.
-// At shards=1 the stitch is the identity: segments ascend with local
-// IDs, so the output equals the input stream renumbered onto itself,
-// which is what makes a stitched one-shard fleet trace byte-identical
-// to the lone worker's own trace.
-//
-// The returned spans carry Seg 0 and are self-consistent, ready for
-// Tracer.Append or WriteJSONL.
-func StitchSpans(streams [][]Span) []Span {
-	total := 0
-	for _, st := range streams {
-		total += len(st)
-	}
-	if total == 0 {
-		return nil
-	}
-	type ref struct {
-		stream int
-		span   Span
-	}
-	refs := make([]ref, 0, total)
-	for si, st := range streams {
-		for _, sp := range st {
-			refs = append(refs, ref{stream: si, span: sp})
-		}
-	}
-	sort.SliceStable(refs, func(i, j int) bool {
-		a, b := refs[i], refs[j]
-		if a.span.Seg != b.span.Seg {
-			return a.span.Seg < b.span.Seg
-		}
-		if a.stream != b.stream {
-			return a.stream < b.stream
-		}
-		return a.span.ID < b.span.ID
-	})
-	// Parents always precede children within a stream (lower local ID,
-	// emitted under the same or an earlier segment), so a single forward
-	// pass sees every parent before its children.
-	remap := make([]map[SpanID]SpanID, len(streams))
-	for i := range remap {
-		remap[i] = make(map[SpanID]SpanID)
-	}
-	out := make([]Span, 0, total)
-	for i, r := range refs {
-		sp := r.span
-		newID := SpanID(i + 1)
-		remap[r.stream][sp.ID] = newID
-		sp.ID = newID
-		if sp.Parent > 0 {
-			// A parent missing from the map (e.g. chain state carried
-			// across shards) degrades to a root rather than pointing at
-			// an unrelated span.
-			sp.Parent = remap[r.stream][sp.Parent]
-		}
-		sp.Seg = 0
-		out = append(out, sp)
-	}
-	return out
-}
-
-// Append splices an already-stitched, self-consistent span slice onto
-// the tracer, re-basing IDs and parent links past the spans already
-// recorded. The fleet coordinator uses it to land each device crawl's
-// stitched trace on the study's shared tracer exactly where a worker
-// tracing straight into it would have emitted it. Nil-safe no-op.
-func (t *Tracer) Append(spans []Span) {
-	if t == nil || len(spans) == 0 {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	base := SpanID(len(t.spans))
-	for _, sp := range spans {
-		sp.ID += base
-		if sp.Parent > 0 {
-			sp.Parent += base
-		}
-		sp.Seg = t.seg
-		t.spans = append(t.spans, sp)
-	}
-}
-
 // ReadSpans parses trace JSONL, skipping blank lines, as strictly as
 // ReadLedger: it rejects any line that is not a JSON span object with a
 // non-empty name, any id that does not continue the contiguous 1, 2,
-// 3, ... sequence, and any parent that is not an earlier id. Every
-// writer satisfies this: Tracer IDs are emission order, StitchSpans
-// renumbers parents before their children, and Append rebases both.
+// 3, ... sequence, and any parent that is not an earlier id. The
+// Tracer satisfies this: IDs are emission order, and a parent is always
+// emitted before its children.
 func ReadSpans(r io.Reader) ([]Span, error) {
 	var out []Span
 	err := readJSONL(r, "trace", func(line []byte) error {

@@ -347,9 +347,10 @@ func (t *countingTransport) RoundTrip(req *http.Request) (*http.Response, error)
 
 // errorKind classifies a transport failure by cause, which is what
 // makes the chaos reconciliation exact: "blackhole" is the injector's
-// client-side DNS window, "bad_url" is a navigation to a scheme-less or
-// unsupported URL (an ecosystem artifact, not a fault), and "conn" is a
-// killed connection — under chaos, exactly the injected resets.
+// client-side DNS window, "bad_url" is a request for a URL with no or
+// an unsupported scheme (the browser refuses to navigate to one, so a
+// crawl counts none), and "conn" is a killed connection — under chaos,
+// exactly the injected resets.
 func errorKind(err error) string {
 	s := err.Error()
 	switch {

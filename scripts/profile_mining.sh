@@ -1,8 +1,10 @@
 #!/bin/sh
 # profile_mining.sh — capture CPU and heap pprof profiles of the
 # large-n blocked clustering benchmark (BenchmarkClusterWPNsBlockedLarge,
-# n=50k) and print its cut-sweep attribution: the sweep's wall time per
-# candidate-height bucket (sweep_<bucket>-ns/op). Writes the profiles
+# n=50k) and print its cut-sweep attribution: the sweep's summed worker
+# time per candidate-height bucket (sweep_<bucket>-ns/op). The parallel
+# pass's workers each add their rescore times, so the buckets can add up
+# to more than the cut stage's wall time. Writes the profiles
 # and the test binary under PROFILE_DIR (default
 # /tmp/pushadminer-mining-prof). Dependency-free: POSIX sh + the Go
 # toolchain.

@@ -119,7 +119,7 @@ serve four $CRAWL -shards 4 -fleet-dir "$TMPD/fleet" -ledger "$TMPD/fleet.jsonl"
 scrape fleetz
 expect "$TMPD/fleetz.json" '"shards": 4' '"live_shards"' '"heartbeats"' '"kills"' \
 	'"records"' '"sim_time"' '"window_end"' '"workers"' \
-	'"shard": 3' '"restart_budget"' '"merge_lag_cycles"'
+	'"shard": 3' '"restart_budget"'
 expect "$TMPD/fleetz.txt" 'fleet ' 'shard' 'heartbeats'
 stop "$TMPD/four.log"
 cmp -s "$TMPD/one.json" "$TMPD/four.json" || fail "4-shard output differs from the one-shard run"

@@ -1,13 +1,22 @@
 #!/bin/sh
-# verify.sh — full local verification: build, vet, unit tests, and the
-# race-enabled suite. This is what CI runs and what `make verify`
-# invokes; keep it dependency-free (POSIX sh + the Go toolchain).
+# verify.sh — full local verification: build, format check, vet, unit
+# tests, and the race-enabled suite. This is what CI runs and what
+# `make verify` invokes; keep it dependency-free (POSIX sh + the Go
+# toolchain).
 set -eu
 
 cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l . (every Go file, bench/ included, must be gofmt-ed)"
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w):" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...

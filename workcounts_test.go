@@ -194,7 +194,6 @@ var workCounts = map[string]int64{
 	"stream/mining_sweep_memo{hit}":             69314,
 	"stream/mining_sweep_memo{miss}":            2235,
 	"stream/mining_sweep_memo{refresh}":         3,
-	"study/browser_nav_retries":                 210,
 	"study/browser_notifications_clicked":       217,
 	"study/browser_notifications_shown":         217,
 	"study/browser_redirect_hops.count":         1058,
@@ -210,7 +209,6 @@ var workCounts = map[string]int64{
 	"study/fleet_heartbeats":                    29,
 	"study/fleet_live_shards":                   1,
 	"study/fleet_shards":                        1,
-	"study/fleet_telemetry_pulls":               29,
 	"study/mining_pairs{sweep_scored}":          855424,
 	"study/mining_sweep_blocks{0.0-0.1}":        7,
 	"study/mining_sweep_blocks{0.1-0.2}":        8,
@@ -220,9 +218,7 @@ var workCounts = map[string]int64{
 	"study/mining_sweep_blocks{0.5-0.6}":        4,
 	"study/mining_sweep_blocks{0.6-0.7}":        1,
 	"study/mining_sweep_memo{miss}":             64,
-	"study/vnet_client_errors{bad_url}":         252,
-	"study/vnet_client_requests":                2346,
-	"study/vnet_client_transport_errors":        252,
+	"study/vnet_client_requests":                2094,
 	"study/vnet_requests_by_host{hosts}":        949,
 	"study/vnet_requests_by_host{sum}":          2094,
 	"study/vnet_responses_by_class{2xx}":        2062,
