@@ -5,23 +5,15 @@
 // — <1% flagged on the initial scan) and *detection lag* (a rescan one
 // month later flagged 11.31% on VT while GSB stayed ~1%). Both are
 // modeled here with per-URL deterministic sampling, so experiments are
-// reproducible and order-independent.
-//
-// The package also provides the manual blocklist the authors maintain
-// after manual verification (§5.4).
+// reproducible and order-independent. The labeling stage queries the
+// services in process (core.ServiceLookup); there is no HTTP API.
 package blocklist
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"net/http"
-	"sort"
 	"sync"
 	"time"
-
-	"pushadminer/internal/httpx"
-	"pushadminer/internal/simclock"
 )
 
 // Config controls a simulated blocklist service's detection behaviour.
@@ -175,139 +167,4 @@ func (s *Service) NumKnown() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.firstSeen)
-}
-
-// --- HTTP API ---
-
-type lookupRequest struct {
-	URLs []string  `json:"urls"`
-	Now  time.Time `json:"now"`
-}
-
-type lookupResponse struct {
-	Verdicts []Verdict `json:"verdicts"`
-}
-
-// ServeHTTP exposes POST /lookup {urls, now} → {verdicts}, so pipeline
-// components can query the service over the virtual network like the
-// real VT/GSB APIs.
-func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost || r.URL.Path != "/lookup" {
-		http.NotFound(w, r)
-		return
-	}
-	var req lookupRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad lookup body", http.StatusBadRequest)
-		return
-	}
-	if req.Now.IsZero() {
-		req.Now = time.Now()
-	}
-	resp := lookupResponse{Verdicts: make([]Verdict, 0, len(req.URLs))}
-	for _, u := range req.URLs {
-		resp.Verdicts = append(resp.Verdicts, s.Lookup(u, req.Now))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck // best-effort response
-}
-
-// Client queries a blocklist service over HTTP, retrying transient
-// failures (rate limits and hiccups are routine with VT/GSB-style APIs).
-// The service is simulated, so its retries back off without waiting
-// (simclock.NoWait).
-type Client struct {
-	HTTP *http.Client
-	Base string // e.g. "https://vt.simpush.test"
-
-	retryOnce sync.Once
-	retry     *httpx.Client
-}
-
-// Lookup calls POST /lookup for the given URLs at the given instant.
-func (c *Client) Lookup(urls []string, now time.Time) ([]Verdict, error) {
-	c.retryOnce.Do(func() {
-		c.retry = httpx.New(c.HTTP, simclock.NoWait{Clock: simclock.Real{}}, httpx.RetryPolicy{
-			MaxAttempts: 3,
-			BaseDelay:   5 * time.Millisecond,
-			MaxDelay:    50 * time.Millisecond,
-		})
-	})
-	body, err := json.Marshal(lookupRequest{URLs: urls, Now: now})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.retry.Post(c.Base+"/lookup", "application/json", body)
-	if err != nil {
-		return nil, fmt.Errorf("blocklist client: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("blocklist client: status %d", resp.StatusCode)
-	}
-	var out lookupResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out.Verdicts, nil
-}
-
-// Manual is the hand-curated blocklist built during manual verification
-// (§5.4). It is a plain concurrent-safe set of URLs and domains.
-type Manual struct {
-	mu      sync.RWMutex
-	urls    map[string]bool
-	domains map[string]bool
-}
-
-// NewManual returns an empty manual blocklist.
-func NewManual() *Manual {
-	return &Manual{urls: make(map[string]bool), domains: make(map[string]bool)}
-}
-
-// AddURL records a manually confirmed malicious URL.
-func (m *Manual) AddURL(url string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.urls[url] = true
-}
-
-// AddDomain records a manually confirmed malicious domain.
-func (m *Manual) AddDomain(domain string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.domains[domain] = true
-}
-
-// ContainsURL reports whether url was manually blocklisted.
-func (m *Manual) ContainsURL(url string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.urls[url]
-}
-
-// ContainsDomain reports whether domain was manually blocklisted.
-func (m *Manual) ContainsDomain(domain string) bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.domains[domain]
-}
-
-// URLs returns the blocklisted URLs, sorted.
-func (m *Manual) URLs() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.urls))
-	for u := range m.urls {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len reports the number of blocklisted URLs.
-func (m *Manual) Len() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.urls)
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"pushadminer/internal/vnet"
 )
 
 var t0 = time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
@@ -133,49 +131,6 @@ func TestEnginesInRange(t *testing.T) {
 		if v.Engines < 1 || v.Engines > 4 {
 			t.Fatalf("engines = %d", v.Engines)
 		}
-	}
-}
-
-func TestHTTPLookup(t *testing.T) {
-	n, err := vnet.New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-	s := New(Config{Name: "vt", InitialCoverage: 1, EventualCoverage: 1, MaxLag: time.Hour, Seed: 4})
-	n.Handle("vt.simpush.test", s)
-	s.MarkMalicious("https://evil.test/lp", t0)
-
-	c := &Client{HTTP: n.Client(), Base: "https://vt.simpush.test"}
-	verdicts, err := c.Lookup([]string{"https://evil.test/lp", "https://ok.test/"}, t0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(verdicts) != 2 {
-		t.Fatalf("verdicts = %d", len(verdicts))
-	}
-	if !verdicts[0].Malicious || verdicts[1].Malicious {
-		t.Errorf("verdicts = %+v", verdicts)
-	}
-}
-
-func TestManual(t *testing.T) {
-	m := NewManual()
-	if m.ContainsURL("https://x.test/") || m.Len() != 0 {
-		t.Error("fresh manual blocklist not empty")
-	}
-	m.AddURL("https://x.test/lp")
-	m.AddURL("https://a.test/lp")
-	m.AddDomain("evil.test")
-	if !m.ContainsURL("https://x.test/lp") {
-		t.Error("added URL missing")
-	}
-	if !m.ContainsDomain("evil.test") || m.ContainsDomain("good.test") {
-		t.Error("domain membership wrong")
-	}
-	urls := m.URLs()
-	if len(urls) != 2 || urls[0] != "https://a.test/lp" {
-		t.Errorf("URLs = %v", urls)
 	}
 }
 

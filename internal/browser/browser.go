@@ -59,6 +59,12 @@ const (
 	QuietUI
 )
 
+// navRetries is how many extra attempts each navigation hop gets when
+// it fails transiently (transport error, 5xx, or 429). A faulted hop
+// otherwise kills the whole redirect chain — the landing page, its
+// screenshot, and any permission prompt it would have shown.
+const navRetries = 5
+
 // Config configures a Browser.
 type Config struct {
 	// Clock drives all timing. Defaults to the real clock.
@@ -82,12 +88,6 @@ type Config struct {
 	ClickDelay time.Duration
 	// MaxRedirects bounds navigation redirect chains. Default 10.
 	MaxRedirects int
-	// NavRetries is how many extra attempts each navigation hop gets
-	// when it fails transiently (transport error, 5xx, or 429). A
-	// faulted hop otherwise kills the whole redirect chain — the
-	// landing page, its screenshot, and any permission prompt it would
-	// have shown. Default 5.
-	NavRetries int
 	// ClientID is a stable identifier for this browser instance,
 	// announced with subscriptions so server-side scheduling stays
 	// deterministic regardless of crawl parallelism. It is also stamped
@@ -167,9 +167,6 @@ func New(cfg Config) *Browser {
 	}
 	if cfg.MaxRedirects <= 0 {
 		cfg.MaxRedirects = 10
-	}
-	if cfg.NavRetries <= 0 {
-		cfg.NavRetries = 5
 	}
 	if cfg.Client == nil {
 		panic("browser: Config.Client is required")
@@ -390,7 +387,7 @@ func (b *Browser) Navigate(rawURL string) (*Navigation, error) {
 		// Hop-level retries: a transiently failed hop (reset, 5xx,
 		// 429) would otherwise abort the chain or render an error page
 		// with no document, silently losing the landing page.
-		for retry := 0; retry < b.cfg.NavRetries && transientHop(resp, err); retry++ {
+		for retry := 0; retry < navRetries && transientHop(resp, err); retry++ {
 			b.met.navRetries.Inc()
 			resp, body, err = b.get(cur, EvNavigation)
 		}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -186,21 +185,6 @@ func (in *Injector) AttachMetrics(reg *telemetry.Registry) {
 		return
 	}
 	reg.Adopt(in.stats)
-}
-
-// StatsLine renders the counters compactly for logs.
-func (in *Injector) StatsLine() string {
-	st := in.Stats()
-	keys := make([]string, 0, len(st))
-	for k := range st {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys))
-	for _, k := range keys {
-		parts = append(parts, fmt.Sprintf("%s=%d", k, st[k]))
-	}
-	return strings.Join(parts, " ")
 }
 
 func (in *Injector) count(kind string) {

@@ -61,7 +61,7 @@ func TestBlockedComponentsPartition(t *testing.T) {
 		t.Fatalf("only %d block(s): candidate graph percolated", len(want))
 	}
 	for _, workers := range []int{1, 2, 3} {
-		if got := blockedComponents(fs, workers, nil); !reflect.DeepEqual(got, want) {
+		if got, _ := blockedComponents(fs, workers); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%d workers: blocks %v, want %v", workers, got, want)
 		}
 	}

@@ -33,11 +33,18 @@ func WriteExport(w io.Writer, e *Export) error {
 	return nil
 }
 
-// ReadExport parses an export from r.
+// ReadExport parses an export from r. The bytes are untrusted (any
+// file handed to wpnanalyze -in), so a null record, which the pipeline
+// would dereference, is an error that names its index.
 func ReadExport(r io.Reader) (*Export, error) {
 	var e Export
 	if err := json.NewDecoder(r).Decode(&e); err != nil {
 		return nil, fmt.Errorf("core: read export: %w", err)
+	}
+	for i, rec := range e.Records {
+		if rec == nil {
+			return nil, fmt.Errorf("core: read export: record %d is null", i)
+		}
 	}
 	return &e, nil
 }

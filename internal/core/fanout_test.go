@@ -3,9 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
-	"time"
 
-	"pushadminer/internal/blocklist"
 	"pushadminer/internal/textmine"
 )
 
@@ -44,52 +42,5 @@ func TestExtractFeaturesWorkerParity(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLabelKnownMaliciousWorkerParity asserts chunked parallel blocklist
-// lookups flag exactly the records the serial whole-slice lookup does,
-// across two services and two scan instants.
-func TestLabelKnownMaliciousWorkerParity(t *testing.T) {
-	fs := parityFS(t, 3, 150)
-	vt := blocklist.New(blocklist.Config{Name: "vt", InitialCoverage: 1, EventualCoverage: 1, MaxLag: time.Hour, Seed: 1})
-	gsb := blocklist.New(blocklist.Config{Name: "gsb", InitialCoverage: 1, EventualCoverage: 1, MaxLag: time.Hour, Seed: 2})
-	for i, r := range fs.Records {
-		if r.LandingURL == "" {
-			continue
-		}
-		if i%5 == 0 {
-			vt.Force(r.LandingURL)
-		}
-		if i%7 == 0 {
-			gsb.Force(r.LandingURL)
-		}
-	}
-	svcs := []BlocklistLookup{ServiceLookup{S: vt}, ServiceLookup{S: gsb}}
-	scans := []time.Time{time.Unix(0, 0), time.Unix(0, 0).Add(30 * 24 * time.Hour)}
-
-	sLabels, sFlagged, err := LabelKnownMaliciousOpts(fs, svcs, scans, LabelOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pLabels, pFlagged, err := LabelKnownMaliciousOpts(fs, svcs, scans, LabelOptions{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sLabels, pLabels) {
-		t.Error("parallel labels differ from serial")
-	}
-	if !reflect.DeepEqual(sFlagged, pFlagged) {
-		t.Error("parallel flagged set differs from serial")
-	}
-	any := false
-	for _, l := range sLabels {
-		if l.KnownMalicious {
-			any = true
-			break
-		}
-	}
-	if !any {
-		t.Error("no record flagged; parity test is vacuous")
 	}
 }

@@ -51,8 +51,6 @@ type FeatureSet struct {
 	// content tokens and landing-path tokens, backing the band index of
 	// the blocked clustering path.
 	Hashes []simhash.Hash
-	// SoftOpts are the soft-cosine options the model was built with.
-	SoftOpts textmine.SoftCosineOptions
 	// UseText and UsePath toggle feature groups (ablation A2).
 	UseText, UsePath bool
 
@@ -65,7 +63,6 @@ type FeatureSet struct {
 // FeatureOptions configure extraction.
 type FeatureOptions struct {
 	Word2Vec textmine.Word2VecConfig
-	SoftCos  textmine.SoftCosineOptions
 	// DisableText / DisablePath ablate a feature group.
 	DisableText, DisablePath bool
 	// TFIDF weights bag-of-words vectors by inverse document frequency
@@ -101,14 +98,13 @@ func ExtractFeatures(records []*crawler.WPNRecord, opts FeatureOptions) (*Featur
 	fanOut(len(records), opts.Workers, func(i int) {
 		content[i] = textmine.DropStopwords(docs[i])
 	})
-	sim := textmine.NewTermSimMatrix(emb, opts.SoftCos)
+	sim := textmine.NewTermSimMatrix(emb)
 	fs := &FeatureSet{
 		Records:  records,
 		Features: make([]Features, len(records)),
 		Emb:      emb,
 		Sim:      sim,
 		Hashes:   make([]simhash.Hash, len(records)),
-		SoftOpts: opts.SoftCos,
 		UseText:  !opts.DisableText,
 		UsePath:  !opts.DisablePath,
 	}

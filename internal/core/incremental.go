@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"pushadminer/internal/cluster"
 	"pushadminer/internal/simhash"
@@ -82,14 +81,17 @@ type IncrementalClusterer struct {
 	// classifies against it instead of returning -1 for everything.
 	restored *MedoidIndex
 	stats    IncrementalStats
-	obs      *blockedObs
 }
 
 // NewIncrementalClusterer prepares an empty clusterer over the feature
 // set. opts is interpreted as for the Blocked batch path, except that
 // Recluster always builds the medoid index: Add classifies against it.
+// Recluster rounds are observed through opts.Metrics and opts.Ledger
+// (a stream has no stages to trace), and with either attached each
+// round ends by publishing a done MiningStatus for /miningz.
 func NewIncrementalClusterer(fs *FeatureSet, opts ClusterOptions) *IncrementalClusterer {
 	opts.BuildMedoids = true
+	opts.obs = newMiningObs(opts.Metrics, nil, opts.Ledger, "blocked", 0, false)
 	return &IncrementalClusterer{
 		fs:    fs,
 		opts:  opts,
@@ -97,7 +99,6 @@ func NewIncrementalClusterer(fs *FeatureSet, opts ClusterOptions) *IncrementalCl
 		uf:    cluster.NewUnionFind(len(fs.Records)),
 		added: make([]bool, len(fs.Records)),
 		cache: make(map[int]*blockDendrogram),
-		obs:   newBlockedObs(opts.Metrics, opts.Ledger, opts.prog),
 	}
 }
 
@@ -189,6 +190,8 @@ func (c *IncrementalClusterer) provisionalLabel(i int) int {
 // always re-run — they are cheap relative to linkage and depend on the
 // global pool of block heights.
 func (c *IncrementalClusterer) Recluster() *ClusterResult {
+	o := c.opts.obs
+	o.clustering(c.nAdded)
 	comps := c.uf.ComponentsOf(func(i int) bool { return c.added[i] })
 
 	blocks := make([]*blockDendrogram, len(comps))
@@ -212,21 +215,18 @@ func (c *IncrementalClusterer) Recluster() *ClusterResult {
 			}
 		}
 	}
-	c.obs.setBlocksTotal(len(rebuild))
-	if c.obs == nil {
-		fanOut(len(rebuild), 0, func(k int) {
-			bi := rebuild[k]
-			blocks[bi] = buildBlockDendrogram(c.fs, comps[bi], prior[k], c.opts.Linkage)
-		})
-	} else {
-		fanOut(len(rebuild), 0, func(k int) {
-			bi := rebuild[k]
-			start := time.Now()
-			blocks[bi] = buildBlockDendrogram(c.fs, comps[bi], prior[k], c.opts.Linkage)
-			c.obs.blockBuilt(len(comps[bi]), time.Since(start).Nanoseconds())
-		})
+	done := o.stage("block_linkage")
+	o.buildingBlocks(len(rebuild))
+	fanOut(len(rebuild), 0, func(k int) {
+		bi := rebuild[k]
+		start := o.clock()
+		blocks[bi] = buildBlockDendrogram(c.fs, comps[bi], prior[k], c.opts.Linkage)
+		o.blockBuilt(len(comps[bi]), start)
+	})
+	done()
+	for k, bi := range rebuild {
+		o.blockLinked(bi, len(comps[bi]), prior[k])
 	}
-	c.obs.blocksRebuilt(rebuild, comps, prior)
 	c.stats.BlocksRebuilt += len(rebuild)
 	// Drop stale cache entries (blocks that merged into bigger ones) so
 	// the cache tracks the live component set.
@@ -240,12 +240,12 @@ func (c *IncrementalClusterer) Recluster() *ClusterResult {
 	// blockDendrogram), so clean blocks' sweep contributions survive
 	// across Recluster calls.
 	var ms sweepMemoStats
-	c.res, ms = cutStep(c.fs, blocks, c.nAdded, c.opts, nil, c.obs)
+	c.res, ms = cutStep(c.fs, blocks, c.nAdded, c.opts)
 	c.stats.SweepMemoHits += ms.hits
 	c.stats.SweepMemoRefreshes += ms.refreshes
 	c.stats.SweepRescoredBlocks += ms.rescoredBlocks
 	c.stats.Reclusters++
-	c.obs.reclustered(len(comps), len(comps)-len(rebuild), len(rebuild), len(c.res.Clusters))
+	o.reclustered(len(comps), len(comps)-len(rebuild), len(rebuild), len(c.res.Clusters))
 	return c.res
 }
 

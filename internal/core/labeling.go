@@ -2,18 +2,15 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"pushadminer/internal/blocklist"
 )
 
 // BlocklistLookup abstracts a URL blocklist service (VT, GSB): it
-// reports verdicts for full URLs at a given instant. Both the in-process
-// blocklist.Service and the HTTP blocklist.Client satisfy it via small
-// adapters below.
+// reports verdicts for full URLs at a given instant. The simulated
+// services are queried in process through ServiceLookup.
 type BlocklistLookup interface {
 	Name() string
 	Lookup(urls []string, now time.Time) ([]blocklist.Verdict, error)
@@ -32,20 +29,6 @@ func (l ServiceLookup) Lookup(urls []string, now time.Time) ([]blocklist.Verdict
 		out[i] = l.S.Lookup(u, now)
 	}
 	return out, nil
-}
-
-// ClientLookup adapts an HTTP blocklist client.
-type ClientLookup struct {
-	ServiceName string
-	C           *blocklist.Client
-}
-
-// Name implements BlocklistLookup.
-func (l ClientLookup) Name() string { return l.ServiceName }
-
-// Lookup implements BlocklistLookup.
-func (l ClientLookup) Lookup(urls []string, now time.Time) ([]blocklist.Verdict, error) {
-	return l.C.Lookup(urls, now)
 }
 
 // RecordLabels carries per-record labels accumulated through the
@@ -77,28 +60,12 @@ func (l *RecordLabels) Malicious() bool {
 		(l.Suspicious && l.ConfirmedMalicious)
 }
 
-// LabelOptions configure LabelKnownMaliciousOpts.
-type LabelOptions struct {
-	// Workers bounds the parallel blocklist lookups: the distinct-URL
-	// set is split into contiguous chunks queried concurrently, then
-	// folded serially in URL order, so the labels are identical at any
-	// worker count. 1 forces the serial path; <= 0 defaults to
-	// GOMAXPROCS.
-	Workers int
-}
-
 // LabelKnownMalicious queries the blocklist services for every distinct
 // landing URL (at each of the scan instants — the paper scanned once
 // during collection and again a month later) and marks records whose
 // landing URL any service flags. It returns the per-record labels slice
 // and the set of flagged URLs.
 func LabelKnownMalicious(fs *FeatureSet, services []BlocklistLookup, scans []time.Time) ([]*RecordLabels, map[string][]string, error) {
-	return LabelKnownMaliciousOpts(fs, services, scans, LabelOptions{})
-}
-
-// LabelKnownMaliciousOpts is LabelKnownMalicious with an explicit
-// fan-out bound (see LabelOptions).
-func LabelKnownMaliciousOpts(fs *FeatureSet, services []BlocklistLookup, scans []time.Time, opts LabelOptions) ([]*RecordLabels, map[string][]string, error) {
 	labels := make([]*RecordLabels, len(fs.Records))
 	for i := range labels {
 		labels[i] = &RecordLabels{}
@@ -109,8 +76,8 @@ func LabelKnownMaliciousOpts(fs *FeatureSet, services []BlocklistLookup, scans [
 			urlSet[r.LandingURL] = append(urlSet[r.LandingURL], i)
 		}
 	}
-	// Sort the distinct URLs so lookup requests, chunk boundaries, and
-	// the flagged fold all run in one deterministic order.
+	// Sort the distinct URLs so the lookups and the flagged fold run in
+	// one deterministic order.
 	urls := make([]string, 0, len(urlSet))
 	for u := range urlSet {
 		urls = append(urls, u)
@@ -120,7 +87,7 @@ func LabelKnownMaliciousOpts(fs *FeatureSet, services []BlocklistLookup, scans [
 	flagged := map[string][]string{} // url → services
 	for _, svc := range services {
 		for _, at := range scans {
-			verdicts, err := lookupChunked(svc, urls, at, opts.Workers)
+			verdicts, err := svc.Lookup(urls, at)
 			if err != nil {
 				return nil, nil, fmt.Errorf("core: blocklist %s: %w", svc.Name(), err)
 			}
@@ -138,51 +105,6 @@ func LabelKnownMaliciousOpts(fs *FeatureSet, services []BlocklistLookup, scans [
 		}
 	}
 	return labels, flagged, nil
-}
-
-// lookupChunked splits urls into one contiguous chunk per worker,
-// queries them concurrently, and concatenates the verdicts back in
-// chunk order — the same verdict sequence a single whole-slice Lookup
-// returns. Errors surface deterministically: the first failing chunk in
-// slice order wins.
-func lookupChunked(svc BlocklistLookup, urls []string, at time.Time, workers int) ([]blocklist.Verdict, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(urls) {
-		workers = len(urls)
-	}
-	if workers <= 1 {
-		return svc.Lookup(urls, at)
-	}
-	chunkVerdicts := make([][]blocklist.Verdict, workers)
-	chunkErrs := make([]error, workers)
-	per := (len(urls) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(urls) {
-			hi = len(urls)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			chunkVerdicts[w], chunkErrs[w] = svc.Lookup(urls[lo:hi], at)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var out []blocklist.Verdict
-	for w := 0; w < workers; w++ {
-		if chunkErrs[w] != nil {
-			return nil, chunkErrs[w]
-		}
-		out = append(out, chunkVerdicts[w]...)
-	}
-	return out, nil
 }
 
 func contains(xs []string, x string) bool {

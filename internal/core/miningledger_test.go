@@ -144,9 +144,8 @@ func TestBlockedUnionCountsDeterministic(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 2, 3} {
-		var a, b blockedTally
-		blockedComponents(fs, workers, &a)
-		blockedComponents(fs, workers, &b)
+		_, a := blockedComponents(fs, workers)
+		_, b := blockedComponents(fs, workers)
 		if a != b {
 			t.Errorf("%d workers: union tallies %+v then %+v", workers, a, b)
 		}

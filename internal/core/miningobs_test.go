@@ -8,57 +8,40 @@ import (
 )
 
 // TestMiningObservabilityDisabled pins the mining plane's disabled-path
-// contract, mirroring the fleet plane's: every nil-receiver method is a
-// no-op with zero allocations, so fully un-observed clustering pays
-// nothing for the instrumentation points threaded through it.
+// contract, mirroring the fleet plane's: with no sink attached there is
+// no observer, and every method of the nil observer is a no-op with
+// zero allocations, so fully un-observed clustering pays nothing for
+// the instrumentation points threaded through it.
 func TestMiningObservabilityDisabled(t *testing.T) {
-	var led *telemetry.Ledger
-	var prog *miningProgress
-	var obs *blockedObs
-	var st *stageTimer
+	for _, batch := range []bool{false, true} {
+		if o := newMiningObs(nil, nil, nil, "blocked", 10, batch); o != nil {
+			t.Errorf("observer with no sinks (batch %v) = %p, want nil", batch, o)
+		}
+	}
+	var o *miningObs
 	labels := []int{0, 1, 1}
 	if n := testing.AllocsPerRun(100, func() {
-		ledgerStage(led, EvStageBegin, "cut")
-		ledgerStage(led, EvStageEnd, "cut")
-		ledgerBlockClustered(led, 3, 7)
-		ledgerHeightSwept(led, 0.25, 4, true, 0.8, 3, 21)
-		ledgerSweepMemo(led, sweepMemoStats{hits: 10, misses: 5})
-		ledgerCutChosen(led, 0.25, labels, 0.8)
-		ledgerRecluster(led, 5, 3, 2, 9)
-		prog.setStage("cut")
-		prog.setBlocks(5)
-		prog.blockDone()
-		prog.setHeights(64)
-		prog.heightDone()
-		prog.addPairs(10, 20)
-		prog.sweepWork(5, 10)
-		prog.finish()
-		obs.setBlocksTotal(5)
-		obs.blockBuilt(7, 1000)
-		obs.blocksLinked(nil)
-		obs.blocksRebuilt(nil, nil, nil)
-		obs.setHeightsTotal(64)
-		obs.sweepRescored(0.25, 1000)
-		obs.heightSweptMemo(0.25, 4, true, 0.8, 3, 21, 1000)
-		obs.sweepMemo(sweepMemoStats{hits: 10, misses: 5})
-		obs.reclustered(5, 3, 2, 9)
-		obs.recordTally(nil)
-		st.stage("cut")
-		st.close()
+		done := o.stage("cut")
+		done()
+		start := o.clock()
+		o.clustering(500)
+		o.pairs(500, 100)
+		o.unionTally(blockedTally{gateChecked: 4, edges: 1})
+		o.buildingBlocks(5)
+		o.blockBuilt(7, start)
+		o.blockLinked(3, 7, nil)
+		o.sweeping(64)
+		o.sweepRescored(0.25, start)
+		o.heightSwept(0.25, 4, true, 0.8, 3, 21, start)
+		o.sweepMemo(sweepMemoStats{hits: 10, misses: 5})
+		o.cutChosen(0.25, labels, 0.8)
+		o.reclustered(5, 3, 2, 9)
+		o.finish()
 	}); n != 0 {
 		t.Errorf("disabled mining-plane path allocates %v per run, want 0", n)
 	}
-	if got := led.Events(); got != nil {
-		t.Errorf("nil ledger Events = %v, want nil", got)
-	}
-	if got := obs.tally(); got != nil {
-		t.Errorf("nil obs tally = %v, want nil", got)
-	}
-	if newStageTimer(nil, nil, 0, nil, nil) != nil {
-		t.Error("stage timer with no sinks should be nil")
-	}
-	if newBlockedObs(nil, nil, nil) != nil {
-		t.Error("blocked obs with no sinks should be nil")
+	if !o.clock().IsZero() {
+		t.Error("the nil observer read the clock")
 	}
 }
 
@@ -124,8 +107,7 @@ func TestBlockHistogramExtremes(t *testing.T) {
 
 	reg := telemetry.New()
 	led := telemetry.NewLedger()
-	obs := newBlockedObs(reg, led, nil)
-	blocks := buildBlockDendrograms(fs, comps, 0, obs)
+	blocks := buildBlockDendrograms(fs, comps, 0, newMiningObs(reg, nil, led, "blocked", n, true))
 	if len(blocks) != len(comps) {
 		t.Fatalf("built %d blocks, want %d", len(blocks), len(comps))
 	}
@@ -202,51 +184,90 @@ func TestSweepHeightBucket(t *testing.T) {
 	}
 }
 
-// TestMiningProgressPublication exercises the live status accumulator:
-// snapshots are immutable, stage transitions and counters land in the
-// published value, and finish marks it done.
+// TestMiningProgressPublication exercises the live status: snapshots
+// are immutable, stage transitions and counters land in the published
+// value, and finish marks it done.
 func TestMiningProgressPublication(t *testing.T) {
-	// The latest registration serves /miningz, so the status lookup
-	// reads this accumulator's snapshots.
-	current := func() *MiningStatus {
-		ms, _ := telemetry.Status("mining").(*MiningStatus)
-		if ms == nil {
-			t.Fatal("no mining status published")
-		}
-		return ms
-	}
-	prog := newMiningProgress("blocked", 500)
-	first := current()
+	o := newMiningObs(nil, nil, telemetry.NewLedger(), "blocked", 500, true)
+	first := currentMiningStatus(t)
 	if first.Stage != "start" || first.Mode != "blocked" || first.Records != 500 {
 		t.Errorf("initial status = %+v", first)
 	}
 
-	prog.setStage("blocks")
-	prog.setBlocks(10)
+	o.stage("blocks")()
+	o.buildingBlocks(10)
 	for i := 0; i < 10; i++ {
-		prog.blockDone()
+		o.blockBuilt(1, o.clock())
 	}
-	prog.setHeights(3)
-	prog.addPairs(100, 200) // accumulates only; published by the next event
-	prog.heightDone()
-	cur := current()
+	o.sweeping(3)
+	o.pairs(500, 100) // accumulates only; published by the next event
+	o.heightSwept(0.5, 2, true, 0.1, 1, 1, o.clock())
+	cur := currentMiningStatus(t)
 	if cur == first {
 		t.Fatal("publish mutated the previous snapshot instead of replacing it")
 	}
-	if cur.BlocksDone != 10 || cur.BlocksTotal != 10 || cur.HeightsDone != 1 ||
-		cur.HeightsTotal != 3 || cur.PairsExact != 100 || cur.PairsPruned != 200 {
+	if cur.Stage != "blocks" || cur.BlocksDone != 10 || cur.BlocksTotal != 10 || cur.HeightsDone != 1 ||
+		cur.HeightsTotal != 3 || cur.PairsExact != 100 || cur.PairsPruned != 124650 || cur.SweepBlocksRescored != 1 {
 		t.Errorf("mid-run status = %+v", cur)
 	}
 	if first.BlocksDone != 0 {
 		t.Error("earlier snapshot was mutated")
 	}
 
-	prog.finish()
-	done := current()
+	o.finish()
+	done := currentMiningStatus(t)
 	if !done.Done || done.Stage != "done" {
 		t.Errorf("final status = %+v", done)
 	}
 	if done.String() == "" {
 		t.Error("empty dashboard rendering")
 	}
+}
+
+// TestStreamPublishesMiningStatus checks that a stream with a registry
+// attached serves /miningz: each Recluster round ends with a done
+// status over the records added so far, and the status agrees with the
+// round's own counts.
+func TestStreamPublishesMiningStatus(t *testing.T) {
+	fs := parityFS(t, 1, 150)
+	reg := telemetry.New()
+	inc := NewIncrementalClusterer(fs, ClusterOptions{Blocked: true, Metrics: reg})
+	for i := 0; i < 100; i++ {
+		inc.Add(i)
+	}
+	inc.Recluster()
+	mid := currentMiningStatus(t)
+	if !mid.Done || mid.Records != 100 || mid.Mode != "blocked" {
+		t.Errorf("status after the first round = %+v, want done over 100 records", mid)
+	}
+	for i := 100; i < len(fs.Records); i++ {
+		inc.Add(i)
+	}
+	inc.Recluster()
+	final := currentMiningStatus(t)
+	if final == mid {
+		t.Fatal("the second round published no status")
+	}
+	st := inc.Stats()
+	if !final.Done || final.Stage != "done" || final.Records != len(fs.Records) {
+		t.Errorf("final status = %+v, want done over %d records", final, len(fs.Records))
+	}
+	if final.BlocksDone != final.BlocksTotal || final.HeightsDone != final.HeightsTotal || final.HeightsTotal == 0 {
+		t.Errorf("final status = %+v, want every block and height of the round done", final)
+	}
+	if final.SweepMemoHits != st.SweepMemoHits || final.SweepBlocksRescored != st.SweepRescoredBlocks {
+		t.Errorf("status memo hits %d, rescored %d; stats %d, %d",
+			final.SweepMemoHits, final.SweepBlocksRescored, st.SweepMemoHits, st.SweepRescoredBlocks)
+	}
+}
+
+// currentMiningStatus returns the status /miningz serves: the latest
+// observer's last publication.
+func currentMiningStatus(t *testing.T) *MiningStatus {
+	t.Helper()
+	ms, _ := telemetry.Status("mining").(*MiningStatus)
+	if ms == nil {
+		t.Fatal("no mining status published")
+	}
+	return ms
 }

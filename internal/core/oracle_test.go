@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"pushadminer/internal/cluster"
-	"pushadminer/internal/telemetry"
 	"pushadminer/internal/textmine"
 	"pushadminer/internal/urlx"
 )
@@ -32,10 +31,10 @@ func naiveDistance(fs *FeatureSet, i, j int) float64 {
 // sweepBlockedCutFull is the unmemoized pooled sweep, the oracle
 // sweepBlockedCutMemo must match bit for bit: every candidate height
 // re-cuts every block and re-scores the whole blocked silhouette. A
-// non-nil led gets one height_swept event per candidate, as the
-// memoized sweep emits, with changed and scored_pairs counting every
-// block and every within-block pair.
-func sweepBlockedCutFull(blocks []*blockDendrogram, cands []float64, farD float64, nLive int, tol float64, led *telemetry.Ledger) (per [][]int, height, sil float64) {
+// non-nil o gets one heightSwept event per candidate, as the memoized
+// sweep reports, with changed and scored_pairs counting every block and
+// every within-block pair.
+func sweepBlockedCutFull(blocks []*blockDendrogram, cands []float64, farD float64, nLive int, tol float64, o *miningObs) (per [][]int, height, sil float64) {
 	var allPairs int64
 	for _, bd := range blocks {
 		m := int64(len(bd.members))
@@ -51,7 +50,7 @@ func sweepBlockedCutFull(blocks []*blockDendrogram, cands []float64, farD float6
 		} else {
 			evals[ci] = sweepEval{k: k}
 		}
-		ledgerHeightSwept(led, h, k, evals[ci].valid, evals[ci].sil, len(blocks), scored)
+		o.heightSwept(h, k, evals[ci].valid, evals[ci].sil, len(blocks), scored, o.clock())
 	}
 	best := selectSweepCut(evals, tol)
 	if best < 0 {

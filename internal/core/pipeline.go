@@ -11,7 +11,6 @@ import (
 type PipelineOptions struct {
 	Features FeatureOptions
 	Cluster  ClusterOptions
-	Labels   LabelOptions
 	// Services are the URL blocklists to query (VT, GSB).
 	Services []BlocklistLookup
 	// Scans are the lookup instants (the paper scanned during
@@ -24,8 +23,12 @@ type PipelineOptions struct {
 	// DisableMeta turns off meta-clustering (ablation A3).
 	DisableMeta bool
 
+	// Metrics, Tracer and Ledger observe the whole run, clustering
+	// included; set them here, not in Cluster.
+	//
 	// Metrics, when non-nil, records per-stage wall-times in the
-	// mining_stage_ns family. Nil disables with no overhead.
+	// mining_stage_ns family and the clustering's instruments (see
+	// ClusterOptions.Metrics). Nil disables with no overhead.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, emits one span per pipeline stage under a
 	// "pipeline" root span. Nil disables.
@@ -104,24 +107,21 @@ func (r Report) MaliciousAdFraction() float64 {
 // blocklists + propagation, meta-cluster, flag suspicious, and run the
 // manual-verification pass.
 func RunPipeline(records []*crawler.WPNRecord, opts PipelineOptions) (*Analysis, error) {
-	if opts.Cluster.Ledger == nil {
-		opts.Cluster.Ledger = opts.Ledger
+	// One observer spans the whole pipeline, so /miningz and the stage
+	// spans cover the filter/featurize/label stages too, not just
+	// clustering.
+	o := newMiningObs(opts.Metrics, opts.Tracer, opts.Ledger, clusterMode(opts.Cluster), len(records), true)
+	if o != nil {
+		o.root = o.tr.Start("", "pipeline", 0, nil)
+		defer o.finish()
 	}
-	// One live-progress accumulator spans the whole pipeline so /miningz
-	// shows the filter/featurize/label stages too, not just clustering.
-	// Created only when some observation sink is attached.
-	if opts.Metrics != nil || opts.Tracer != nil || opts.Cluster.Ledger != nil {
-		opts.Cluster.prog = newMiningProgress(clusterMode(opts.Cluster), len(records))
-		defer opts.Cluster.prog.finish()
-	}
-	st := newPipelineTimer(opts.Metrics, opts.Tracer, opts.Cluster.Ledger, opts.Cluster.prog)
-	defer st.close()
+	opts.Cluster.obs = o
 
-	done := st.stage("filter")
+	done := o.stage("filter")
 	valid := FilterValidLanding(records)
 	done()
-	opts.Cluster.prog.setRecords(len(valid))
-	done = st.stage("featurize")
+	o.clustering(len(valid))
+	done = o.stage("featurize")
 	fs, err := ExtractFeatures(valid, opts.Features)
 	done()
 	if err != nil {
@@ -131,13 +131,6 @@ func RunPipeline(records []*crawler.WPNRecord, opts PipelineOptions) (*Analysis,
 		opts.Scans = []time.Time{time.Now()}
 	}
 
-	if opts.Cluster.Metrics == nil {
-		opts.Cluster.Metrics = opts.Metrics
-	}
-	if opts.Cluster.Tracer == nil {
-		opts.Cluster.Tracer = opts.Tracer
-		opts.Cluster.parent = st.spanID()
-	}
 	if opts.MedoidIndexPath != "" {
 		opts.Cluster.BuildMedoids = true
 	}
@@ -147,8 +140,8 @@ func RunPipeline(records []*crawler.WPNRecord, opts PipelineOptions) (*Analysis,
 			return nil, err
 		}
 	}
-	done = st.stage("label")
-	labels, flagged, err := LabelKnownMaliciousOpts(fs, opts.Services, opts.Scans, opts.Labels)
+	done = o.stage("label")
+	labels, flagged, err := LabelKnownMalicious(fs, opts.Services, opts.Scans)
 	done()
 	if err != nil {
 		return nil, err
@@ -158,7 +151,7 @@ func RunPipeline(records []*crawler.WPNRecord, opts PipelineOptions) (*Analysis,
 	cleared := analyst.VerifyKnownMalicious(fs, labels)
 
 	MarkAds(cr, labels)
-	done = st.stage("propagate")
+	done = o.stage("propagate")
 	malClusters := map[int]bool{}
 	if !opts.DisablePropagation {
 		malClusters = PropagateMalicious(cr, labels)
@@ -174,7 +167,7 @@ func RunPipeline(records []*crawler.WPNRecord, opts PipelineOptions) (*Analysis,
 	}
 	done()
 
-	done = st.stage("meta")
+	done = o.stage("meta")
 	var meta *MetaClusterResult
 	if !opts.DisableMeta {
 		meta = BuildMetaClusters(cr, labels, malClusters)
@@ -256,9 +249,3 @@ func (a *Analysis) buildReport(totalCollected, cleared int) Report {
 	}
 	return r
 }
-
-// RecordLabel returns the labels of the i-th valid-landing record.
-func (a *Analysis) RecordLabel(i int) *RecordLabels { return a.Labels[i] }
-
-// ClusterOf returns the WPN cluster index of the i-th record.
-func (a *Analysis) ClusterOf(i int) int { return a.Clusters.Labels[i] }

@@ -18,6 +18,10 @@ import (
 	"pushadminer/internal/webeco"
 )
 
+// rescanAfter is the delay before the second blocklist scan (§6.3.2's
+// one-month rescan).
+const rescanAfter = 30 * 24 * time.Hour
+
 // StudyConfig configures a full end-to-end reproduction run: ecosystem
 // generation, desktop + mobile crawls, and the mining pipeline.
 type StudyConfig struct {
@@ -29,9 +33,6 @@ type StudyConfig struct {
 	// IncludeMobile adds the Android crawl (§4.2). Default true via
 	// WithDefaults.
 	SkipMobile bool
-	// RescanAfter is the delay before the second blocklist scan
-	// (§6.3.2's one-month rescan).
-	RescanAfter time.Duration
 	// Pipeline tweaks analysis stages (ablations). Services and Scans
 	// are filled in from the ecosystem.
 	Pipeline PipelineOptions
@@ -85,9 +86,6 @@ type StudyConfig struct {
 func (c StudyConfig) withDefaults() StudyConfig {
 	if c.CollectionWindow <= 0 {
 		c.CollectionWindow = 14 * 24 * time.Hour
-	}
-	if c.RescanAfter <= 0 {
-		c.RescanAfter = 30 * 24 * time.Hour
 	}
 	return c
 }
@@ -199,7 +197,7 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 		ServiceLookup{S: eco.GSB},
 	}
 	now := eco.Clock.Now()
-	opts.Scans = []time.Time{now, now.Add(cfg.RescanAfter)}
+	opts.Scans = []time.Time{now, now.Add(rescanAfter)}
 	if opts.Metrics == nil {
 		opts.Metrics = cfg.Metrics
 	}
@@ -209,13 +207,10 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	if opts.Ledger == nil {
 		opts.Ledger = cfg.Ledger
 	}
-	// The pipeline's fan-out stages follow the study's worker setting
-	// unless the ablation options pinned their own.
+	// Featurization follows the study's worker setting unless the
+	// ablation options pinned their own.
 	if opts.Features.Workers == 0 {
 		opts.Features.Workers = cfg.PumpWorkers
-	}
-	if opts.Labels.Workers == 0 {
-		opts.Labels.Workers = cfg.PumpWorkers
 	}
 	if s.Analysis, err = RunPipeline(s.Records, opts); err != nil {
 		eco.Close()

@@ -19,7 +19,7 @@ import (
 // memoBlocksFor builds the blocked substrate (components + per-block
 // dendrograms) for a feature set, the way clusterWPNsBlocked does.
 func memoBlocksFor(fs *FeatureSet, linkage cluster.Linkage) []*blockDendrogram {
-	comps := blockedComponents(fs, 0, nil)
+	comps, _ := blockedComponents(fs, 0)
 	return buildBlockDendrograms(fs, comps, linkage, nil)
 }
 
@@ -172,8 +172,8 @@ func TestSweepMemoObservationParity(t *testing.T) {
 
 	sweepOnce := func(blocks []*blockDendrogram) ([]telemetry.Event, [][]int, float64, float64) {
 		led := telemetry.NewLedger()
-		obs := newBlockedObs(telemetry.New(), led, nil)
-		per, h, s, _ := sweepBlockedCutMemo(blocks, cands, farD, nLive, tol, obs)
+		o := newMiningObs(telemetry.New(), nil, led, "blocked", nLive, true)
+		per, h, s, _ := sweepBlockedCutMemo(blocks, cands, farD, nLive, tol, o)
 		return led.Events(), per, h, s
 	}
 	obsBlocks := memoBlocksFor(fs, cluster.Average)
@@ -427,10 +427,10 @@ func TestSweepBucketNoUnlistedKeys(t *testing.T) {
 	}
 
 	reg := telemetry.New()
-	obs := newBlockedObs(reg, nil, nil)
+	o := newMiningObs(reg, nil, nil, "blocked", 2, true)
 	for _, h := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -3, 1.0, 2.5, 0.55} {
-		obs.sweepRescored(h, 1)
-		obs.heightSweptMemo(h, 2, true, 0.5, 1, 1, 1)
+		o.sweepRescored(h, o.clock())
+		o.heightSwept(h, 2, true, 0.5, 1, 1, o.clock())
 	}
 	listed := map[string]bool{}
 	for _, b := range sweepBucketNames {
@@ -506,8 +506,8 @@ func TestSweepMemoKParityInversionCorpus(t *testing.T) {
 	}
 
 	fullLed, memoLed := telemetry.NewLedger(), telemetry.NewLedger()
-	fullPer, fullH, fullS := sweepBlockedCutFull(fullBlocks, cands, farD, nLive, tol, fullLed)
-	memoPer, memoH, memoS, _ := sweepBlockedCutMemo(memoBlocks, cands, farD, nLive, tol, newBlockedObs(telemetry.New(), memoLed, nil))
+	fullPer, fullH, fullS := sweepBlockedCutFull(fullBlocks, cands, farD, nLive, tol, newMiningObs(nil, nil, fullLed, "blocked", nLive, true))
+	memoPer, memoH, memoS, _ := sweepBlockedCutMemo(memoBlocks, cands, farD, nLive, tol, newMiningObs(telemetry.New(), nil, memoLed, "blocked", nLive, true))
 	fullEvents, memoEvents := fullLed.Events(), memoLed.Events()
 	sweepsAgree(t, "inversion corpus", fs, fullPer, memoPer, fullH, memoH, fullS, memoS, fullBlocks)
 

@@ -152,8 +152,8 @@ func TestClusterPairAccounting(t *testing.T) {
 		if got := len(a.FS.Records); int64(got) != n {
 			t.Fatalf("%d records clustered, want %d", got, n)
 		}
-		if blocks := len(blockedComponents(a.FS, 0, nil)); blocks < 2 {
-			t.Fatalf("%d block(s): the crossover never swaps blocks; test is vacuous", blocks)
+		if comps, _ := blockedComponents(a.FS, 0); len(comps) < 2 {
+			t.Fatalf("%d block(s): the crossover never swaps blocks; test is vacuous", len(comps))
 		}
 		pairs := reg.Snapshot().Families["cluster_pairs"]
 		if pairs["exact"] != allPairs || pairs["pruned"] != 0 {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"time"
 
 	"pushadminer/internal/cluster"
 	"pushadminer/internal/simhash"
@@ -236,10 +235,10 @@ func unionBucketPairs(uf *cluster.UnionFind, fs *FeatureSet, ids []int, tally *b
 // worker skips as already connected is connected by confirmed edges in
 // that forest, so the merged partition is the components of the whole
 // confirmed-edge graph at any worker count. Output is canonical —
-// blocks ordered by smallest member, members ascending. A non-nil tally
-// receives the per-worker counts, summed in worker order; the dealing
-// is fixed, so the counts are deterministic at a given worker count.
-func blockedComponents(fs *FeatureSet, workers int, tally *blockedTally) [][]int {
+// blocks ordered by smallest member, members ascending. The tally sums
+// the per-worker counts in worker order; the dealing is fixed, so the
+// counts are deterministic at a given worker count.
+func blockedComponents(fs *FeatureSet, workers int) ([][]int, blockedTally) {
 	n := len(fs.Hashes)
 	ix := simhash.NewBandIndex(blockBands)
 	for i, h := range fs.Hashes {
@@ -271,31 +270,28 @@ func blockedComponents(fs *FeatureSet, workers int, tally *blockedTally) [][]int
 			uf.Union(i, f.Find(i))
 		}
 	}
+	var tally blockedTally
 	for _, t := range tallies {
 		tally.add(t)
 	}
-	return uf.Components()
+	return uf.Components(), tally
 }
 
 // buildBlockDendrograms clusters every block in parallel across
 // core.fanOut workers. Per-block size/cost observations happen inside
 // the fan-out (atomic histograms); the deterministic ledger events are
-// flushed afterwards in ascending block order by obs.blocksLinked.
-func buildBlockDendrograms(fs *FeatureSet, comps [][]int, linkage cluster.Linkage, obs *blockedObs) []*blockDendrogram {
+// recorded afterwards in ascending block order.
+func buildBlockDendrograms(fs *FeatureSet, comps [][]int, linkage cluster.Linkage, o *miningObs) []*blockDendrogram {
 	blocks := make([]*blockDendrogram, len(comps))
-	obs.setBlocksTotal(len(comps))
-	if obs == nil {
-		fanOut(len(comps), 0, func(i int) {
-			blocks[i] = buildBlockDendrogram(fs, comps[i], nil, linkage)
-		})
-	} else {
-		fanOut(len(comps), 0, func(i int) {
-			start := time.Now()
-			blocks[i] = buildBlockDendrogram(fs, comps[i], nil, linkage)
-			obs.blockBuilt(len(comps[i]), time.Since(start).Nanoseconds())
-		})
+	o.buildingBlocks(len(comps))
+	fanOut(len(comps), 0, func(i int) {
+		start := o.clock()
+		blocks[i] = buildBlockDendrogram(fs, comps[i], nil, linkage)
+		o.blockBuilt(len(comps[i]), start)
+	})
+	for i, c := range comps {
+		o.blockLinked(i, len(c), nil)
 	}
-	obs.blocksLinked(comps)
 	return blocks
 }
 
@@ -726,8 +722,8 @@ type sweepMemoStats struct {
 // Over one block holding every record this is the exact route's sweep:
 // the distinct merge heights of the global dendrogram, each scored by
 // the full-matrix silhouette.
-func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float64, nLive int, tol float64, obs *blockedObs) (per [][]int, height, sil float64, ms sweepMemoStats) {
-	obs.setHeightsTotal(len(cands))
+func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float64, nLive int, tol float64, o *miningObs) (per [][]int, height, sil float64, ms sweepMemoStats) {
+	o.sweeping(len(cands))
 	if len(cands) == 0 {
 		// No merges anywhere (all-singleton blocks): leaves.
 		return leafPerBlocks(blocks), 0, 0, ms
@@ -797,18 +793,12 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 	// height bucket of the candidate that first needed it.
 	workers := runtime.GOMAXPROCS(0)
 	accs := make([][]float64, workers)
-	if obs == nil {
-		fanOutWorkers(len(fresh), workers, func(w, ti int) {
-			rescore(fresh[ti], &accs[w])
-		})
-	} else {
-		fanOutWorkers(len(fresh), workers, func(w, ti int) {
-			t := fresh[ti]
-			start := time.Now()
-			rescore(t, &accs[w])
-			obs.sweepRescored(t.h, time.Since(start).Nanoseconds())
-		})
-	}
+	fanOutWorkers(len(fresh), workers, func(w, ti int) {
+		t := fresh[ti]
+		start := o.clock()
+		rescore(t, &accs[w])
+		o.sweepRescored(t.h, start)
+	})
 
 	// Reduce (serial, ascending height): apply each candidate's segment
 	// crossings to the running per-block state. The cluster count is
@@ -826,10 +816,7 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 	evals := make([]sweepEval, len(cands))
 	k := nLive // seg0 everywhere: every member its own cluster
 	for ci := range cands {
-		var start time.Time
-		if obs != nil {
-			start = time.Now()
-		}
+		start := o.clock()
 		var changedPairs int64
 		for _, ch := range changedAt[ci] {
 			k += ch.m.kb - cur[ch.bi].kb
@@ -849,11 +836,9 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 		ms.rescoredBlocks += int64(changed)
 		ms.scoredPairs += changedPairs
 		ms.savedPairs += totalPairs - changedPairs
-		if obs != nil {
-			obs.heightSweptMemo(cands[ci], evals[ci].k, evals[ci].valid, evals[ci].sil, changed, changedPairs, time.Since(start).Nanoseconds())
-		}
+		o.heightSwept(cands[ci], evals[ci].k, evals[ci].valid, evals[ci].sil, changed, changedPairs, start)
 	}
-	obs.sweepMemo(ms)
+	o.sweepMemo(ms)
 
 	best := selectSweepCut(evals, tol)
 	if best < 0 {
@@ -877,26 +862,24 @@ func withinBlockPairs(comps [][]int) int64 {
 // clusterWPNsBlocked is the batch entry point of the blocked path; see
 // ClusterOptions.Blocked.
 func clusterWPNsBlocked(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
-	st := newStageTimer(opts.Metrics, opts.Tracer, opts.parent, opts.Ledger, opts.prog)
-	obs := newBlockedObs(opts.Metrics, opts.Ledger, opts.prog)
+	o := opts.obs
 	n := len(fs.Records)
 
-	done := st.stage("blocks")
-	tally := obs.tally()
-	comps := blockedComponents(fs, 0, tally)
+	done := o.stage("blocks")
+	comps, tally := blockedComponents(fs, 0)
 	done()
-	obs.recordTally(tally)
+	o.unionTally(tally)
 	exact := withinBlockPairs(comps)
 	if crossesOver(len(comps), n, opts) {
 		// The cut step fills one exact block over every record.
 		exact = int64(n) * int64(n-1) / 2
 	}
-	recordPairs(opts, n, exact)
+	o.pairs(n, exact)
 
-	done = st.stage("block_linkage")
-	blocks := buildBlockDendrograms(fs, comps, opts.Linkage, obs)
+	done = o.stage("block_linkage")
+	blocks := buildBlockDendrograms(fs, comps, opts.Linkage, o)
 	done()
 
-	res, _ := cutStep(fs, blocks, n, opts, st, obs)
+	res, _ := cutStep(fs, blocks, n, opts)
 	return res
 }

@@ -70,8 +70,9 @@ type ClusterOptions struct {
 	// the distance hot loop.
 	Metrics *telemetry.Registry
 	// Tracer, when non-nil, emits one span per clustering stage. Nil
-	// disables. RunPipeline threads its own registry/tracer (and the
-	// pipeline root span) through these when they are unset.
+	// disables. These three serve a standalone ClusterWPNs or
+	// IncrementalClusterer: RunPipeline observes its clustering through
+	// PipelineOptions' sinks.
 	Tracer *telemetry.Tracer
 	// Ledger, when non-nil, records a deterministic event stream of the
 	// run (stage brackets, blocks clustered, heights swept, recluster
@@ -79,13 +80,10 @@ type ClusterOptions struct {
 	// timing-carrying telemetry snapshot. Works with or without
 	// Metrics/Tracer. See DESIGN.md "Event ledger".
 	Ledger *telemetry.Ledger
-	// parent is the span the stage spans hang off (set by RunPipeline;
-	// 0 makes them roots).
-	parent telemetry.SpanID
-	// prog is the live /miningz progress accumulator (set by
-	// RunPipeline, or created by ClusterWPNs when any observation sink
-	// is attached; nil when observation is fully off).
-	prog *miningProgress
+	// obs observes the run: set by RunPipeline, whose observer spans the
+	// whole pipeline, and otherwise built from the three sinks above by
+	// ClusterWPNs or NewIncrementalClusterer (nil when all are nil).
+	obs *miningObs
 }
 
 func (o ClusterOptions) conservativeTol() float64 {
@@ -118,33 +116,31 @@ type ClusterResult struct {
 // blocked one (ClusterOptions.Blocked). Both end in the same cut step
 // (cutStep); the exact route hands it one block over all records.
 func ClusterWPNs(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
-	// Stand up the live /miningz status for a standalone clustering run
-	// when any observation sink is attached (RunPipeline creates and
-	// threads its own, covering the full pipeline). The fully disabled
-	// path allocates nothing.
-	if opts.prog == nil && (opts.Metrics != nil || opts.Tracer != nil || opts.Ledger != nil) {
-		opts.prog = newMiningProgress(clusterMode(opts), len(fs.Records))
-		defer opts.prog.finish()
+	// A standalone run observes itself; RunPipeline passes the observer
+	// that spans the whole pipeline.
+	if opts.obs == nil {
+		opts.obs = newMiningObs(opts.Metrics, opts.Tracer, opts.Ledger, clusterMode(opts), len(fs.Records), true)
+		defer opts.obs.finish()
 	}
 	if opts.Blocked {
 		return clusterWPNsBlocked(fs, opts)
 	}
-	st := newStageTimer(opts.Metrics, opts.Tracer, opts.parent, opts.Ledger, opts.prog)
+	o := opts.obs
 	n := len(fs.Records)
 
-	done := st.stage("distance_matrix")
+	done := o.stage("distance_matrix")
 	dm := cluster.Compute(n, fs.Distance)
 	done()
-	recordPairs(opts, n, int64(n)*int64(n-1)/2)
+	o.pairs(n, int64(n)*int64(n-1)/2)
 
-	done = st.stage("linkage")
+	done = o.stage("linkage")
 	all := &blockDendrogram{members: make([]int, n), dm: dm, dend: cluster.AgglomerativeLinkage(dm, opts.Linkage)}
 	done()
 	for i := range all.members {
 		all.members[i] = i
 	}
 
-	res, _ := cutStep(fs, []*blockDendrogram{all}, n, opts, st, newBlockedObs(opts.Metrics, opts.Ledger, opts.prog))
+	res, _ := cutStep(fs, []*blockDendrogram{all}, n, opts)
 	return res
 }
 
@@ -159,8 +155,9 @@ func ClusterWPNs(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 // global labels under the "cut" stage, then the cut_chosen event is
 // recorded and the clusters derived, with the medoid index when
 // opts.BuildMedoids is set.
-func cutStep(fs *FeatureSet, blocks []*blockDendrogram, nLive int, opts ClusterOptions, st *stageTimer, obs *blockedObs) (*ClusterResult, sweepMemoStats) {
-	done := st.stage("cut")
+func cutStep(fs *FeatureSet, blocks []*blockDendrogram, nLive int, opts ClusterOptions) (*ClusterResult, sweepMemoStats) {
+	o := opts.obs
+	done := o.stage("cut")
 	if crossesOver(len(blocks), nLive, opts) {
 		// One block over the live records, filled in parallel like the
 		// exact route's matrix.
@@ -181,30 +178,17 @@ func cutStep(fs *FeatureSet, blocks []*blockDendrogram, nLive int, opts ClusterO
 			sil = blockedSilhouette(blocks, per, blockedFar(fs, blocks), nLive)
 		}
 	} else {
-		per, height, sil, ms = sweepBlockedCutMemo(blocks, pooledCutCandidates(blocks), blockedFar(fs, blocks), nLive, opts.conservativeTol(), obs)
+		per, height, sil, ms = sweepBlockedCutMemo(blocks, pooledCutCandidates(blocks), blockedFar(fs, blocks), nLive, opts.conservativeTol(), o)
 	}
 	labels := stitchBlockedLabels(len(fs.Records), blocks, per)
 	done()
 
-	ledgerCutChosen(opts.Ledger, height, labels, sil)
+	o.cutChosen(height, labels, sil)
 	res := finishClusterResult(fs, labels, height, sil)
 	if opts.BuildMedoids {
 		res.Medoids = newMedoidIndex(fs, blockMedoids(blocks, per, labels), height, sil)
 	}
 	return res, ms
-}
-
-// recordPairs accounts the run's pairs in the cluster_pairs family and
-// the live status: exact pairs had their soft-cosine distance
-// computed; the rest of the n(n−1)/2 (pruned) were never touched.
-func recordPairs(opts ClusterOptions, n int, exact int64) {
-	pruned := int64(n)*int64(n-1)/2 - exact
-	if opts.Metrics != nil {
-		pairs := opts.Metrics.Family("cluster_pairs", "kind")
-		pairs.With("exact").Add(exact)
-		pairs.With("pruned").Add(pruned)
-	}
-	opts.prog.addPairs(exact, pruned)
 }
 
 // finishClusterResult derives the per-cluster source/landing domain

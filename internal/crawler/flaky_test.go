@@ -1,12 +1,10 @@
 package crawler_test
 
 import (
-	"net/http"
 	"testing"
 
 	"pushadminer/internal/chaos"
 	"pushadminer/internal/fcm"
-	"pushadminer/internal/webeco"
 )
 
 // TestCrawlSurvivesFlakyPushService injects a 33% transient failure rate
@@ -33,23 +31,4 @@ func TestCrawlSurvivesFlakyPushService(t *testing.T) {
 			res.Degradation.Faults["chaos_http_503"], injected)
 	}
 	t.Logf("survived %d injected 503s, collected %d WPNs", injected, len(res.Records))
-}
-
-// TestCrawlIndependentOfBlocklists: analysis-time blocklist outages
-// must not be fatal to lookup-capable clients either — the HTTP client
-// surfaces errors, which LabelKnownMalicious propagates; here we check
-// the crawl phase itself never touches blocklists (it must not).
-func TestCrawlIndependentOfBlocklists(t *testing.T) {
-	eco := newEco(t, 0.002)
-	// Unmount the blocklist hosts entirely.
-	eco.Net.Handle(webeco.VTHost, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	eco.Net.Handle(webeco.GSBHost, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	res := crawl(t, eco, nil)
-	if len(res.Records) == 0 {
-		t.Fatal("crawl failed with blocklists down; collection must not depend on them")
-	}
 }

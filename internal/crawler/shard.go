@@ -127,12 +127,6 @@ func NewShardWorker(ctx context.Context, cfg Config, shard int, seeds []ShardSee
 	return &ShardWorker{cfg: cfg, tel: newCrawlMetrics(cfg.Metrics), ctx: ctx, id: shard, seeds: seeds}, nil
 }
 
-// ShardID returns the worker's shard number.
-func (w *ShardWorker) ShardID() int { return w.id }
-
-// Containers returns how many containers the worker currently owns.
-func (w *ShardWorker) Containers() int { return len(w.live) }
-
 // ShardHealth is one worker's live-introspection line, served through
 // the fleet's /fleetz endpoint: container ownership, scheduling
 // pressure, and circuit-breaker posture (how many per-container host

@@ -128,11 +128,13 @@ type Model struct {
 	Bias    float64
 }
 
+// l2 is the L2 regularization strength of SGD training.
+const l2 = 1e-5
+
 // TrainConfig controls SGD training.
 type TrainConfig struct {
 	Epochs       int     // default 8
 	LearningRate float64 // default 0.1
-	L2           float64 // default 1e-5
 	Seed         int64
 }
 
@@ -142,9 +144,6 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	}
 	if c.LearningRate <= 0 {
 		c.LearningRate = 0.1
-	}
-	if c.L2 <= 0 {
-		c.L2 = 1e-5
 	}
 	return c
 }
@@ -180,7 +179,7 @@ func Train(samples []Sample, cfg TrainConfig) (*Model, error) {
 			}
 			g := p - y
 			for _, f := range s.Features {
-				m.Weights[f.Index] -= lr * (g*f.Weight + cfg.L2*m.Weights[f.Index])
+				m.Weights[f.Index] -= lr * (g*f.Weight + l2*m.Weights[f.Index])
 			}
 			m.Bias -= lr * g
 		}

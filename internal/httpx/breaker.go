@@ -26,9 +26,6 @@ type BreakerConfig struct {
 	// half-open probe through. Measured on the breaker's clock — the
 	// simulated clock in crawls. Default 30 minutes.
 	Cooldown time.Duration
-	// Transitions, when set, counts circuit state changes by edge
-	// ("closed→open", "open→half-open", ...). Optional; nil disables.
-	Transitions *telemetry.Family
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -76,6 +73,9 @@ type Breaker struct {
 
 	mu    sync.Mutex
 	hosts map[string]*hostBreaker
+	// transitions, when set, counts circuit state changes by edge
+	// ("closed→open", "open→half-open", ...); nil disables.
+	transitions *telemetry.Family
 }
 
 // NewBreaker builds a Breaker. clock may be nil (real time).
@@ -95,14 +95,14 @@ func (b *Breaker) SetTransitions(f *telemetry.Family) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.cfg.Transitions = f
+	b.transitions = f
 }
 
 // setState moves a host breaker to a new state, counting the edge.
 // Callers hold b.mu.
 func (b *Breaker) setState(hb *hostBreaker, to int) {
 	if hb.state != to {
-		b.cfg.Transitions.Add(stateName(hb.state)+"→"+stateName(to), 1)
+		b.transitions.Add(stateName(hb.state)+"→"+stateName(to), 1)
 	}
 	hb.state = to
 }

@@ -74,11 +74,10 @@ func (NoWait) Sleep(time.Duration) {}
 // timestamp order, as the clock passes their deadlines. The zero value is
 // not ready to use; call NewSimulated.
 type Simulated struct {
-	mu      sync.Mutex
-	now     time.Time
-	timers  timerHeap
-	waiters int
-	seq     int64
+	mu     sync.Mutex
+	now    time.Time
+	timers timerHeap
+	seq    int64
 }
 
 // NewSimulated returns a Simulated clock starting at the given instant.
@@ -140,21 +139,7 @@ func (s *Simulated) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	s.mu.Lock()
-	s.waiters++
-	s.mu.Unlock()
 	<-s.After(d)
-	s.mu.Lock()
-	s.waiters--
-	s.mu.Unlock()
-}
-
-// Sleepers reports how many goroutines are currently blocked in Sleep.
-// Test drivers use it to know when the simulation has quiesced.
-func (s *Simulated) Sleepers() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.waiters
 }
 
 // Advance moves the clock forward by d, firing every timer whose deadline

@@ -1,7 +1,6 @@
 package textmine
 
 import (
-	"math"
 	"runtime"
 	"sync"
 )
@@ -50,7 +49,7 @@ func NewDocKernel(bows []BOW, sim *TermSimMatrix, e *Embeddings) *DocKernel {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(bows); i += workers {
-				k.norms[i] = math.Sqrt(quadFormM(bows[i], bows[i], sim))
+				k.norms[i] = selfNorm(bows[i], sim)
 				if e != nil {
 					k.vecs[i] = DocVector(bows[i], e)
 				}

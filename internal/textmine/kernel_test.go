@@ -1,6 +1,7 @@
 package textmine
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -27,7 +28,7 @@ func kernelCorpus(t testing.TB, seed int64, nDocs int) ([]BOW, *Embeddings, *Ter
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := NewTermSimMatrix(emb, SoftCosineOptions{})
+	sim := NewTermSimMatrix(emb)
 	vocab := emb.Vocab()
 	bows := make([]BOW, nDocs)
 	for i, d := range docs {
@@ -61,8 +62,9 @@ func TestDocKernelNormsMatchSelfNorm(t *testing.T) {
 	bows, emb, sim := kernelCorpus(t, 11, 12)
 	k := NewDocKernel(bows, sim, emb)
 	for i := range bows {
-		if got, want := k.Norm(i), SelfNorm(bows[i], sim); got != want {
-			t.Fatalf("Norm(%d) = %v, want SelfNorm %v", i, got, want)
+		// The matrix holds float32 similarities, the oracle float64 ones.
+		if got, want := k.Norm(i), lazyNorm(bows[i], emb); math.Abs(got-want) > 1e-6*want {
+			t.Fatalf("Norm(%d) = %v, want the lazy norm %v", i, got, want)
 		}
 	}
 }
@@ -116,19 +118,18 @@ func TestDocKernelConcurrentReads(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSoftCosineWithNormsMatchesSoftCosine: soft cosine over norms
+// cached once per document, as DocKernel serves it, matches the lazy
+// per-pair oracle, which recomputes both norms on every call — over a
+// corpus with an empty document.
 func TestSoftCosineWithNormsMatchesSoftCosine(t *testing.T) {
-	bows, emb, _ := kernelCorpus(t, 9, 15)
-	opts := SoftCosineOptions{}
-	norms := make([]float64, len(bows))
-	for i := range bows {
-		norms[i] = Norm(bows[i], emb, opts)
-	}
+	bows, emb, sim := kernelCorpus(t, 9, 15)
+	k := NewDocKernel(bows, sim, nil)
 	for i := range bows {
 		for j := range bows {
-			want := SoftCosine(bows[i], bows[j], emb, opts)
-			got := SoftCosineWithNorms(bows[i], bows[j], emb, opts, norms[i], norms[j])
-			if got != want {
-				t.Fatalf("SoftCosineWithNorms(%d,%d) = %v, want %v", i, j, got, want)
+			want := lazySoftCosine(bows[i], bows[j], emb)
+			if got := SoftCosineNormed(bows[i], bows[j], sim, k.Norm(i), k.Norm(j)); math.Abs(got-want) > 1e-6 {
+				t.Fatalf("SoftCosineNormed(%d,%d) = %v, lazy %v", i, j, got, want)
 			}
 		}
 	}

@@ -38,116 +38,33 @@ func (b BOW) Len() int { return len(b.ids) }
 // Terms returns the sorted term ids. The slice aliases internal storage.
 func (b BOW) Terms() []int { return b.ids }
 
-// SoftCosineOptions mirror gensim's term-similarity-matrix knobs: a raw
-// cosine below Threshold is treated as zero, and surviving similarities
-// are raised to Exponent.
-type SoftCosineOptions struct {
-	// Threshold zeroes term similarities below it. Default 0 (negative
-	// similarities are dropped, as in gensim).
-	Threshold float64
-	// Exponent is applied to surviving similarities. Default 2.0
-	// (gensim's default), which sharpens the matrix toward identity.
-	Exponent float64
-}
-
-func (o SoftCosineOptions) withDefaults() SoftCosineOptions {
-	if o.Exponent == 0 {
-		o.Exponent = 2
-	}
-	return o
-}
+// Gensim's term-similarity-matrix defaults: a raw embedding cosine at
+// or below simThreshold is treated as zero (so negative similarities
+// are dropped), and surviving similarities are raised to simExponent,
+// which sharpens the matrix toward identity.
+const (
+	simThreshold = 0
+	simExponent  = 2
+)
 
 // termSim returns the (thresholded, exponentiated) similarity entry
 // S[i][j] used by soft cosine.
-func termSim(e *Embeddings, i, j int, o SoftCosineOptions) float64 {
+func termSim(e *Embeddings, i, j int) float64 {
 	if i == j {
 		return 1
 	}
 	s := e.Similarity(i, j)
-	if s <= o.Threshold || s <= 0 {
+	if s <= simThreshold {
 		return 0
 	}
-	if o.Exponent != 1 {
-		s = math.Pow(s, o.Exponent)
-	}
-	return s
-}
-
-// quadForm computes aᵀ·S·b for sparse vectors a and b under the implied
-// term-similarity matrix S.
-func quadForm(a, b BOW, e *Embeddings, o SoftCosineOptions) float64 {
-	var sum float64
-	for x, i := range a.ids {
-		wa := a.weights[x]
-		for y, j := range b.ids {
-			s := termSim(e, i, j, o)
-			if s != 0 {
-				sum += wa * s * b.weights[y]
-			}
-		}
-	}
-	return sum
-}
-
-// SoftCosine returns the soft cosine similarity of two bag-of-words
-// vectors in [0, 1], using embedding cosines as the term-similarity
-// matrix (Sidorov et al., as implemented by gensim softcossim). Two empty
-// vectors have similarity 1; an empty versus non-empty vector, 0.
-//
-// Each call recomputes both self quad-forms; when a document is compared
-// many times (the n²/2 pairwise calls of the clustering stage), cache
-// Norm(a, e, opts) once and use SoftCosineWithNorms — or, with a
-// precomputed TermSimMatrix, a DocKernel — instead.
-func SoftCosine(a, b BOW, e *Embeddings, opts SoftCosineOptions) float64 {
-	opts = opts.withDefaults()
-	return SoftCosineWithNorms(a, b, e, opts, Norm(a, e, opts), Norm(b, e, opts))
-}
-
-// Norm returns sqrt(aᵀ·S·a), the self quad-form norm of a under the
-// implied term-similarity matrix — the per-document quantity SoftCosine
-// recomputes on every call. Callers holding many documents compute it
-// once per document and pass it to SoftCosineWithNorms.
-func Norm(a BOW, e *Embeddings, opts SoftCosineOptions) float64 {
-	return math.Sqrt(quadForm(a, a, e, opts.withDefaults()))
-}
-
-// SoftCosineWithNorms is SoftCosine with both self norms supplied by the
-// caller (from Norm), eliminating the two redundant self quad-forms per
-// pairwise call. It matches SoftCosine exactly when the norms were
-// computed with the same options.
-func SoftCosineWithNorms(a, b BOW, e *Embeddings, opts SoftCosineOptions, normA, normB float64) float64 {
-	opts = opts.withDefaults()
-	if a.Len() == 0 && b.Len() == 0 {
-		return 1
-	}
-	if a.Len() == 0 || b.Len() == 0 {
-		return 0
-	}
-	num := quadForm(a, b, e, opts)
-	if num <= 0 {
-		return 0
-	}
-	den := normA * normB
-	if den == 0 {
-		return 0
-	}
-	s := num / den
-	if s > 1 {
-		s = 1
-	}
-	return s
-}
-
-// SoftCosineDistance is 1 − SoftCosine.
-func SoftCosineDistance(a, b BOW, e *Embeddings, opts SoftCosineOptions) float64 {
-	return 1 - SoftCosine(a, b, e, opts)
+	return math.Pow(s, simExponent)
 }
 
 // DocVector returns the L2-normalized sum of (normalized) term embeddings
 // weighted by term frequency — the fast document representation whose
 // plain cosine approximates soft cosine without the threshold/exponent
-// adjustments. The pipeline uses exact SoftCosine; DocVector backs the
-// large-scale fast path and validation tooling.
+// adjustments. The pipeline uses the exact DocKernel.SoftCosine;
+// DocVector backs the large-scale fast path and validation tooling.
 func DocVector(b BOW, e *Embeddings) []float32 {
 	out := make([]float32, e.Dim())
 	for x, id := range b.ids {

@@ -13,14 +13,13 @@ type TermSimMatrix struct {
 }
 
 // NewTermSimMatrix materializes S for all vocabulary pairs.
-func NewTermSimMatrix(e *Embeddings, opts SoftCosineOptions) *TermSimMatrix {
-	opts = opts.withDefaults()
+func NewTermSimMatrix(e *Embeddings) *TermSimMatrix {
 	n := e.Vocab().Len()
 	m := &TermSimMatrix{n: n, data: make([]float32, n*n)}
 	for i := 0; i < n; i++ {
 		m.data[i*n+i] = 1
 		for j := i + 1; j < n; j++ {
-			s := float32(termSim(e, i, j, opts))
+			s := float32(termSim(e, i, j))
 			m.data[i*n+j] = s
 			m.data[j*n+i] = s
 		}
@@ -48,38 +47,22 @@ func quadFormM(a, b BOW, m *TermSimMatrix) float64 {
 	return sum
 }
 
-// SoftCosineWith computes soft cosine using a precomputed matrix. It
-// matches SoftCosine exactly when the matrix was built with the same
-// options.
+// SoftCosineWith is SoftCosineNormed over freshly computed self norms.
 func SoftCosineWith(a, b BOW, m *TermSimMatrix) float64 {
-	if a.Len() == 0 && b.Len() == 0 {
-		return 1
-	}
-	if a.Len() == 0 || b.Len() == 0 {
-		return 0
-	}
-	num := quadFormM(a, b, m)
-	if num <= 0 {
-		return 0
-	}
-	den := math.Sqrt(quadFormM(a, a, m)) * math.Sqrt(quadFormM(b, b, m))
-	if den == 0 {
-		return 0
-	}
-	s := num / den
-	if s > 1 {
-		s = 1
-	}
-	return s
+	return SoftCosineNormed(a, b, m, selfNorm(a, m), selfNorm(b, m))
 }
 
-// SelfNorm precomputes sqrt(aᵀ·S·a) for reuse across many comparisons of
-// the same document.
-func SelfNorm(a BOW, m *TermSimMatrix) float64 {
+// selfNorm computes sqrt(aᵀ·S·a), the norm DocKernel caches per
+// document.
+func selfNorm(a BOW, m *TermSimMatrix) float64 {
 	return math.Sqrt(quadFormM(a, a, m))
 }
 
-// SoftCosineNormed computes soft cosine given precomputed self-norms.
+// SoftCosineNormed computes the soft cosine similarity of two
+// bag-of-words vectors in [0, 1] given their self norms, with the
+// embedding cosines as the term-similarity matrix (Sidorov et al., as
+// implemented by gensim softcossim). Two empty vectors have similarity
+// 1; an empty versus non-empty vector, 0.
 func SoftCosineNormed(a, b BOW, m *TermSimMatrix, normA, normB float64) float64 {
 	if a.Len() == 0 && b.Len() == 0 {
 		return 1

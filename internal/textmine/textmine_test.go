@@ -149,63 +149,60 @@ func TestNewBOW(t *testing.T) {
 	}
 }
 
+// kernelOf builds the production DocKernel over texts, one document
+// each, with the embeddings' term-similarity matrix.
+func kernelOf(emb *Embeddings, texts ...string) *DocKernel {
+	bows := make([]BOW, len(texts))
+	for i, s := range texts {
+		bows[i] = NewBOW(emb.Vocab().LookupIDs(Tokenize(s)))
+	}
+	return NewDocKernel(bows, NewTermSimMatrix(emb), emb)
+}
+
 func TestSoftCosineIdenticalDocs(t *testing.T) {
-	emb := trainTiny(t)
-	ids := emb.Vocab().LookupIDs(Tokenize("claim your prize reward"))
-	b := NewBOW(ids)
-	if s := SoftCosine(b, b, emb, SoftCosineOptions{}); math.Abs(s-1) > 1e-9 {
+	k := kernelOf(trainTiny(t), "claim your prize reward")
+	if s := k.SoftCosine(0, 0); math.Abs(s-1) > 1e-9 {
 		t.Errorf("SoftCosine(x, x) = %v, want 1", s)
 	}
 }
 
 func TestSoftCosineEmpty(t *testing.T) {
-	emb := trainTiny(t)
-	empty := NewBOW(nil)
-	full := NewBOW(emb.Vocab().LookupIDs(Tokenize("prize")))
-	if s := SoftCosine(empty, empty, emb, SoftCosineOptions{}); s != 1 {
+	k := kernelOf(trainTiny(t), "", "prize")
+	if k.BOW(0).Len() != 0 || k.BOW(1).Len() == 0 {
+		t.Fatal("test documents are not one empty and one non-empty")
+	}
+	if s := k.SoftCosine(0, 0); s != 1 {
 		t.Errorf("SoftCosine(∅, ∅) = %v, want 1", s)
 	}
-	if s := SoftCosine(empty, full, emb, SoftCosineOptions{}); s != 0 {
+	if s := k.SoftCosine(0, 1); s != 0 {
 		t.Errorf("SoftCosine(∅, x) = %v, want 0", s)
 	}
 }
 
 func TestSoftCosineBeatsHardCosineOnSynonyms(t *testing.T) {
-	emb := trainTiny(t)
-	v := emb.Vocab()
 	// Disjoint token sets from the same topic: hard cosine would be 0,
 	// soft cosine must be positive.
-	a := NewBOW(v.LookupIDs(Tokenize("won prize")))
-	b := NewBOW(v.LookupIDs(Tokenize("winner reward")))
-	if a.Len() == 0 || b.Len() == 0 {
+	k := kernelOf(trainTiny(t), "won prize", "winner reward", "storm rain")
+	if k.BOW(0).Len() == 0 || k.BOW(1).Len() == 0 {
 		t.Fatal("test tokens missing from vocab")
 	}
-	s := SoftCosine(a, b, emb, SoftCosineOptions{})
+	s := k.SoftCosine(0, 1)
 	if s <= 0 {
 		t.Errorf("soft cosine of same-topic disjoint docs = %v, want > 0", s)
 	}
-	cross := NewBOW(v.LookupIDs(Tokenize("storm rain")))
-	sc := SoftCosine(a, cross, emb, SoftCosineOptions{})
-	if s <= sc {
+	if sc := k.SoftCosine(0, 2); s <= sc {
 		t.Errorf("same-topic soft cosine %v <= cross-topic %v", s, sc)
 	}
 }
 
 func TestSoftCosineSymmetricAndBounded(t *testing.T) {
-	emb := trainTiny(t)
-	v := emb.Vocab()
-	texts := []string{
+	k := kernelOf(trainTiny(t),
 		"claim your prize", "weather storm alert", "winner reward now",
 		"rain warning tonight", "congratulations you won",
-	}
-	bows := make([]BOW, len(texts))
-	for i, s := range texts {
-		bows[i] = NewBOW(v.LookupIDs(Tokenize(s)))
-	}
-	for i := range bows {
-		for j := range bows {
-			sij := SoftCosine(bows[i], bows[j], emb, SoftCosineOptions{})
-			sji := SoftCosine(bows[j], bows[i], emb, SoftCosineOptions{})
+	)
+	for i := 0; i < k.Len(); i++ {
+		for j := 0; j < k.Len(); j++ {
+			sij, sji := k.SoftCosine(i, j), k.SoftCosine(j, i)
 			if math.Abs(sij-sji) > 1e-9 {
 				t.Fatalf("asymmetric: s(%d,%d)=%v s(%d,%d)=%v", i, j, sij, j, i, sji)
 			}
@@ -217,9 +214,8 @@ func TestSoftCosineSymmetricAndBounded(t *testing.T) {
 }
 
 func TestSoftCosineDistance(t *testing.T) {
-	emb := trainTiny(t)
-	b := NewBOW(emb.Vocab().LookupIDs(Tokenize("prize reward")))
-	if d := SoftCosineDistance(b, b, emb, SoftCosineOptions{}); math.Abs(d) > 1e-9 {
+	k := kernelOf(trainTiny(t), "prize reward")
+	if d := k.Distance(0, 0); math.Abs(d) > 1e-9 {
 		t.Errorf("distance to self = %v, want 0", d)
 	}
 }

@@ -70,7 +70,7 @@ func TestTFIDFWithSoftCosine(t *testing.T) {
 		docs = append(docs, v.LookupIDs(Tokenize(s)))
 	}
 	idf := ComputeIDF(docs, v.Len())
-	m := NewTermSimMatrix(emb, SoftCosineOptions{})
+	m := NewTermSimMatrix(emb)
 	a := NewBOWTFIDF(v.LookupIDs(Tokenize("claim your prize")), idf)
 	b := NewBOWTFIDF(v.LookupIDs(Tokenize("claim reward")), idf)
 	c := NewBOWTFIDF(v.LookupIDs(Tokenize("storm alert")), idf)

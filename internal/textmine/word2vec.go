@@ -6,17 +6,19 @@ import (
 	"math/rand"
 )
 
+// Fixed shape of the skip-gram model.
+const (
+	// embeddingDim is the embedding dimensionality: WPN corpora are
+	// small and short, and larger vectors overfit.
+	embeddingDim = 32
+	// negatives is the number of negative samples per positive pair.
+	negatives = 5
+)
+
 // Word2VecConfig controls skip-gram-with-negative-sampling training.
 type Word2VecConfig struct {
-	// Dim is the embedding dimensionality. Default 32 — WPN corpora are
-	// small and short; larger vectors overfit.
-	Dim int
 	// Window is the maximum skip-gram context distance. Default 4.
 	Window int
-	// Negative is the number of negative samples per positive pair.
-	// Default 5, the only value the fused training kernel serves; others
-	// train the same way on the slower per-target loop.
-	Negative int
 	// Epochs is the number of passes over the corpus. Default 5.
 	Epochs int
 	// LearningRate is the initial SGD step size, decayed linearly to
@@ -27,14 +29,8 @@ type Word2VecConfig struct {
 }
 
 func (c Word2VecConfig) withDefaults() Word2VecConfig {
-	if c.Dim <= 0 {
-		c.Dim = 32
-	}
 	if c.Window <= 0 {
 		c.Window = 4
-	}
-	if c.Negative <= 0 {
-		c.Negative = 5
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 5
@@ -95,7 +91,7 @@ func TrainWord2Vec(docs [][]string, cfg Word2VecConfig) (*Embeddings, error) {
 	if err != nil {
 		return nil, err
 	}
-	dim, n := cfg.Dim, vocab.Len()
+	dim, n := embeddingDim, vocab.Len()
 	for i, x := range m.syn0 {
 		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
 			return nil, fmt.Errorf("textmine: word2vec diverged at learning rate %g: the vector of %q is not finite", cfg.LearningRate, vocab.Token(i/dim))
@@ -143,7 +139,7 @@ func train(docs [][]string, cfg Word2VecConfig, update func(m *sgns, ctx int32, 
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	dim := cfg.Dim
+	dim := embeddingDim
 	n := vocab.Len()
 
 	// Input (syn0) and output (syn1) matrices. syn0 random-initialized in
@@ -167,7 +163,7 @@ func train(docs [][]string, cfg Word2VecConfig, update func(m *sgns, ctx int32, 
 	if totalSteps == 0 {
 		totalSteps = 1
 	}
-	targets := make([]int32, cfg.Negative+1)
+	targets := make([]int32, fusedTargets)
 	var kept []int
 
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
@@ -185,7 +181,7 @@ func train(docs [][]string, cfg Word2VecConfig, update func(m *sgns, ctx int32, 
 					if c == i {
 						continue
 					}
-					// cfg.Negative negative samples, all drawn before the
+					// The negative samples, all drawn before the
 					// update touches any weight.
 					for s := 1; s < len(targets); s++ {
 						targets[s] = table[rng.Intn(len(table))]
@@ -239,9 +235,9 @@ type sgns struct {
 	grad []float32 // scratch gradient of the per-target path
 }
 
-// fusedTargets is the target count of update's fused kernel: the center
-// word plus the default Negative = 5 samples.
-const fusedTargets = 6
+// fusedTargets is the target count of every update and of its fused
+// kernel: the center word plus the negative samples.
+const fusedTargets = 1 + negatives
 
 // update runs one SGD step of context word ctx against targets:
 // targets[0] is the center word (label 1), the rest are drawn negatives

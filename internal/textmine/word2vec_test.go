@@ -90,7 +90,7 @@ func TestSGNSUpdateMatchesReference(t *testing.T) {
 			}
 		})
 	}
-	// Random lists at three Negative settings; the small vocabulary makes
+	// Random lists with 1, 5 and 15 negatives; the small vocabulary makes
 	// collisions common, so both of update's paths run.
 	for _, negative := range []int{1, 5, 15} {
 		t.Run(fmt.Sprintf("negative-%d", negative), func(t *testing.T) {

@@ -232,7 +232,7 @@ func (a *AdNetwork) scheduleFor(sub subscribeBody) { a.scheduleSub(sub, false) }
 
 // scheduleSub plans the pushes a new subscription will receive over the
 // collection window: 98% of first notifications within
-// Config.FirstPushWithin, the rest up to LatePushMax later (§6.1.2), and
+// firstPushWithin, the rest up to latePushMax later (§6.1.2), and
 // a mix of campaign ads and long-tail one-off ads. A returning
 // (cookie-recognized) browser is frequency-capped to a single push.
 func (a *AdNetwork) scheduleSub(sub subscribeBody, returning bool) {
@@ -243,7 +243,7 @@ func (a *AdNetwork) scheduleSub(sub subscribeBody, returning bool) {
 	rng := subRNG(cfg.Seed, "sched|"+a.Slug+"|"+sub.schedKey())
 	now := a.eco.Now()
 
-	n := cfg.PushesPerSubMin + rng.Intn(cfg.PushesPerSubMax-cfg.PushesPerSubMin+1)
+	n := pushesPerSubMin + rng.Intn(pushesPerSubMax-pushesPerSubMin+1)
 	if returning {
 		n = 1 // frequency cap for recognized browsers
 	}
@@ -255,9 +255,9 @@ func (a *AdNetwork) scheduleSub(sub subscribeBody, returning bool) {
 	for i := 0; i < n; i++ {
 		if i == 0 {
 			if rng.Float64() < 0.98 {
-				at = now.Add(time.Duration(rng.Int63n(int64(cfg.FirstPushWithin))))
+				at = now.Add(time.Duration(rng.Int63n(int64(firstPushWithin))))
 			} else {
-				at = now.Add(cfg.FirstPushWithin + time.Duration(rng.Int63n(int64(cfg.LatePushMax))))
+				at = now.Add(firstPushWithin + time.Duration(rng.Int63n(int64(latePushMax))))
 			}
 		} else {
 			// Subsequent pushes: hours to a couple of days apart.
@@ -366,7 +366,7 @@ func (a *AdNetwork) buildAlert(id, domain string) adResponse {
 		// Compose a near-unique headline; real news tails are diverse.
 		resp.Title = composeHeadline(rng)
 	}
-	if rng.Float64() >= a.eco.Cfg.NoTargetFraction {
+	if rng.Float64() >= noTargetFraction {
 		resp.Target = fmt.Sprintf("https://%s/%s/a%d.html?id=%d",
 			domain, joinPath(cat.PathTokens), rng.Intn(1<<20), rng.Intn(1<<20))
 	}

@@ -3,7 +3,6 @@ package webeco
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 )
 
@@ -86,16 +85,4 @@ func (a *Alexa) Bucketize(domains []string) (buckets []RankBucket, ranked int) {
 		}
 	}
 	return buckets, ranked
-}
-
-// RankedDomains returns all ranked domains sorted by rank.
-func (a *Alexa) RankedDomains() []string {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	out := make([]string, 0, len(a.ranks))
-	for d := range a.ranks {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return a.ranks[out[i]] < a.ranks[out[j]] })
-	return out
 }

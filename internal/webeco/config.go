@@ -76,29 +76,7 @@ type Config struct {
 	// ~4,400 URLs and a few thousand WPNs, large enough for every
 	// experiment's shape to hold.
 	Scale float64
-	// Start is the simulation epoch (the paper's collection started
-	// September 2019).
-	Start time.Time
 
-	// PushesPerSubMin/Max bound how many notifications each
-	// subscription receives over the collection window (the paper
-	// observed ~2.7 on average).
-	PushesPerSubMin, PushesPerSubMax int
-	// FirstPushWithin is the window in which 98% of first notifications
-	// arrive (15 minutes per the paper's pilot, §6.1.2).
-	FirstPushWithin time.Duration
-	// LatePushMax is the maximum delay for the remaining 2%.
-	LatePushMax time.Duration
-	// CrashFraction is the fraction of ad landing pages that crash the
-	// tab (part of why only ~57% of collected WPNs had valid landings).
-	CrashFraction float64
-	// NoTargetFraction is the fraction of non-ad notifications carrying
-	// no target URL (pure alerts).
-	NoTargetFraction float64
-	// LandingSubscribeFraction is the fraction of malicious landing
-	// pages that themselves request notification permission, producing
-	// the "additional URLs" discovered by clicking (§6.2).
-	LandingSubscribeFraction float64
 	// DoublePermissionFraction is the fraction of NPR sites using the
 	// JS pre-prompt (double permission, §8). The paper found ~1/4 on
 	// revisit; the initial 2019 crawl saw almost none, so this defaults
@@ -108,11 +86,10 @@ type Config struct {
 	// domains once the operator sees them blocklisted (§5.2). Off by
 	// default; the evasion experiment and ablation bench turn it on.
 	EvasionEnabled bool
-	// VTOverride / GSBOverride replace the default blocklist-service
-	// configurations (e.g. the evasion experiment uses aggressive
-	// coverage so domains burn within the crawl window).
-	VTOverride  *blocklist.Config
-	GSBOverride *blocklist.Config
+	// VTOverride replaces the default VirusTotal configuration (the
+	// evasion experiment uses aggressive coverage so domains burn
+	// within the crawl window).
+	VTOverride *blocklist.Config
 	// Chaos, when non-nil, wraps the virtual network with the
 	// deterministic fault injector: latency spikes, connection resets,
 	// 5xx bursts, truncated bodies, blackhole windows and push-service
@@ -133,34 +110,37 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
+// epoch is the simulation's start (the paper's collection started
+// September 2019).
+var epoch = time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
+
+// Fixed shape of the generated push traffic.
+const (
+	// pushesPerSubMin/Max bound how many notifications each
+	// subscription receives over the collection window (the paper
+	// observed ~2.7 on average).
+	pushesPerSubMin, pushesPerSubMax = 1, 5
+	// firstPushWithin is the window in which 98% of first
+	// notifications arrive (15 minutes per the paper's pilot, §6.1.2).
+	firstPushWithin = 15 * time.Minute
+	// latePushMax is the maximum delay for the remaining 2%.
+	latePushMax = 96 * time.Hour
+	// crashFraction is the fraction of ad landing pages that crash the
+	// tab (part of why only ~57% of collected WPNs had valid landings).
+	crashFraction = 0.12
+	// noTargetFraction is the fraction of non-ad notifications carrying
+	// no target URL (pure alerts).
+	noTargetFraction = 0.35
+	// landingSubscribeFraction is the fraction of malicious landing
+	// pages that themselves request notification permission, producing
+	// the "additional URLs" discovered by clicking (§6.2).
+	landingSubscribeFraction = 0.30
+)
+
 // WithDefaults fills unset fields.
 func (c Config) WithDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 0.05
-	}
-	if c.Start.IsZero() {
-		c.Start = time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
-	}
-	if c.PushesPerSubMin <= 0 {
-		c.PushesPerSubMin = 1
-	}
-	if c.PushesPerSubMax < c.PushesPerSubMin {
-		c.PushesPerSubMax = c.PushesPerSubMin + 4
-	}
-	if c.FirstPushWithin <= 0 {
-		c.FirstPushWithin = 15 * time.Minute
-	}
-	if c.LatePushMax <= 0 {
-		c.LatePushMax = 96 * time.Hour
-	}
-	if c.CrashFraction == 0 {
-		c.CrashFraction = 0.12
-	}
-	if c.NoTargetFraction == 0 {
-		c.NoTargetFraction = 0.35
-	}
-	if c.LandingSubscribeFraction == 0 {
-		c.LandingSubscribeFraction = 0.30
 	}
 	return c
 }

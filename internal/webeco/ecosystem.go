@@ -16,12 +16,6 @@ import (
 	"pushadminer/internal/vnet"
 )
 
-// Hosts for the ecosystem's shared infrastructure services.
-const (
-	VTHost  = "vt.simpush.test"
-	GSBHost = "gsb.simpush.test"
-)
-
 // Site is one generated website in the synthetic web.
 type Site struct {
 	Domain  string
@@ -58,20 +52,17 @@ func New(cfg Config) (*Ecosystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	vtCfg, gsbCfg := blocklist.VTDefault(), blocklist.GSBDefault()
+	vtCfg := blocklist.VTDefault()
 	if cfg.VTOverride != nil {
 		vtCfg = *cfg.VTOverride
-	}
-	if cfg.GSBOverride != nil {
-		gsbCfg = *cfg.GSBOverride
 	}
 	e := &Ecosystem{
 		Cfg:    cfg,
 		Net:    net,
 		Push:   fcm.New(""),
-		Clock:  simclock.NewSimulated(cfg.Start),
+		Clock:  simclock.NewSimulated(epoch),
 		VT:     blocklist.New(vtCfg),
-		GSB:    blocklist.New(gsbCfg),
+		GSB:    blocklist.New(blocklist.GSBDefault()),
 		search: NewCodeSearch(),
 		alexa:  NewAlexa(),
 	}
@@ -83,7 +74,7 @@ func New(cfg Config) (*Ecosystem, error) {
 		if prof.PushHost == "" {
 			prof.PushHost = fcm.DefaultHost
 		}
-		e.chaos = chaos.NewInjector(prof, e.Clock.Now, cfg.Start)
+		e.chaos = chaos.NewInjector(prof, e.Clock.Now, epoch)
 		// Reused connections would let Go's transport auto-retry
 		// requests killed by injected resets, hiding faults behind
 		// scheduling races; fresh connections keep injection exact.
@@ -106,8 +97,6 @@ func New(cfg Config) (*Ecosystem, error) {
 	// draws against scheduler traffic are stable.
 	e.fcmClient = fcm.NewClientWith(chaos.TagClient(net.Client(), "ecosystem"), "", nil)
 	net.Handle(fcm.DefaultHost, e.Push)
-	net.Handle(VTHost, e.VT)
-	net.Handle(GSBHost, e.GSB)
 
 	e.adEco = &AdEcosystem{
 		Cfg:      cfg,
@@ -376,10 +365,10 @@ func (e *Ecosystem) landingHandler(camp *Campaign, domain string) http.Handler {
 			Title:   camp.Category.LandingTitle,
 			Content: camp.Category.LandingContent + " " + domain,
 		}
-		if hashFrac(e.Cfg.Seed, "crash|"+full) < e.Cfg.CrashFraction {
+		if hashFrac(e.Cfg.Seed, "crash|"+full) < crashFraction {
 			doc.Crash = true
 		} else if camp.Category.Malicious &&
-			hashFrac(e.Cfg.Seed, "resub|"+domain+r.URL.Path) < e.Cfg.LandingSubscribeFraction {
+			hashFrac(e.Cfg.Seed, "resub|"+domain+r.URL.Path) < landingSubscribeFraction {
 			if network == nil {
 				network = e.networkByName(camp.Network)
 			}
@@ -547,7 +536,7 @@ func (e *Ecosystem) mountScamLanding(domain string, cat Category) {
 	e.Net.Handle(domain, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		full := "https://" + domain + r.URL.RequestURI()
 		doc := &page.Doc{Title: cat.LandingTitle, Content: cat.LandingContent + " " + domain}
-		if hashFrac(e.Cfg.Seed, "crash|"+full) < e.Cfg.CrashFraction {
+		if hashFrac(e.Cfg.Seed, "crash|"+full) < crashFraction {
 			doc.Crash = true
 		}
 		w.Header().Set("Content-Type", page.ContentType)

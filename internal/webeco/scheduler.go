@@ -55,7 +55,6 @@ type scheduler struct {
 	mu      sync.Mutex
 	jobs    jobHeap
 	seq     int
-	sent    int
 	retried int
 	dropped int
 
@@ -83,13 +82,6 @@ func (s *scheduler) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.jobs)
-}
-
-// Sent reports deliveries flushed so far.
-func (s *scheduler) Sent() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.sent
 }
 
 // NextAt returns the earliest pending delivery time, if any.
@@ -200,7 +192,6 @@ func (s *scheduler) Flush(now time.Time, client *fcm.Client) (delivered, failed 
 		for i, job := range g.jobs {
 			err := g.errs[i]
 			if err == nil {
-				s.sent++
 				delivered++
 				continue
 			}

@@ -88,14 +88,14 @@ func (s *SelfSite) scheduleFor(sub subscribeBody) {
 	rng := subRNG(cfg.Seed, "self|"+s.Domain+"|"+sub.schedKey())
 	now := s.eco.Now()
 
-	n := cfg.PushesPerSubMin + rng.Intn(cfg.PushesPerSubMax-cfg.PushesPerSubMin+1)
+	n := pushesPerSubMin + rng.Intn(pushesPerSubMax-pushesPerSubMin+1)
 	at := now
 	for i := 0; i < n; i++ {
 		if i == 0 {
 			if rng.Float64() < 0.98 {
-				at = now.Add(time.Duration(rng.Int63n(int64(cfg.FirstPushWithin))))
+				at = now.Add(time.Duration(rng.Int63n(int64(firstPushWithin))))
 			} else {
-				at = now.Add(cfg.FirstPushWithin + time.Duration(rng.Int63n(int64(cfg.LatePushMax))))
+				at = now.Add(firstPushWithin + time.Duration(rng.Int63n(int64(latePushMax))))
 			}
 		} else {
 			at = at.Add(4*time.Hour + time.Duration(rng.Int63n(int64(72*time.Hour))))
@@ -125,7 +125,7 @@ func (s *SelfSite) buildNotification(rng *rand.Rand) webpush.Notification {
 			s.eco.OnMalURL(n.TargetURL, s.eco.Now())
 		}
 		s.eco.Truth.registerSelfMalicious(n.TargetURL)
-	case rng.Float64() < s.eco.Cfg.NoTargetFraction:
+	case rng.Float64() < noTargetFraction:
 		// Pure alert with no landing.
 	default:
 		// Same-origin article, unique id per push (singleton paths).

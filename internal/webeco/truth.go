@@ -1,7 +1,6 @@
 package webeco
 
 import (
-	"sort"
 	"sync"
 
 	"pushadminer/internal/urlx"
@@ -108,18 +107,6 @@ func (t *Truth) Campaign(id int) (*Campaign, bool) {
 	defer t.mu.RUnlock()
 	c, ok := t.campaigns[id]
 	return c, ok
-}
-
-// MaliciousURLs returns all recorded malicious landing URLs, sorted.
-func (t *Truth) MaliciousURLs() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.malURLs))
-	for u := range t.malURLs {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // NumCampaigns reports how many campaigns exist.

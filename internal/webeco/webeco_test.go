@@ -437,7 +437,7 @@ func TestLandingCrashFractionRoughlyConfigured(t *testing.T) {
 		}
 	}
 	frac := float64(crashes) / float64(total)
-	want := e.Cfg.CrashFraction
+	want := crashFraction
 	if frac < want/2 || frac > want*2 {
 		t.Errorf("crash fraction = %.3f, configured %.3f", frac, want)
 	}

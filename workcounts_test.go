@@ -16,14 +16,16 @@ import (
 )
 
 // TestWorkCounts is the CI performance gate. It runs three small fixed
-// workloads with a telemetry registry — a blocked batch clustering, an
-// incremental stream that reclusters as it grows, and a desktop study —
-// and compares every work count they record (pairs computed, sweep
-// cells scored, blocks built, requests sent, records emitted) with
-// workCounts. The counts are a function of the inputs alone, so the
-// gate needs no tolerance: a quadratic path sneaking back in, or a
-// crawl that polls more than it did, moves a count by an exact amount
-// on any machine. Wall time is measured by the benchmark (bench/).
+// workloads with a telemetry registry and an event ledger — a blocked
+// batch clustering, an incremental stream that reclusters as it grows,
+// and a desktop study — and compares every work count they record
+// (pairs computed, sweep cells scored, blocks built, requests sent,
+// records emitted, and ledger events per kind) with workCounts. The
+// counts are a function of the inputs alone, so the gate needs no
+// tolerance: a quadratic path sneaking back in, a crawl that polls more
+// than it did, or a ledger that drops an event moves a count by an
+// exact amount on any machine. Wall time is measured by the benchmark
+// (bench/).
 //
 // A change that moves the work on purpose replaces the table: on a
 // mismatch the test prints each moved count and a ready-to-paste
@@ -31,13 +33,14 @@ import (
 func TestWorkCounts(t *testing.T) {
 	got := map[string]int64{}
 
-	reg := telemetry.New()
-	core.ClusterWPNs(synthFeatures(t, 11, 2000), core.ClusterOptions{Blocked: true, Metrics: reg})
+	reg, led := telemetry.New(), telemetry.NewLedger()
+	core.ClusterWPNs(synthFeatures(t, 11, 2000), core.ClusterOptions{Blocked: true, Metrics: reg, Ledger: led})
 	addWorkCounts(got, "batch", reg.Snapshot())
+	addLedgerCounts(got, "batch", led)
 
-	reg = telemetry.New()
+	reg, led = telemetry.New(), telemetry.NewLedger()
 	fs := synthFeatures(t, 12, 1200)
-	inc := core.NewIncrementalClusterer(fs, core.ClusterOptions{Blocked: true, Metrics: reg})
+	inc := core.NewIncrementalClusterer(fs, core.ClusterOptions{Blocked: true, Metrics: reg, Ledger: led})
 	for i := range fs.Records {
 		inc.Add(i)
 		if (i+1)%200 == 0 {
@@ -45,20 +48,23 @@ func TestWorkCounts(t *testing.T) {
 		}
 	}
 	addWorkCounts(got, "stream", reg.Snapshot())
+	addLedgerCounts(got, "stream", led)
 
-	reg = telemetry.New()
+	reg, led = telemetry.New(), telemetry.NewLedger()
 	study, err := core.RunStudy(core.StudyConfig{
 		Eco:              webeco.Config{Seed: 11, Scale: 0.01},
 		CollectionWindow: 7 * 24 * time.Hour,
 		SkipMobile:       true,
 		BatchWindow:      time.Hour,
 		Metrics:          reg,
+		Ledger:           led,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	study.Close()
 	addWorkCounts(got, "study", reg.Snapshot())
+	addLedgerCounts(got, "study", led)
 
 	if maps.Equal(got, workCounts) {
 		return
@@ -123,6 +129,15 @@ func addWorkCounts(dst map[string]int64, workload string, s telemetry.Snapshot) 
 	}
 }
 
+// addLedgerCounts adds the number of ledger events of each kind under
+// workload/ledger{kind}. The ledger is byte-stable at any GOMAXPROCS, so
+// every kind is a work count.
+func addLedgerCounts(dst map[string]int64, workload string, led *telemetry.Ledger) {
+	for _, ev := range led.Events() {
+		dst[workload+"/ledger{"+ev.Kind+"}"]++
+	}
+}
+
 // isWorkCount reports whether the metric key (of metric name) repeats
 // exactly run to run. Timings (_ns, _seconds) and memory readings
 // (_bytes, mining_heap_*) do not. Nor do the blocked union phase's
@@ -169,6 +184,12 @@ func workCountsTable(t *testing.T, counts map[string]int64) string {
 var workCounts = map[string]int64{
 	"batch/cluster_pairs{exact}":                23497,
 	"batch/cluster_pairs{pruned}":               1975503,
+	"batch/ledger{block_clustered}":             633,
+	"batch/ledger{cut_chosen}":                  1,
+	"batch/ledger{height_swept}":                64,
+	"batch/ledger{stage_begin}":                 3,
+	"batch/ledger{stage_end}":                   3,
+	"batch/ledger{sweep_memo}":                  1,
 	"batch/mining_block_size.count":             633,
 	"batch/mining_block_size.sum":               2000,
 	"batch/mining_pairs{block_linkage_exact}":   23497,
@@ -179,6 +200,11 @@ var workCounts = map[string]int64{
 	"batch/mining_sweep_blocks{0.3-0.4}":        15,
 	"batch/mining_sweep_memo{hit}":              39409,
 	"batch/mining_sweep_memo{miss}":             1103,
+	"stream/ledger{block_clustered}":            505,
+	"stream/ledger{cut_chosen}":                 6,
+	"stream/ledger{height_swept}":               384,
+	"stream/ledger{recluster}":                  6,
+	"stream/ledger{sweep_memo}":                 6,
 	"stream/mining_block_size.count":            505,
 	"stream/mining_block_size.sum":              3342,
 	"stream/mining_pairs{block_linkage_exact}":  13821,
@@ -209,6 +235,13 @@ var workCounts = map[string]int64{
 	"study/fleet_heartbeats":                    29,
 	"study/fleet_live_shards":                   1,
 	"study/fleet_shards":                        1,
+	"study/ledger{cut_chosen}":                  1,
+	"study/ledger{height_swept}":                64,
+	"study/ledger{merge}":                       7,
+	"study/ledger{shard_started}":               1,
+	"study/ledger{stage_begin}":                 8,
+	"study/ledger{stage_end}":                   8,
+	"study/ledger{sweep_memo}":                  1,
 	"study/mining_pairs{sweep_scored}":          855424,
 	"study/mining_sweep_blocks{0.0-0.1}":        7,
 	"study/mining_sweep_blocks{0.1-0.2}":        8,
