@@ -29,11 +29,9 @@ import (
 )
 
 func main() {
-	// A virtual internet on loopback and an FCM-style push service.
-	net, err := vnet.New()
-	if err != nil {
-		log.Fatal(err)
-	}
+	// A virtual internet (real net/http over in-process connections)
+	// and an FCM-style push service.
+	net := vnet.New()
 	defer net.Close()
 	push := fcm.New("")
 	net.Handle(fcm.DefaultHost, push)

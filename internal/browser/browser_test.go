@@ -32,10 +32,7 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	n, err := vnet.New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := vnet.New()
 	t.Cleanup(func() { n.Close() })
 	f := &fixture{
 		net:        n,

@@ -94,10 +94,7 @@ func TestQueueWhileOffline(t *testing.T) {
 }
 
 func TestHTTPAPI(t *testing.T) {
-	n, err := vnet.New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := vnet.New()
 	defer n.Close()
 	s := New("")
 	n.Handle(DefaultHost, s)
@@ -135,15 +132,12 @@ func TestHTTPAPI(t *testing.T) {
 }
 
 func TestHTTPSendUnknownToken404(t *testing.T) {
-	n, err := vnet.New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := vnet.New()
 	defer n.Close()
 	s := New("")
 	n.Handle(DefaultHost, s)
 	client := NewClientWith(n.Client(), "", nil)
-	err = client.Send("https://"+DefaultHost+"/send/bogus", json.RawMessage(`{}`))
+	err := client.Send("https://"+DefaultHost+"/send/bogus", json.RawMessage(`{}`))
 	if err == nil {
 		t.Error("send to bogus token succeeded over HTTP")
 	}

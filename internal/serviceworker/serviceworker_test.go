@@ -69,10 +69,7 @@ type testHarness struct {
 
 func newHarness(t *testing.T) *testHarness {
 	t.Helper()
-	n, err := vnet.New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := vnet.New()
 	t.Cleanup(func() { n.Close() })
 	n.HandleFunc("adnet.test", func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {

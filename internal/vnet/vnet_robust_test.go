@@ -13,10 +13,7 @@ import (
 )
 
 func TestMiddlewareWrapsEveryHost(t *testing.T) {
-	n, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New()
 	defer n.Close()
 	n.HandleFunc("before.test", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, "inner")
@@ -46,10 +43,7 @@ func TestMiddlewareWrapsEveryHost(t *testing.T) {
 }
 
 func TestRequestCountsSnapshotUnderLoad(t *testing.T) {
-	n, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New()
 	defer n.Close()
 	n.HandleFunc("a.test", func(w http.ResponseWriter, r *http.Request) {})
 	n.HandleFunc("b.test", func(w http.ResponseWriter, r *http.Request) {})
@@ -86,10 +80,7 @@ func TestRequestCountsSnapshotUnderLoad(t *testing.T) {
 }
 
 func TestCloseDrainsInflightRequests(t *testing.T) {
-	n, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New()
 	started := make(chan struct{})
 	var finished bool
 	n.HandleFunc("slow.test", func(w http.ResponseWriter, r *http.Request) {
@@ -134,21 +125,19 @@ func TestCloseDrainsInflightRequests(t *testing.T) {
 // waits up to 5 s for a new connection's first request, so Close must
 // end it from the client side instead of stalling until its 2 s bound.
 func TestCloseEndsUnusedPooledConns(t *testing.T) {
-	n, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New()
 	var dials atomic.Int32
 	secondDialed := make(chan struct{})
+	dial := n.base.DialContext
 	n.base.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
 		if dials.Add(1) != 2 {
-			return (&net.Dialer{}).DialContext(ctx, network, addr)
+			return dial(ctx, network, addr)
 		}
 		// The second dial is slow, so the first connection frees up and
 		// serves the second request before this one is ready.
 		defer close(secondDialed)
 		time.Sleep(100 * time.Millisecond)
-		return (&net.Dialer{}).DialContext(ctx, network, addr)
+		return dial(ctx, network, addr)
 	}
 	inFirst, release := make(chan struct{}), make(chan struct{})
 	var first sync.Once

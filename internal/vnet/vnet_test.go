@@ -11,10 +11,7 @@ import (
 
 func newNet(t *testing.T) *Network {
 	t.Helper()
-	n, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
+	n := New()
 	t.Cleanup(func() { n.Close() })
 	return n
 }
