@@ -443,12 +443,17 @@ type taggingTransport struct {
 	base http.RoundTripper
 }
 
-// RoundTrip sends a deep clone of req: the caller's header map must not
-// see the stamp.
+// RoundTrip sends a shallow copy of req with its own header map: the
+// caller's header map must not see the stamp. URL, body and context are
+// shared with the caller's request.
 func (t *taggingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	clone := req.Clone(req.Context())
-	clone.Header.Set(ClientHeader, t.id)
-	return t.base.RoundTrip(clone)
+	out := *req
+	out.Header = req.Header.Clone()
+	if out.Header == nil {
+		out.Header = make(http.Header)
+	}
+	out.Header.Set(ClientHeader, t.id)
+	return t.base.RoundTrip(&out)
 }
 
 // TagClient wraps the client's transport so every request carries the

@@ -252,19 +252,29 @@ func TestOnlyRestrictsFaultHosts(t *testing.T) {
 }
 
 func TestTagClientStampsHeader(t *testing.T) {
-	var got string
+	var got, other string
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got = r.Header.Get(ClientHeader)
+		other = r.Header.Get("X-Caller")
 	}))
 	defer srv.Close()
 	c := TagClient(srv.Client(), "seed.example#desktop")
-	resp, err := c.Get(srv.URL)
+	req, err := http.NewRequest(http.MethodGet, srv.URL, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Caller", "kept")
+	resp, err := c.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if got != "seed.example#desktop" {
-		t.Fatalf("header = %q", got)
+	if got != "seed.example#desktop" || other != "kept" {
+		t.Fatalf("server saw %s=%q, X-Caller=%q", ClientHeader, got, other)
+	}
+	// The stamp goes on the request sent, never on the caller's.
+	if v, ok := req.Header[ClientHeader]; ok {
+		t.Fatalf("caller's header map carries %s=%q", ClientHeader, v)
 	}
 }
 

@@ -92,6 +92,11 @@ func newCoordinator(ctx context.Context, cfg Config, crawlCfg crawler.Config, sh
 		co.records = reg.Counter("crawler_records_emitted")
 		co.pumpWorkers = reg.Gauge("crawler_pump_workers")
 		co.pub = telemetry.NewPublisher[FleetStatus]("fleet")
+		// Publish at once: registering replaces the previous fleet's
+		// status (desktop, then mobile), and the first merge comes only
+		// after seeding, so until then /fleetz would answer that no run
+		// is active in the middle of a crawl.
+		co.updateStatus(false)
 	}
 	return co
 }

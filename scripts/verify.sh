@@ -40,7 +40,7 @@ go test -run '^TestOutageFlushCostsNoWallTime$' -count=1 ./internal/webeco/
 echo "==> benchmark module (bench/: vet + tests)"
 (cd bench && go vet ./... && go test ./...)
 
-echo "==> work-count gate (blocked batch, incremental stream, desktop study: exact work counts vs the table in workcounts_test.go)"
+echo "==> work-count gate (blocked batch, incremental stream, desktop study with and without faults: exact work counts vs the table in workcounts_test.go)"
 go test -run '^TestWorkCounts$' -count=1 .
 
 sh scripts/telemetry_smoke.sh
