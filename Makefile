@@ -31,9 +31,11 @@ telemetry-smoke:
 
 # mining-smoke runs the mining parity gates (scripts/mining_smoke.sh
 # holds the one list, which scripts/verify.sh runs too): exact vs the
-# serial reference sweep, blocked vs exact, distances and blocks vs
-# their references, incremental convergence, the linkage property test
-# and the word2vec kernel's bit-parity gate.
+# serial reference sweep, the silhouette scorer and its reused scratch
+# vs the serial definition, blocked vs exact, the cut step's tail vs its
+# map-based reference, distances, candidate lookups and blocks vs their
+# references, incremental convergence, the linkage property test and
+# the word2vec kernel's bit-parity gate.
 mining-smoke:
 	GO=$(GO) sh scripts/mining_smoke.sh
 

@@ -269,12 +269,3 @@ func NumClusters(labels []int) int {
 	}
 	return len(seen)
 }
-
-// Members groups item indices by label.
-func Members(labels []int) map[int][]int {
-	out := make(map[int][]int)
-	for i, l := range labels {
-		out[l] = append(out[l], i)
-	}
-	return out
-}

@@ -241,14 +241,6 @@ func TestAverageLinkageValue(t *testing.T) {
 	}
 }
 
-func TestMembers(t *testing.T) {
-	got := Members([]int{1, 0, 1, 2})
-	want := map[int][]int{0: {1}, 1: {0, 2}, 2: {3}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Members = %v, want %v", got, want)
-	}
-}
-
 func TestAgglomerativeQuickInvariants(t *testing.T) {
 	f := func(seed int64, sz uint8) bool {
 		n := int(sz%30) + 2

@@ -61,6 +61,7 @@ type IncrementalClusterer struct {
 	added   []bool
 	nAdded  int
 	candBuf []int
+	marks   simhash.Marks // the candidate lookup's dedup bits
 	// seen marks the cluster labels an Add call already scanned: label
 	// l was seen by the call whose stamp equals seen[l]. Reused across
 	// calls (stamp grows each call), so the scan allocates nothing.
@@ -124,7 +125,7 @@ func (c *IncrementalClusterer) Add(i int) int {
 		return c.provisionalLabel(i)
 	}
 	h := c.fs.Hashes[i]
-	c.candBuf = c.ix.AppendCandidates(c.candBuf[:0], h)
+	c.candBuf = c.ix.AppendCandidates(c.candBuf[:0], &c.marks, h)
 
 	prov := -1
 	if c.res == nil && c.restored != nil {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sort"
 
 	"pushadminer/internal/simhash"
 )
@@ -45,20 +44,18 @@ type MedoidIndex struct {
 
 	ix      *simhash.BandIndex // lazily built over the medoid hashes
 	candBuf []int
+	marks   simhash.Marks
 }
 
-// newMedoidIndex builds the index from a mined medoid map (cluster
-// label -> medoid record).
-func newMedoidIndex(fs *FeatureSet, medoids map[int]int, cutHeight, sil float64) *MedoidIndex {
+// newMedoidIndex builds the index from mined medoids: medoids[l] is
+// cluster l's medoid record, or -1 for a label no cluster carries.
+func newMedoidIndex(fs *FeatureSet, medoids []int, cutHeight, sil float64) *MedoidIndex {
 	x := &MedoidIndex{CutHeight: cutHeight, Silhouette: sil, Records: len(fs.Records), Bands: blockBands}
-	labels := make([]int, 0, len(medoids))
-	for l := range medoids {
-		labels = append(labels, l)
-	}
-	sort.Ints(labels)
-	x.Medoids = make([]MedoidEntry, 0, len(labels))
-	for _, l := range labels {
-		x.Medoids = append(x.Medoids, MedoidEntry{Label: l, Record: medoids[l]})
+	x.Medoids = make([]MedoidEntry, 0, len(medoids))
+	for l, r := range medoids {
+		if r >= 0 {
+			x.Medoids = append(x.Medoids, MedoidEntry{Label: l, Record: r})
+		}
 	}
 	return x
 }
@@ -85,7 +82,7 @@ func (x *MedoidIndex) Classify(fs *FeatureSet, i int) (label int, dist float64) 
 			x.ix.Add(p, fs.Hashes[me.Record])
 		}
 	}
-	x.candBuf = x.ix.AppendCandidates(x.candBuf[:0], fs.Hashes[i])
+	x.candBuf = x.ix.AppendCandidates(x.candBuf[:0], &x.marks, fs.Hashes[i])
 	label, dist = -1, x.CutHeight
 	for _, p := range x.candBuf {
 		me := x.Medoids[p]
@@ -138,22 +135,22 @@ func LoadMedoidIndex(path string) (*MedoidIndex, error) {
 // the sum of within-cluster distances, ties to the lowest record index
 // — from the blocks' exact local matrices. Clusters never span blocks
 // (linkage is per-block), so each is fully resolvable from one local
-// matrix. Returns cluster label -> medoid record index.
-func blockMedoids(blocks []*blockDendrogram, per [][]int, labels []int) map[int]int {
-	medoids := make(map[int]int)
+// matrix. Returns the medoid record of each global label, -1 for a
+// label no record carries.
+func blockMedoids(blocks []*blockDendrogram, per [][]int, labels []int) []int {
+	k := 0
+	for _, l := range labels {
+		k = max(k, l+1)
+	}
+	medoids := make([]int, k)
+	for l := range medoids {
+		medoids[l] = -1
+	}
+	var start, flat []int // local indices grouped by local label
 	for bi, bd := range blocks {
-		lab := per[bi]
-		kb := 0
-		for _, l := range lab {
-			if l+1 > kb {
-				kb = l + 1
-			}
-		}
-		groups := make([][]int, kb) // local indices per local label
-		for li, l := range lab {
-			groups[l] = append(groups[l], li)
-		}
-		for _, g := range groups {
+		start, flat = groupByLabel(per[bi], start, flat)
+		for l := 0; l+1 < len(start); l++ {
+			g := flat[start[l]:start[l+1]]
 			if len(g) == 0 {
 				continue
 			}

@@ -73,7 +73,7 @@ func silhouetteSerial(m *cluster.DistMatrix, labels []int) float64 {
 	if n == 0 || len(labels) != n {
 		return 0
 	}
-	groups := cluster.Members(labels)
+	groups := membersOf(labels)
 	if len(groups) < 2 {
 		return 0
 	}
@@ -169,4 +169,145 @@ func bestCutConservativeSerial(d *cluster.Dendrogram, m *cluster.DistMatrix, tol
 		}
 	}
 	return evaluated[best]
+}
+
+// membersOf groups item indices by label.
+func membersOf(labels []int) map[int][]int {
+	out := make(map[int][]int)
+	for i, l := range labels {
+		out[l] = append(out[l], i)
+	}
+	return out
+}
+
+func sortedKeys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// finishClusterResultMap is the map-based reference for
+// finishClusterResult: members grouped in a map by label, each domain
+// set a map, labels visited in sorted order.
+func finishClusterResultMap(fs *FeatureSet, labels []int, height, sil float64) *ClusterResult {
+	members := membersOf(labels)
+	delete(members, -1)
+	ids := make([]int, 0, len(members))
+	for id := range members {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+
+	res := &ClusterResult{CutHeight: height, Silhouette: sil, Labels: labels}
+	for _, id := range ids {
+		c := &WPNCluster{ID: id, Members: members[id]}
+		srcSet, landSet := map[string]bool{}, map[string]bool{}
+		for _, m := range c.Members {
+			if d := fs.Records[m].SourceDomain; d != "" {
+				srcSet[d] = true
+			}
+			if d := fs.Features[m].LandingESLD; d != "" {
+				landSet[d] = true
+			}
+		}
+		c.SourceDomains = sortedKeys(srcSet)
+		c.LandingDomains = sortedKeys(landSet)
+		c.IsAdCampaign = !c.Singleton() && len(c.SourceDomains) > 1
+		res.Clusters = append(res.Clusters, c)
+	}
+	return res
+}
+
+// stitchBlockedLabelsMap is the map-based reference for
+// stitchBlockedLabels: the same provisional (block, local label) ids,
+// renumbered by first occurrence through a map.
+func stitchBlockedLabelsMap(nTotal int, blocks []*blockDendrogram, per [][]int) []int {
+	labels := make([]int, nTotal)
+	for i := range labels {
+		labels[i] = -1
+	}
+	base := 0
+	for bi, bd := range blocks {
+		kb := 0
+		for li, g := range bd.members {
+			l := per[bi][li]
+			labels[g] = base + l
+			if l+1 > kb {
+				kb = l + 1
+			}
+		}
+		base += kb
+	}
+	remap := make(map[int]int, base)
+	next := 0
+	for i := 0; i < nTotal; i++ {
+		if labels[i] < 0 {
+			continue
+		}
+		nl, ok := remap[labels[i]]
+		if !ok {
+			nl = next
+			next++
+			remap[labels[i]] = nl
+		}
+		labels[i] = nl
+	}
+	return labels
+}
+
+// blockMedoidsMap is the map-based reference for blockMedoids: cluster
+// label -> medoid record, each block's groups appended per local label.
+func blockMedoidsMap(blocks []*blockDendrogram, per [][]int, labels []int) map[int]int {
+	medoids := make(map[int]int)
+	for bi, bd := range blocks {
+		lab := per[bi]
+		kb := 0
+		for _, l := range lab {
+			if l+1 > kb {
+				kb = l + 1
+			}
+		}
+		groups := make([][]int, kb) // local indices per local label
+		for li, l := range lab {
+			groups[l] = append(groups[l], li)
+		}
+		for _, g := range groups {
+			if len(g) == 0 {
+				continue
+			}
+			best, bestSum := -1, 0.0
+			for _, li := range g {
+				var sum float64
+				for _, lj := range g {
+					if lj != li {
+						sum += bd.dm.At(li, lj)
+					}
+				}
+				if best < 0 || sum < bestSum {
+					best, bestSum = li, sum
+				}
+			}
+			medoids[labels[bd.members[best]]] = bd.members[best]
+		}
+	}
+	return medoids
+}
+
+// newMedoidIndexMap is the reference for newMedoidIndex over a medoid
+// map: entries in sorted label order.
+func newMedoidIndexMap(fs *FeatureSet, medoids map[int]int, cutHeight, sil float64) *MedoidIndex {
+	x := &MedoidIndex{CutHeight: cutHeight, Silhouette: sil, Records: len(fs.Records), Bands: blockBands}
+	labels := make([]int, 0, len(medoids))
+	for l := range medoids {
+		labels = append(labels, l)
+	}
+	sort.Ints(labels)
+	x.Medoids = make([]MedoidEntry, 0, len(labels))
+	for _, l := range labels {
+		x.Medoids = append(x.Medoids, MedoidEntry{Label: l, Record: medoids[l]})
+	}
+	return x
 }

@@ -326,8 +326,8 @@ func cutBlocksAt(blocks []*blockDendrogram, h float64) (per [][]int, k int) {
 // local index), so the result is deterministic; over one block holding
 // every record it is the full-matrix silhouette sum, bit for bit equal
 // to the serial map-walking definition the tests keep as an oracle.
-// acc is the caller's reusable accumulator (see growAcc).
-func blockSilhouetteSum(bd *blockDendrogram, lab []int, farD float64, multiBlock bool, acc *[]float64) float64 {
+// sc is the caller's reusable scratch (see silScratch).
+func blockSilhouetteSum(bd *blockDendrogram, lab []int, farD float64, multiBlock bool, sc *silScratch) float64 {
 	m := len(lab)
 	kb := 0
 	for _, l := range lab {
@@ -335,161 +335,181 @@ func blockSilhouetteSum(bd *blockDendrogram, lab []int, farD float64, multiBlock
 			kb = l + 1
 		}
 	}
-	counts := make([]int, kb)
+	counts := growScratch(&sc.counts, kb)
 	for _, l := range lab {
 		counts[l]++
 	}
-	nact := 0
-	for _, l := range lab {
-		if counts[l] > 1 {
-			nact++
+	// Only members of multi-member clusters score; km counts those
+	// clusters and nact their members.
+	km, nact := 0, 0
+	for _, c := range counts {
+		if c > 1 {
+			km++
+			nact += c
 		}
 	}
 	if nact == 0 {
 		return 0 // all singletons
 	}
-	// The scorer only needs bucketed sums over the multi-member
-	// clusters: a singleton cluster's mean is the single distance to
-	// its member, and bestB is a pure min, so all singleton buckets
-	// collapse into one running min per member without changing a
-	// single bit of the result (see AccumMultiByLabel). That keeps the
-	// dense accumulator km-wide — and its cluster-major layout keeps
-	// the scatter cache-resident however large m×km grows — so one
-	// triangle pass visiting each pair once replaces the per-member
-	// row walks that visit every pair twice with the lower-triangle
-	// half striding across the condensed storage. The per-member
-	// fallback remains for cells where few members need scoring (the
-	// streaming pass reads the whole triangle regardless) and as an
-	// allocation-sanity bound on the accumulator.
-	km := 0
-	for _, c := range counts {
-		if c > 1 {
-			km++
+	// Both scorers relabel the clusters densely, multi-member clusters
+	// first: rank[c] is cluster c's dense id, mcount[r] the size of
+	// multi-member cluster r. The fallback gives the singleton clusters
+	// ids km..kb−1; the streaming kernel marks them −1.
+	rank := growScratch(&sc.rank, kb)
+	mcount := growScratch(&sc.mcount, km)
+	streaming := 4*nact >= 3*m && m*km <= maxAccLen
+	next, nextSingle := 0, km
+	for c, cnt := range counts {
+		switch {
+		case cnt > 1:
+			rank[c] = next
+			mcount[next] = cnt
+			next++
+		case streaming:
+			rank[c] = -1
+		default:
+			rank[c] = nextSingle
+			nextSingle++
 		}
 	}
-	if 4*nact >= 3*m && m*km <= maxAccLen {
-		return blockSilhouetteSumMulti(bd, lab, counts, kb, km, farD, multiBlock, acc)
+	dlab := growScratch(&sc.dlab, m)
+	for i, l := range lab {
+		dlab[i] = rank[l]
 	}
-	sums := make([]float64, kb)
+	// The scorer only needs bucketed sums over the multi-member
+	// clusters: a singleton cluster's mean is the single distance to
+	// its member (x/1 is exact), and bestB is a pure min, so all
+	// singleton buckets collapse into one running min per member without
+	// changing a single bit of the result (see AccumMultiByLabel). That
+	// keeps the dense accumulator km-wide — and its cluster-major layout
+	// keeps the scatter cache-resident however large m×km grows — so one
+	// triangle pass visiting each pair once replaces the per-member row
+	// walks that visit every pair twice with the lower-triangle half
+	// striding across the condensed storage. The per-member fallback
+	// remains for cells where few members need scoring (the streaming
+	// pass reads the whole triangle regardless) and as an
+	// allocation-sanity bound on the accumulator.
+	if streaming {
+		return blockSilhouetteSumMulti(bd, dlab, mcount, farD, multiBlock, sc)
+	}
+	sums := growScratch(&sc.sums, kb)
 	var total float64
 	for i := 0; i < m; i++ {
-		own := lab[i]
-		if counts[own] == 1 {
+		own := dlab[i]
+		if own >= km {
 			continue // s(i) = 0 for singletons
 		}
 		clear(sums)
-		bd.dm.AccumRowByLabel(i, lab, sums)
-		a := sums[own] / float64(counts[own]-1)
-		bestB := -1.0
-		for c := 0; c < kb; c++ {
+		bd.dm.AccumRowByLabel(i, dlab, sums)
+		a := sums[own] / float64(mcount[own]-1)
+		// b(i) is a min, so its order does not matter: the multi-member
+		// means first, then the singleton sums, which are their means.
+		bestB := math.Inf(1)
+		for c, sum := range sums[:km] {
 			if c == own {
 				continue
 			}
-			mean := sums[c] / float64(counts[c])
-			if bestB < 0 || mean < bestB {
+			if mean := sum / float64(mcount[c]); mean < bestB {
 				bestB = mean
 			}
 		}
-		if multiBlock && (bestB < 0 || farD < bestB) {
-			bestB = farD
+		for _, sum := range sums[km:] {
+			if sum < bestB {
+				bestB = sum
+			}
 		}
-		if bestB < 0 {
-			continue // single cluster in the only block: undefined, skip
-		}
-		denom := a
-		if bestB > denom {
-			denom = bestB
-		}
-		if denom > 0 {
-			total += (bestB - a) / denom
-		}
+		total += silhouetteTerm(a, bestB, farD, multiBlock)
 	}
 	return total
+}
+
+// silhouetteTerm is member i's s(i) from its a(i) and its least mean
+// distance bestB to another cluster of the block (+Inf when the block
+// has no other cluster), with the cross-block cap applied. It is 0 when
+// b(i) is undefined (one cluster in the only block) or max(a,b) is 0.
+func silhouetteTerm(a, bestB, farD float64, multiBlock bool) float64 {
+	if multiBlock && farD < bestB {
+		bestB = farD
+	}
+	if math.IsInf(bestB, 1) {
+		return 0
+	}
+	denom := a
+	if bestB > denom {
+		denom = bestB
+	}
+	if denom > 0 {
+		return (bestB - a) / denom
+	}
+	return 0
 }
 
 // maxAccLen bounds the streaming scorer's m×km accumulator at 64 MB;
 // larger cells take the per-member row walks instead.
 const maxAccLen = 64 << 20 / 8
 
-// growAcc returns the first n entries of *buf, zeroed. The buffer is
+// silScratch is one sweep worker's scoring scratch, reused across every
+// cell the worker scores: the label counts, the dense relabeling, the
+// fallback's per-member sums, and the streaming kernel's singleton
+// minima and cluster-major accumulator. Each slice regrows only when a
+// cell needs more than any earlier cell did.
+type silScratch struct {
+	counts, rank, mcount, dlab []int
+	sums, minS, acc            []float64
+}
+
+// growScratch returns the first n entries of *buf, zeroed. The buffer is
 // reused while it is large enough and otherwise regrown geometrically,
 // never past maxAccLen (n itself never exceeds it), so a sweep worker
 // scoring many cells allocates O(log) times instead of once per cell.
-func growAcc(buf *[]float64, n int) []float64 {
+func growScratch[T int | float64](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		c := max(n, min(2*cap(*buf), maxAccLen))
-		*buf = make([]float64, c)
+		*buf = make([]T, max(n, min(2*cap(*buf), maxAccLen)))
 	}
-	acc := (*buf)[:n]
-	clear(acc)
-	return acc
+	s := (*buf)[:n]
+	clear(s)
+	return s
 }
 
 // blockSilhouetteSumMulti is blockSilhouetteSum's streaming variant:
-// multi-member clusters are remapped to dense ids, all member×bucket
-// sums come from one AccumMultiByLabel triangle pass, and each
-// member's best singleton-cluster mean arrives as minS[i]. bestB is
-// the same minimum value the full-width kb loop computes — multi
-// means accumulate the identical additions in the identical order,
-// and a singleton mean is one exact float32→float64 value — so the
-// returned sum is bit-identical to the fallback path.
-func blockSilhouetteSumMulti(bd *blockDendrogram, lab, counts []int, kb, km int, farD float64, multiBlock bool, accBuf *[]float64) float64 {
-	m := len(lab)
-	mlab := make([]int, kb)   // cluster -> dense multi id, -1 if singleton
-	mcount := make([]int, km) // dense multi id -> member count
-	km = 0
-	for c, cnt := range counts {
-		if cnt > 1 {
-			mlab[c] = km
-			mcount[km] = cnt
-			km++
-		} else {
-			mlab[c] = -1
-		}
-	}
-	dlab := make([]int, m)
-	for i, l := range lab {
-		dlab[i] = mlab[l]
-	}
-	acc := growAcc(accBuf, m*km)
-	minS := make([]float64, m)
+// dlab holds the dense multi-member cluster ids (−1 for singleton
+// members) and mcount their sizes. All member×cluster sums come from
+// one AccumMultiByLabel triangle pass, and each member's best
+// singleton-cluster mean arrives as minS[i]. The multi-member means are
+// then folded into minS stripe by stripe, reading the cluster-major
+// accumulator in storage order. bestB is the same minimum value the
+// fallback computes — multi sums accumulate the identical additions in
+// the identical order, a singleton mean is one exact float32→float64
+// value, and a min does not depend on the order it is taken in — so
+// the returned sum is bit-identical to the fallback path.
+func blockSilhouetteSumMulti(bd *blockDendrogram, dlab, mcount []int, farD float64, multiBlock bool, sc *silScratch) float64 {
+	m, km := len(dlab), len(mcount)
+	acc := growScratch(&sc.acc, m*km)
+	minS := growScratch(&sc.minS, m)
 	for i := range minS {
 		minS[i] = math.Inf(1)
 	}
 	bd.dm.AccumMultiByLabel(dlab, km, acc, minS)
+	// minS[i] becomes bestB: the least mean over every cluster but i's
+	// own. Singleton members never score, so their entries are skipped.
+	for c, cnt := range mcount {
+		stripe := acc[c*m : (c+1)*m]
+		for i, sum := range stripe {
+			if own := dlab[i]; own < 0 || own == c {
+				continue
+			}
+			if mean := sum / float64(cnt); mean < minS[i] {
+				minS[i] = mean
+			}
+		}
+	}
 	var total float64
-	for i := 0; i < m; i++ {
-		own := dlab[i]
+	for i, own := range dlab {
 		if own < 0 {
 			continue // s(i) = 0 for singletons
 		}
 		a := acc[own*m+i] / float64(mcount[own]-1)
-		bestB := -1.0
-		for c := 0; c < km; c++ {
-			if c == own {
-				continue
-			}
-			mean := acc[c*m+i] / float64(mcount[c])
-			if bestB < 0 || mean < bestB {
-				bestB = mean
-			}
-		}
-		if s := minS[i]; !math.IsInf(s, 1) && (bestB < 0 || s < bestB) {
-			bestB = s
-		}
-		if multiBlock && (bestB < 0 || farD < bestB) {
-			bestB = farD
-		}
-		if bestB < 0 {
-			continue // single cluster in the only block: undefined, skip
-		}
-		denom := a
-		if bestB > denom {
-			denom = bestB
-		}
-		if denom > 0 {
-			total += (bestB - a) / denom
-		}
+		total += silhouetteTerm(a, minS[i], farD, multiBlock)
 	}
 	return total
 }
@@ -503,9 +523,9 @@ func blockedSilhouette(blocks []*blockDendrogram, per [][]int, farD float64, nLi
 	}
 	multi := len(blocks) > 1
 	var total float64
-	var acc []float64
+	var sc silScratch
 	for bi, bd := range blocks {
-		total += blockSilhouetteSum(bd, per[bi], farD, multi, &acc)
+		total += blockSilhouetteSum(bd, per[bi], farD, multi, &sc)
 	}
 	return total / float64(nLive)
 }
@@ -567,20 +587,22 @@ func stitchBlockedLabels(nTotal int, blocks []*blockDendrogram, per [][]int) []i
 		}
 		base += kb
 	}
-	// Canonical renumbering by first occurrence.
-	remap := make(map[int]int, base)
+	// Canonical renumbering by first occurrence; remap[p] is
+	// provisional id p's label, -1 until first seen.
+	remap := make([]int, base)
+	for p := range remap {
+		remap[p] = -1
+	}
 	next := 0
-	for i := 0; i < nTotal; i++ {
-		if labels[i] < 0 {
+	for i, p := range labels {
+		if p < 0 {
 			continue
 		}
-		nl, ok := remap[labels[i]]
-		if !ok {
-			nl = next
+		if remap[p] < 0 {
+			remap[p] = next
 			next++
-			remap[labels[i]] = nl
 		}
-		labels[i] = nl
+		labels[i] = remap[p]
 	}
 	return labels
 }
@@ -744,11 +766,11 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 		h  float64
 	}
 	// rescore fills one fresh/refreshed cell, scoring it in the worker's
-	// accumulator acc. kb is counted off the labeling, the same count
+	// scratch sc. kb is counted off the labeling, the same count
 	// cutBlocksAt reports. It equals m − seg because every sorted merge
 	// joins two distinct clusters (cluster.sortMerges keeps each
 	// operand's creator first).
-	rescore := func(t sweepTask, acc *[]float64) {
+	rescore := func(t sweepTask, sc *silScratch) {
 		if t.m.lab == nil {
 			t.m.lab = t.bd.dend.CutByHeight(t.h)
 		}
@@ -759,7 +781,7 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 			}
 		}
 		t.m.kb = kb
-		t.m.silSum = blockSilhouetteSum(t.bd, t.m.lab, t.m.farD, t.m.multi, acc)
+		t.m.silSum = blockSilhouetteSum(t.bd, t.m.lab, t.m.farD, t.m.multi, sc)
 	}
 	var fresh []sweepTask
 	for bi, bd := range blocks {
@@ -789,14 +811,14 @@ func sweepBlockedCutMemo(blocks []*blockDendrogram, cands []float64, farD float6
 	ms.hits = int64(len(cands))*int64(len(blocks)) - ms.misses - ms.refreshes
 
 	// Rescore (parallel): fill the fresh cells, each worker reusing one
-	// accumulator across its cells. Each task is attributed to the
-	// height bucket of the candidate that first needed it.
+	// scratch across its cells. Each task is attributed to the height
+	// bucket of the candidate that first needed it.
 	workers := runtime.GOMAXPROCS(0)
-	accs := make([][]float64, workers)
+	scratch := make([]silScratch, workers)
 	fanOutWorkers(len(fresh), workers, func(w, ti int) {
 		t := fresh[ti]
 		start := o.clock()
-		rescore(t, &accs[w])
+		rescore(t, &scratch[w])
 		o.sweepRescored(t.h, start)
 	})
 

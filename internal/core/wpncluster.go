@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"pushadminer/internal/cluster"
 	"pushadminer/internal/telemetry"
@@ -195,43 +195,78 @@ func cutStep(fs *FeatureSet, blocks []*blockDendrogram, nLive int, opts ClusterO
 // sets and ad-campaign labels from a labeling — the tail the exact,
 // blocked and incremental clusterings share. Negative labels mark
 // records not yet covered (an incremental clusterer mid-stream) and
-// produce no cluster.
+// produce no cluster. Clusters come in ascending label order, their
+// members share one flat array, and each domain list is sorted and
+// deduplicated in one reused buffer.
 func finishClusterResult(fs *FeatureSet, labels []int, height, sil float64) *ClusterResult {
-	members := cluster.Members(labels)
-	delete(members, -1)
-	ids := make([]int, 0, len(members))
-	for id := range members {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-
+	start, flat := groupByLabel(labels, nil, nil)
 	res := &ClusterResult{CutHeight: height, Silhouette: sil, Labels: labels}
-	for _, id := range ids {
-		c := &WPNCluster{ID: id, Members: members[id]}
-		srcSet, landSet := map[string]bool{}, map[string]bool{}
-		for _, m := range c.Members {
+	var buf []string
+	for l := 0; l+1 < len(start); l++ {
+		members := flat[start[l]:start[l+1]:start[l+1]]
+		if len(members) == 0 {
+			continue
+		}
+		c := &WPNCluster{ID: l, Members: members}
+		buf = buf[:0]
+		for _, m := range members {
 			if d := fs.Records[m].SourceDomain; d != "" {
-				srcSet[d] = true
-			}
-			if d := fs.Features[m].LandingESLD; d != "" {
-				landSet[d] = true
+				buf = append(buf, d)
 			}
 		}
-		c.SourceDomains = sortedKeys(srcSet)
-		c.LandingDomains = sortedKeys(landSet)
+		c.SourceDomains = sortedUnique(buf)
+		buf = buf[:0]
+		for _, m := range members {
+			if d := fs.Features[m].LandingESLD; d != "" {
+				buf = append(buf, d)
+			}
+		}
+		c.LandingDomains = sortedUnique(buf)
 		c.IsAdCampaign = !c.Singleton() && len(c.SourceDomains) > 1
 		res.Clusters = append(res.Clusters, c)
 	}
 	return res
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// groupByLabel groups the indices i with labels[i] >= 0 by label, a
+// counting sort into the reused buffers start and flat: label l's
+// indices are flat[start[l]:start[l+1]], ascending, and len(start) is
+// the largest label + 2. An unused label gets an empty range.
+func groupByLabel(labels, start, flat []int) ([]int, []int) {
+	k := 0
+	for _, l := range labels {
+		k = max(k, l+1)
 	}
-	sort.Strings(out)
-	return out
+	start = slices.Grow(start[:0], k+1)[:k+1]
+	clear(start)
+	for _, l := range labels {
+		if l >= 0 {
+			start[l+1]++
+		}
+	}
+	for l := 1; l <= k; l++ {
+		start[l] += start[l-1]
+	}
+	flat = slices.Grow(flat[:0], start[k])[:start[k]]
+	// Filling advances start[l] to the end of label l's range, which is
+	// where label l+1's range begins: one shift restores the starts.
+	for i, l := range labels {
+		if l >= 0 {
+			flat[start[l]] = i
+			start[l]++
+		}
+	}
+	copy(start[1:], start[:k])
+	start[0] = 0
+	return start, flat
+}
+
+// sortedUnique sorts buf in place and returns a copy of its distinct
+// strings, ascending; never nil.
+func sortedUnique(buf []string) []string {
+	slices.Sort(buf)
+	buf = slices.Compact(buf)
+	return append(make([]string, 0, len(buf)), buf...)
 }
 
 // NumSingletons counts singleton clusters.

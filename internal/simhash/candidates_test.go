@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -56,47 +58,149 @@ func referenceCandidates(added map[int]Hash, h Hash, nBands int) []int {
 	return out
 }
 
-// TestAppendCandidatesMatchesReference cross-checks the sort-and-compact
-// lookup against the brute-force definition on random fingerprints,
-// including repeated queries and buffer reuse.
+// candidates is a one-off lookup with fresh marks.
+func candidates(ix *BandIndex, h Hash) []int {
+	return ix.AppendCandidates(nil, new(Marks), h)
+}
+
+// marksClear reports whether a lookup left every bit of marks clear.
+func marksClear(marks *Marks) bool {
+	for _, w := range marks.words {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAppendCandidatesMatchesReference cross-checks the bit-set lookup
+// against the brute-force definition on random fingerprints: ids added
+// out of ascending order, sparse large ids, repeated hashes, repeated
+// queries, and one dst buffer and one Marks reused across every query
+// of every index (the marks grow to the largest id and must come back
+// clear).
 func TestAppendCandidatesMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, nBands := range []int{1, 4, 8, 13} {
-		ix := NewBandIndex(nBands)
+	var marks Marks
+	buf := make([]int, 0, 64)
+	for _, c := range []struct {
+		name   string
+		nBands int
+		ids    func(k int) int // the k-th id added
+	}{
+		{"ascending/1", 1, func(k int) int { return k }},
+		{"ascending/4", 4, func(k int) int { return k }},
+		{"ascending/8", 8, func(k int) int { return k }},
+		{"ascending/13", 13, func(k int) int { return k }},
+		// A fixed permutation of 0..299: every later id lands below some
+		// earlier one, in buckets that are not in ascending order.
+		{"shuffled/8", 8, func(k int) int { return (k * 97) % 300 }},
+		{"descending/4", 4, func(k int) int { return 299 - k }},
+		// Sparse large ids, several words apart and out of order.
+		{"sparse/8", 8, func(k int) int { return (k*7919)%300*3331 + 1<<16 }},
+	} {
+		ix := NewBandIndex(c.nBands)
 		added := make(map[int]Hash)
-		for id := 0; id < 300; id++ {
+		var hashes []Hash
+		for k := 0; k < 300; k++ {
 			var h Hash
-			if id%3 == 0 && id > 0 {
+			switch {
+			case k%7 == 6:
+				// Repeated: the exact hash of an earlier id.
+				h = hashes[rng.Intn(k)]
+			case k%3 == 0 && k > 0:
 				// Correlated with an earlier hash: flip a few bits so
 				// bands genuinely collide.
-				h = added[rng.Intn(id)] ^ Hash(1)<<uint(rng.Intn(64))
-			} else {
+				h = hashes[rng.Intn(k)] ^ Hash(1)<<uint(rng.Intn(64))
+			default:
 				h = Hash(rng.Uint64())
 			}
+			hashes = append(hashes, h)
+			id := c.ids(k)
 			ix.Add(id, h)
 			added[id] = h
 		}
-		buf := make([]int, 0, 64)
-		for q := 0; q < 50; q++ {
-			h := added[rng.Intn(300)]
-			if q%2 == 0 {
+		for q := 0; q < 60; q++ {
+			h := hashes[rng.Intn(len(hashes))]
+			if q%3 == 0 {
 				h = Hash(rng.Uint64())
 			}
-			want := referenceCandidates(added, h, nBands)
-			got := ix.Candidates(h)
-			if !equalInts(got, want) {
-				t.Fatalf("nBands=%d: Candidates(%v) = %v, want %v", nBands, h, got, want)
+			want := referenceCandidates(added, h, c.nBands)
+			if got := candidates(ix, h); !equalInts(got, want) {
+				t.Fatalf("%s: fresh lookup of %v = %v, want %v", c.name, h, got, want)
 			}
-			// AppendCandidates must leave the prefix intact and append
-			// the same sorted set.
-			buf = buf[:0]
-			buf = append(buf, -7)
-			buf = ix.AppendCandidates(buf, h)
+			// AppendCandidates must leave the prefix intact, append the
+			// same ascending set, and leave the reused marks clear.
+			buf = append(buf[:0], -7)
+			buf = ix.AppendCandidates(buf, &marks, h)
 			if buf[0] != -7 || !equalInts(buf[1:], want) {
-				t.Fatalf("nBands=%d: AppendCandidates corrupted buffer: %v, want prefix -7 then %v", nBands, buf, want)
+				t.Fatalf("%s: AppendCandidates corrupted buffer: %v, want prefix -7 then %v", c.name, buf, want)
+			}
+			if !marksClear(&marks) {
+				t.Fatalf("%s: lookup of %v left marks set", c.name, h)
 			}
 		}
 	}
+}
+
+// TestConcurrentLookups runs lookups on one index from several
+// goroutines at once, each with its own Marks, and checks every result.
+// Lookups must only read the index: marks kept inside it would race
+// (go test -race fails) and corrupt the dedup.
+func TestConcurrentLookups(t *testing.T) {
+	const nBands, n = 8, 2000
+	rng := rand.New(rand.NewSource(29))
+	ix := NewBandIndex(nBands)
+	hashes := make([]Hash, n)
+	for id := range hashes {
+		if id%2 == 1 {
+			hashes[id] = hashes[rng.Intn(id)] ^ Hash(1)<<uint(rng.Intn(64))
+		} else {
+			hashes[id] = Hash(rng.Uint64())
+		}
+		ix.Add(id, hashes[id])
+	}
+	want := make([][]int, 200)
+	for q := range want {
+		want[q] = candidates(ix, hashes[q*7%n])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var marks Marks
+			var buf []int
+			for rep := 0; rep < 5; rep++ {
+				for q := range want {
+					q = (q + 53*g) % len(want)
+					buf = ix.AppendCandidates(buf[:0], &marks, hashes[q*7%n])
+					if !equalInts(buf, want[q]) {
+						errs <- fmt.Sprintf("goroutine %d: query %d = %v, want %v", g, q, buf, want[q])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// TestBandIndexAddNegativeID asserts Add rejects a negative id, which no
+// bit set can hold, and names it.
+func TestBandIndexAddNegativeID(t *testing.T) {
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "-3") {
+			t.Fatalf("Add(-3) panicked with %v, want a message naming -3", r)
+		}
+	}()
+	NewBandIndex(8).Add(-3, 0)
 }
 
 func equalInts(a, b []int) bool {
@@ -182,11 +286,13 @@ func TestForEachGroup(t *testing.T) {
 }
 
 // BenchmarkCandidatesLargeBucket is the regression benchmark for the
-// Candidates hot path: thousands of ids landing in shared buckets once
-// paid a fresh map allocation per call plus an O(k²) insertion sort of
-// the result. The lookup now sorts and compacts in the caller's buffer,
-// so a query into a reused buffer allocates nothing once the buffer has
-// grown.
+// candidate lookup on huge overlapping buckets. Every id lands in 7 of
+// the 8 buckets queried, so a lookup reads 7 ids per candidate. Setting
+// and reading back a bit per id costs 1.8 / 14.2 / 66 µs per query at
+// 100 / 1,000 / 5,000 ids, where sorting and compacting the appended
+// buckets cost 12.3 / 195 / 1,295 µs (-benchtime 2000x, one run each on
+// a 2 vCPU Xeon), and a query into a reused buffer and marks allocates
+// nothing.
 func BenchmarkCandidatesLargeBucket(b *testing.B) {
 	for _, size := range []int{100, 1000, 5000} {
 		b.Run(fmt.Sprintf("bucket=%d", size), func(b *testing.B) {
@@ -198,10 +304,11 @@ func BenchmarkCandidatesLargeBucket(b *testing.B) {
 				ix.Add(id, base^Hash(1)<<uint(id%64))
 			}
 			buf := make([]int, 0, size)
+			var marks Marks
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf = ix.AppendCandidates(buf[:0], base)
+				buf = ix.AppendCandidates(buf[:0], &marks, base)
 			}
 			if len(buf) != size {
 				b.Fatalf("query returned %d candidates, want %d", len(buf), size)

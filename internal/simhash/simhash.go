@@ -8,6 +8,7 @@
 package simhash
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math/bits"
 	"slices"
@@ -143,12 +144,14 @@ func SharesBand(a, b Hash, nBands int) bool {
 
 // BandIndex buckets fingerprints by band value so candidate sets can be
 // enumerated without the O(n²) all-pairs scan: items sharing any band
-// land in a common bucket. IDs are caller-assigned (typically record
-// indices). A BandIndex is not safe for concurrent use while Add
-// mutates the buckets; lookups only read them.
+// land in a common bucket. IDs are caller-assigned, non-negative
+// (typically record indices). A BandIndex is not safe for concurrent use
+// while Add mutates the buckets; lookups only read them, so goroutines
+// that each bring their own Marks may look up one index at once.
 type BandIndex struct {
 	nBands  int
 	buckets []map[uint64][]int
+	maxID   int // largest id added, -1 while empty
 }
 
 // NewBandIndex returns an empty index over nBands bit-bands.
@@ -159,6 +162,7 @@ func NewBandIndex(nBands int) *BandIndex {
 	ix := &BandIndex{
 		nBands:  nBands,
 		buckets: make([]map[uint64][]int, nBands),
+		maxID:   -1,
 	}
 	for i := range ix.buckets {
 		ix.buckets[i] = make(map[uint64][]int)
@@ -166,34 +170,60 @@ func NewBandIndex(nBands int) *BandIndex {
 	return ix
 }
 
-// Add inserts a fingerprint under the given id.
+// Add inserts a fingerprint under the given id, which must be
+// non-negative: lookups dedupe ids in a bit set.
 func (ix *BandIndex) Add(id int, h Hash) {
+	if id < 0 {
+		panic(fmt.Sprintf("simhash: negative id %d", id))
+	}
+	ix.maxID = max(ix.maxID, id)
 	for b := 0; b < ix.nBands; b++ {
 		key := Band(h, b, ix.nBands)
 		ix.buckets[b][key] = append(ix.buckets[b][key], id)
 	}
 }
 
-// Candidates returns the deduplicated ids sharing at least one band with
-// h, in ascending id order. An item previously Added under h is its own
-// candidate.
-func (ix *BandIndex) Candidates(h Hash) []int {
-	return ix.AppendCandidates(nil, h)
+// Marks is the scratch bit set a lookup dedupes candidate ids in, one
+// bit per id. Every bit is clear between lookups, because a lookup
+// clears each word as it reads it out. The zero value is ready to use;
+// it grows to the largest id added to the index it is used with. Marks
+// belong to the caller, not the index, so lookups never write the
+// index: each goroutine that looks up a shared index brings its own.
+type Marks struct {
+	words []uint64
 }
 
 // AppendCandidates appends the deduplicated ids sharing at least one
-// band with h to dst (in ascending id order) and returns the extended
-// slice, so hot loops can reuse one buffer across calls. It appends
-// every matching bucket, sorts the appended ids and drops adjacent
-// duplicates, so a lookup allocates nothing once dst has grown.
-func (ix *BandIndex) AppendCandidates(dst []int, h Hash) []int {
-	start := len(dst)
-	for b := 0; b < ix.nBands; b++ {
-		dst = append(dst, ix.buckets[b][Band(h, b, ix.nBands)]...)
+// band with h to dst, in ascending id order, and returns the extended
+// slice. An item previously Added under h is its own candidate. Each
+// matching bucket's ids are set in marks; the words between the lowest
+// and highest id set are then read out in ascending order and cleared,
+// so a lookup sorts nothing and, once dst and marks have grown,
+// allocates nothing.
+func (ix *BandIndex) AppendCandidates(dst []int, marks *Marks, h Hash) []int {
+	if need := ix.maxID>>6 + 1; len(marks.words) < need {
+		marks.words = append(marks.words, make([]uint64, need-len(marks.words))...)
 	}
-	cands := dst[start:]
-	slices.Sort(cands)
-	return dst[:start+len(slices.Compact(cands))]
+	words := marks.words
+	lo, hi := len(words), -1
+	for b := 0; b < ix.nBands; b++ {
+		for _, id := range ix.buckets[b][Band(h, b, ix.nBands)] {
+			w := id >> 6
+			words[w] |= 1 << uint(id&63)
+			lo, hi = min(lo, w), max(hi, w)
+		}
+	}
+	for w := lo; w <= hi; w++ {
+		x := words[w]
+		if x == 0 {
+			continue
+		}
+		words[w] = 0
+		for ; x != 0; x &= x - 1 {
+			dst = append(dst, w<<6|bits.TrailingZeros64(x))
+		}
+	}
+	return dst
 }
 
 // ForEachGroup calls fn once per bucket holding at least two ids, with

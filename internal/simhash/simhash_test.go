@@ -156,11 +156,11 @@ func TestBandIndexCandidates(t *testing.T) {
 	ix.Add(0, base)
 	ix.Add(1, near)
 	ix.Add(2, far)
-	got := ix.Candidates(base)
+	got := candidates(ix, base)
 	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("Candidates(base) = %v, want [0 1]", got)
 	}
-	if got := ix.Candidates(far); len(got) != 1 || got[0] != 2 {
+	if got := candidates(ix, far); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("Candidates(far) = %v, want [2]", got)
 	}
 	// Candidates must be exactly the SharesBand-positive set.
@@ -178,7 +178,7 @@ func TestBandIndexCandidates(t *testing.T) {
 				want = append(want, j)
 			}
 		}
-		got := ix2.Candidates(h)
+		got := candidates(ix2, h)
 		if len(got) != len(want) {
 			t.Fatalf("item %d: candidates %v, want %v", i, got, want)
 		}

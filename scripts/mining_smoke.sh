@@ -3,11 +3,20 @@
 # both `make mining-smoke` and scripts/verify.sh run:
 #  - the exact route's bit-parity gate against the serial reference
 #    sweep (3 seeds × 3 linkages, plus a near-tied one-block sweep);
+#  - the silhouette scorer against the serial definition, bit for bit,
+#    on both of its paths (random, tie-heavy and mostly-singleton cells,
+#    and the exact route's fixed cuts), and its per-worker scratch reused
+#    dirty without regrowing;
 #  - the blocked-vs-exact parity matrix, the fixed cut height, the sweep
 #    memo's parity matrix and the medoid index round trip;
+#  - the cut step's tail (stitched labels, clusters with their domain
+#    lists, medoids and the medoid index) against its map-based
+#    reference;
 #  - the distances and their path bound against the from-scratch
-#    reference, the blocks against a serial reference union-find at 1–3
-#    union workers, and the union phase's run-to-run count determinism;
+#    reference, the banded candidate lookup against its brute-force
+#    definition, the blocks against a serial reference union-find at
+#    1–3 union workers, and the union phase's run-to-run count
+#    determinism;
 #  - the incremental-converges-to-batch checks, the Recluster's copied
 #    distances against fresh fills above the crossover, the dendrogram
 #    cut against its map-based reference and the linkage property test
@@ -24,5 +33,5 @@ cd "$(dirname "$0")/.."
 GO="${GO:-go}"
 
 "$GO" test -count=1 \
-	-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestClusterParityBlockedVsExact|TestDistanceMatchesNaiveBitForBit|TestBlockedComponentsPartition|TestBlockedUnionCountsDeterministic|TestBlockedFixedCutHeight|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestReclusterReusesAbsorbedDistances|TestCutByHeightMatchesMapReference|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$' \
-	./internal/core/ ./internal/cluster/ ./internal/textmine/
+	-run '^(TestClusterParityNaiveVsCached|TestOneBlockSweepKeepsNearTieHeights|TestSilhouetteMatchesSerialBitForBit|TestExactFixedCutSilhouetteMatchesSerial|TestSilhouetteAccumulatorReuse|TestClusterParityBlockedVsExact|TestDistanceMatchesNaiveBitForBit|TestAppendCandidatesMatchesReference|TestBlockedComponentsPartition|TestBlockedUnionCountsDeterministic|TestBlockedFixedCutHeight|TestClusterDerivationMatchesMapOracle|TestIncrementalConvergesToBatch|TestIncrementalLinkageVariants|TestReclusterReusesAbsorbedDistances|TestCutByHeightMatchesMapReference|TestSweepMemoParityMatrix|TestBlockedFullSweepOptionParity|TestMedoidIndexRoundTrip|TestLinkageDendrogramProperties|TestSGNSUpdateMatchesReference|TestTrainingMatchesReference)$' \
+	./internal/core/ ./internal/cluster/ ./internal/simhash/ ./internal/textmine/
