@@ -21,11 +21,11 @@ vet:
 verify:
 	sh scripts/verify.sh
 
-# telemetry-smoke runs the same seeded chaos crawl+mine as a one-shard
-# and a 4-shard fleet under worker kills and requires byte-identical
-# output, then reruns a blocked mine for ledger byte-stability; it
-# scrapes the live /fleetz and /miningz views and checks the snapshots
-# against the golden key-sets.
+# telemetry-smoke runs a seeded chaos crawl+mine, then the same crawl
+# served with a ledger, and requires byte-identical output, then reruns
+# a blocked mine for ledger byte-stability; it scrapes the live /fleetz
+# and /miningz views and checks the snapshots against the golden
+# key-sets.
 telemetry-smoke:
 	sh scripts/telemetry_smoke.sh
 

@@ -8,7 +8,6 @@
 //
 //	wpncrawl -out wpns.json [-seed N] [-scale F] [-days N]
 //	         [-chaos-profile P] [-pump-workers N] [-batch-window D]
-//	         [-shards N] [-heartbeat D] [-max-restarts N] [-fleet-dir DIR]
 //	         [-ledger PATH] [-debug-addr HOST:PORT] [-linger D]
 //	         [-metrics-out PATH] [-trace-out PATH]
 //
@@ -17,19 +16,15 @@
 // a comma-separated spec with k=v overrides, e.g.
 // "acceptance,seed=7,resets=0.08,outage=72h:24h".
 //
-// Every crawl runs on the fleet (internal/fleet): a coordinator plus
-// -shards N workers (<= 1 means one), each owning a disjoint container
-// set, with heartbeat-based dead-worker detection, bounded
-// restart-with-resume from durable state files (kept under -fleet-dir,
-// or a private temp dir when "workercrashes=F" chaos can kill a
-// worker), and work stealing. The output is byte-identical at any
-// shard count, under any kill schedule. The crawl is deterministic, so
-// a killed wpncrawl is simply run again: the rerun writes the same
-// records an uninterrupted run would have.
+// Each crawl runs one worker under internal/fleet's event loop; crashed
+// browser containers are detected and re-seeded inside the crawl. The
+// crawl is deterministic and keeps no state on disk, so a killed
+// wpncrawl is simply run again: the rerun writes the same records an
+// uninterrupted run would have.
 //
 // Observability: -debug-addr serves net/http/pprof, expvar, a live
-// /metrics JSON snapshot, and the /fleetz fleet introspection view
-// (cmd/wpnstat renders it as a dashboard) on a loopback listener while
+// /metrics JSON snapshot, and the /fleetz crawl status (cmd/wpnstat
+// renders it as a dashboard) on a loopback listener while
 // the crawl runs; -linger keeps that server up
 // for the given duration after the crawl so the final state can still
 // be scraped. -metrics-out writes the final telemetry snapshot (crawler
@@ -38,13 +33,12 @@
 // spans as JSONL, from which telemetry.Chains rebuilds the chains. The
 // trace is not byte-stable: span ids follow the order in which
 // concurrently running containers emit, so only a crawl that runs one
-// container at a time writes the same bytes twice; what repeats at the
-// default pool and at any -shards is each browser container's span
-// sequence and the chains rebuilt from it (the mining spans carry
-// wall-clock times). -ledger writes the run's event ledger
-// as one JSONL file: the desktop and then the mobile crawl's
-// control-plane events (each with a "device" attr), then the mining
-// events of the study's analysis pass.
+// container at a time writes the same bytes twice; what repeats at any
+// pool size is each browser container's span sequence and the chains
+// rebuilt from it (the mining spans carry wall-clock times). -ledger
+// writes the run's event ledger as one JSONL file: the desktop and then
+// the mobile crawl's events (each with a "device" attr), then the
+// mining events of the study's analysis pass.
 // The ledger is byte-identical across reruns at a fixed seed and chaos
 // plan.
 package main
@@ -69,11 +63,7 @@ func main() {
 		profile    = flag.String("chaos-profile", "", "fault-injection profile (mild|acceptance|harsh, with k=v overrides)")
 		pumpW      = flag.Int("pump-workers", 0, "parallel monitor-phase workers (1 = serial reference path, <= 0 = container-pool size); output is identical at any setting")
 		batchW     = flag.Duration("batch-window", 0, "coalesce monitor ticks: pump everything due within this window of the first due event as one batch (0 = exact per-event stepping)")
-		shards     = flag.Int("shards", 0, "run each crawl as a fleet of this many shard workers (<= 1 = one worker); output is identical at any shard count")
-		heartbeat  = flag.Duration("heartbeat", 0, "fleet liveness-check period in simulated time (0 = 6h default)")
-		maxRestart = flag.Int("max-restarts", 0, "restart budget per shard worker before its containers are stolen (0 = default 2, negative = never restart)")
-		fleetDir   = flag.String("fleet-dir", "", "directory for durable shard state files (default: private temp dir)")
-		ledgerOut  = flag.String("ledger", "", "write the run's deterministic event ledger (crawl control plane, then mining) as JSONL to this path")
+		ledgerOut  = flag.String("ledger", "", "write the run's deterministic event ledger (crawl events, then mining) as JSONL to this path")
 		debugAddr  = flag.String("debug-addr", "", "loopback addr serving /debug/pprof, /debug/vars, /metrics and /fleetz (e.g. 127.0.0.1:6060)")
 		linger     = flag.Duration("linger", 0, "keep the debug server up this long after the crawl finishes")
 		metricsOut = flag.String("metrics-out", "", "write final telemetry snapshot JSON to this path")
@@ -114,10 +104,6 @@ func main() {
 		CollectionWindow: time.Duration(*days) * 24 * time.Hour,
 		PumpWorkers:      *pumpW,
 		BatchWindow:      *batchW,
-		Shards:           *shards,
-		ShardHeartbeat:   *heartbeat,
-		MaxShardRestarts: *maxRestart,
-		FleetDir:         *fleetDir,
 		Metrics:          reg,
 		Tracer:           tracer,
 		Ledger:           ledger,
@@ -136,13 +122,6 @@ func main() {
 		time.Since(start).Round(time.Millisecond), *out)
 	if deg := study.Desktop.Degradation; deg.Faults != nil || deg.ContainersLost > 0 {
 		log.Printf("desktop degradation: %+v", deg)
-	}
-	for _, dev := range []string{"desktop", "mobile"} {
-		if rep := study.FleetReports[dev]; rep != nil {
-			log.Printf("%s fleet: shards=%d heartbeats=%d kills=%d restarts=%d lost=%d stolen=%d saves=%d fallbacks=%d",
-				dev, rep.Shards, rep.Heartbeats, rep.Kills, rep.Restarts,
-				rep.WorkersLost, rep.ContainersStolen, rep.StateSaves, rep.StateFallbacks)
-		}
 	}
 	if *metricsOut != "" {
 		if err := reg.WriteSnapshotFile(*metricsOut); err != nil {

@@ -1,8 +1,8 @@
 // Command wpnstat renders a live one-screen dashboard of a running
 // crawl or mine by polling a status endpoint of a -debug-addr server:
-// /fleetz (the default — per-shard health, container counts, queue
-// depth, restart budgets, circuit-breaker posture, fleet-wide
-// control-plane totals from wpncrawl) or /miningz (mining
+// /fleetz (the default — wpncrawl's crawl status: containers, dead
+// containers, queue depth, messages collected, records, events and
+// circuit-breaker posture) or /miningz (mining
 // pipeline progress — current stage, blocks clustered, cut-sweep
 // heights scored, pair counts and sweep memo hits from pushadminer).
 //

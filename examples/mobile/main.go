@@ -29,7 +29,7 @@ func main() {
 	seeds := eco.SeedURLs()
 
 	crawl := func(name string, physical bool) []*pushadminer.WPNRecord {
-		res, _, err := fleet.Run(context.Background(), fleet.Config{Crawl: crawler.Config{
+		res, err := fleet.Run(context.Background(), fleet.Config{Crawl: crawler.Config{
 			Clock:            eco.Clock,
 			NewClient:        func() *http.Client { return eco.Net.ClientNoRedirect() },
 			Driver:           eco,

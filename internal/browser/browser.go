@@ -244,56 +244,6 @@ func (b *Browser) Registrations() []*serviceworker.Registration {
 	return out
 }
 
-// RestoreSession reinstates persisted browser state after a shard-worker
-// restart: the service worker registrations (with their push
-// subscriptions) and the dropped-notification tally. No HTTP happens —
-// the registrations were announced to their ad networks when first
-// created, and the push service's token state lives server-side, so a
-// restored browser resumes polling exactly where the lost one stopped.
-func (b *Browser) RestoreSession(regs []*serviceworker.Registration, droppedNotifs int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.regs = append([]*serviceworker.Registration(nil), regs...)
-	b.droppedNotifs = droppedNotifs
-}
-
-// ExportChain snapshots the browser's trace chain-recorder linkage
-// state (which spans future events will parent under) for shard-state
-// serialization. Returns nil when tracing is disabled.
-func (b *Browser) ExportChain() *telemetry.ChainState {
-	return b.rec.Export()
-}
-
-// RestoreChain reinstates chain-recorder linkage captured by
-// ExportChain, so a browser rebuilt after a shard-worker restart keeps
-// linking events into the chains the lost browser left open. The span
-// IDs are only meaningful against the same tracer instance; a no-op
-// when tracing is disabled or st is nil.
-func (b *Browser) RestoreChain(st *telemetry.ChainState) {
-	b.rec.Restore(st)
-}
-
-// ExportCookies snapshots the browser's cookie jar for serialization.
-// Cookie identity matters across restarts: tracking ad networks
-// frequency-cap returning browsers they recognize by cookie (§8), so a
-// restored browser with an empty jar would be re-classified as new and
-// receive a different push schedule. Returns nil when the client's jar
-// is not an exportable httpx.MemJar.
-func (b *Browser) ExportCookies() []httpx.CookieRecord {
-	if j, ok := b.cfg.Client.Jar.(*httpx.MemJar); ok {
-		return j.Export()
-	}
-	return nil
-}
-
-// RestoreCookies re-imports cookies previously captured by
-// ExportCookies. A no-op when the client's jar is not an httpx.MemJar.
-func (b *Browser) RestoreCookies(recs []httpx.CookieRecord) {
-	if j, ok := b.cfg.Client.Jar.(*httpx.MemJar); ok {
-		j.Import(recs)
-	}
-}
-
 func (b *Browser) onSWRequest(rec serviceworker.RequestRecord) {
 	if b.traced() {
 		b.log(EvSWRequest, "url", rec.URL, "sw", rec.SWURL, "status", strconv.Itoa(rec.Status), "error", rec.Error)

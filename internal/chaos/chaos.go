@@ -3,8 +3,8 @@
 // with seeded, composable fault profiles — latency spikes, connection
 // resets, 5xx bursts, truncated bodies, DNS blackhole windows, and
 // scheduled push-service outages driven by the simulated clock — so the
-// crawler's robustness machinery (retries, circuit breakers, crash
-// recovery, worker restarts) can be exercised and *measured* under the
+// crawler's robustness machinery (retries, circuit breakers, container
+// crash recovery) can be exercised and *measured* under the
 // failure modes a real two-month crawl survives (§6.1 of the paper).
 //
 // Every fault decision is a pure function of (seed, client, host,
@@ -83,13 +83,6 @@ type Profile struct {
 	// the probability a given container crashes on a given resume cycle.
 	ContainerCrashFraction float64 `json:"container_crash_fraction,omitempty"`
 
-	// WorkerCrashFraction is consulted by the fleet's worker crash
-	// plan: the probability a given shard worker dies on a given
-	// heartbeat cycle (kill -9, OOM — the whole process, not one
-	// container). Kills are invisible in the crawl's output: the fleet
-	// restores the worker from its durable shard state.
-	WorkerCrashFraction float64 `json:"worker_crash_fraction,omitempty"`
-
 	// Blackholes maps hostnames to windows during which the host is
 	// unresolvable (transport-level "no such host" errors).
 	Blackholes map[string][]Window `json:"blackholes,omitempty"`
@@ -109,7 +102,6 @@ type Profile struct {
 func (p Profile) Enabled() bool {
 	return p.LatencyFraction > 0 || p.ResetFraction > 0 || p.Error5xxFraction > 0 ||
 		p.TruncateFraction > 0 || p.ContainerCrashFraction > 0 ||
-		p.WorkerCrashFraction > 0 ||
 		len(p.Blackholes) > 0 || len(p.PushOutages) > 0
 }
 
@@ -288,19 +280,6 @@ func (in *Injector) ShouldCrashContainer(clientID string, cycle int) bool {
 		return true
 	}
 	return false
-}
-
-// ShouldCrashWorker decides whether the fleet shard worker identified
-// by workerID dies on its cycle-th heartbeat. Used via
-// fleet.Config.WorkerCrashPlan. Deliberately NOT counted into the
-// injector's fault stats: a crawl's Degradation report must stay
-// byte-identical to a kill-free run's — kills are tallied in the
-// fleet's own report and telemetry instead.
-func (in *Injector) ShouldCrashWorker(workerID string, cycle int) bool {
-	if in.prof.WorkerCrashFraction <= 0 {
-		return false
-	}
-	return hashFrac(in.prof.Seed, fmt.Sprintf("workercrash|%s|%d", workerID, cycle)) < in.prof.WorkerCrashFraction
 }
 
 // Middleware wraps a vnet host handler with fault injection. Faults

@@ -301,7 +301,7 @@ func TestParseProfile(t *testing.T) {
 	if !p.Enabled() {
 		t.Fatal("parsed profile reports disabled")
 	}
-	for _, bad := range []string{"nosuchpreset", "resets=2", "outage=banana", "blackhole=hostonly"} {
+	for _, bad := range []string{"nosuchpreset", "resets=2", "outage=banana", "blackhole=hostonly", "workercrashes=0.05"} {
 		if _, err := ParseProfile(bad); err == nil {
 			t.Errorf("ParseProfile(%q) accepted", bad)
 		}
@@ -335,7 +335,6 @@ func TestKillsConnections(t *testing.T) {
 		{"outage", Profile{PushOutages: []Window{{Start: time.Hour, Dur: time.Hour}}}, false},
 		{"blackhole", Profile{Blackholes: map[string][]Window{"cdn.test": {{Dur: time.Hour}}}}, false},
 		{"crashes", Profile{ContainerCrashFraction: 0.05}, false},
-		{"workercrashes", Profile{WorkerCrashFraction: 0.05}, false},
 	} {
 		if got := tc.prof.KillsConnections(); got != tc.want {
 			t.Errorf("%s: KillsConnections() = %v, want %v", tc.name, got, tc.want)

@@ -44,7 +44,7 @@ func Preset(name string) (Profile, bool) {
 // or "off" yields nil (chaos disabled).
 //
 // Keys: seed=N, latency=F, latmin=D, latmax=D, resets=F, errors=F,
-// truncate=F, crashes=F, workercrashes=F, retryafter=D,
+// truncate=F, crashes=F, retryafter=D,
 // outage=START:DUR (repeatable), blackhole=HOST:START:DUR (repeatable).
 // Durations use Go syntax ("72h", "30m"); fractions are in [0,1].
 //
@@ -105,9 +105,6 @@ func merge(p *Profile, preset Profile) {
 	if preset.ContainerCrashFraction > 0 {
 		p.ContainerCrashFraction = preset.ContainerCrashFraction
 	}
-	if preset.WorkerCrashFraction > 0 {
-		p.WorkerCrashFraction = preset.WorkerCrashFraction
-	}
 	p.PushOutages = append(p.PushOutages, preset.PushOutages...)
 	for h, ws := range preset.Blackholes {
 		if p.Blackholes == nil {
@@ -156,8 +153,6 @@ func apply(p *Profile, key, val string) error {
 		return frac(&p.TruncateFraction)
 	case "crashes":
 		return frac(&p.ContainerCrashFraction)
-	case "workercrashes":
-		return frac(&p.WorkerCrashFraction)
 	case "retryafter":
 		return dur(&p.RetryAfter)
 	case "outage":

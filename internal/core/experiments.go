@@ -46,7 +46,7 @@ func RunRevisit(s *Study, sampleSize int, gap, window time.Duration) (*RevisitRe
 	}
 	sample := pool[:sampleSize]
 
-	res, _, err := fleet.Run(context.Background(), fleet.Config{Crawl: crawler.Config{
+	res, err := fleet.Run(context.Background(), fleet.Config{Crawl: crawler.Config{
 		Clock:            eco.Clock,
 		NewClient:        func() *http.Client { return eco.Net.ClientNoRedirect() },
 		Driver:           eco,
@@ -109,7 +109,7 @@ type PilotResult struct {
 // hours) over the ecosystem's seeds and measures first-notification
 // latency per source.
 func RunPilot(eco *webeco.Ecosystem, monitorWindow, collectionWindow time.Duration) (*PilotResult, error) {
-	res, _, err := fleet.Run(context.Background(), fleet.Config{Crawl: crawler.Config{
+	res, err := fleet.Run(context.Background(), fleet.Config{Crawl: crawler.Config{
 		Clock:            eco.Clock,
 		NewClient:        func() *http.Client { return eco.Net.ClientNoRedirect() },
 		Driver:           eco,

@@ -163,8 +163,8 @@ func (a *Analyst) ConfirmPropagatedAndSuspicious(fs *FeatureSet, labels []*Recor
 }
 
 // recordSimHash parses the record's landing fingerprint. The strict
-// parse matters here because the field round-trips through checkpoint
-// files and shard state: simhash.Parse would happily read a truncated
+// parse matters here because the field round-trips through export
+// files: simhash.Parse would happily read a truncated
 // or corrupt string (any valid hex prefix) into a garbage fingerprint
 // and poison the "known look" index. ok is false for malformed input
 // and for the all-zero hash — an empty landing page has no look worth

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -51,23 +50,6 @@ type StudyConfig struct {
 	// exact per-event stepping.
 	BatchWindow time.Duration
 
-	// Shards is how many workers each crawl's fleet (internal/fleet)
-	// runs: a coordinator plus Shards in-process workers, each owning a
-	// disjoint container set with its own durable state, heartbeat
-	// monitoring, bounded restart, and work stealing. <= 1 means one
-	// worker. Results are byte-identical at every shard count.
-	Shards int
-	// ShardHeartbeat is the fleet's simulated-time liveness-check
-	// period; <= 0 uses the fleet default (6h).
-	ShardHeartbeat time.Duration
-	// MaxShardRestarts bounds restart-with-resume per worker (0 = fleet
-	// default of 2, negative = never restart, steal immediately).
-	MaxShardRestarts int
-	// FleetDir is where shard state files are written (one
-	// subdirectory per device); empty uses a private temp directory when
-	// worker kills are possible.
-	FleetDir string
-
 	// Metrics, when non-nil, is threaded through every layer: the
 	// ecosystem's virtual network and chaos injector, both crawls, and
 	// the mining pipeline, so one snapshot covers the whole study. Nil
@@ -77,8 +59,8 @@ type StudyConfig struct {
 	// every crawl browser plus the mining stage spans. Nil disables.
 	Tracer *telemetry.Tracer
 	// Ledger, when non-nil, receives the run's event record: the
-	// desktop fleet's control-plane events, then the mobile fleet's
-	// (told apart by their "device" attr), then the mining events. It
+	// desktop crawl's events, then the mobile crawl's (told apart by
+	// their "device" attr), then the mining events. It
 	// is deterministic at a fixed seed and chaos plan. Nil disables.
 	Ledger *telemetry.Ledger
 }
@@ -106,10 +88,6 @@ type Study struct {
 	Mobile   *crawler.Result
 	Records  []*crawler.WPNRecord
 	Analysis *Analysis
-
-	// FleetReports holds each device crawl's control-plane accounting,
-	// keyed by device name.
-	FleetReports map[string]*fleet.Report
 
 	// PerNetwork holds Figure 6's distribution, sorted by ad count
 	// descending.
@@ -144,7 +122,7 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Study{Cfg: cfg, Eco: eco, FleetReports: make(map[string]*fleet.Report)}
+	s := &Study{Cfg: cfg, Eco: eco}
 
 	seeds := eco.SeedURLs()
 	runCrawl := func(device browser.DeviceType, real bool) (*crawler.Result, error) {
@@ -163,19 +141,7 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 			Metrics:          cfg.Metrics,
 			Tracer:           cfg.Tracer,
 		}
-		res, rep, err := fleet.Run(ctx, fleet.Config{
-			Crawl:           crawlCfg,
-			Shards:          cfg.Shards,
-			Heartbeat:       cfg.ShardHeartbeat,
-			MaxRestarts:     cfg.MaxShardRestarts,
-			Dir:             fleetDirFor(cfg.FleetDir, device),
-			WorkerCrashPlan: eco.WorkerCrashPlan(),
-			Ledger:          cfg.Ledger,
-		}, seeds)
-		if rep != nil {
-			s.FleetReports[device.String()] = rep
-		}
-		return res, err
+		return fleet.Run(ctx, fleet.Config{Crawl: crawlCfg, Ledger: cfg.Ledger}, seeds)
 	}
 
 	if s.Desktop, err = runCrawl(browser.Desktop, false); err != nil {
@@ -219,15 +185,6 @@ func RunStudyContext(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	s.Analysis.Report.TotalCollected = len(s.Records)
 	s.PerNetwork = s.perNetworkStats()
 	return s, nil
-}
-
-// fleetDirFor derives the per-device shard-state directory, so the
-// desktop and mobile fleets never clobber each other's files.
-func fleetDirFor(base string, device browser.DeviceType) string {
-	if base == "" {
-		return ""
-	}
-	return filepath.Join(base, device.String())
 }
 
 // Close releases the study's ecosystem.

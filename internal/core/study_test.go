@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"pushadminer/internal/chaos"
+	"pushadminer/internal/crawler"
 	"pushadminer/internal/fleet"
 	"pushadminer/internal/telemetry"
 	"pushadminer/internal/webeco"
@@ -177,11 +179,11 @@ func TestDescribeCluster(t *testing.T) {
 
 // TestStudyLedger runs the same chaos study twice, each with one
 // ledger, and pins the one-record-per-run contract: the two files are
-// byte-identical and hold the desktop fleet's events, then the mobile
-// fleet's, then the mining events, with each device's lifecycle counts
-// reconciling with its fleet report.
+// byte-identical and hold the desktop crawl's events, then the mobile
+// crawl's, then the mining events; each crawl starts once and its merge
+// events account for exactly its records.
 func TestStudyLedger(t *testing.T) {
-	prof, err := chaos.ParseProfile("acceptance,workercrashes=0.05")
+	prof, err := chaos.ParseProfile("acceptance")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +192,6 @@ func TestStudyLedger(t *testing.T) {
 		s, err := RunStudy(StudyConfig{
 			Eco:              webeco.Config{Seed: 11, Scale: 0.002, Chaos: prof},
 			CollectionWindow: 7 * 24 * time.Hour,
-			Shards:           4,
 			Ledger:           led,
 		})
 		if err != nil {
@@ -210,6 +211,7 @@ func TestStudyLedger(t *testing.T) {
 	}
 	order := map[string]int{"desktop": 0, "mobile": 1, "": 2} // "" = mining
 	counts := map[string]map[string]int{"desktop": {}, "mobile": {}, "": {}}
+	merged := map[string]int{}
 	last := 0
 	for _, ev := range events {
 		dev := ev.Attrs["device"]
@@ -219,28 +221,23 @@ func TestStudyLedger(t *testing.T) {
 		}
 		last = pos
 		if ev.Time.IsZero() != (dev == "") {
-			t.Errorf("event %d (%s): fleet events carry the sim time, mining events none", ev.Seq, ev.Kind)
+			t.Errorf("event %d (%s): crawl events carry the sim time, mining events none", ev.Seq, ev.Kind)
 		}
 		counts[dev][ev.Kind]++
-	}
-	kills := 0
-	for _, dev := range []string{"desktop", "mobile"} {
-		rep, c := s.FleetReports[dev], counts[dev]
-		for kind, want := range map[string]int{
-			fleet.EvKillDetected: rep.Kills,
-			fleet.EvRestart:      rep.Restarts,
-			fleet.EvWorkerLost:   rep.WorkersLost,
-			fleet.EvAdopt:        rep.WorkersLost,
-		} {
-			if c[kind] != want {
-				t.Errorf("%s: %d %s events, report implies %d", dev, c[kind], kind, want)
-			}
+		if ev.Kind == fleet.EvMerge {
+			n, _ := strconv.Atoi(ev.Attrs["records"])
+			merged[dev] += n
 		}
-		kills += rep.Kills
-		t.Logf("%s: %v", dev, c)
 	}
-	if kills == 0 {
-		t.Error("chaos plan killed no worker; the reconciliation is vacuous")
+	for dev, res := range map[string]*crawler.Result{"desktop": s.Desktop, "mobile": s.Mobile} {
+		c := counts[dev]
+		if c[fleet.EvShardStarted] != 1 {
+			t.Errorf("%s: %d shard_started events, want 1", dev, c[fleet.EvShardStarted])
+		}
+		if len(res.Records) == 0 || merged[dev] != len(res.Records) {
+			t.Errorf("%s: merge events account for %d records, the crawl collected %d", dev, merged[dev], len(res.Records))
+		}
+		t.Logf("%s: %v", dev, c)
 	}
 	if c := counts[""]; c[EvStageBegin] == 0 || c[EvCutChosen] != 1 {
 		t.Errorf("mining events = %v, want stage brackets and one cut_chosen", c)

@@ -5,19 +5,18 @@
 // periodically resumes it to drain push messages queued at the push
 // service — producing the WPN message dataset the analysis module mines.
 //
-// The crawl runs as ShardWorkers: each owns a disjoint set of
-// containers and exposes the crawl's pump phases (seed, poll, dispatch,
-// click, finish) as calls. internal/fleet's coordinator drives them
-// through one deterministic event loop on the shared simulated clock —
-// one worker for a plain crawl, several for a sharded one.
+// The crawl runs as one ShardWorker, which owns the containers and
+// exposes the crawl's pump phases (seed, poll, dispatch, click, finish)
+// as calls. internal/fleet drives it through one deterministic event
+// loop on the shared simulated clock.
 //
 // The crawler is built to survive the failures a months-long live crawl
 // meets (and which internal/chaos injects deterministically): visits
 // retry transient errors, push-service calls ride a per-container
 // circuit breaker, containers that stop responding are declared crashed
-// and re-seeded a bounded number of times, a worker's state can be saved
-// and restored losslessly (ShardState), and every loss is tallied in the
-// Result's Degradation report.
+// and re-seeded a bounded number of times, and every loss is tallied in
+// the Result's Degradation report. A crawl killed as a whole is run
+// again: its output is a deterministic function of its seeds.
 package crawler
 
 import (
@@ -136,7 +135,7 @@ type Config struct {
 // (telemetry disabled) holds nil instruments, whose methods all no-op;
 // enabled gates the one site that would otherwise pay for a timestamp
 // (pump latency). The crawl-wide instruments (record count, batch size,
-// pump-worker gauge) belong to the fleet coordinator.
+// pump-worker gauge) belong to internal/fleet's event loop.
 type crawlMetrics struct {
 	enabled             bool
 	visits              *telemetry.Counter
@@ -169,9 +168,8 @@ func newCrawlMetrics(reg *telemetry.Registry) crawlMetrics {
 }
 
 // WithDefaults returns the config with every unset field filled in,
-// exactly as NewShardWorker applies them. The fleet coordinator uses it
-// so its event loop and its shard workers agree on effective knob
-// values.
+// exactly as NewShardWorker applies them. internal/fleet uses it so
+// its event loop and the worker agree on effective knob values.
 func (c Config) WithDefaults() Config {
 	if c.MonitorWindow <= 0 {
 		c.MonitorWindow = 15 * time.Minute
@@ -293,10 +291,8 @@ type Degradation struct {
 }
 
 // Merge adds o's tallies into d: counters sum and fault maps fold
-// key-wise. The fleet coordinator uses it to aggregate per-shard
-// Degradation reports into one — because every tally is per-event and
-// containers are partitioned across shards, the merged report is the
-// same at every shard count.
+// key-wise. The event loop folds the worker's final Degradation into
+// the Result with it.
 func (d *Degradation) Merge(o Degradation) {
 	if len(o.Faults) > 0 {
 		if d.Faults == nil {
@@ -460,9 +456,9 @@ func (w *ShardWorker) newBrowser(seedURL string, brk *httpx.Breaker) *browser.Br
 	})
 }
 
-// newContainer builds a container. Its id is its position in the
-// *global* seed list plus one, whichever shard owns it — the invariant
-// the coordinator's id-order merge and record-ID minting depend on.
+// newContainer builds a container. Its id is its position in the seed
+// list plus one — the invariant the event loop's id-order merge and
+// record-ID minting depend on.
 func (w *ShardWorker) newContainer(id int, seedURL string) *container {
 	brk := w.newBreaker()
 	return &container{
@@ -562,7 +558,7 @@ func (w *ShardWorker) finalBatch() []*batchItem {
 //  2. push dispatch (parallel, clock frozen) — per-container ad
 //     fetches and notification display, ShownAt identical for the
 //     whole batch;
-//  3. one ClickDelay advance for the batch, made by the coordinator
+//  3. one ClickDelay advance for the batch, made by the event loop
 //     (the clock never moves inside a phase, so simulated time cannot
 //     reorder);
 //  4. auto-clicks (parallel, clock frozen) — redirect chains and
@@ -573,8 +569,7 @@ func (w *ShardWorker) finalBatch() []*batchItem {
 //     arrival order cannot leak into the output);
 //  5. fold (serial, ascending container id) — record construction and
 //     folding the landing-page subscriptions into container state; the
-//     coordinator then mints record IDs across shards in container-id
-//     order.
+//     event loop then mints record IDs in container-id order.
 //
 // Every phase iterates the batch in the same stable order, fault and
 // latency draws are keyed per container, and all cross-container state
@@ -584,8 +579,8 @@ func (w *ShardWorker) finalBatch() []*batchItem {
 // phasePoll is pump phase 1: parallel polls at the frozen tick instant,
 // then a serial classification sweep in ascending container id
 // (Degradation tallies, poll-failure crash detection, recovery
-// re-seeds). Reports whether any container received messages — when no
-// shard in a fleet did, the tick ends here with no clock advance.
+// re-seeds). Reports whether any container received messages — when
+// none did, the tick ends here with no clock advance.
 func (w *ShardWorker) phasePoll(batch []*batchItem) bool {
 	w.forEach(batch, func(it *batchItem) {
 		it.polled, it.msgs, it.pollErr = w.pollHTTP(it.ct)
@@ -636,8 +631,8 @@ func (w *ShardWorker) phaseClick(batch []*batchItem) {
 
 // foldItem folds one pumped batch item into its container's state (the
 // per-container half of phase 5): it builds the item's records in
-// outcome order — IDs unassigned, the coordinator mints on its serial
-// path — and returns the §6.2 additional-subscription URLs whose landing
+// outcome order — IDs unassigned, the event loop mints them on its
+// serial path — and returns the §6.2 additional-subscription URLs whose landing
 // pages phase 4 subscribed right there.
 func (w *ShardWorker) foldItem(it *batchItem) (recs []*WPNRecord, additional []string) {
 	ct := it.ct
@@ -792,9 +787,8 @@ func (w *ShardWorker) hasPending(ct *container) bool {
 }
 
 // record converts one click outcome into a WPNRecord. The ID is left
-// unassigned: minting happens on the fleet coordinator's serial
-// cross-shard merge, so workers can build records without owning the
-// global ID sequence.
+// unassigned: the event loop mints it on its serial merge, so the
+// worker builds records without owning the ID sequence.
 func (w *ShardWorker) record(ct *container, oc browser.ClickOutcome) *WPNRecord {
 	dn := oc.Notification
 	src := ct.sourceByToken[dn.Registration.Sub.Token]

@@ -49,12 +49,11 @@ func crawlConfig(eco *webeco.Ecosystem, mod func(*crawler.Config)) crawler.Confi
 	return cfg
 }
 
-// crawlContext runs one crawl the way every caller does: through the
-// fleet, here with its default single shard.
+// crawlContext runs one crawl the way every caller does: through
+// fleet.Run.
 func crawlContext(t *testing.T, ctx context.Context, eco *webeco.Ecosystem, mod func(*crawler.Config)) (*crawler.Result, error) {
 	t.Helper()
-	res, _, err := fleet.Run(ctx, fleet.Config{Crawl: crawlConfig(eco, mod)}, eco.SeedURLs())
-	return res, err
+	return fleet.Run(ctx, fleet.Config{Crawl: crawlConfig(eco, mod)}, eco.SeedURLs())
 }
 
 // crawl runs an uncancelled crawl and fails the test on error.
@@ -79,7 +78,7 @@ func TestNewRequiresDeps(t *testing.T) {
 	if _, err := crawler.NewShardWorker(context.Background(), crawler.Config{}, 0, nil); err == nil {
 		t.Fatal("NewShardWorker accepted empty config")
 	}
-	if _, _, err := fleet.Run(context.Background(), fleet.Config{}, nil); err == nil {
+	if _, err := fleet.Run(context.Background(), fleet.Config{}, nil); err == nil {
 		t.Fatal("fleet.Run accepted empty crawl config")
 	}
 }

@@ -48,16 +48,14 @@ func crawlConfig(eco *webeco.Ecosystem, mod func(*crawler.Config)) crawler.Confi
 	return cfg
 }
 
-// chaosProfile is the acceptance fault mix plus worker kills: the fleet
-// must shrug off connection resets, 503 bursts, a push outage,
-// container crashes AND whole shard workers dying.
-func chaosProfile(workerCrashes float64) *chaos.Profile {
+// acceptance is the acceptance fault mix: the crawl must shrug off
+// connection resets, 503 bursts and a push outage.
+func acceptance() *chaos.Profile {
 	p, ok := chaos.Preset("acceptance")
 	if !ok {
 		panic("acceptance preset missing")
 	}
 	p.Seed = 5
-	p.WorkerCrashFraction = workerCrashes
 	return &p
 }
 
@@ -73,19 +71,14 @@ func baselineRun(t *testing.T, seed int64, prof *chaos.Profile) []byte {
 	return marshal(t, res)
 }
 
-func fleetRun(t *testing.T, seed int64, prof *chaos.Profile, shards int) ([]byte, *Report) {
+func fleetRun(t *testing.T, seed int64, prof *chaos.Profile) []byte {
 	t.Helper()
 	eco := newEco(t, seed, prof)
-	res, rep, err := Run(context.Background(), Config{
-		Crawl:           crawlConfig(eco, nil),
-		Shards:          shards,
-		WorkerCrashPlan: eco.WorkerCrashPlan(),
-		Dir:             t.TempDir(),
-	}, eco.SeedURLs())
+	res, err := Run(context.Background(), Config{Crawl: crawlConfig(eco, nil)}, eco.SeedURLs())
 	if err != nil {
-		t.Fatalf("fleet run (shards=%d): %v", shards, err)
+		t.Fatal(err)
 	}
-	return marshal(t, res), rep
+	return marshal(t, res)
 }
 
 func marshal(t *testing.T, res *crawler.Result) []byte {
@@ -97,204 +90,25 @@ func marshal(t *testing.T, res *crawler.Result) []byte {
 	return b
 }
 
-// TestFleetParityMatrix is the fleet's contract: a fleet run at any
-// shard count, with any kill schedule, converges to the reference
-// loop's result — byte-identical records, URL lists, and Degradation
-// report.
-func TestFleetParityMatrix(t *testing.T) {
+// TestRunMatchesReferenceLoop is Run's contract: with and without
+// faults, it returns the reference loop's result — byte-identical
+// records, URL lists, and Degradation report.
+func TestRunMatchesReferenceLoop(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		seed   int64
-		prof   func() *chaos.Profile
-		shards []int
+		name string
+		seed int64
+		prof func() *chaos.Profile
 	}{
-		// Kill-free: sharding alone must not move a byte.
-		{"seed11", 11, func() *chaos.Profile { return nil }, []int{1, 2, 4}},
-		// Full chaos plus worker kills: each worker sees ~28 heartbeat
-		// cycles at the 6h default over 7 days, so a 5% kill fraction
-		// exercises restarts (and, depending on the draw, stealing).
-		{"seed11/chaos", 11, func() *chaos.Profile { return chaosProfile(0.05) }, []int{1, 2, 4}},
-		{"seed23/chaos", 23, func() *chaos.Profile { return chaosProfile(0.05) }, []int{3}},
+		{"seed11", 11, func() *chaos.Profile { return nil }},
+		{"seed11/chaos", 11, acceptance},
+		{"seed23/chaos", 23, acceptance},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := baselineRun(t, tc.seed, tc.prof())
-			for _, shards := range tc.shards {
-				got, rep := fleetRun(t, tc.seed, tc.prof(), shards)
-				if !bytes.Equal(want, got) {
-					t.Errorf("shards=%d diverges from the reference loop:\n%s", shards, resultDiff(want, got))
-				}
-				t.Logf("shards=%d kills=%d restarts=%d lost=%d stolen=%d saves=%d",
-					shards, rep.Kills, rep.Restarts, rep.WorkersLost, rep.ContainersStolen, rep.StateSaves)
+			if got := fleetRun(t, tc.seed, tc.prof()); !bytes.Equal(want, got) {
+				t.Errorf("Run diverges from the reference loop:\n%s", resultDiff(want, got))
 			}
 		})
-	}
-}
-
-// TestFleetRestartsUnderKills pins that the chaos kill plan actually
-// bites in the matrix scenario — otherwise the parity cases above would
-// silently test nothing about the control plane.
-func TestFleetRestartsUnderKills(t *testing.T) {
-	_, rep := fleetRun(t, 11, chaosProfile(0.05), 4)
-	if rep.Kills == 0 {
-		t.Fatal("no worker kills under workercrashes=0.05; control plane untested")
-	}
-	if rep.Restarts == 0 {
-		t.Error("kills happened but no restarts")
-	}
-	if rep.StateSaves == 0 {
-		t.Error("durable fleet run wrote no shard state")
-	}
-	if rep.Heartbeats == 0 {
-		t.Error("no heartbeats recorded")
-	}
-}
-
-// TestFleetWorkStealing kills one worker with no restart budget: its
-// containers must be adopted by a live shard and the merged result must
-// still match the reference loop byte for byte.
-func TestFleetWorkStealing(t *testing.T) {
-	want := baselineRun(t, 11, nil)
-
-	eco := newEco(t, 11, nil)
-	res, rep, err := Run(context.Background(), Config{
-		Crawl:       crawlConfig(eco, nil),
-		Shards:      4,
-		MaxRestarts: -1, // never restart: first kill orphans the shard
-		Dir:         t.TempDir(),
-		WorkerCrashPlan: func(workerID string, cycle int) bool {
-			return strings.HasPrefix(workerID, "shard-1#") && cycle == 2
-		},
-	}, eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.WorkersLost != 1 {
-		t.Fatalf("WorkersLost = %d, want 1 (report: %+v)", rep.WorkersLost, rep)
-	}
-	if rep.Restarts != 0 {
-		t.Errorf("Restarts = %d, want 0 with MaxRestarts=-1", rep.Restarts)
-	}
-	if rep.ContainersStolen == 0 {
-		t.Error("lost worker's containers were not stolen")
-	}
-	if !rep.Workers[1].Lost {
-		t.Errorf("worker 1 not marked lost: %+v", rep.Workers)
-	}
-	adopted := 0
-	for _, w := range rep.Workers {
-		adopted += w.Adopted
-	}
-	if adopted != rep.ContainersStolen {
-		t.Errorf("adopted %d != stolen %d", adopted, rep.ContainersStolen)
-	}
-	if got := marshal(t, res); !bytes.Equal(want, got) {
-		t.Errorf("result with work stealing diverges from baseline:\n%s", resultDiff(want, got))
-	}
-}
-
-// TestOneShardKillEveryHeartbeat is the kill matrix of the default
-// one-shard path: the lone worker dies at every hourly heartbeat and is
-// restored from its shard state each time — past its restart budget,
-// because the last live worker has no one to hand its containers to.
-// With and without the acceptance faults, the Result must stay
-// byte-identical to the kill-free run's and every counter outside the
-// fleet's own control plane must match.
-func TestOneShardKillEveryHeartbeat(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		prof func() *chaos.Profile
-	}{
-		{"clean", func() *chaos.Profile { return nil }},
-		{"faults", func() *chaos.Profile { return chaosProfile(0) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			run := func(plan func(string, int) bool) ([]byte, map[string]int64, *Report) {
-				reg := telemetry.New()
-				eco, err := webeco.New(webeco.Config{Seed: 11, Scale: 0.002, Chaos: tc.prof(), Telemetry: reg})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer eco.Close()
-				res, rep, err := Run(context.Background(), Config{
-					Crawl:           crawlConfig(eco, func(c *crawler.Config) { c.Metrics = reg }),
-					Heartbeat:       time.Hour,
-					Dir:             t.TempDir(),
-					WorkerCrashPlan: plan,
-				}, eco.SeedURLs())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return marshal(t, res), reg.Snapshot().Counters, rep
-			}
-			want, wantC, _ := run(nil)
-			got, gotC, rep := run(func(string, int) bool { return true })
-			if rep.Kills < 100 || rep.Restarts != rep.Kills || rep.WorkersLost != 0 {
-				t.Fatalf("kills=%d restarts=%d lost=%d; want every hourly heartbeat killed and restarted",
-					rep.Kills, rep.Restarts, rep.WorkersLost)
-			}
-			if !bytes.Equal(want, got) {
-				t.Errorf("result under kills diverges from the kill-free run:\n%s", resultDiff(want, got))
-			}
-			for k := range mergeKeys(wantC, gotC) {
-				if !strings.HasPrefix(k, "fleet_") && wantC[k] != gotC[k] {
-					t.Errorf("counter %s = %d under kills, %d kill-free", k, gotC[k], wantC[k])
-				}
-			}
-			t.Logf("kills=%d restarts=%d saves=%d", rep.Kills, rep.Restarts, rep.StateSaves)
-		})
-	}
-}
-
-// mergeKeys returns the union of two counter maps' keys.
-func mergeKeys(a, b map[string]int64) map[string]bool {
-	keys := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
-	return keys
-}
-
-// TestFleetTelemetry pins the fleet gauge/counter key set and that the
-// control-plane instruments move under kills.
-func TestFleetTelemetry(t *testing.T) {
-	reg := telemetry.New()
-	eco := newEco(t, 11, chaosProfile(0.05))
-	_, rep, err := Run(context.Background(), Config{
-		Crawl:           crawlConfig(eco, func(c *crawler.Config) { c.Metrics = reg }),
-		Shards:          4,
-		WorkerCrashPlan: eco.WorkerCrashPlan(),
-		Dir:             t.TempDir(),
-	}, eco.SeedURLs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Gauge("fleet_shards").Value(); got != 4 {
-		t.Errorf("fleet_shards = %d, want 4", got)
-	}
-	live := reg.Gauge("fleet_live_shards").Value()
-	if want := int64(4 - rep.WorkersLost); live != want {
-		t.Errorf("fleet_live_shards = %d, want %d", live, want)
-	}
-	for name, want := range map[string]int64{
-		"fleet_heartbeats":        int64(rep.Heartbeats),
-		"fleet_worker_kills":      int64(rep.Kills),
-		"fleet_worker_restarts":   int64(rep.Restarts),
-		"fleet_workers_lost":      int64(rep.WorkersLost),
-		"fleet_containers_stolen": int64(rep.ContainersStolen),
-		"fleet_shard_state_saves": int64(rep.StateSaves),
-	} {
-		if got := reg.Counter(name).Value(); got != want {
-			t.Errorf("%s = %d, want %d (report: %+v)", name, got, want, rep)
-		}
-	}
-	if hb := reg.Histogram("fleet_heartbeat_seconds", telemetry.LatencyBuckets); hb.Count() != int64(rep.Heartbeats) {
-		t.Errorf("fleet_heartbeat_seconds count = %d, want %d", hb.Count(), rep.Heartbeats)
-	}
-	if reg.Counter("crawler_records_emitted").Value() == 0 {
-		t.Error("coordinator minted records but crawler_records_emitted is 0")
 	}
 }
 
@@ -424,8 +238,8 @@ func TestLineDiffNamesSpanAndSeq(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	got = lineDiff(ledger(EvShardStarted, EvMerge, EvMerge), ledger(EvShardStarted, EvKillDetected, EvMerge))
-	if !strings.Contains(got, "ledger seq 1") || !strings.Contains(got, `"kind":"merge"`) || !strings.Contains(got, `"kind":"kill_detected"`) {
+	got = lineDiff(ledger(EvShardStarted, EvMerge, EvMerge), ledger(EvShardStarted, EvShardStarted, EvMerge))
+	if !strings.Contains(got, "ledger seq 1") || !strings.Contains(got, `"kind":"merge"`) || !strings.Contains(got, `>>> {"seq":1,"kind":"shard_started"`) {
 		t.Errorf("diff of ledgers diverging at seq 1 = %q", got)
 	}
 	if got := lineDiff(ledger(EvMerge), ledger(EvMerge, EvMerge)); !strings.Contains(got, "prefix") || !strings.Contains(got, "1 vs 2 lines") {

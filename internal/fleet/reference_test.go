@@ -8,11 +8,11 @@ import (
 	"pushadminer/internal/crawler"
 )
 
-// referenceCrawl is the fleet's independent oracle: one ShardWorker
-// driven directly through Seed, a Poll / Dispatch / Click loop and
-// Finish, with no coordinator, shard set, heartbeats or durable state —
-// the same loop bench/study.go's tracedCrawl runs.
-// Every fleet parity test compares fleet.Run against it.
+// referenceCrawl is Run's independent oracle: one ShardWorker driven
+// directly through Seed, a Poll / Dispatch / Click loop and Finish,
+// with no instruments, ledger or status — the same loop bench/study.go's
+// tracedCrawl runs. Every parity test in this package compares Run
+// against it.
 func referenceCrawl(t *testing.T, cfg crawler.Config, seeds []string) *crawler.Result {
 	t.Helper()
 	cfg = cfg.WithDefaults()

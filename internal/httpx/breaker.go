@@ -163,19 +163,18 @@ func (b *Breaker) State(host string) string {
 	return stateName(b.host(host).state)
 }
 
-// BreakerHostState is one host's circuit state in serializable form.
+// BreakerHostState is one host's circuit state as Export reports it.
 // OpenedAt is meaningful only while State is "open" (it anchors the
 // cooldown on the breaker's clock, the simulated clock in crawls).
 type BreakerHostState struct {
-	Host     string    `json:"host"`
-	State    string    `json:"state"`
-	Fails    int       `json:"fails,omitempty"`
-	OpenedAt time.Time `json:"opened_at,omitzero"`
+	Host     string
+	State    string
+	Fails    int
+	OpenedAt time.Time
 }
 
 // Export snapshots every host's circuit state, sorted by host. Hosts
-// still in the zero state (closed, no failures) are omitted — restoring
-// onto a fresh breaker recreates them on demand.
+// still in the zero state (closed, no failures) are omitted.
 func (b *Breaker) Export() []BreakerHostState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -190,30 +189,4 @@ func (b *Breaker) Export() []BreakerHostState {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
 	return out
-}
-
-// Restore reinstates previously exported host states, so a breaker
-// rebuilt after a worker restart resumes open circuits mid-cooldown
-// instead of re-probing sick hosts at full rate. Restoring does not
-// count state transitions — the edges were already counted when they
-// happened.
-func (b *Breaker) Restore(states []BreakerHostState) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, s := range states {
-		if s.Host == "" {
-			continue
-		}
-		hb := b.host(s.Host)
-		switch s.State {
-		case "open":
-			hb.state = stateOpen
-		case "half-open":
-			hb.state = stateHalfOpen
-		default:
-			hb.state = stateClosed
-		}
-		hb.fails = s.Fails
-		hb.openedAt = s.OpenedAt
-	}
 }

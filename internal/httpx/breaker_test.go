@@ -186,47 +186,26 @@ func TestParseRetryAfterHTTPDate(t *testing.T) {
 	}
 }
 
-// TestBreakerExportRestore pins the fleet failover contract: a restarted
-// shard worker rehydrates breaker state from its shard state instead of
-// starting closed, so an open circuit stays open (anchored at the saved
-// OpenedAt) and half-open probing resumes on the original cooldown
-// schedule.
+// TestBreakerExportRestore pins Export, which the crawl's /fleetz
+// health reads: sorted by host, hosts in the zero state omitted, and
+// an open circuit reported with the instant it opened.
 func TestBreakerExportRestore(t *testing.T) {
 	clk := simclock.NewSimulated(time.Unix(0, 0))
 	b := NewBreaker(clk, BreakerConfig{Threshold: 2, Cooldown: time.Minute})
 	b.Report("down.example", false)
 	b.Report("down.example", false) // opens
 	b.Report("shaky.example", false)
+	b.Report("fine.example", true)
 	clk.Advance(20 * time.Second)
 
 	states := b.Export()
 	if len(states) != 2 {
 		t.Fatalf("Export returned %d host states, want 2: %+v", len(states), states)
 	}
-	if states[0].Host != "down.example" || states[0].State != "open" {
-		t.Fatalf("export[0] = %+v, want open down.example", states[0])
+	if states[0].Host != "down.example" || states[0].State != "open" || !states[0].OpenedAt.Equal(time.Unix(0, 0)) {
+		t.Fatalf("export[0] = %+v, want down.example open since the start", states[0])
 	}
 	if states[1].Host != "shaky.example" || states[1].State != "closed" || states[1].Fails != 1 {
 		t.Fatalf("export[1] = %+v, want closed shaky.example with 1 fail", states[1])
-	}
-
-	restored := NewBreaker(clk, BreakerConfig{Threshold: 2, Cooldown: time.Minute})
-	restored.Restore(states)
-	if err := restored.Allow("down.example"); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatal("restored breaker forgot the open circuit")
-	}
-	// One more failure must trip shaky.example: the fail count survived.
-	restored.Report("shaky.example", false)
-	if err := restored.Allow("shaky.example"); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatal("restored fail count lost: shaky.example should have tripped")
-	}
-	// Cooldown anchors at the ORIGINAL OpenedAt: 40 more seconds (not a
-	// full minute from restore) reach the half-open probe.
-	clk.Advance(40 * time.Second)
-	if err := restored.Allow("down.example"); err != nil {
-		t.Fatalf("half-open probe refused after original cooldown elapsed: %v", err)
-	}
-	if got := restored.State("down.example"); got != "half-open" {
-		t.Fatalf("state = %q, want half-open", got)
 	}
 }

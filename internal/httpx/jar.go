@@ -8,31 +8,27 @@ import (
 	"sync"
 )
 
-// CookieRecord is one stored cookie in serializable form, keyed by the
-// host that set it. MemJar exports and re-imports these so a browser's
-// cookie state can move across process restarts (shard failover) without
-// losing returning-visitor identity.
-type CookieRecord struct {
-	Host  string `json:"host"`
-	Name  string `json:"name"`
-	Value string `json:"value"`
-	Path  string `json:"path,omitempty"`
+// storedCookie is one cookie as the jar keeps it.
+type storedCookie struct {
+	Name  string
+	Value string
+	Path  string
 }
 
-// MemJar is a deterministic in-memory http.CookieJar whose contents can
-// be exported and restored. It implements the host-scoped, path-prefixed
-// subset of RFC 6265 the simulated ecosystem uses (host-only cookies,
-// no Domain attribute matching, no expiry beyond MaxAge<0 deletion) —
-// enough to stand in for net/http/cookiejar on the virtual network
-// while staying serializable.
+// MemJar is a deterministic in-memory http.CookieJar. It implements
+// the host-scoped, path-prefixed subset of RFC 6265 the simulated
+// ecosystem uses (host-only cookies, no Domain attribute matching, no
+// expiry beyond MaxAge<0 deletion) — enough to stand in for
+// net/http/cookiejar on the virtual network while sending cookies in a
+// deterministic order.
 type MemJar struct {
 	mu      sync.Mutex
-	cookies map[string]map[string]*CookieRecord // host → name → cookie
+	cookies map[string]map[string]*storedCookie // host → name → cookie
 }
 
 // NewMemJar builds an empty MemJar.
 func NewMemJar() *MemJar {
-	return &MemJar{cookies: make(map[string]map[string]*CookieRecord)}
+	return &MemJar{cookies: make(map[string]map[string]*storedCookie)}
 }
 
 // SetCookies stores the response cookies set by u's host.
@@ -55,14 +51,14 @@ func (j *MemJar) SetCookies(u *url.URL, cookies []*http.Cookie) {
 		}
 		m := j.cookies[host]
 		if m == nil {
-			m = make(map[string]*CookieRecord)
+			m = make(map[string]*storedCookie)
 			j.cookies[host] = m
 		}
 		path := c.Path
 		if path == "" {
 			path = "/"
 		}
-		m[c.Name] = &CookieRecord{Host: host, Name: c.Name, Value: c.Value, Path: path}
+		m[c.Name] = &storedCookie{Name: c.Name, Value: c.Value, Path: path}
 	}
 }
 
@@ -104,45 +100,4 @@ func pathMatches(cookiePath, reqPath string) bool {
 		return false
 	}
 	return strings.HasSuffix(cookiePath, "/") || reqPath[len(cookiePath)] == '/'
-}
-
-// Export snapshots the jar's contents, sorted by (host, name).
-func (j *MemJar) Export() []CookieRecord {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []CookieRecord
-	for _, m := range j.cookies {
-		for _, c := range m {
-			out = append(out, *c)
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Host != out[b].Host {
-			return out[a].Host < out[b].Host
-		}
-		return out[a].Name < out[b].Name
-	})
-	return out
-}
-
-// Import merges previously exported cookie records into the jar,
-// overwriting same-(host, name) entries.
-func (j *MemJar) Import(recs []CookieRecord) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for _, r := range recs {
-		if r.Host == "" || r.Name == "" {
-			continue
-		}
-		m := j.cookies[r.Host]
-		if m == nil {
-			m = make(map[string]*CookieRecord)
-			j.cookies[r.Host] = m
-		}
-		c := r
-		if c.Path == "" {
-			c.Path = "/"
-		}
-		m[c.Name] = &c
-	}
 }

@@ -46,7 +46,7 @@ func (Real) Sleep(d time.Duration) { time.Sleep(d) }
 // against simulated services.
 //
 // It is exact because the simulation's driver (internal/fleet's
-// coordinator) advances the simulated clock only between pump phases,
+// event loop) advances the simulated clock only between pump phases,
 // never while a phase's requests are in flight. A retry that slept
 // would therefore wake at the same simulated instant as one that did
 // not, and every fault draw is keyed by attempt number or by simulated

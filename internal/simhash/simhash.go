@@ -65,9 +65,8 @@ func (h Hash) String() string {
 
 // Parse reads a hash back from String's output. It returns 0 for
 // malformed input — indistinguishable from the legitimate all-zero
-// fingerprint (an empty token sequence). Callers that round-trip
-// fingerprints through checkpoints or shard state should use
-// ParseStrict instead.
+// fingerprint (an empty token sequence). Callers that read
+// fingerprints back from files should use ParseStrict instead.
 func Parse(s string) Hash {
 	v, err := strconv.ParseUint(s, 16, 64)
 	if err != nil {

@@ -67,61 +67,6 @@ func NewChainRecorder(tr *Tracer, container string) *ChainRecorder {
 	}
 }
 
-// ChainState is a ChainRecorder's linkage state in serializable form:
-// the span IDs future events will parent under. It is persisted with
-// shard-worker state so a restarted worker's recorders, and an adopting
-// worker's, keep linking events into the chains the killed worker left
-// open — without it, every later event would start a fresh root and the
-// trace could never match the uninterrupted kill-free one. The IDs are
-// only meaningful against the tracer the state was captured from, which
-// is why every shard of a fleet traces into the crawl's one tracer.
-type ChainState struct {
-	Visit SpanID              `json:"visit,omitempty"`
-	Regs  map[string]SpanID   `json:"regs,omitempty"`
-	Chain SpanID              `json:"chain,omitempty"`
-	Click SpanID              `json:"click,omitempty"`
-	Shown map[string][]SpanID `json:"shown,omitempty"`
-}
-
-// Export snapshots the recorder's linkage state. Returns nil on a nil
-// recorder (tracing disabled).
-func (c *ChainRecorder) Export() *ChainState {
-	if c == nil {
-		return nil
-	}
-	st := &ChainState{Visit: c.visit, Chain: c.chain, Click: c.click}
-	if len(c.regs) > 0 {
-		st.Regs = make(map[string]SpanID, len(c.regs))
-		for k, v := range c.regs {
-			st.Regs[k] = v
-		}
-	}
-	if len(c.shown) > 0 {
-		st.Shown = make(map[string][]SpanID, len(c.shown))
-		for k, v := range c.shown {
-			st.Shown[k] = append([]SpanID(nil), v...)
-		}
-	}
-	return st
-}
-
-// Restore reinstates linkage state captured by Export. No-op when
-// either side is nil.
-func (c *ChainRecorder) Restore(st *ChainState) {
-	if c == nil || st == nil {
-		return
-	}
-	c.visit, c.chain, c.click = st.Visit, st.Chain, st.Click
-	c.regs = make(map[string]SpanID, len(st.Regs))
-	for k, v := range st.Regs {
-		c.regs[k] = v
-	}
-	c.shown = make(map[string][]SpanID, len(st.Shown))
-	for k, v := range st.Shown {
-		c.shown[k] = append([]SpanID(nil), v...)
-	}
-}
-
 // Event records one browser event, linking it into the chain in
 // progress. at is the event's (simulated) time; fields are stored as
 // span attributes verbatim.
@@ -233,8 +178,7 @@ type Chain struct {
 // order, then the never-clicked ones in display order.
 //
 // It replays rather than following parent links, so a chain rests on
-// each container's event order alone, not on the recorder's linkage
-// state having survived every worker restart and adoption.
+// each container's event order alone.
 func Chains(spans []Span) []Chain {
 	ordered := append([]Span(nil), spans...)
 	sort.SliceStable(ordered, func(i, j int) bool {

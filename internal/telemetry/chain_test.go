@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"sync"
@@ -313,41 +312,6 @@ func TestChainRecorderRoundTrip(t *testing.T) {
 		t.Fatalf("chains from the read trace = %+v", chains)
 	}
 	assertChains(t, chains, Chains(tr.Spans()))
-}
-
-// TestChainStateRoundTrip: Export/Restore preserves linkage so a
-// restored recorder keeps extending the same chains.
-func TestChainStateRoundTrip(t *testing.T) {
-	tr := NewTracer(nil)
-	rec := NewChainRecorder(tr, "c1")
-	at := time.Unix(1600000000, 0).UTC()
-	rec.Event(at, "visit", map[string]string{"url": "https://seed"})
-	rec.Event(at, "sw_registered", map[string]string{"sw": "https://seed/sw.js"})
-	rec.Event(at, "push_received", map[string]string{"sw": "https://seed/sw.js"})
-	rec.Event(at, "notification_shown", map[string]string{"title": "You won"})
-
-	st := rec.Export()
-	data, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ChainState
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh := NewChainRecorder(tr, "c1")
-	fresh.Restore(&back)
-	fresh.Event(at.Add(time.Minute), "notification_clicked", map[string]string{"title": "You won"})
-
-	spans := tr.Spans()
-	click := spans[len(spans)-1]
-	if click.Name != "notification_clicked" || click.Parent == 0 {
-		t.Fatalf("restored recorder lost chain linkage: %+v", click)
-	}
-	if parent := spans[click.Parent-1]; parent.Name != "notification_shown" {
-		t.Errorf("click parented under %q, want notification_shown", parent.Name)
-	}
 }
 
 // TestConcurrentChainRecorders: many containers' recorders share one

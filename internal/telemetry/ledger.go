@@ -41,7 +41,7 @@ func (e Event) MarshalJSON() ([]byte, error) {
 }
 
 // Ledger accumulates one run's events in memory. Appends come from
-// serial code paths (the fleet coordinator's loop, mining stage
+// serial code paths (the crawl's event loop, mining stage
 // boundaries and canonical-order flushes), so Seq is causal order; the
 // mutex only keeps a stray concurrent append safe. A nil *Ledger
 // ignores appends, the same contract as nil telemetry.

@@ -14,10 +14,10 @@ import (
 )
 
 // studyFiles returns the JSONL ledger and trace of a small real run: a
-// two-shard desktop fleet under worker kills, then a blocked mine.
+// desktop crawl under the acceptance faults, then a blocked mine.
 func studyFiles(f *testing.F) (ledger, trace []byte) {
 	f.Helper()
-	prof, err := chaos.ParseProfile("workercrashes=0.05")
+	prof, err := chaos.ParseProfile("acceptance")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -27,7 +27,6 @@ func studyFiles(f *testing.F) (ledger, trace []byte) {
 		Eco:              webeco.Config{Seed: 11, Scale: 0.002, Chaos: prof},
 		CollectionWindow: 3 * 24 * time.Hour,
 		SkipMobile:       true,
-		Shards:           2,
 		Pipeline:         core.PipelineOptions{Cluster: core.ClusterOptions{Blocked: true}},
 		Ledger:           led,
 		Tracer:           tr,
@@ -58,7 +57,7 @@ func FuzzReadLedger(f *testing.F) {
 	for _, ev := range events {
 		kinds[ev.Kind] = true
 	}
-	for _, k := range []string{"shard_started", "kill_detected", "merge", "stage_begin", "block_clustered", "cut_chosen"} {
+	for _, k := range []string{"shard_started", "merge", "stage_begin", "block_clustered", "cut_chosen"} {
 		if !kinds[k] {
 			f.Fatalf("real ledger has no %s event; the seed does not cover both planes", k)
 		}

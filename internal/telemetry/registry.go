@@ -390,10 +390,10 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteSnapshotFile writes the snapshot JSON to a file atomically, with
-// the same temp-file + fsync + rename discipline as the crawler's
-// shard-state writer: a crash mid-write can never leave a truncated or
-// half-serialized metrics file at path, only a stale previous one.
+// WriteSnapshotFile writes the snapshot JSON to a file atomically,
+// through a temp file, fsync and rename: a crash mid-write can never
+// leave a truncated or half-serialized metrics file at path, only a
+// stale previous one.
 func (r *Registry) WriteSnapshotFile(path string) error {
 	b, err := json.MarshalIndent(r.Snapshot(), "", "  ")
 	if err != nil {

@@ -297,23 +297,18 @@ func sampleRegistry(k int) *Registry {
 	return reg
 }
 
-// TestObservabilityPlaneNilSafety: the entry points a fleet's shard
-// workers call beyond the instruments — chain-state export and restore,
-// and the ledger — must be free no-ops when tracing and the ledger are
-// off.
+// TestObservabilityPlaneNilSafety: the entry points a crawl calls
+// beyond the instruments — the chain recorder and the ledger — must be
+// free no-ops when tracing and the ledger are off.
 func TestObservabilityPlaneNilSafety(t *testing.T) {
 	var rec *ChainRecorder
 	var led *Ledger
 	if n := testing.AllocsPerRun(100, func() {
-		st := rec.Export()
-		rec.Restore(st)
+		rec.Event(time.Time{}, "visit", nil)
 		led.Append(Event{Kind: "merge"})
 		_ = led.Events()
 	}); n != 0 {
-		t.Errorf("disabled chain-state and ledger path allocates %v per run, want 0", n)
-	}
-	if got := rec.Export(); got != nil {
-		t.Errorf("nil recorder Export = %+v, want nil", got)
+		t.Errorf("disabled chain-recorder and ledger path allocates %v per run, want 0", n)
 	}
 }
 

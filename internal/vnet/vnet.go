@@ -343,8 +343,8 @@ func (n *Network) Client() *http.Client {
 // carries its own cookie jar: each crawler container is an isolated
 // browsing session, which is exactly why the paper ran one Docker
 // container per URL — some ad networks track browsers across sessions
-// via cookies (§8). The jar is an httpx.MemJar so a container's cookie
-// state can be exported and rehydrated on shard failover.
+// via cookies (§8). The jar is an httpx.MemJar, which sends cookies in
+// a deterministic order.
 func (n *Network) ClientNoRedirect() *http.Client {
 	return &http.Client{
 		Transport: n.newTransport(),

@@ -1,10 +1,10 @@
 #!/bin/sh
 # telemetry_smoke.sh — end-to-end observability gate, through the CLIs:
-#  1. a seeded chaos crawl+mine at one shard writes a metrics snapshot
-#     with every [study] golden key (scripts/telemetry_keys.txt) and a
-#     trace holding whole attack chains;
-#  2. the same crawl as a 4-shard fleet under worker kills, scraped live
-#     at /fleetz, writes a byte-identical export and a ledger;
+#  1. a seeded chaos crawl+mine writes a metrics snapshot with every
+#     [study] golden key (scripts/telemetry_keys.txt) and a trace
+#     holding whole attack chains;
+#  2. the same crawl served with a ledger, scraped live at /fleetz,
+#     writes a byte-identical export and a ledger of crawl events;
 #  3. a blocked mine writes the same ledger bytes on every rerun, with
 #     or without telemetry attached; the attached run is scraped live at
 #     /miningz and its snapshot has every [blocked] golden key.
@@ -104,28 +104,25 @@ go build -o "$TMPD/wpncrawl" ./cmd/wpncrawl
 go build -o "$TMPD/pushadminer" ./cmd/pushadminer
 go build -o "$TMPD/wpnstat" ./cmd/wpnstat
 
-CRAWL="$TMPD/wpncrawl -seed 11 -scale 0.002 -days 7 -chaos-profile acceptance,workercrashes=0.05"
+CRAWL="$TMPD/wpncrawl -seed 11 -scale 0.002 -days 7 -chaos-profile acceptance"
 MINE="$TMPD/pushadminer -seed 11 -scale 0.002 -days 7 -blocked -table 3"
 
-echo "==> telemetry smoke: one-shard chaos crawl+mine with -metrics-out/-trace-out"
+echo "==> telemetry smoke: chaos crawl+mine with -metrics-out/-trace-out"
 $CRAWL -out "$TMPD/one.json" -metrics-out "$TMPD/metrics.json" -trace-out "$TMPD/trace.jsonl"
 [ -s "$TMPD/metrics.json" ] || fail "empty metrics snapshot"
 [ -s "$TMPD/trace.jsonl" ] || fail "empty trace"
 check_keys "$TMPD/metrics.json" study
 expect "$TMPD/trace.jsonl" '"name":"push_received"' '"name":"notification_clicked"' '"name":"landing_page"'
 
-echo "==> telemetry smoke: 4-shard fleet under worker kills, live /fleetz"
-serve four $CRAWL -shards 4 -fleet-dir "$TMPD/fleet" -ledger "$TMPD/fleet.jsonl" -out "$TMPD/four.json"
+echo "==> telemetry smoke: the same crawl served with -ledger, live /fleetz"
+serve served $CRAWL -ledger "$TMPD/crawl.jsonl" -out "$TMPD/served.json"
 scrape fleetz
-expect "$TMPD/fleetz.json" '"shards": 4' '"live_shards"' '"heartbeats"' '"kills"' \
-	'"records"' '"sim_time"' '"window_end"' '"workers"' \
-	'"shard": 3' '"restart_budget"'
-expect "$TMPD/fleetz.txt" 'fleet ' 'shard' 'heartbeats'
-stop "$TMPD/four.log"
-cmp -s "$TMPD/one.json" "$TMPD/four.json" || fail "4-shard output differs from the one-shard run"
-# A run with zero kills proves parity of nothing.
-grep -Eq "fleet: .*kills=[1-9]" "$TMPD/four.log" || { cat "$TMPD/four.log" >&2; fail "chaos plan produced no worker kills"; }
-expect "$TMPD/fleet.jsonl" '"kind":"shard_started"'
+expect "$TMPD/fleetz.json" '"device"' '"containers"' '"dead_containers"' '"queued"' \
+	'"collected"' '"records"' '"events"' '"sim_time"' '"window_end"' '"done"'
+expect "$TMPD/fleetz.txt" 'fleet ' 'containers' 'breakers'
+stop "$TMPD/served.log"
+cmp -s "$TMPD/one.json" "$TMPD/served.json" || fail "the served crawl's output differs from step 1's"
+expect "$TMPD/crawl.jsonl" '"kind":"shard_started"' '"kind":"merge"'
 
 echo "==> telemetry smoke: blocked-mine ledger byte-stable across reruns"
 $MINE -quiet -ledger "$TMPD/ledger1.jsonl" > /dev/null
@@ -145,4 +142,4 @@ stop "$TMPD/mine.log"
 cmp -s "$TMPD/ledger1.jsonl" "$TMPD/ledger3.jsonl" || fail "attaching telemetry changed the ledger bytes"
 check_keys "$TMPD/mine-metrics.json" blocked
 
-echo "telemetry smoke: OK (4-shard output byte-identical, $(grep -c . "$TMPD/trace.jsonl") spans, live /fleetz and /miningz, ledgers byte-stable, golden keys present)"
+echo "telemetry smoke: OK (served crawl's output byte-identical, $(grep -c . "$TMPD/trace.jsonl") spans, live /fleetz and /miningz, ledgers byte-stable, golden keys present)"

@@ -236,9 +236,6 @@ var workCounts = map[string]int64{
 	"faults/crawler_visits":                        901,
 	"faults/fleet_events{merge}":                   6,
 	"faults/fleet_events{shard_started}":           1,
-	"faults/fleet_heartbeats":                      29,
-	"faults/fleet_live_shards":                     1,
-	"faults/fleet_shards":                          1,
 	"faults/httpx_retries":                         104,
 	"faults/httpx_retry_after_waits":               87,
 	"faults/ledger{cut_chosen}":                    1,
@@ -299,9 +296,6 @@ var workCounts = map[string]int64{
 	"study/crawler_visits":                         886,
 	"study/fleet_events{merge}":                    7,
 	"study/fleet_events{shard_started}":            1,
-	"study/fleet_heartbeats":                       29,
-	"study/fleet_live_shards":                      1,
-	"study/fleet_shards":                           1,
 	"study/ledger{cut_chosen}":                     1,
 	"study/ledger{height_swept}":                   64,
 	"study/ledger{merge}":                          7,
