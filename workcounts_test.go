@@ -22,8 +22,9 @@ import (
 // a desktop study, and the same study under the "acceptance" fault
 // profile (resets, 503s, a push outage) — and compares every work
 // count they record (pairs computed, sweep cells scored, blocks built,
-// requests sent, injected faults, retries, records emitted, and ledger
-// events per kind) with workCounts. The
+// requests sent, injected faults, retries, records emitted, ledger
+// events per kind, and the stream's provisional Add answers) with
+// workCounts. The
 // counts are a function of the inputs alone, so the gate needs no
 // tolerance: a quadratic path sneaking back in, a crawl that polls more
 // than it did, or a ledger that drops an event moves a count by an
@@ -52,6 +53,12 @@ func TestWorkCounts(t *testing.T) {
 	}
 	addWorkCounts(got, "stream", reg.Snapshot())
 	addLedgerCounts(got, "stream", led)
+	// The stream's provisional answers: how many arrivals Add placed in
+	// an existing campaign, and how many it left new. No instrument
+	// records them.
+	st := inc.Stats()
+	got["stream/incr_assigned_existing"] = int64(st.AssignedToExisting)
+	got["stream/incr_provisional_new"] = int64(st.ProvisionalNew)
 
 	studyWorkCounts(t, got, "study", nil)
 	faults, err := chaos.ParseProfile("acceptance")
@@ -264,6 +271,8 @@ var workCounts = map[string]int64{
 	"faults/vnet_responses_by_class{2xx}":          2037,
 	"faults/vnet_responses_by_class{3xx}":          32,
 	"faults/vnet_responses_by_class{5xx}":          838,
+	"stream/incr_assigned_existing":                695,
+	"stream/incr_provisional_new":                  505,
 	"stream/ledger{block_clustered}":               505,
 	"stream/ledger{cut_chosen}":                    6,
 	"stream/ledger{height_swept}":                  384,
