@@ -32,10 +32,12 @@ telemetry-smoke:
 # mining-smoke runs the mining parity gates (scripts/mining_smoke.sh
 # holds the one list, which scripts/verify.sh runs too): exact vs the
 # serial reference sweep, the silhouette scorer and its reused scratch
-# vs the serial definition, blocked vs exact, the cut step's tail vs its
-# map-based reference, distances, candidate lookups and blocks vs their
-# references, incremental convergence, the linkage property test and
-# the word2vec kernel's bit-parity gate.
+# vs the serial definition, blocked vs exact, the cut step's tail and
+# the stream's medoids vs their map-based references, distances,
+# candidate lookups and blocks vs their references, incremental
+# convergence, Add's provisional labels vs a brute-force oracle, the
+# linkage property test and the word2vec kernel's bit-parity gate. A
+# listed name that is not a test fails it.
 mining-smoke:
 	GO=$(GO) sh scripts/mining_smoke.sh
 

@@ -8,19 +8,16 @@
 //	pushadminer [flags]
 //
 //	-seed N        ecosystem seed (default 1)
-//	-scale F       fraction of the paper's crawl size (default 0.05);
-//	               -scale paper is shorthand for 1.0
-//	-days N        collection window in simulated days (default 14)
+//	-scale F       fraction of the paper's crawl size, in (0, 1]
+//	               (default 0.05); -scale paper is shorthand for 1.0
+//	-days N        collection window in simulated days, at least 1
+//	               (default 14)
 //	-table LIST    comma-separated artifacts to print:
 //	               1,2,3,4,5,6,f4,f5,f6,cost,eval,detector,scams,experiments,all
+//	-format F      print the tables as text (default) or json
 //	-blocked       mine with the sub-quadratic LSH-blocked clustering
 //	               path (candidate pairs from the SimHash band index,
 //	               exact clustering within connected-component blocks)
-//	-medoid-index P write the persistable medoid classify index
-//	               (campaign medoids + chosen cut) of the mine, on
-//	               either route, as deterministic JSON to P, so a
-//	               restarted incremental service can Add-classify
-//	               arrivals without re-mining
 //	-quiet         suppress progress logging, including the periodic
 //	               mining-progress lines; the live /miningz status is
 //	               still published and served — quiet only silences
@@ -38,6 +35,9 @@
 //	-linger D      keep the process (and its debug server) alive for D
 //	               after the run, so /miningz and /metrics can be
 //	               scraped post-completion
+//
+// A bad -scale, -days, -table or -format exits 1 before the ecosystem
+// is built.
 package main
 
 import (
@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -60,9 +61,8 @@ func main() {
 		seed       = flag.Int64("seed", 1, "ecosystem seed")
 		scaleStr   = flag.String("scale", "0.05", `fraction of paper-scale crawl ("paper" = 1.0)`)
 		days       = flag.Int("days", 14, "collection window in simulated days")
-		tables     = flag.String("table", "all", "artifacts to print (1,2,3,4,5,6,f4,f5,f6,cost,eval,detector,scams,experiments,all)")
+		tables     = flag.String("table", "all", "artifacts to print ("+strings.Join(tableKeys, ",")+")")
 		blocked    = flag.Bool("blocked", false, "use the sub-quadratic LSH-blocked clustering path")
-		medoidOut  = flag.String("medoid-index", "", "write the persistable medoid classify index (campaign medoids + chosen cut) as JSON to this path")
 		quiet      = flag.Bool("quiet", false, "suppress progress logging")
 		format     = flag.String("format", "text", "output format: text or json")
 		debugAddr  = flag.String("debug-addr", "", "loopback addr serving /debug/pprof, /debug/vars, /metrics and /miningz (e.g. 127.0.0.1:6060)")
@@ -73,13 +73,9 @@ func main() {
 	)
 	flag.Parse()
 
-	scale := 1.0
-	if *scaleStr != "paper" {
-		v, err := strconv.ParseFloat(*scaleStr, 64)
-		if err != nil || v <= 0 || v > 1 {
-			log.Fatalf("bad -scale %q: want a fraction in (0, 1] or \"paper\"", *scaleStr)
-		}
-		scale = v
+	scale, want, err := parseArgs(*scaleStr, *days, *tables, *format)
+	if err != nil {
+		log.Fatal(err)
 	}
 	logf := func(format string, args ...interface{}) {
 		if !*quiet {
@@ -141,7 +137,6 @@ func main() {
 		Ledger:           ledger,
 	}
 	cfg.Pipeline.Cluster.Blocked = *blocked
-	cfg.Pipeline.MedoidIndexPath = *medoidOut
 	study, err := pushadminer.RunStudy(cfg)
 	close(stopProgress)
 	if err != nil {
@@ -157,10 +152,6 @@ func main() {
 		}
 		logf("%d ledger events → %s", len(ledger.Events()), *ledgerOut)
 	}
-	if *medoidOut != "" {
-		m := study.Analysis.Clusters.Medoids
-		logf("medoid index (%d campaigns, cut %.4f) → %s", len(m.Medoids), m.CutHeight, *medoidOut)
-	}
 	if *metricsOut != "" {
 		if err := reg.WriteSnapshotFile(*metricsOut); err != nil {
 			log.Fatal(err)
@@ -174,10 +165,6 @@ func main() {
 		logf("%d trace spans → %s", tracer.Len(), *traceOut)
 	}
 
-	want := map[string]bool{}
-	for _, t := range strings.Split(*tables, ",") {
-		want[strings.TrimSpace(strings.ToLower(t))] = true
-	}
 	all := want["all"]
 	show := func(key string, t *pushadminer.Table) {
 		if !all && !want[key] {
@@ -217,6 +204,39 @@ func main() {
 		logf("lingering %s for debug scrapes...", *linger)
 		time.Sleep(*linger)
 	}
+}
+
+// tableKeys are the artifacts -table can name.
+var tableKeys = []string{"1", "2", "3", "4", "5", "6", "f4", "f5", "f6", "cost", "eval", "detector", "scams", "experiments", "all"}
+
+// parseArgs checks the flags that choose what to run and print: -scale
+// a fraction in (0, 1] or "paper", -days at least 1, -table a
+// comma-separated list of tableKeys (case and spaces ignored), -format
+// text or json. It returns the scale and the set of artifacts to print.
+func parseArgs(scaleStr string, days int, tables, format string) (float64, map[string]bool, error) {
+	scale := 1.0
+	if scaleStr != "paper" {
+		v, err := strconv.ParseFloat(scaleStr, 64)
+		if err != nil || !(v > 0 && v <= 1) {
+			return 0, nil, fmt.Errorf("bad -scale %q: want a fraction in (0, 1] or \"paper\"", scaleStr)
+		}
+		scale = v
+	}
+	if days < 1 {
+		return 0, nil, fmt.Errorf("bad -days %d: want at least 1", days)
+	}
+	want := map[string]bool{}
+	for _, t := range strings.Split(tables, ",") {
+		key := strings.TrimSpace(strings.ToLower(t))
+		if !slices.Contains(tableKeys, key) {
+			return 0, nil, fmt.Errorf("bad -table key %q: want a comma-separated list of %s", key, strings.Join(tableKeys, ","))
+		}
+		want[key] = true
+	}
+	if format != "text" && format != "json" {
+		return 0, nil, fmt.Errorf("bad -format %q: want text or json", format)
+	}
+	return scale, want, nil
 }
 
 func printExperiments(study *pushadminer.Study, seed int64, scale float64, logf func(string, ...interface{})) error {

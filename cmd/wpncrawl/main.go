@@ -11,6 +11,10 @@
 //	         [-ledger PATH] [-debug-addr HOST:PORT] [-linger D]
 //	         [-metrics-out PATH] [-trace-out PATH]
 //
+// -scale is a fraction of the paper's crawl size in (0, 1] (default
+// 0.05) and -days the collection window in simulated days, at least 1
+// (default 14); anything else exits 1 before the ecosystem is built.
+//
 // -chaos-profile wraps the virtual network with the deterministic fault
 // injector (internal/chaos): presets "mild", "acceptance", "harsh", or
 // a comma-separated spec with k=v overrides, e.g.
@@ -45,6 +49,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"log"
 	"time"
 
@@ -71,6 +76,9 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkArgs(*scale, *days); err != nil {
+		log.Fatal(err)
+	}
 	prof, err := chaos.ParseProfile(*profile)
 	if err != nil {
 		log.Fatal(err)
@@ -145,6 +153,19 @@ func main() {
 		log.Printf("lingering %s for debug scrapes", *linger)
 		time.Sleep(*linger)
 	}
+}
+
+// checkArgs rejects a -scale outside (0, 1] and a -days below 1, which
+// the ecosystem and study configs would otherwise silently replace
+// with their defaults.
+func checkArgs(scale float64, days int) error {
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("bad -scale %v: want a fraction in (0, 1]", scale)
+	}
+	if days < 1 {
+		return fmt.Errorf("bad -days %d: want at least 1", days)
+	}
+	return nil
 }
 
 func mobileCount(s *pushadminer.Study) int {

@@ -26,7 +26,7 @@ func oneBlockCut(m *cluster.DistMatrix, opts ClusterOptions) *ClusterResult {
 	for i := range fs.Records {
 		fs.Records[i] = &crawler.WPNRecord{}
 	}
-	res, _ := cutStep(fs, []*blockDendrogram{oneBlock(m, opts.Linkage)}, m.Len(), opts)
+	res, _, _, _ := cutStep(fs, []*blockDendrogram{oneBlock(m, opts.Linkage)}, m.Len(), opts)
 	return res
 }
 

@@ -84,8 +84,8 @@ func derivationBlocks(n int, shape string, live float64, rng *rand.Rand) ([]*blo
 }
 
 // TestClusterDerivationMatchesMapOracle checks the cut step's tail —
-// label stitching, cluster derivation with domain lists, medoids and
-// the medoid index — against the map-based references it replaced, on
+// label stitching and cluster derivation with domain lists — and the
+// stream's medoids against the map-based references they replaced, on
 // block labelings of every shape with records not yet added, on random
 // labelings with -1 records and unused labels, on an empty corpus, and
 // on one cluster holding every record.
@@ -97,6 +97,20 @@ func TestClusterDerivationMatchesMapOracle(t *testing.T) {
 		want := finishClusterResultMap(fs, labels, 0.25, 0.5)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("labels %v: clusters differ from the map oracle\n got %s\nwant %s", labels, clusterDump(got), clusterDump(want))
+		}
+	}
+	// checkMedoids requires blockMedoids to give every carried label
+	// the map oracle's medoid and every other label -1.
+	checkMedoids := func(t *testing.T, blocks []*blockDendrogram, per [][]int, labels []int) {
+		t.Helper()
+		got := map[int]int{}
+		for l, r := range blockMedoids(blocks, per, labels) {
+			if r >= 0 {
+				got[l] = r
+			}
+		}
+		if want := blockMedoidsMap(blocks, per, labels); !reflect.DeepEqual(got, want) {
+			t.Fatalf("medoids %v, map oracle %v", got, want)
 		}
 	}
 	for trial := 0; trial < 40; trial++ {
@@ -111,11 +125,7 @@ func TestClusterDerivationMatchesMapOracle(t *testing.T) {
 					t.Fatalf("stitched labels %v, map oracle %v", labels, want)
 				}
 				check(t, fs, labels)
-				got := newMedoidIndex(fs, blockMedoids(blocks, per, labels), 0.25, 0.5)
-				want := newMedoidIndexMap(fs, blockMedoidsMap(blocks, per, labels), 0.25, 0.5)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("medoid index %+v, map oracle %+v", got.Medoids, want.Medoids)
-				}
+				checkMedoids(t, blocks, per, labels)
 			})
 		}
 	}
@@ -153,10 +163,9 @@ func TestClusterDerivationMatchesMapOracle(t *testing.T) {
 		per := [][]int{make([]int, n)}
 		labels := stitchBlockedLabels(n, blocks, per)
 		check(t, fs, labels)
-		got := newMedoidIndex(fs, blockMedoids(blocks, per, labels), 0.25, 0.5)
-		want := newMedoidIndexMap(fs, blockMedoidsMap(blocks, per, labels), 0.25, 0.5)
-		if !reflect.DeepEqual(got, want) || len(got.Medoids) != 1 {
-			t.Fatalf("medoid index %+v, map oracle %+v", got.Medoids, want.Medoids)
+		checkMedoids(t, blocks, per, labels)
+		if got := blockMedoids(blocks, per, labels); len(got) != 1 {
+			t.Fatalf("one cluster, medoids %v", got)
 		}
 	})
 }

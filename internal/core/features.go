@@ -211,8 +211,8 @@ func (fs *FeatureSet) Distance(i, j int) float64 {
 
 // DistanceWithin reports whether Distance(i, j) <= t and, when it is,
 // returns that distance bit for bit. It is the threshold test of the
-// blocked union phase, the stream's nearest-medoid scan and
-// MedoidIndex.Classify. With both feature groups on it computes the
+// blocked union phase and of the stream's nearest-medoid scan
+// (IncrementalClusterer.Add). With both feature groups on it computes the
 // path Jaccard first and rejects the pair without the soft-cosine quad
 // form when path/2 > t. The reject is exact in floating point: the text
 // distance 1 − SoftCosine lies in [0, 1] (SoftCosineNormed clamps the

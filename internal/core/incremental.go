@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"pushadminer/internal/cluster"
 	"pushadminer/internal/simhash"
 )
@@ -73,25 +71,19 @@ type IncrementalClusterer struct {
 	// so an unchanged size means an unchanged member set.
 	cache map[int]*blockDendrogram
 
-	// res is the last Recluster's result; its Medoids index holds one
-	// entry per cluster label, ascending, so Medoids.Medoids[l] is
-	// cluster l's medoid.
-	res *ClusterResult
-	// restored is a persisted MedoidIndex from a previous mine (see
-	// RestoreMedoidIndex): before the first Recluster of this run, Add
-	// classifies against it instead of returning -1 for everything.
-	restored *MedoidIndex
-	stats    IncrementalStats
+	// res is the last Recluster's result, and medoids[l] the medoid
+	// record of its cluster l: what Add classifies against.
+	res     *ClusterResult
+	medoids []int
+	stats   IncrementalStats
 }
 
 // NewIncrementalClusterer prepares an empty clusterer over the feature
-// set. opts is interpreted as for the Blocked batch path, except that
-// Recluster always builds the medoid index: Add classifies against it.
-// Recluster rounds are observed through opts.Metrics and opts.Ledger
-// (a stream has no stages to trace), and with either attached each
-// round ends by publishing a done MiningStatus for /miningz.
+// set. opts is interpreted as for the Blocked batch path. Recluster
+// rounds are observed through opts.Metrics and opts.Ledger (a stream
+// has no stages to trace), and with either attached each round ends by
+// publishing a done MiningStatus for /miningz.
 func NewIncrementalClusterer(fs *FeatureSet, opts ClusterOptions) *IncrementalClusterer {
-	opts.BuildMedoids = true
 	opts.obs = newMiningObs(opts.Metrics, nil, opts.Ledger, "blocked", 0, false)
 	return &IncrementalClusterer{
 		fs:    fs,
@@ -128,17 +120,10 @@ func (c *IncrementalClusterer) Add(i int) int {
 	c.candBuf = c.ix.AppendCandidates(c.candBuf[:0], &c.marks, h)
 
 	prov := -1
-	if c.res == nil && c.restored != nil {
-		// No Recluster yet this run, but a persisted medoid index from a
-		// previous full mine: classify against its medoids so the
-		// service loop answers arrivals between re-mines without ever
-		// triggering a sweep.
-		prov, _ = c.restored.Classify(c.fs, i)
-	} else if c.res != nil && c.res.CutHeight > 0 {
+	if c.res != nil && c.res.CutHeight > 0 {
 		bestD := c.res.CutHeight
-		medoids := c.res.Medoids.Medoids
-		if len(c.seen) < len(medoids) {
-			c.seen = make([]uint64, len(medoids))
+		if len(c.seen) < len(c.medoids) {
+			c.seen = make([]uint64, len(c.medoids))
 		}
 		c.stamp++
 		for _, j := range c.candBuf {
@@ -147,7 +132,7 @@ func (c *IncrementalClusterer) Add(i int) int {
 				continue
 			}
 			c.seen[l] = c.stamp
-			if d, ok := c.fs.DistanceWithin(i, medoids[l].Record, bestD); ok {
+			if d, ok := c.fs.DistanceWithin(i, c.medoids[l], bestD); ok {
 				bestD, prov = d, l
 			}
 		}
@@ -240,8 +225,8 @@ func (c *IncrementalClusterer) Recluster() *ClusterResult {
 	// Reused blocks carry their cut memos (the memo lives on the
 	// blockDendrogram), so clean blocks' sweep contributions survive
 	// across Recluster calls.
-	var ms sweepMemoStats
-	c.res, ms = cutStep(c.fs, blocks, c.nAdded, c.opts)
+	res, cut, per, ms := cutStep(c.fs, blocks, c.nAdded, c.opts)
+	c.res, c.medoids = res, blockMedoids(cut, per, res.Labels)
 	c.stats.SweepMemoHits += ms.hits
 	c.stats.SweepMemoRefreshes += ms.refreshes
 	c.stats.SweepRescoredBlocks += ms.rescoredBlocks
@@ -250,26 +235,43 @@ func (c *IncrementalClusterer) Recluster() *ClusterResult {
 	return c.res
 }
 
-// MedoidIndex returns the classify state of the last Recluster —
-// campaign medoids plus the cut that defined them — as a persistable
-// index (see MedoidIndex, SaveMedoidIndex). Nil before the first
-// Recluster.
-func (c *IncrementalClusterer) MedoidIndex() *MedoidIndex {
-	if c.res == nil {
-		return nil
+// blockMedoids computes each cluster's medoid — the member minimizing
+// the sum of within-cluster distances, ties to the lowest record index
+// — from the blocks' exact local matrices. Clusters never span blocks
+// (linkage is per-block), so each is fully resolvable from one local
+// matrix. Returns the medoid record of each global label, -1 for a
+// label no record carries.
+func blockMedoids(blocks []*blockDendrogram, per [][]int, labels []int) []int {
+	k := 0
+	for _, l := range labels {
+		k = max(k, l+1)
 	}
-	return c.res.Medoids
-}
-
-// RestoreMedoidIndex seeds the clusterer's provisional classifier from
-// a persisted index, so Add answers arrivals against the previous
-// mine's medoids before the first Recluster of this run. The index must
-// have been mined from the same feature set (same size; record indices
-// and distances live in that feature space).
-func (c *IncrementalClusterer) RestoreMedoidIndex(x *MedoidIndex) error {
-	if x.Records != len(c.fs.Records) {
-		return fmt.Errorf("core: medoid index mined from %d records, feature set has %d", x.Records, len(c.fs.Records))
+	medoids := make([]int, k)
+	for l := range medoids {
+		medoids[l] = -1
 	}
-	c.restored = x
-	return nil
+	var start, flat []int // local indices grouped by local label
+	for bi, bd := range blocks {
+		start, flat = groupByLabel(per[bi], start, flat)
+		for l := 0; l+1 < len(start); l++ {
+			g := flat[start[l]:start[l+1]]
+			if len(g) == 0 {
+				continue
+			}
+			best, bestSum := -1, 0.0
+			for _, li := range g {
+				var sum float64
+				for _, lj := range g {
+					if lj != li {
+						sum += bd.dm.At(li, lj)
+					}
+				}
+				if best < 0 || sum < bestSum {
+					best, bestSum = li, sum
+				}
+			}
+			medoids[labels[bd.members[best]]] = bd.members[best]
+		}
+	}
+	return medoids
 }

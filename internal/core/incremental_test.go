@@ -81,6 +81,48 @@ func TestIncrementalConvergesToBatch(t *testing.T) {
 	}
 }
 
+// TestProvisionalLabelMatchesOracle holds every provisional answer Add
+// gives to provisionalLabelOracle, a brute-force transcription of its
+// nearest-medoid rule over medoids recomputed from the last Recluster's
+// clusters. The stream arrives in scattered order and reclusters every
+// 60 arrivals at n = 300, where every Recluster cuts one exact block
+// over the live records (crossesOver), and every 150 at n = 900, where
+// the Reclusters past 512 live records cut the blocks themselves.
+func TestProvisionalLabelMatchesOracle(t *testing.T) {
+	for _, c := range []struct {
+		seed     int64
+		n, every int
+	}{{3, 300, 60}, {4, 900, 150}} {
+		fs := parityFS(t, c.seed, c.n)
+		inc := NewIncrementalClusterer(fs, ClusterOptions{Blocked: true})
+		var added []int
+		var res *ClusterResult
+		var medoids map[int]int
+		checked, assigned := 0, 0
+		for k, i := range addOrder(c.n) {
+			want := provisionalLabelOracle(fs, added, res, medoids, i)
+			if got := inc.Add(i); got != want {
+				t.Fatalf("seed %d n %d, arrival %d (record %d): Add = %d, oracle %d", c.seed, c.n, k, i, got, want)
+			}
+			if res != nil {
+				checked++
+				if want >= 0 {
+					assigned++
+				}
+			}
+			added = append(added, i)
+			if (k+1)%c.every == 0 {
+				res = inc.Recluster()
+				medoids = medoidsOracle(fs, res)
+			}
+		}
+		t.Logf("seed %d n %d: %d of %d arrivals after the first Recluster assigned", c.seed, c.n, assigned, checked)
+		if assigned == 0 || assigned == checked {
+			t.Errorf("seed %d n %d: %d of %d arrivals assigned; the oracle must see both answers", c.seed, c.n, assigned, checked)
+		}
+	}
+}
+
 // TestReclusterReusesAbsorbedDistances is the parity gate for the
 // distances a Recluster copies from the cached blocks a dirty component
 // absorbed. At 150 records every cut runs over one freshly filled exact

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"pushadminer/internal/cluster"
+	"pushadminer/internal/simhash"
 	"pushadminer/internal/textmine"
 	"pushadminer/internal/urlx"
 )
@@ -296,18 +298,55 @@ func blockMedoidsMap(blocks []*blockDendrogram, per [][]int, labels []int) map[i
 	return medoids
 }
 
-// newMedoidIndexMap is the reference for newMedoidIndex over a medoid
-// map: entries in sorted label order.
-func newMedoidIndexMap(fs *FeatureSet, medoids map[int]int, cutHeight, sil float64) *MedoidIndex {
-	x := &MedoidIndex{CutHeight: cutHeight, Silhouette: sil, Records: len(fs.Records), Bands: blockBands}
-	labels := make([]int, 0, len(medoids))
-	for l := range medoids {
-		labels = append(labels, l)
+// medoidsOracle recomputes each cluster's medoid from scratch: the
+// member with the least sum of float32-stored distances (each pair in
+// ascending record order, as the block matrices are filled) to the
+// other members, summed in ascending member order, ties to the lowest
+// record. It returns the medoid record of each cluster label.
+func medoidsOracle(fs *FeatureSet, res *ClusterResult) map[int]int {
+	medoids := make(map[int]int, len(res.Clusters))
+	for _, c := range res.Clusters {
+		best, bestSum := -1, 0.0
+		for _, m := range c.Members {
+			var sum float64
+			for _, o := range c.Members {
+				if o != m {
+					sum += float64(float32(fs.Distance(min(m, o), max(m, o))))
+				}
+			}
+			if best < 0 || sum < bestSum {
+				best, bestSum = m, sum
+			}
+		}
+		medoids[c.ID] = best
 	}
-	sort.Ints(labels)
-	x.Medoids = make([]MedoidEntry, 0, len(labels))
-	for _, l := range labels {
-		x.Medoids = append(x.Medoids, MedoidEntry{Label: l, Record: medoids[l]})
+	return medoids
+}
+
+// provisionalLabelOracle is a brute-force transcription of the answer
+// IncrementalClusterer.Add gives arrival i: the already-added records
+// sharing a band with i, in ascending record order, each cluster label
+// visited once (records added since the last Recluster carry none), and
+// the nearest medoid within the last cut height kept, a tie going to
+// the label visited later. -1 before the first Recluster, after a zero
+// cut, or when no medoid is near enough.
+func provisionalLabelOracle(fs *FeatureSet, added []int, res *ClusterResult, medoids map[int]int, i int) int {
+	if res == nil || res.CutHeight <= 0 {
+		return -1
 	}
-	return x
+	cands := slices.Clone(added)
+	slices.Sort(cands)
+	label, best := -1, res.CutHeight
+	visited := map[int]bool{}
+	for _, j := range cands {
+		l := res.Labels[j]
+		if l < 0 || visited[l] || !simhash.SharesBand(fs.Hashes[i], fs.Hashes[j], blockBands) {
+			continue
+		}
+		visited[l] = true
+		if d := fs.Distance(i, medoids[l]); d <= best {
+			label, best = l, d
+		}
+	}
+	return label
 }

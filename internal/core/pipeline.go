@@ -37,14 +37,6 @@ type PipelineOptions struct {
 	// stream (see ClusterOptions.Ledger); stage brackets cover the full
 	// pipeline, clustering events the dispatched path.
 	Ledger *telemetry.Ledger
-
-	// MedoidIndexPath, when set, persists the post-clustering medoid
-	// classify index (campaign medoids + chosen cut; see MedoidIndex) as
-	// deterministic JSON, and implies ClusterOptions.BuildMedoids. Either
-	// clustering route produces one. The incremental service loop
-	// restores it at startup to Add-classify arrivals between full
-	// re-mines without a sweep.
-	MedoidIndexPath string
 }
 
 // Analysis is the full output of the mining pipeline.
@@ -131,15 +123,7 @@ func RunPipeline(records []*crawler.WPNRecord, opts PipelineOptions) (*Analysis,
 		opts.Scans = []time.Time{time.Now()}
 	}
 
-	if opts.MedoidIndexPath != "" {
-		opts.Cluster.BuildMedoids = true
-	}
 	cr := ClusterWPNs(fs, opts.Cluster)
-	if opts.MedoidIndexPath != "" {
-		if err := SaveMedoidIndex(opts.MedoidIndexPath, cr.Medoids); err != nil {
-			return nil, err
-		}
-	}
 	done = o.stage("label")
 	labels, flagged, err := LabelKnownMalicious(fs, opts.Services, opts.Scans)
 	done()

@@ -1,11 +1,7 @@
 package core
 
 import (
-	"bytes"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -254,153 +250,6 @@ func TestBlockedFullSweepOptionParity(t *testing.T) {
 	if after.SweepMemoRefreshes != before.SweepMemoRefreshes {
 		t.Errorf("warm Recluster recorded %d refreshes, want 0",
 			after.SweepMemoRefreshes-before.SweepMemoRefreshes)
-	}
-}
-
-// TestMedoidIndexRoundTrip pins the persisted classify state: the
-// incremental clusterer exports its medoids + cut, the index survives a
-// JSON round-trip byte-identically, Classify answers like the live
-// clusterer, and a fresh clusterer restored from the file Add-classifies
-// arrivals before any Recluster.
-func TestMedoidIndexRoundTrip(t *testing.T) {
-	fs := parityFS(t, 1, 150)
-	opts := ClusterOptions{}
-	inc := NewIncrementalClusterer(fs, opts)
-	for i := range fs.Records {
-		inc.Add(i)
-	}
-	res := inc.Recluster()
-
-	idx := inc.MedoidIndex()
-	if idx == nil {
-		t.Fatal("MedoidIndex nil after Recluster")
-	}
-	if idx.CutHeight != res.CutHeight || idx.Silhouette != res.Silhouette {
-		t.Errorf("index cut %v/%v, result %v/%v", idx.CutHeight, idx.Silhouette, res.CutHeight, res.Silhouette)
-	}
-	if idx.Records != len(fs.Records) || len(idx.Medoids) == 0 {
-		t.Fatalf("index shape: records=%d medoids=%d", idx.Records, len(idx.Medoids))
-	}
-	for i := 1; i < len(idx.Medoids); i++ {
-		if idx.Medoids[i-1].Label >= idx.Medoids[i].Label {
-			t.Fatal("medoids not ascending by label")
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "medoids.json")
-	if err := SaveMedoidIndex(path, idx); err != nil {
-		t.Fatal(err)
-	}
-	first, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveMedoidIndex(path, idx); err != nil {
-		t.Fatal(err)
-	}
-	second, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(first) != string(second) {
-		t.Error("SaveMedoidIndex is not byte-deterministic")
-	}
-	loaded, err := LoadMedoidIndex(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(loaded.Medoids, idx.Medoids) || loaded.CutHeight != idx.CutHeight {
-		t.Error("round-trip changed the index")
-	}
-
-	// Classify agrees between exported and loaded indexes, and every
-	// medoid record classifies to its own campaign at distance 0.
-	for i := range fs.Records {
-		l1, d1 := idx.Classify(fs, i)
-		l2, d2 := loaded.Classify(fs, i)
-		if l1 != l2 || d1 != d2 {
-			t.Fatalf("record %d: exported classify (%d,%v), loaded (%d,%v)", i, l1, d1, l2, d2)
-		}
-	}
-	for _, me := range idx.Medoids {
-		if l, d := loaded.Classify(fs, me.Record); l != me.Label || d > 1e-9 {
-			t.Errorf("medoid %d classifies to (%d,%v), want (%d,~0)", me.Record, l, d, me.Label)
-		}
-	}
-
-	// A fresh clusterer restored from the file answers arrivals before
-	// any Recluster of its own — the between-re-mines service posture.
-	fresh := NewIncrementalClusterer(fs, opts)
-	if err := fresh.RestoreMedoidIndex(loaded); err != nil {
-		t.Fatal(err)
-	}
-	assigned := 0
-	for _, me := range idx.Medoids {
-		if got := fresh.Add(me.Record); got != me.Label {
-			t.Errorf("restored Add(%d) = %d, want medoid label %d", me.Record, got, me.Label)
-		}
-		assigned++
-	}
-	if assigned == 0 {
-		t.Fatal("no medoid records to classify")
-	}
-
-	// Size mismatch is refused: the index only means anything against
-	// the feature set it was mined from.
-	small := parityFS(t, 2, 40)
-	other := NewIncrementalClusterer(small, opts)
-	if err := other.RestoreMedoidIndex(loaded); err == nil {
-		t.Error("RestoreMedoidIndex accepted an index from a different feature set size")
-	}
-}
-
-// TestBlockedBatchMedoidIndex covers the batch path's BuildMedoids
-// option: the blocked result carries an index consistent with its own
-// labels.
-func TestBlockedBatchMedoidIndex(t *testing.T) {
-	fs := parityFS(t, 1, 150)
-	res := ClusterWPNs(fs, ClusterOptions{Blocked: true, BuildMedoids: true})
-	if res.Medoids == nil {
-		t.Fatal("BuildMedoids set but result has no medoid index")
-	}
-	if res.Medoids.CutHeight != res.CutHeight {
-		t.Errorf("index cut %v, result cut %v", res.Medoids.CutHeight, res.CutHeight)
-	}
-	for _, me := range res.Medoids.Medoids {
-		if res.Labels[me.Record] != me.Label {
-			t.Errorf("medoid %d carries label %d, labeling says %d", me.Record, me.Label, res.Labels[me.Record])
-		}
-	}
-	if plain := ClusterWPNs(fs, ClusterOptions{Blocked: true}); plain.Medoids != nil {
-		t.Error("medoid index built without BuildMedoids")
-	}
-}
-
-// TestMedoidIndexRouteParity asserts BuildMedoids works on the exact
-// route too, and that at validation scale, where the blocked route cuts
-// the same one exact block, both routes save byte-identical index
-// files.
-func TestMedoidIndexRouteParity(t *testing.T) {
-	fs := parityFS(t, 1, 150)
-	dir := t.TempDir()
-	var files [2][]byte
-	for i, opts := range []ClusterOptions{{BuildMedoids: true}, {Blocked: true, BuildMedoids: true}} {
-		res := ClusterWPNs(fs, opts)
-		if res.Medoids == nil {
-			t.Fatalf("blocked=%v: BuildMedoids set but result has no medoid index", opts.Blocked)
-		}
-		path := filepath.Join(dir, fmt.Sprintf("medoids-%d.json", i))
-		if err := SaveMedoidIndex(path, res.Medoids); err != nil {
-			t.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files[i] = data
-	}
-	if !bytes.Equal(files[0], files[1]) {
-		t.Errorf("exact and blocked routes saved different medoid indexes:\nexact:   %s\nblocked: %s", files[0], files[1])
 	}
 }
 

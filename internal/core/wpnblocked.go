@@ -902,6 +902,6 @@ func clusterWPNsBlocked(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 	blocks := buildBlockDendrograms(fs, comps, opts.Linkage, o)
 	done()
 
-	res, _ := cutStep(fs, blocks, n, opts)
+	res, _, _, _ := cutStep(fs, blocks, n, opts)
 	return res
 }

@@ -55,12 +55,6 @@ type ClusterOptions struct {
 	// blockMaxHamming and blockDistance; see DESIGN.md "Streaming
 	// mining".
 	Blocked bool
-	// BuildMedoids attaches the persistable medoid classify index
-	// (campaign medoids + chosen cut; see MedoidIndex) to the batch
-	// result on either route, at the cost of one medoid pass over the
-	// clusters. IncrementalClusterer.MedoidIndex exports the same index
-	// from a stream. See PipelineOptions.MedoidIndexPath.
-	BuildMedoids bool
 
 	// Metrics, when non-nil, records clustering-stage wall-times
 	// (distance_matrix, linkage or blocks, block_linkage, then cut) in
@@ -102,10 +96,6 @@ type ClusterResult struct {
 	CutHeight  float64
 	Silhouette float64
 	Labels     []int
-	// Medoids is the persistable medoid classify index, populated when
-	// ClusterOptions.BuildMedoids is set and by every
-	// IncrementalClusterer.Recluster. Nil otherwise.
-	Medoids *MedoidIndex
 }
 
 // ClusterWPNs runs the §5.1.1 pipeline stage: pairwise distances,
@@ -140,7 +130,7 @@ func ClusterWPNs(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 		all.members[i] = i
 	}
 
-	res, _ := cutStep(fs, []*blockDendrogram{all}, n, opts)
+	res, _, _, _ := cutStep(fs, []*blockDendrogram{all}, n, opts)
 	return res
 }
 
@@ -153,9 +143,10 @@ func ClusterWPNs(fs *FeatureSet, opts ClusterOptions) *ClusterResult {
 // over one exact block of the live records instead of the blocks (see
 // blockedExactSweepMaxN). The per-block labelings are stitched into
 // global labels under the "cut" stage, then the cut_chosen event is
-// recorded and the clusters derived, with the medoid index when
-// opts.BuildMedoids is set.
-func cutStep(fs *FeatureSet, blocks []*blockDendrogram, nLive int, opts ClusterOptions) (*ClusterResult, sweepMemoStats) {
+// recorded and the clusters derived. It also returns the blocks it cut
+// (the swapped-in exact block when it crossed over) and their
+// labelings, from which a Recluster finds its medoids.
+func cutStep(fs *FeatureSet, blocks []*blockDendrogram, nLive int, opts ClusterOptions) (*ClusterResult, []*blockDendrogram, [][]int, sweepMemoStats) {
 	o := opts.obs
 	done := o.stage("cut")
 	if crossesOver(len(blocks), nLive, opts) {
@@ -184,11 +175,7 @@ func cutStep(fs *FeatureSet, blocks []*blockDendrogram, nLive int, opts ClusterO
 	done()
 
 	o.cutChosen(height, labels, sil)
-	res := finishClusterResult(fs, labels, height, sil)
-	if opts.BuildMedoids {
-		res.Medoids = newMedoidIndex(fs, blockMedoids(blocks, per, labels), height, sil)
-	}
-	return res, ms
+	return finishClusterResult(fs, labels, height, sil), blocks, per, ms
 }
 
 // finishClusterResult derives the per-cluster source/landing domain
