@@ -1,5 +1,5 @@
 // Package chaos is the deterministic fault-injection layer for the
-// simulated web. It wraps vnet host handlers and the shared transport
+// simulated web. It wraps vnet host handlers and client transports
 // with seeded, composable fault profiles — latency spikes, connection
 // resets, 5xx bursts, truncated bodies, DNS blackhole windows, and
 // scheduled push-service outages driven by the simulated clock — so the
@@ -63,8 +63,9 @@ type Profile struct {
 	LatencyMin      time.Duration `json:"latency_min,omitempty"`
 	LatencyMax      time.Duration `json:"latency_max,omitempty"`
 
-	// ResetFraction of requests have their connection hijacked and
-	// closed before any response bytes — the client sees EOF/RST.
+	// ResetFraction of requests are aborted before any response byte
+	// (panic(http.ErrAbortHandler)): each fails once with a transport
+	// error, which nothing retries below the caller.
 	ResetFraction float64 `json:"reset_fraction,omitempty"`
 
 	// Error5xxFraction of requests are answered 503 before reaching the
@@ -103,17 +104,6 @@ func (p Profile) Enabled() bool {
 	return p.LatencyFraction > 0 || p.ResetFraction > 0 || p.Error5xxFraction > 0 ||
 		p.TruncateFraction > 0 || p.ContainerCrashFraction > 0 ||
 		len(p.Blackholes) > 0 || len(p.PushOutages) > 0
-}
-
-// KillsConnections reports whether the profile can end a connection
-// mid-exchange: resets close it before any response bytes, truncation
-// after a short body. Only these faults interact with connection reuse
-// — Go's transport silently retries a request whose reused connection
-// dies before the first response byte — so only these profiles need a
-// fresh connection per request. Latency, 503s, outages, blackholes and
-// crashes all leave the connection intact.
-func (p Profile) KillsConnections() bool {
-	return p.ResetFraction > 0 || p.TruncateFraction > 0
 }
 
 func (p Profile) withDefaults() Profile {
@@ -306,8 +296,7 @@ func (in *Injector) Middleware(host string, h http.Handler) http.Handler {
 		n := in.nextAttempt(key)
 		if in.draw("reset", key, n, in.prof.ResetFraction) {
 			in.count("reset")
-			abortConn(w)
-			return
+			panic(http.ErrAbortHandler)
 		}
 		if in.draw("503", key, n, in.prof.Error5xxFraction) {
 			in.count("http_503")
@@ -342,21 +331,9 @@ func (in *Injector) latencyFor(key string, attempt int) time.Duration {
 	return in.prof.LatencyMin + time.Duration(f*float64(span))
 }
 
-// abortConn kills the client connection without a response.
-func abortConn(w http.ResponseWriter) {
-	if hj, ok := w.(http.Hijacker); ok {
-		if conn, _, err := hj.Hijack(); err == nil {
-			conn.Close()
-			return
-		}
-	}
-	panic(http.ErrAbortHandler)
-}
-
 // serveTruncated runs the inner handler into a buffer, then replays the
-// response with the full Content-Length but only half the body; the
-// net/http server closes the connection on the short write and the
-// client observes an unexpected EOF mid-body.
+// response with the full Content-Length but only half the body, so the
+// client reads half and then io.ErrUnexpectedEOF.
 func serveTruncated(w http.ResponseWriter, r *http.Request, h http.Handler) {
 	rec := &captureWriter{header: make(http.Header), code: http.StatusOK}
 	h.ServeHTTP(rec, r)

@@ -307,37 +307,3 @@ func TestParseProfile(t *testing.T) {
 		}
 	}
 }
-
-// TestKillsConnections: the predicate that decides whether a profile
-// may share pooled connections is true exactly when resets or
-// truncation are on — the only faults that end a connection.
-func TestKillsConnections(t *testing.T) {
-	preset := func(name string) Profile {
-		p, ok := Preset(name)
-		if !ok {
-			t.Fatalf("preset %q missing", name)
-		}
-		return p
-	}
-	for _, tc := range []struct {
-		name string
-		prof Profile
-		want bool
-	}{
-		{"zero", Profile{}, false},
-		{"mild", preset("mild"), true},
-		{"acceptance", preset("acceptance"), true},
-		{"harsh", preset("harsh"), true},
-		{"resets", Profile{ResetFraction: 0.01}, true},
-		{"truncate", Profile{TruncateFraction: 0.01}, true},
-		{"latency", Profile{LatencyFraction: 1, LatencyMin: time.Millisecond, LatencyMax: time.Millisecond}, false},
-		{"errors", Profile{Error5xxFraction: 0.1, RetryAfter: time.Second}, false},
-		{"outage", Profile{PushOutages: []Window{{Start: time.Hour, Dur: time.Hour}}}, false},
-		{"blackhole", Profile{Blackholes: map[string][]Window{"cdn.test": {{Dur: time.Hour}}}}, false},
-		{"crashes", Profile{ContainerCrashFraction: 0.05}, false},
-	} {
-		if got := tc.prof.KillsConnections(); got != tc.want {
-			t.Errorf("%s: KillsConnections() = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}

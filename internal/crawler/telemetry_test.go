@@ -52,11 +52,11 @@ func TestTelemetryReconcilesWithChaos(t *testing.T) {
 
 	// Ledger 1 vs ledger 2: every server-side reset and client-side
 	// blackhole must surface as exactly one classified client transport
-	// error (keep-alives are off whenever the profile injects resets or
-	// truncation, so no silent retry on a reused connection blurs the
-	// mapping). Truncations fail at body read, not at the transport, so
-	// they are excluded by construction. The browser sends no request
-	// for a URL it cannot load, so no error is a "bad_url".
+	// error (requests are dispatched with no connection, so no silent
+	// retry on a reused one blurs the mapping). Truncations fail at body
+	// read, not at the transport, so they are excluded by construction.
+	// The browser sends no request for a URL it cannot load, so no
+	// error is a "bad_url".
 	errKinds := snap.Families["vnet_client_errors"]
 	if n := errKinds["bad_url"]; n != 0 {
 		t.Errorf("vnet_client_errors[bad_url] = %d, want 0: the crawl requested URLs it cannot load", n)

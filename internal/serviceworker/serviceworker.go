@@ -305,12 +305,11 @@ func (rt *Runtime) doGET(reg *Registration, url string) RequestRecord {
 }
 
 // classifyNetError collapses transport error text into a stable
-// category. Raw messages differ run to run for the same injected fault
-// (a killed in-process connection surfaces as EOF, or as "io:
-// read/write on closed pipe" if the client was still writing; a cut
-// body as "unexpected EOF"), and these strings end up inside WPN
-// records, which must be byte-identical across same-seed runs. All of
-// them read as "net: connection failed".
+// category. Raw messages name the request and how it failed (an
+// aborted response as "vnet: connection closed before the response", a
+// cut body as "unexpected EOF"), and these strings end up inside WPN
+// records, which must not depend on how the network reports a fault.
+// Both read as "net: connection failed".
 func classifyNetError(err error) string {
 	s := err.Error()
 	switch {

@@ -15,14 +15,12 @@ import (
 )
 
 // faultyNet serves body at a.test behind a chaos injector with profile
-// p, with keep-alives off as webeco sets them for profiles that kill
-// connections, and counts into the returned registry.
+// p, and counts into the returned registry.
 func faultyNet(t *testing.T, p chaos.Profile, body string) (*Network, *telemetry.Registry) {
 	t.Helper()
 	n := newNet(t)
 	epoch := time.Date(2019, 9, 1, 0, 0, 0, 0, time.UTC)
 	in := chaos.NewInjector(p, func() time.Time { return epoch }, epoch)
-	n.DisableKeepAlives()
 	n.SetMiddleware(in.Middleware)
 	reg := telemetry.New()
 	n.AttachMetrics(reg)
@@ -79,26 +77,22 @@ func TestTruncatedBodyEndsEarly(t *testing.T) {
 	}
 }
 
-// TestNetworkOpensNoSockets: the network's connections are in-process,
-// so neither New nor pooled or fresh-connection traffic opens a socket.
-// Linux only: it lists the socket:[inode] links under /proc/self/fd.
+// TestNetworkOpensNoSockets: the network dispatches in process, so
+// neither New nor its traffic opens a socket. Linux only: it lists the
+// socket:[inode] links under /proc/self/fd.
 func TestNetworkOpensNoSockets(t *testing.T) {
 	before, err := openSockets()
 	if err != nil {
 		t.Skipf("cannot list open file descriptors: %v", err)
 	}
-	pooled := newNet(t)
-	fresh := newNet(t)
-	fresh.DisableKeepAlives()
-	for _, n := range []*Network{pooled, fresh} {
-		n.HandleFunc("a.test", func(w http.ResponseWriter, r *http.Request) {
-			io.WriteString(w, "ok") //nolint:errcheck
-		})
-		c := n.Client()
-		for i := 0; i < 5; i++ {
-			if _, body := get(t, c, "https://a.test/"); body != "ok" {
-				t.Fatalf("body = %q", body)
-			}
+	n := newNet(t)
+	n.HandleFunc("a.test", func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok") //nolint:errcheck
+	})
+	c := n.Client()
+	for i := 0; i < 5; i++ {
+		if _, body := get(t, c, "https://a.test/"); body != "ok" {
+			t.Fatalf("body = %q", body)
 		}
 	}
 	after, err := openSockets()

@@ -1,20 +1,24 @@
 // Package vnet provides the virtual network the simulated web runs on:
-// one http.Server serving an arbitrary number of virtual HTTPS hosts,
-// plus http.Clients whose transport resolves every hostname to that
-// server. All traffic between the crawler's browsers, the push service,
-// ad networks, and landing pages crosses a real net/http stack — the
-// same http.Transport pool, HTTP/1.1 framing, connection lifecycle and
-// fault behaviour as over TCP — but each connection is an in-process
-// net.Pipe, so no byte passes through the kernel. Name resolution, TLS
-// and the socket layer are virtualized (URLs use the https scheme,
-// carried as plaintext HTTP over the pipe).
+// virtual HTTPS hosts, each an http.Handler, and http.Clients that
+// reach them by direct dispatch. A request is served by calling its
+// host's handler in the caller's goroutine, with net/http's request and
+// response types built as an HTTP/1.1 server and client build them from
+// the wire. No byte is framed or sent: there is no connection, pool,
+// socket, name resolution or TLS (URLs keep the https scheme).
 package vnet
 
 import (
-	"context"
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"log"
 	"net"
 	"net/http"
+	"net/url"
+	"runtime/debug"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -25,8 +29,8 @@ import (
 )
 
 // Network is a virtual internet. Register hosts with Handle, then create
-// clients with Client. Close drains in-flight requests and stops the
-// server; dials after Close fail.
+// clients with Client. Close drains in-flight requests; requests after
+// Close fail.
 type Network struct {
 	mu       sync.RWMutex
 	hosts    map[string]http.Handler
@@ -38,17 +42,14 @@ type Network struct {
 	// created afterwards (client-side fault injection).
 	wrapTransport func(http.RoundTripper) http.RoundTripper
 
-	server *http.Server
-	// base is the single shared Transport all clients dial through; one
-	// connection pool per network keeps the number of live connections,
-	// and of the goroutines serving them, bounded no matter how many
-	// browser containers exist.
-	base *http.Transport
-
-	// inflight tracks handler executions so Close can drain them —
-	// including hijacked connections, which server.Shutdown does not
-	// wait for.
+	// closed is set when Close begins; no request starts after it. It
+	// is read under mu as inflight is raised, so Add never races Wait.
+	closed   bool
 	inflight sync.WaitGroup
+
+	// roundTrip serves every request of every client, read per request:
+	// dispatch, unless a test points it at another path.
+	roundTrip func(*http.Request) (*http.Response, error)
 
 	// reqFamily is the single per-host request counter: RequestCounts
 	// reads it, and AttachMetrics adopts the same family into a
@@ -72,85 +73,24 @@ type clientMetrics struct {
 	injected *telemetry.Family  // chaos-marked responses by fault kind
 }
 
-// wireHost is the one address every request is sent to. Every virtual
-// host shares it, so the shared transport keeps one pool under one set
-// of limits; the ".invalid" name is reserved (RFC 2606) and never
-// resolved, since the transport's dialer ignores it.
-const wireHost = "vnet.invalid:80"
-
-// New starts a virtual network: a server with no hosts yet, and the
-// shared transport that dials it in process. It opens no socket.
+// New returns a virtual network with no hosts yet. It starts nothing
+// and opens no socket.
 func New() *Network {
-	ln := &pipeListener{conns: make(chan net.Conn), closed: make(chan struct{})}
 	n := &Network{
-		hosts: make(map[string]http.Handler),
-		base: &http.Transport{
-			DialContext:         ln.dial,
-			MaxIdleConns:        128,
-			MaxIdleConnsPerHost: 64,
-			MaxConnsPerHost:     256,
-			IdleConnTimeout:     2 * time.Second,
-		},
+		hosts:     make(map[string]http.Handler),
 		reqFamily: telemetry.NewFamily("vnet_requests_by_host", "host"),
 	}
-	n.server = &http.Server{Handler: http.HandlerFunc(n.dispatch)}
-	go n.server.Serve(ln) //nolint:errcheck // Serve returns on Close
+	n.roundTrip = n.dispatch
 	return n
 }
 
-// pipeListener is the server's listener: each connection the shared
-// transport dials is a net.Pipe, whose far end Accept hands to the
-// server. Nothing is buffered; a dial waits for the server to accept.
-type pipeListener struct {
-	conns     chan net.Conn
-	closed    chan struct{}
-	closeOnce sync.Once
-}
-
-// dial is the transport's DialContext. It fails with net.ErrClosed once
-// the listener is closed, or with ctx's error if ctx ends before the
-// server accepts.
-func (l *pipeListener) dial(ctx context.Context, _, _ string) (net.Conn, error) {
-	client, server := net.Pipe()
-	select {
-	case l.conns <- server:
-		return client, nil
-	case <-l.closed:
-		return nil, net.ErrClosed
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Accept implements net.Listener.
-func (l *pipeListener) Accept() (net.Conn, error) {
-	select {
-	case c := <-l.conns:
-		return c, nil
-	case <-l.closed:
-		return nil, net.ErrClosed
-	}
-}
-
-// Close implements net.Listener.
-func (l *pipeListener) Close() error {
-	l.closeOnce.Do(func() { close(l.closed) })
-	return nil
-}
-
-// Addr implements net.Listener.
-func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
-
-type pipeAddr struct{}
-
-func (pipeAddr) Network() string { return "pipe" }
-func (pipeAddr) String() string  { return wireHost }
-
-// Close shuts the network down, first draining in-flight requests (with
-// a bound, so a wedged handler cannot hang shutdown forever).
+// Close shuts the network down: requests that have not started fail,
+// and in-flight ones are drained (with a bound, so a wedged handler
+// cannot hang shutdown forever).
 func (n *Network) Close() error {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
+	n.mu.Lock()
+	n.closed = true
+	n.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		n.inflight.Wait()
@@ -158,15 +98,9 @@ func (n *Network) Close() error {
 	}()
 	select {
 	case <-done:
-	case <-ctx.Done():
+	case <-time.After(2 * time.Second):
 	}
-	// The pool can hold a connection that was dialed for a request which
-	// then took a connection freed meanwhile. The server has seen no
-	// request on it, and Shutdown waits up to 5 s for a new connection's
-	// first request, which would stall Close until ctx expires. Closing
-	// the pool first ends such connections from the client side.
-	n.base.CloseIdleConnections()
-	return n.server.Shutdown(ctx)
+	return nil
 }
 
 // Handle registers a handler for a virtual hostname (no port, lowercase).
@@ -208,18 +142,6 @@ func (n *Network) SetTransportWrapper(wrap func(http.RoundTripper) http.RoundTri
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.wrapTransport = wrap
-}
-
-// DisableKeepAlives turns connection reuse off for the shared transport.
-// webeco.New calls it, before any traffic, for fault profiles that can
-// kill a connection (chaos.Profile.KillsConnections: resets or
-// truncation): Go's transport silently retries idempotent requests that
-// die on a *reused* connection before the first response byte, which
-// would make injected resets unobservable and their effects
-// scheduling-dependent. Every other profile keeps the pool. Call it
-// before traffic starts.
-func (n *Network) DisableKeepAlives() {
-	n.base.DisableKeepAlives = true
 }
 
 // Hosts returns the registered virtual hostnames, sorted.
@@ -274,68 +196,175 @@ func (n *Network) AttachMetrics(reg *telemetry.Registry) {
 	}
 }
 
-func (n *Network) dispatch(w http.ResponseWriter, r *http.Request) {
-	n.inflight.Add(1)
-	defer n.inflight.Done()
-	host := strings.ToLower(r.Host)
+// admit counts one request for hostport, marks it in flight (the caller
+// calls inflight.Done) and returns its host's handler or the fallback,
+// behind the middleware, or else a 502 — the virtual DNS failure. Once
+// Close has begun it fails with an error wrapping net.ErrClosed.
+func (n *Network) admit(hostport string) (http.Handler, error) {
+	host := strings.ToLower(hostport)
 	if i := strings.IndexByte(host, ':'); i >= 0 {
 		host = host[:i]
 	}
-	n.reqFamily.Add(host, 1)
 	n.mu.RLock()
+	if n.closed {
+		n.mu.RUnlock()
+		return nil, fmt.Errorf("vnet: request for %s: %w", host, net.ErrClosed)
+	}
+	n.inflight.Add(1)
 	h := n.hosts[host]
 	if h == nil {
 		h = n.fallback
 	}
 	mw := n.middleware
 	n.mu.RUnlock()
-	if h == nil {
-		http.Error(w, "vnet: no such host "+host, http.StatusBadGateway)
-		return
-	}
-	if mw != nil {
+	n.reqFamily.Add(host, 1)
+	switch {
+	case h == nil:
+		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "vnet: no such host "+host, http.StatusBadGateway)
+		})
+	case mw != nil:
 		h = mw(host, h)
 	}
-	h.ServeHTTP(w, r)
+	return h, nil
 }
 
-// transport routes every request to the network's server, preserving
-// the virtual Host, and downgrades the https scheme to plain HTTP on the
-// wire.
-type transport struct {
-	base *http.Transport
+// dispatch is the network's round trip: it calls req's handler in the
+// caller's goroutine on a request built as http.Server parses one, and
+// returns what the handler wrote. It only reads and closes req's body.
+// A handler panic fails the request, as http.Server's recovery does by
+// killing the connection; any value but http.ErrAbortHandler is logged
+// with its host and path, as net/http logs it.
+func (n *Network) dispatch(req *http.Request) (resp *http.Response, err error) {
+	var body []byte
+	if req.Body != nil && req.Body != http.NoBody {
+		body, err = io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+	}
+	if s := req.URL.Scheme; s != "http" && s != "https" {
+		return nil, fmt.Errorf("unsupported protocol scheme %q", s)
+	}
+	r := &http.Request{Method: req.Method, Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: req.Header.Clone(), Body: http.NoBody, Host: req.Host, RequestURI: req.URL.RequestURI()}
+	if r.URL, err = url.ParseRequestURI(r.RequestURI); err != nil {
+		return nil, fmt.Errorf("vnet: %w", err)
+	}
+	if r.Host == "" {
+		r.Host = req.URL.Host
+	}
+	if len(body) > 0 {
+		r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	}
+	h, err := n.admit(r.Host)
+	if err != nil {
+		return nil, err
+	}
+	defer n.inflight.Done()
+	w := &recorder{header: make(http.Header)}
+	defer func() {
+		if p := recover(); p != nil {
+			if p != http.ErrAbortHandler {
+				log.Printf("vnet: panic serving %s%s: %v\n%s", r.Host, r.URL.Path, p, debug.Stack())
+			}
+			resp, err = nil, errors.New("vnet: connection closed before the response")
+		}
+	}()
+	h.ServeHTTP(w, r.WithContext(req.Context()))
+	return w.response(req), nil
 }
 
-// RoundTrip implements http.RoundTripper. The rewrite touches only the
-// URL's scheme and host and the request's Host, so the request it sends
-// is a shallow copy with its own URL; headers, body and context are
-// shared with the caller's request, which is left unchanged.
-func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	out := *req
-	u := *req.URL
-	out.URL = &u
-	if u.Scheme == "https" {
-		u.Scheme = "http"
+// recorder is the handler's http.ResponseWriter. As http.Server's does,
+// it takes the status from the first WriteHeader (or Write), sends the
+// header as it was then, and refuses a body for 1xx, 204 and 304.
+type recorder struct {
+	header, sent http.Header
+	code         int
+	body         bytes.Buffer
+}
+
+func (w *recorder) Header() http.Header { return w.header }
+
+func (w *recorder) WriteHeader(code int) {
+	if w.code == 0 {
+		w.code, w.sent = code, w.header.Clone()
 	}
-	if out.Host == "" {
-		out.Host = req.URL.Host
+}
+
+func (w *recorder) Write(p []byte) (int, error) {
+	if w.WriteHeader(http.StatusOK); !bodyAllowed(w.code) {
+		return 0, http.ErrBodyNotAllowed
 	}
-	u.Host = wireHost
-	resp, err := t.base.RoundTrip(&out)
-	if resp != nil {
-		// Restore the virtual URL so callers (and the redirect
-		// resolver) see the request they actually made, not the
-		// wire rewrite.
-		resp.Request = req
+	return w.body.Write(p)
+}
+
+func bodyAllowed(code int) bool {
+	return code >= 200 && code != http.StatusNoContent && code != http.StatusNotModified
+}
+
+// response is the client's view of what the handler wrote, with the
+// Content-Type (sniffed) and Content-Length http.Server adds when the
+// handler set none. A body shorter than its declared length (a
+// truncated response) ends in io.ErrUnexpectedEOF, as a connection
+// closed mid-body does. HEAD, 204 and 304 responses carry no body.
+func (w *recorder) response(req *http.Request) *http.Response {
+	w.WriteHeader(http.StatusOK)
+	h, body := w.sent, w.body.Bytes()
+	resp := &http.Response{Status: strconv.Itoa(w.code) + " " + http.StatusText(w.code), StatusCode: w.code,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1, Header: h, Body: http.NoBody, Request: req}
+	if !bodyAllowed(w.code) {
+		h.Del("Content-Length")
+		return resp
 	}
-	return resp, err
+	if _, ok := h["Content-Type"]; !ok && len(body) > 0 && h.Get("Content-Encoding") == "" {
+		h.Set("Content-Type", http.DetectContentType(body))
+	}
+	if h.Get("Content-Length") == "" && (req.Method != http.MethodHead || len(body) > 0) {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+	}
+	// A missing (HEAD, no body) or malformed length reads as 0.
+	resp.ContentLength, _ = strconv.ParseInt(h.Get("Content-Length"), 10, 64)
+	switch {
+	case req.Method == http.MethodHead:
+	case int64(len(body)) < resp.ContentLength:
+		resp.Body = shortBody{bytes.NewReader(body)}
+	default:
+		resp.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	return resp
+}
+
+// shortBody reads what a truncated response's handler wrote, then
+// io.ErrUnexpectedEOF.
+type shortBody struct{ r *bytes.Reader }
+
+func (b shortBody) Read(p []byte) (n int, err error) {
+	if n, err = b.r.Read(p); err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return n, err
+}
+
+func (shortBody) Close() error { return nil }
+
+// transport is every client's base round tripper: it hands each request
+// to the network's roundTrip.
+type transport struct{ n *Network }
+
+// RoundTrip implements http.RoundTripper.
+func (t transport) RoundTrip(req *http.Request) (*http.Response, error) {
+	return t.n.roundTrip(req)
 }
 
 // Client returns an http.Client that resolves all hosts through the
 // virtual network. Redirects are followed up to the standard limit; use
-// ClientNoRedirect to observe redirect chains hop by hop.
+// ClientNoRedirect to observe redirect chains hop by hop. It has no
+// Timeout, which could not cut short a handler running in the caller's
+// goroutine.
 func (n *Network) Client() *http.Client {
-	return &http.Client{Transport: n.newTransport(), Timeout: 10 * time.Second}
+	return &http.Client{Transport: n.newTransport()}
 }
 
 // ClientNoRedirect returns a client that does not follow redirects,
@@ -349,7 +378,6 @@ func (n *Network) ClientNoRedirect() *http.Client {
 	return &http.Client{
 		Transport: n.newTransport(),
 		Jar:       httpx.NewMemJar(),
-		Timeout:   10 * time.Second,
 		CheckRedirect: func(req *http.Request, via []*http.Request) error {
 			return http.ErrUseLastResponse
 		},
@@ -357,7 +385,7 @@ func (n *Network) ClientNoRedirect() *http.Client {
 }
 
 func (n *Network) newTransport() http.RoundTripper {
-	var rt http.RoundTripper = &transport{base: n.base}
+	var rt http.RoundTripper = transport{n}
 	n.mu.RLock()
 	wrap := n.wrapTransport
 	m := n.metrics

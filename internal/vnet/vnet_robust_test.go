@@ -1,13 +1,10 @@
 package vnet
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -116,70 +113,5 @@ func TestCloseDrainsInflightRequests(t *testing.T) {
 	r := <-resCh
 	if r.err != nil || r.body != "done" {
 		t.Fatalf("in-flight request: body=%q err=%v", r.body, r.err)
-	}
-}
-
-// TestCloseEndsUnusedPooledConns: a connection the transport dialed for
-// a request that then took a connection freed meanwhile goes into the
-// pool unused. The server sees it as new, and http.Server.Shutdown
-// waits up to 5 s for a new connection's first request, so Close must
-// end it from the client side instead of stalling until its 2 s bound.
-func TestCloseEndsUnusedPooledConns(t *testing.T) {
-	n := New()
-	var dials atomic.Int32
-	secondDialed := make(chan struct{})
-	dial := n.base.DialContext
-	n.base.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
-		if dials.Add(1) != 2 {
-			return dial(ctx, network, addr)
-		}
-		// The second dial is slow, so the first connection frees up and
-		// serves the second request before this one is ready.
-		defer close(secondDialed)
-		time.Sleep(100 * time.Millisecond)
-		return dial(ctx, network, addr)
-	}
-	inFirst, release := make(chan struct{}), make(chan struct{})
-	var first sync.Once
-	n.HandleFunc("a.test", func(w http.ResponseWriter, r *http.Request) {
-		first.Do(func() {
-			close(inFirst)
-			<-release
-		})
-		fmt.Fprint(w, "ok")
-	})
-	c := n.Client()
-	errs := make(chan error, 2)
-	fetch := func() {
-		resp, err := c.Get("http://a.test/")
-		if err == nil {
-			_, err = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		}
-		errs <- err
-	}
-	go fetch()
-	<-inFirst
-	go fetch()
-	for dials.Load() < 2 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-	<-secondDialed
-	// The transport pools the connection right after the dial returns;
-	// nothing outside net/http can observe that, so give it a moment.
-	time.Sleep(100 * time.Millisecond)
-
-	start := time.Now()
-	if err := n.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if d := time.Since(start); d > time.Second {
-		t.Fatalf("Close took %v with an unused pooled connection", d)
 	}
 }

@@ -172,13 +172,12 @@ func TestHostCaseAndPortInsensitive(t *testing.T) {
 	}
 }
 
-// TestRoundTripLeavesRequestAlone checks that the transport rewrites a
-// copy of the request, not the caller's: after a round trip through a
-// Client's transport the caller's URL, Host and Header are as built,
-// resp.Request is the caller's request, and the handler still saw the
-// virtual host and the header. It calls the transport directly because
-// http.Client itself hands the transport a shallow copy of a request
-// when the client has a timeout, as Client's does.
+// TestRoundTripLeavesRequestAlone checks that dispatch builds the
+// handler's request as a copy, not from the caller's: after a round
+// trip through a Client's transport the caller's URL, Host and Header
+// are as built, resp.Request is the caller's request, and the handler
+// still saw the virtual host and the header. It calls the transport
+// directly, so nothing in http.Client stands between the two.
 func TestRoundTripLeavesRequestAlone(t *testing.T) {
 	n := newNet(t)
 	var sawHost, sawProbe string

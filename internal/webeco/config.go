@@ -4,9 +4,9 @@
 // keywords, ad campaigns with rotated landing domains, benign and
 // malicious landing pages, a code-search engine standing in for
 // publicwww.com, Alexa-style popularity ranks, and the push scheduling
-// that delivers WPNs to subscribed browsers. Everything is served over a
-// real HTTP stack (internal/vnet); the generator is fully deterministic
-// per seed.
+// that delivers WPNs to subscribed browsers. Everything is served as
+// net/http handlers on the virtual network (internal/vnet); the
+// generator is fully deterministic per seed.
 package webeco
 
 import (

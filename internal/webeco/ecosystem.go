@@ -73,14 +73,6 @@ func New(cfg Config) (*Ecosystem, error) {
 			prof.PushHost = fcm.DefaultHost
 		}
 		e.chaos = chaos.NewInjector(prof, e.Clock.Now, epoch)
-		// Reused connections would let Go's transport auto-retry
-		// requests killed by injected resets, hiding faults behind
-		// scheduling races; fresh connections keep injection exact.
-		// Profiles that never kill a connection keep the pool, as
-		// fault-free runs do.
-		if prof.KillsConnections() {
-			net.DisableKeepAlives()
-		}
 		net.SetMiddleware(e.chaos.Middleware)
 		net.SetTransportWrapper(e.chaos.WrapTransport)
 	}

@@ -13,9 +13,9 @@
 // Chromium build — cannot be reproduced offline, this library ships a
 // synthetic web ecosystem (publisher sites, push ad networks, campaigns,
 // malicious landing infrastructure, an FCM-style push service, and URL
-// blocklist services) served over a real HTTP stack whose connections
-// are in-process pipes, plus a simulated instrumented browser. See
-// DESIGN.md for the substitution table.
+// blocklist services) served to net/http clients by in-process
+// dispatch to their handlers, plus a simulated instrumented browser.
+// See DESIGN.md for the substitution table.
 //
 // Quick start:
 //
